@@ -15,11 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .characterization import (
     build_kernel_projector,
@@ -70,10 +72,11 @@ class VerificationReport:
     n: int
     parity: str
     checks: list[CheckResult]
-    det: Fraction
-    rank_d: int
-    inertia_triple: InertiaTriple
-    rank_l: int
+    # None when the set-up step computing the value raised
+    det: Optional[Fraction]
+    rank_d: Optional[int]
+    inertia_triple: Optional[InertiaTriple]
+    rank_l: Optional[int]
     elapsed_ms: float
 
     @property
@@ -88,9 +91,9 @@ class VerificationReport:
                 {"name": c.name, "pass": c.passed, "detail": c.detail} for c in self.checks
             ],
             "summary": {
-                "det": str(self.det),
+                "det": None if self.det is None else str(self.det),
                 "rank": self.rank_d,
-                "inertia": list(self.inertia_triple),
+                "inertia": None if self.inertia_triple is None else list(self.inertia_triple),
                 "rank_L": self.rank_l,
                 "elapsed_ms": self.elapsed_ms,
             },
@@ -101,42 +104,83 @@ class VerificationReport:
         for c in self.checks:
             mark = "PASS" if c.passed else "FAIL"
             lines.append(f"  [{mark}] {c.name}: {c.detail}")
-        tri = self.inertia_triple
         lines.append(
             f"  summary: det={self.det} rank={self.rank_d} "
-            f"inertia=({tri.i_plus},{tri.i_minus},{tri.i_zero}) "
+            f"inertia={_inertia_text(self.inertia_triple)} "
             f"rank_L={self.rank_l} elapsed={self.elapsed_ms:.1f}ms"
         )
         lines.append(f"  result: {'OK' if self.all_passed else 'FAILED'}")
         return "\n".join(lines)
 
 
+def _inertia_text(tri: Optional[InertiaTriple]) -> str:
+    return "None" if tri is None else f"({tri.i_plus},{tri.i_minus},{tri.i_zero})"
+
+
+class _SetupFailed(Exception):
+    """A set-up step raised; its failed check is already recorded."""
+
+
+def _raised(exc: Exception) -> str:
+    return f"raised {type(exc).__name__}: {exc}"
+
+
 def run_verification(n: int) -> VerificationReport:
     """Run every check for one n and collect the results.
 
-    A check that raises is recorded as failed with the exception text;
-    the report itself is always produced.
+    A check that raises is recorded as failed with the exception text.
+    A set-up step that raises (building D and its determinant, rank and
+    inertia, the closed-form ingredients, rank(L)) is recorded as a
+    failed check named ``setup:<step>``; the checks after it are not
+    run, and the summary values not yet computed are None.  The report
+    itself is always produced.
     """
     if n < 4:
         raise NTooSmallError(f"helm graphs need n >= 4, got {n}")
     start = time.perf_counter()
+    report = VerificationReport(
+        n=n,
+        parity="even" if n % 2 == 0 else "odd",
+        checks=[],
+        det=None,
+        rank_d=None,
+        inertia_triple=None,
+        rank_l=None,
+        elapsed_ms=0.0,
+    )
+    try:
+        _run_checks(n, report)
+    except _SetupFailed:
+        pass
+    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return report
+
+
+def _run_checks(n: int, report: VerificationReport) -> None:
+    """Append the checks for n to report and fill in its summary values."""
     even = n % 2 == 0
-    parity = "even" if even else "odd"
     order = 2 * n - 1
     k = n - 1
-    checks: list[CheckResult] = []
+    checks = report.checks
 
     def run_check(name: str, fn) -> None:
         try:
             passed, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+            passed, detail = False, _raised(exc)
         checks.append(CheckResult(name, passed, detail))
 
-    d = helm_distance_block(n)
-    det_val = determinant(d)
-    rank_val = rank(d)
-    inertia_val = inertia(d)
+    def setup(step: str, fn, *args):
+        try:
+            return fn(*args)
+        except Exception as exc:  # a crashed set-up step is a failed check
+            checks.append(CheckResult(f"setup:{step}", False, _raised(exc)))
+            raise _SetupFailed(step) from exc
+
+    d = setup("helm_distance_block", helm_distance_block, n)
+    report.det = det_val = setup("determinant", determinant, d)
+    report.rank_d = rank_val = setup("rank", rank, d)
+    report.inertia_triple = inertia_val = setup("inertia", inertia, d)
 
     def chk_block():
         ok = d == bfs_distance_matrix(build_helm(n))
@@ -161,12 +205,15 @@ def run_verification(n: int) -> VerificationReport:
     run_check("rank", chk_rank)
     run_check("inertia", chk_inertia)
 
-    vectors = make_w_alpha(n)
-    case = make_even_case(n) if even else make_odd_case(n)
+    vectors = setup("make_w_alpha", make_w_alpha, n)
+    if even:
+        case = setup("make_even_case", make_even_case, n)
+    else:
+        case = setup("make_odd_case", make_odd_case, n)
     lap = case.laplacian_like
     coupling = -RatMatrix.identity(k) if even else case.coupling_block
     ident = RatMatrix.identity(order)
-    s_mat = materialize(cycle_signless_laplacian_spec(k))
+    s_mat = setup("materialize", lambda: materialize(cycle_signless_laplacian_spec(k)))
 
     if even:
 
@@ -185,9 +232,9 @@ def run_verification(n: int) -> VerificationReport:
     run_check("closed_form_inverse" if even else "closed_form_mp_inverse", chk_closed)
 
     def chk_six():
-        report = check_conditions_i_vi(case.rim_block, coupling, s_mat)
-        held = sum(1 for b in report if b)
-        return report.all_hold(), f"{held}/6 block conditions hold"
+        conditions = check_conditions_i_vi(case.rim_block, coupling, s_mat)
+        held = sum(1 for b in conditions if b)
+        return conditions.all_hold(), f"{held}/6 block conditions hold"
 
     run_check("six_conditions", chk_six)
 
@@ -202,7 +249,7 @@ def run_verification(n: int) -> VerificationReport:
 
     run_check("kernel_projector", chk_kernel)
 
-    dec = Decomposition(lap, vectors.w, vectors.alpha)
+    dec = setup("decomposition", Decomposition, lap, vectors.w, vectors.alpha)
 
     def chk_equiv():
         ok = check_equiv_formulation(d, dec)
@@ -220,7 +267,7 @@ def run_verification(n: int) -> VerificationReport:
 
     run_check("uniqueness", chk_unique)
 
-    rank_l_val = rank(lap)
+    report.rank_l = setup("rank_L", rank, lap)
     if not even:
 
         def chk_psd():
@@ -233,18 +280,6 @@ def run_verification(n: int) -> VerificationReport:
 
         run_check("psd_via_schur", chk_psd)
         run_check("rank_of_l", chk_rank_l)
-
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return VerificationReport(
-        n=n,
-        parity=parity,
-        checks=checks,
-        det=det_val,
-        rank_d=rank_val,
-        inertia_triple=inertia_val,
-        rank_l=rank_l_val,
-        elapsed_ms=elapsed_ms,
-    )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -276,11 +311,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(header)
         print("-" * len(header))
         for r in reports:
-            tri = f"({r.inertia_triple.i_plus},{r.inertia_triple.i_minus},{r.inertia_triple.i_zero})"
+            tri = _inertia_text(r.inertia_triple)
             status = "OK" if r.all_passed else "FAILED"
             print(
-                f"{r.n:>3} {r.parity:>6} {str(r.det):>12} {r.rank_d:>5} {tri:>12} "
-                f"{r.rank_l:>6} {r.elapsed_ms:>8.1f} {status}"
+                f"{r.n:>3} {r.parity:>6} {str(r.det):>12} {str(r.rank_d):>5} {tri:>12} "
+                f"{str(r.rank_l):>6} {r.elapsed_ms:>8.1f} {status}"
             )
         total = sum(1 for r in reports if r.all_passed)
         print(f"{total}/{len(reports)} parameter values fully verified")
@@ -357,7 +392,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # flush inside the try, so a closed pipe raises here and not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (e.g. `helmlab sweep | head -1`); point
+        # stdout at devnull so the flush at interpreter exit cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -7,16 +7,35 @@ verified.  There is no floating point and no tolerance anywhere in this
 module: equality of matrices means entrywise equality of reduced
 fractions.
 
+``RatMatrix`` stores ``Fraction`` entries, but the kernels below do not
+compute with them.  Each one clears denominators first (one common
+denominator per matrix, or per row for elimination) and then works in
+Python integers:
+
+* matmul takes integer dot products and divides by the product of the
+  two denominators once per entry;
+* Gauss-Jordan elimination is fraction-free: a row update is
+  ``a*row - b*lead`` followed by division by the row's content;
+* the determinant is Bareiss's fraction-free elimination (Bareiss 1968,
+  Math. Comp. 22), whose divisions by the previous pivot are exact;
+* the inertia is a Sylvester congruence reduction in integers, scaled by
+  positive factors only, so signs and hence the inertia are preserved.
+
+Results are converted back to reduced fractions, so every result equals
+the one plain ``Fraction`` arithmetic gives.
+
 The pseudoinverse is computed by full-rank factorization (pivot columns
-times reduced-echelon rows), the inertia by a symmetric congruence
-reduction with 2x2 hyperbolic pivots, so both stay purely rational and
+times reduced-echelon rows), the inertia with 2x2 hyperbolic pivots
+where the diagonal vanishes, so both stay purely rational and
 independent of any closed-form expression they are used to check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Rational = Fraction
@@ -68,10 +87,6 @@ def ones_vector(length: int) -> Vector:
     return (_ONE,) * length
 
 
-def unit_vector(length: int, index: int) -> Vector:
-    return tuple(_ONE if i == index else _ZERO for i in range(length))
-
-
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ShapeMismatchError(f"dot of lengths {len(u)} and {len(v)}")
@@ -87,6 +102,29 @@ def add_vectors(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     if len(u) != len(v):
         raise ShapeMismatchError(f"sum of lengths {len(u)} and {len(v)}")
     return tuple(a + b for a, b in zip(u, v))
+
+
+# -- integer kernel ---------------------------------------------------------
+
+
+def _common_denominator(values: Iterable[Scalar]) -> tuple[int, list[int]]:
+    """(d, ints) with d the lcm of the denominators and ints[i] = d * values[i]."""
+    vals = list(values)
+    d = math.lcm(*{x.denominator for x in vals})
+    return d, [x.numerator * (d // x.denominator) for x in vals]
+
+
+def _product(a: Sequence[Scalar], n: int, k: int, b: Sequence[Scalar], m: int) -> list[Fraction]:
+    """Row-major entries of the (n x k) by (k x m) product, exactly."""
+    da, ai = _common_denominator(a)
+    db, bi = _common_denominator(b)
+    den = da * db
+    cols = [bi[j::m] for j in range(m)]
+    return [
+        Fraction(sum(map(mul, ai[i * k : (i + 1) * k], col)), den)
+        for i in range(n)
+        for col in cols
+    ]
 
 
 class RatMatrix:
@@ -131,14 +169,6 @@ class RatMatrix:
         n = len(values)
         vals = vec(values)
         return cls(n, n, (vals[i] if i == j else _ZERO for i in range(n) for j in range(n)))
-
-    @classmethod
-    def row_vector(cls, v: Sequence[Scalar]) -> "RatMatrix":
-        return cls(1, len(v), v)
-
-    @classmethod
-    def column_vector(cls, v: Sequence[Scalar]) -> "RatMatrix":
-        return cls(len(v), 1, v)
 
     @classmethod
     def outer(cls, u: Sequence[Scalar], v: Sequence[Scalar]) -> "RatMatrix":
@@ -224,19 +254,8 @@ class RatMatrix:
             raise ShapeMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self._entries, other._entries
-        out: list[Fraction] = []
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            for j in range(m):
-                acc = _ZERO
-                for t in range(k):
-                    av = arow[t]
-                    if av:
-                        acc += av * b[t * m + j]
-                out.append(acc)
-        return RatMatrix(n, m, out)
+        entries = _product(self._entries, self.rows, self.cols, other._entries, other.cols)
+        return RatMatrix(self.rows, other.cols, entries)
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(
@@ -248,7 +267,7 @@ class RatMatrix:
     def mul_vector(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
             raise ShapeMismatchError(f"matrix has {self.cols} columns, vector length {len(v)}")
-        return tuple(dot(self.row(i), v) for i in range(self.rows))
+        return tuple(_product(self._entries, self.rows, self.cols, v, 1))
 
     def row_sums(self) -> Vector:
         return tuple(sum(self.row(i), _ZERO) for i in range(self.rows))
@@ -321,32 +340,54 @@ class Decomposition:
 # -- elimination helpers --------------------------------------------------
 
 
-def _reduced_echelon(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """In-place reduced row echelon form; returns pivot column indices.
+def _echelon_ints(rows: list[list[int]], ncols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place; returns pivot columns.
 
-    Pivoting is by first nonzero entry: with exact arithmetic the only
-    thing that matters is that every division is by a known-nonzero pivot.
+    Pivoting is by first nonzero entry.  A row update is
+    ``a*row - b*lead`` with ``a, b = pivot/g, f/g`` for ``g = gcd(pivot, f)``,
+    then division by the row's content, so every row stays a nonzero
+    multiple of the row plain rational Gauss-Jordan would hold and the
+    entries stay small.  On return each pivot row is its reduced-echelon
+    row times its pivot entry.
     """
     pivots: list[int] = []
     r = 0
     nrows = len(rows)
     for c in range(ncols):
-        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        p = next((i for i in range(r, nrows) if rows[i][c]), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        pivot = rows[r][c]
-        if pivot != 1:
-            rows[r] = [x / pivot for x in rows[r]]
         lead = rows[r]
+        pv = lead[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
+            f = rows[i][c]
+            if i != r and f:
+                g = math.gcd(pv, f)
+                a, b = pv // g, f // g
+                row = [a * x - b * y for x, y in zip(rows[i], lead)]
+                content = math.gcd(*row)
+                rows[i] = [x // content for x in row] if content > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    return pivots
+
+
+def _reduced_echelon(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """In-place reduced row echelon form; returns pivot column indices.
+
+    Only the first ``ncols`` columns are searched for pivots; row
+    operations act on whole rows.  Rows past the rank are zero when
+    ``ncols`` covers every column; otherwise they hold some multiple of
+    what rational elimination would leave there.
+    """
+    work = [_common_denominator(row)[1] for row in rows]
+    pivots = _echelon_ints(work, ncols)
+    for r, row in enumerate(work):
+        pv = row[pivots[r]] if r < len(pivots) else 1
+        rows[r] = [Fraction(x, pv) for x in row]
     return pivots
 
 
@@ -359,32 +400,39 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
 
 def rank(m: RatMatrix) -> int:
     """Dimension of the row space, by exact elimination."""
-    work = m.to_lists()
-    return len(_reduced_echelon(work, m.cols))
+    work = [_common_denominator(m.row(i))[1] for i in range(m.rows)]
+    return len(_echelon_ints(work, m.cols))
 
 
 def determinant(m: RatMatrix) -> Fraction:
-    """Exact determinant by elimination with division-controlled pivots."""
+    """Exact determinant by Bareiss fraction-free elimination.
+
+    Each row is scaled to integers by its own common denominator; the
+    last Bareiss pivot is then the determinant of the scaled matrix.
+    """
     if not m.is_square():
         raise NonSquareError(f"determinant of {m.rows}x{m.cols} matrix")
-    n = m.rows
-    work = m.to_lists()
-    det = _ONE
-    for c in range(n):
-        p = next((i for i in range(c, n) if work[i][c] != 0), None)
+    scale = 1
+    work: list[list[int]] = []
+    for i in range(m.rows):
+        d, row = _common_denominator(m.row(i))
+        scale *= d
+        work.append(row)
+    sign, prev = 1, 1
+    while work:
+        p = next((i for i, row in enumerate(work) if row[0]), None)
         if p is None:
             return _ZERO
-        if p != c:
-            work[c], work[p] = work[p], work[c]
-            det = -det
-        pivot = work[c][c]
-        det *= pivot
-        lead = work[c]
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] / pivot
-                work[i] = [a - f * b for a, b in zip(work[i], lead)]
-    return det
+        if p:
+            work[0], work[p] = work[p], work[0]
+            sign = -sign
+        pv, *tail = work[0]
+        work = [
+            [(pv * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+            for row in work[1:]
+        ]
+        prev = pv
+    return Fraction(sign * prev, scale)
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
@@ -472,12 +520,19 @@ def penrose_check(m: RatMatrix, x: RatMatrix) -> bool:
     )
 
 
-def _sym_swap(w: list[list[Fraction]], i: int, j: int) -> None:
+def _sym_swap(w: list[list[int]], i: int, j: int) -> None:
     if i == j:
         return
     w[i], w[j] = w[j], w[i]
     for row in w:
         row[i], row[j] = row[j], row[i]
+
+
+def _divide_content(block: list[list[int]]) -> list[list[int]]:
+    content = math.gcd(*(math.gcd(*row) for row in block))
+    if content > 1:
+        return [[x // content for x in row] for row in block]
+    return block
 
 
 def inertia(m: RatMatrix) -> InertiaTriple:
@@ -488,62 +543,56 @@ def inertia(m: RatMatrix) -> InertiaTriple:
     entries are zero and a symmetric 2x2 pivot on an off-diagonal nonzero
     contributes one positive and one negative eigenvalue.  A zero
     remaining block terminates with i_zero.
+
+    The work is in integers: the matrix is scaled by its positive common
+    denominator, and each Schur complement is replaced by a positive
+    multiple of itself (|d| S for a 1x1 pivot d, |b| S for a 2x2 pivot
+    with off-diagonal b) divided by its content.  Positive scalings keep
+    the inertia.
     """
     if not m.is_symmetric():
         raise NotSymmetricError("inertia requires a symmetric matrix")
     n = m.rows
-    w = m.to_lists()
+    _, flat = _common_denominator(m._entries)
+    w = [flat[i * n : (i + 1) * n] for i in range(n)]
     i_plus = i_minus = 0
-    k = 0
-    while k < n:
-        p = next((i for i in range(k, n) if w[i][i] != 0), None)
+    while w:
+        p = next((i for i in range(len(w)) if w[i][i]), None)
         if p is not None:
-            _sym_swap(w, k, p)
-            d = w[k][k]
+            _sym_swap(w, 0, p)
+            d = w[0][0]
             if d > 0:
                 i_plus += 1
             else:
                 i_minus += 1
-            for i in range(k + 1, n):
-                f = w[i][k] / d
-                if f:
-                    row_i, row_k = w[i], w[k]
-                    for j in range(k + 1, n):
-                        row_i[j] -= f * row_k[j]
-            for i in range(k + 1, n):
-                w[i][k] = w[k][i] = _ZERO
-            k += 1
+            # |d| S = |d| W - sgn(d) u u'
+            size = abs(d)
+            u = w[0][1:]
+            su = u if d > 0 else [-x for x in u]
+            w = _divide_content(
+                [[size * x - sui * uj for x, uj in zip(row[1:], u)] for row, sui in zip(w[1:], su)]
+            )
             continue
-        pair = None
-        for i in range(k, n):
-            row_i = w[i]
-            for j in range(i + 1, n):
-                if row_i[j] != 0:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
+        pair = next(
+            ((i, j) for i in range(len(w)) for j in range(i + 1, len(w)) if w[i][j]), None
+        )
         if pair is None:
-            return InertiaTriple(i_plus, i_minus, n - k)
-        i0, j0 = pair
-        _sym_swap(w, k, i0)
-        if j0 == k:
-            j0 = i0
-        _sym_swap(w, k + 1, j0)
-        b = w[k][k + 1]
-        us = [w[l][k] for l in range(k + 2, n)]
-        vs = [w[l][k + 1] for l in range(k + 2, n)]
-        for a, l in enumerate(range(k + 2, n)):
-            ua, va = us[a], vs[a]
-            row_l = w[l]
-            for c, t in enumerate(range(k + 2, n)):
-                corr = ua * vs[c] + va * us[c]
-                if corr:
-                    row_l[t] -= corr / b
-        for l in range(k + 2, n):
-            w[l][k] = w[k][l] = _ZERO
-            w[l][k + 1] = w[k + 1][l] = _ZERO
+            break
+        i0, j0 = pair  # i0 < j0, so the first swap leaves index j0 in place
+        _sym_swap(w, 0, i0)
+        _sym_swap(w, 1, j0)
+        b = w[0][1]
+        # |b| S = |b| W - sgn(b) (u v' + v u')
+        size = abs(b)
+        u = w[0][2:]
+        v = w[1][2:]
+        su, sv = (u, v) if b > 0 else ([-x for x in u], [-x for x in v])
+        w = _divide_content(
+            [
+                [size * x - sul * vt - svl * ut for x, ut, vt in zip(row[2:], u, v)]
+                for row, sul, svl in zip(w[2:], su, sv)
+            ]
+        )
         i_plus += 1
         i_minus += 1
-        k += 2
-    return InertiaTriple(i_plus, i_minus, n - k if k < n else 0)
+    return InertiaTriple(i_plus, i_minus, len(w))

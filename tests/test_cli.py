@@ -136,3 +136,47 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["summary"]["det"] == "72"
+
+
+def _boom(*args):
+    raise RuntimeError("injected")
+
+
+def test_crashing_setup_step_gives_failed_report(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "make_w_alpha", _boom)
+    code, out, _ = run_main(capsys, "verify", "--n", "5", "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    names = [c["name"] for c in report["checks"]]
+    assert names == ["distance_block_vs_bfs", "determinant", "rank", "inertia", "setup:make_w_alpha"]
+    failed = report["checks"][-1]
+    assert failed["pass"] is False
+    assert failed["detail"] == "raised RuntimeError: injected"
+    assert set(report["summary"]) == {"det", "rank", "inertia", "rank_L", "elapsed_ms"}
+    assert report["summary"]["inertia"] == [1, 7, 1]
+    assert report["summary"]["rank_L"] is None
+
+
+def test_crash_in_first_setup_step_fails_every_n_of_a_sweep(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "helm_distance_block", _boom)
+    code, out, _ = run_main(capsys, "verify", "--n", "6")
+    assert code == 1
+    assert "[FAIL] setup:helm_distance_block: raised RuntimeError: injected" in out
+    assert "result: FAILED" in out
+    code, out, _ = run_main(capsys, "sweep", "--min", "4", "--max", "5")
+    assert code == 1
+    assert "0/2 parameter values fully verified" in out
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # the reader closes its end before anything is written, as
+    # `helmlab sweep --format json | head -1` does once it has its line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "helmlab.cli", "sweep", "--min", "4", "--max", "5", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 1

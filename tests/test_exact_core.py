@@ -31,6 +31,7 @@ from helmlab import (
     solve,
     cycle_signless_laplacian_spec,
 )
+from helmlab.exact_core import rref
 from support import random_invertible, random_symmetric
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -342,3 +343,239 @@ def test_outer_and_row_sums():
     m = RatMatrix.outer((1, 2), (3, 4))
     assert m == RatMatrix.from_rows([[3, 4], [6, 8]])
     assert m.row_sums() == (Fraction(7), Fraction(14))
+
+
+# -- differential tests: integer kernel vs plain Fraction reference ------------
+#
+# The reference below is the textbook algorithm on Fraction entries, one
+# gcd per operation.  Every oracle must agree with it exactly.
+
+
+def _ref_matmul(a: RatMatrix, b: RatMatrix) -> list[list[Fraction]]:
+    inner, cols, b = a.cols, b.cols, b.to_lists()
+    return [
+        [sum((row[t] * b[t][j] for t in range(inner)), Fraction(0)) for j in range(cols)]
+        for row in a.to_lists()
+    ]
+
+
+def _ref_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan with first-nonzero pivoting; returns (rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        lead = [x / rows[r][c] for x in rows[r]]
+        rows[r] = lead
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], lead)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _ref_det(rows: list[list[Fraction]]) -> Fraction:
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    det = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
+def _ref_inertia(rows: list[list[Fraction]]) -> InertiaTriple:
+    """Sylvester congruence on Fractions: 1x1 pivots, else a 2x2 hyperbolic pivot."""
+    w = [list(r) for r in rows]
+    plus = minus = 0
+    while w:
+        p = next((i for i in range(len(w)) if w[i][i] != 0), None)
+        if p is not None:
+            order = [p] + [i for i in range(len(w)) if i != p]
+            w = [[w[i][j] for j in order] for i in order]
+            d = w[0][0]
+            plus, minus = (plus + 1, minus) if d > 0 else (plus, minus + 1)
+            w = [[w[i][j] - w[i][0] * w[0][j] / d for j in range(1, len(w))] for i in range(1, len(w))]
+            continue
+        pair = next(((i, j) for i in range(len(w)) for j in range(len(w)) if w[i][j] != 0), None)
+        if pair is None:
+            break
+        i0, j0 = pair
+        order = [i0, j0] + [i for i in range(len(w)) if i not in pair]
+        w = [[w[i][j] for j in order] for i in order]
+        b = w[0][1]
+        w = [
+            [w[i][j] - (w[i][0] * w[1][j] + w[i][1] * w[0][j]) / b for j in range(2, len(w))]
+            for i in range(2, len(w))
+        ]
+        plus, minus = plus + 1, minus + 1
+    return InertiaTriple(plus, minus, len(w))
+
+
+def _rat(rng, span: int = 9, max_den: int = 6) -> Fraction:
+    return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
+
+
+def _rand(rng, rows: int, cols: int, **kw) -> RatMatrix:
+    return RatMatrix(rows, cols, [_rat(rng, **kw) for _ in range(rows * cols)])
+
+
+def _with_rows(m: RatMatrix, fn) -> RatMatrix:
+    return RatMatrix(m.rows, m.cols, [x for i, r in enumerate(m.to_lists()) for x in fn(i, r)])
+
+
+def _differential_cases(rng) -> list[tuple[str, RatMatrix]]:
+    cases = [
+        ("0x0", RatMatrix(0, 0, [])),
+        ("0x3", RatMatrix(0, 3, [])),
+        ("3x0", RatMatrix(3, 0, [])),
+        ("1x1", RatMatrix(1, 1, [Fraction(-7, 3)])),
+        ("1x1 zero", RatMatrix.zeros(1, 1)),
+        ("wide 3x6", _rand(rng, 3, 6)),
+        ("tall 6x3", _rand(rng, 6, 3)),
+        ("integer 6x6", _rand(rng, 6, 6, max_den=1)),
+        ("integer singular", RatMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])),
+        ("helm n=7", helm_distance_block(7)),
+    ]
+    for t in range(4):
+        cases.append((f"general 7x7 #{t}", _rand(rng, 7, 7)))
+    cases.append(
+        ("zero rows", _with_rows(_rand(rng, 6, 6), lambda i, r: [Fraction(0)] * 6 if i in (1, 4) else r))
+    )
+    cases.append(
+        ("negative leading pivots", _with_rows(_rand(rng, 6, 6), lambda i, r: [-abs(r[0]) - 1] + r[1:]))
+    )
+    for t in range(3):
+        order = 7 + t
+        a = _rand(rng, order, order - 2)
+        cases.append((f"rank-deficient gram {order}", a @ a.transpose()))
+    for t in range(3):
+        order = 4 + 2 * t
+        s = random_symmetric(rng, order)
+        cases.append(
+            (f"zero-diagonal symmetric {order}", _with_rows(s, lambda i, r: r[:i] + [Fraction(0)] + r[i + 1 :]))
+        )
+    block = _rand(rng, 3, 3)
+    cases.append(
+        ("hyperbolic blocks", RatMatrix.from_blocks([[RatMatrix.zeros(3, 3), block], [block.transpose(), RatMatrix.zeros(3, 3)]]))
+    )
+    a = _rand(rng, 9, 7)
+    big = pseudoinverse(a @ a.transpose())
+    cases.append(("pseudoinverse of gram 9 (large entries)", big))
+    cases.append(("inverse of general 6 (large entries)", inverse(random_invertible(rng, 6))))
+    return cases
+
+
+def _bits(m: RatMatrix) -> int:
+    return max((max(x.numerator.bit_length(), x.denominator.bit_length()) for r in m.to_lists() for x in r), default=0)
+
+
+def test_differential_cases_reach_large_entries(rng):
+    cases = dict(_differential_cases(rng))
+    assert _bits(cases["pseudoinverse of gram 9 (large entries)"]) > 150
+
+
+def test_matmul_matches_reference(rng):
+    cases = _differential_cases(rng)
+    for label, m in cases:
+        left = _rand(rng, 3, m.rows)
+        right = _rand(rng, m.cols, 4)
+        for a, b in ((m, right), (left, m), (m, m.transpose()), (m.transpose(), m)):
+            got = a @ b
+            assert (got.rows, got.cols) == (a.rows, b.cols), label
+            assert got.to_lists() == _ref_matmul(a, b), label
+            assert all(type(x) is Fraction for r in got.to_lists() for x in r), label
+    inner_zero = RatMatrix(2, 0, []) @ RatMatrix(0, 3, [])
+    assert inner_zero == RatMatrix.zeros(2, 3)
+
+
+def test_mul_vector_matches_reference(rng):
+    for label, m in _differential_cases(rng):
+        v = tuple(_rat(rng) for _ in range(m.cols))
+        want = [r[0] for r in _ref_matmul(m, RatMatrix(m.cols, 1, v))]
+        assert m.mul_vector(v) == tuple(want), label
+
+
+def test_rref_rank_and_null_space_match_reference(rng):
+    for label, m in _differential_cases(rng):
+        ref_rows, ref_pivots = _ref_rref(m.to_lists(), m.cols)
+        reduced, pivots = rref(m)
+        assert pivots == tuple(ref_pivots), label
+        assert reduced.to_lists() == ref_rows, label
+        assert rank(m) == len(ref_pivots), label
+        free = [j for j in range(m.cols) if j not in ref_pivots]
+        ref_basis = []
+        for j in free:
+            v = [Fraction(0)] * m.cols
+            v[j] = Fraction(1)
+            for r, c in enumerate(ref_pivots):
+                v[c] = -ref_rows[r][j]
+            ref_basis.append(tuple(v))
+        assert null_space_basis(m) == ref_basis, label
+
+
+def test_determinant_matches_reference(rng):
+    for label, m in _differential_cases(rng):
+        if m.is_square():
+            assert determinant(m) == _ref_det(m.to_lists()), label
+
+
+def test_inverse_and_solve_match_reference(rng):
+    for label, m in _differential_cases(rng):
+        b = [_rat(rng) for _ in range(m.rows)]
+        aug, piv = _ref_rref([r + [b[i]] for i, r in enumerate(m.to_lists())], m.cols + 1)
+        if m.cols in piv:
+            assert solve(m, b) is None, label
+        else:
+            x = [Fraction(0)] * m.cols
+            for r, c in enumerate(piv):
+                x[c] = aug[r][m.cols]
+            assert solve(m, b) == tuple(x), label
+        if not m.is_square():
+            continue
+        n = m.rows
+        ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        work, piv = _ref_rref([r + ident[i] for i, r in enumerate(m.to_lists())], n)
+        if len(piv) < n:
+            with pytest.raises(SingularMatrixError):
+                inverse(m)
+        else:
+            assert inverse(m).to_lists() == [r[n:] for r in work], label
+
+
+def test_pseudoinverse_matches_reference(rng):
+    # the Penrose conditions, checked with the reference product, pin down
+    # the Moore-Penrose inverse uniquely
+    for label, m in _differential_cases(rng):
+        x = pseudoinverse(m)
+        assert (x.rows, x.cols) == (m.cols, m.rows), label
+        mx = RatMatrix.from_rows(_ref_matmul(m, x)) if m.rows else RatMatrix(0, 0, [])
+        xm = RatMatrix.from_rows(_ref_matmul(x, m)) if m.cols else RatMatrix(0, 0, [])
+        assert _ref_matmul(mx, m) == m.to_lists(), label
+        assert _ref_matmul(xm, x) == x.to_lists(), label
+        assert mx.is_symmetric() and xm.is_symmetric(), label
+
+
+def test_inertia_matches_reference(rng):
+    symmetric = [(label, m) for label, m in _differential_cases(rng) if m.is_symmetric()]
+    assert any(label.startswith("zero-diagonal") for label, _ in symmetric)
+    for t in range(10):
+        symmetric.append((f"random symmetric #{t}", random_symmetric(rng, rng.randint(1, 7))))
+    for label, m in symmetric:
+        assert inertia(m) == _ref_inertia(m.to_lists()), label
