@@ -52,11 +52,10 @@ from .circulant import (
 )
 from .graphs import HelmInstance, NTooSmallError, bfs_distance_matrix, build_helm, helm_distance_block
 from .closed_form import (
-    EvenCaseData,
+    HelmCase,
     HelmVectors,
     NotEvenError,
     NotOddError,
-    OddCaseData,
     closed_form_inverse,
     closed_form_mp_inverse,
     make_even_case,
@@ -66,7 +65,6 @@ from .closed_form import (
     rim_signless_product,
 )
 from .characterization import (
-    KernelProjector,
     OnesNotInRangeError,
     SixConditions,
     build_kernel_projector,
@@ -85,20 +83,18 @@ __all__ = [
     "Decomposition",
     "DeltaVector",
     "EmptySpecError",
-    "EvenCaseData",
+    "HelmCase",
     "HelmInstance",
     "HelmVectors",
     "InertiaTriple",
     "InvalidDecompositionError",
     "KTooSmallError",
-    "KernelProjector",
     "LengthMismatchError",
     "NTooSmallError",
     "NonSquareError",
     "NotEvenError",
     "NotOddError",
     "NotSymmetricError",
-    "OddCaseData",
     "OnesNotInRangeError",
     "RatMatrix",
     "Rational",

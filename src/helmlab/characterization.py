@@ -6,19 +6,21 @@ that certify a candidate triple (equiv formulation), constructive
 uniqueness of the triple, the six block conditions that pin down the
 bordered matrix L for helm distance matrices, the kernel projector that
 closes the certificate, and exact positive-semidefiniteness / rank
-checks for L via congruence inertia and Schur complements.
+checks for L via Schur complements and congruence inertia.
 
-Everything here is exact; positive semidefiniteness in particular is
-decided by rational inertia, never by floating-point eigenvalues.
+Every function takes objects built once by the caller (the distance
+matrix, a closed_form.HelmCase, a Decomposition, ranks already
+computed) and rebuilds none of them from n.  Everything here is exact;
+positive semidefiniteness in particular is decided by rational inertia,
+never by floating-point eigenvalues.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .closed_form import make_odd_case, make_w_alpha
+from .closed_form import HelmCase, NotOddError
 from .exact_core import (
     Decomposition,
     InvalidDecompositionError,
@@ -31,12 +33,10 @@ from .exact_core import (
     inertia,
     inverse,
     ones_vector,
-    pseudoinverse,
     rank,
     scale_vector,
     solve,
 )
-from .graphs import helm_distance_block
 
 
 class OnesNotInRangeError(ValueError):
@@ -62,17 +62,6 @@ class SixConditions(NamedTuple):
         return all(self)
 
 
-@dataclass(frozen=True)
-class KernelProjector:
-    """Twice the orthogonal projector onto the kernel of the distance matrix.
-
-    Nonzero only on the rim block, where it equals 2(B + I); annihilated
-    by D on the left and by both L and w on the right.
-    """
-
-    matrix: RatMatrix
-
-
 def check_equiv_formulation(d: RatMatrix, dec: Decomposition) -> bool:
     """Certify dec.candidate() as the Moore-Penrose inverse of d.
 
@@ -82,9 +71,11 @@ def check_equiv_formulation(d: RatMatrix, dec: Decomposition) -> bool:
 
         D w = (1/alpha) e,
         L D + 2 I = 2 w e' + V   for V = 2(I - X D), X = dec.candidate(),
-        V symmetric,  D V = 0,  V X = 0,
+        V symmetric,  D V = 0,  V X = 0.
 
-    and, equivalently, X equals the factorization pseudoinverse of D.
+    Together they give the four Penrose conditions, so X is the
+    Moore-Penrose inverse of D; the comparison with the factorization
+    pseudoinverse is left to the caller's oracle check.
     """
     if not d.is_symmetric():
         raise NotSymmetricError("characterization applies to symmetric matrices")
@@ -105,9 +96,7 @@ def check_equiv_formulation(d: RatMatrix, dec: Decomposition) -> bool:
         return False
     if not (d @ correction).is_zero():
         return False
-    if not (correction @ candidate).is_zero():
-        return False
-    return candidate == pseudoinverse(d)
+    return (correction @ candidate).is_zero()
 
 
 def check_uniqueness(d: RatMatrix, dec: Decomposition) -> tuple[Fraction, Vector]:
@@ -159,61 +148,52 @@ def check_conditions_i_vi(
     )
 
 
-def build_kernel_projector(n: int) -> KernelProjector:
-    """The block matrix with 2(B + I) on the rim and zeros elsewhere, odd n.
+def build_kernel_projector(case: HelmCase) -> RatMatrix:
+    """Twice the orthogonal projector onto the kernel of D, for odd n.
 
-    Verified exactly before returning: symmetric, annihilates the
-    all-ones vector, D V = 0, V L = 0 and V w = 0.
+    The block matrix with 2(B + I) on the rim and zeros elsewhere, B the
+    case's coupling block; on the rim it equals 2vv'/(n-1) for the
+    alternating vector v.  The report's kernel_projector check verifies
+    that it is symmetric, annihilates the all-ones vector, and that
+    D V = 0, V L = 0 and V w = 0.
     """
-    data = make_odd_case(n)
-    vectors = make_w_alpha(n)
-    k = n - 1
-    rim = 2 * (data.coupling_block + RatMatrix.identity(k))
+    if case.n % 2 == 0:
+        raise NotOddError(f"odd n required, got {case.n}")
+    k = case.n - 1
+    rim = 2 * (case.coupling_block + RatMatrix.identity(k))
     zeros_row = RatMatrix.zeros(1, k)
     zeros_col = RatMatrix.zeros(k, 1)
     zero_blk = RatMatrix.zeros(k, k)
-    v_mat = RatMatrix.from_blocks(
+    return RatMatrix.from_blocks(
         [
             [0, zeros_row, zeros_row],
             [zeros_col, rim, zero_blk],
             [zeros_col, zero_blk, zero_blk],
         ]
     )
-    if not v_mat.is_symmetric():
-        raise VerificationError("kernel projector is not symmetric")
-    if any(x != 0 for x in v_mat.row_sums()):
-        raise VerificationError("kernel projector does not annihilate the all-ones vector")
-    d = helm_distance_block(n)
-    if not (d @ v_mat).is_zero():
-        raise VerificationError("D V != 0")
-    if not (v_mat @ data.laplacian_like).is_zero():
-        raise VerificationError("V L != 0")
-    if any(x != 0 for x in v_mat.mul_vector(vectors.w)):
-        raise VerificationError("V w != 0")
-    return KernelProjector(v_mat)
 
 
-def schur_psd_check(lap: RatMatrix, n: int) -> bool:
-    """Exact positive-semidefiniteness check of the odd-case matrix L.
+def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
+    """Exact positive-semidefiniteness check of a bordered matrix L of case's shape.
 
-    Primary test: the congruence inertia of lap has no negative part.
-    On top of that the two-step Schur complement reduction is verified:
-    eliminating the positive (1,1) scalar must leave exactly
+    Eliminating the (1,1) scalar, which must be positive, must leave
+    exactly
 
         [ A - J/(2(n-1))   B ]
         [ B                I ]
 
-    and eliminating that matrix's identity block must leave exactly
-    A + B - J/(2(n-1)) (which encodes B^2 = -B); both complements must
-    again have no negative inertia.  Returns the conjunction.
+    with A, B the case's rim and coupling blocks, and eliminating that
+    matrix's identity block must leave exactly A + B - J/(2(n-1))
+    (which encodes B^2 = -B); both complements must have no negative
+    inertia.  By Haynsworth's inertia additivity L then has none either.
+    Returns the conjunction.
     """
+    n = case.n
     order = 2 * n - 1
     if lap.rows != order or lap.cols != order:
         raise ShapeMismatchError(f"expected order {order}, got {lap.rows}x{lap.cols}")
     if not lap.is_symmetric():
         raise NotSymmetricError("PSD check requires a symmetric matrix")
-    if inertia(lap).i_minus != 0:
-        return False
     corner = lap[0, 0]
     if corner <= 0:
         return False
@@ -223,12 +203,11 @@ def schur_psd_check(lap: RatMatrix, n: int) -> bool:
     trailing = lap.submatrix(rest, rest)
     complement_1 = trailing - (1 / corner) * (border @ border.transpose())
 
-    data = make_odd_case(n)
     j_term = Fraction(1, 2 * (n - 1)) * RatMatrix.ones(k, k)
     expected_1 = RatMatrix.from_blocks(
         [
-            [data.rim_block - j_term, data.coupling_block],
-            [data.coupling_block, RatMatrix.identity(k)],
+            [case.rim_block - j_term, case.coupling_block],
+            [case.coupling_block, RatMatrix.identity(k)],
         ]
     )
     if complement_1 != expected_1 or inertia(complement_1).i_minus != 0:
@@ -240,29 +219,28 @@ def schur_psd_check(lap: RatMatrix, n: int) -> bool:
     block_12 = complement_1.submatrix(top, bottom)
     block_22 = complement_1.submatrix(bottom, bottom)
     complement_2 = block_11 - block_12 @ inverse(block_22) @ block_12.transpose()
-    expected_2 = data.rim_block + data.coupling_block - j_term
+    expected_2 = case.rim_block + case.coupling_block - j_term
     if complement_2 != expected_2 or inertia(complement_2).i_minus != 0:
         return False
     return True
 
 
-def rank_l_check(n: int) -> int:
+def rank_l_check(dec: Decomposition, rank_d: int, rank_l: int) -> int:
     """Rank of the odd-case matrix L, with the mechanism behind it.
 
+    rank_d and rank_l are the ranks of D and of L = dec.laplacian_like.
     Verifies that w is not in the range of L (the system L z = w is
     inconsistent), so adding the rank-one term alpha ww' raises the rank
     by exactly one, matching the rank of the distance matrix.  Returns
     rank(L), which equals 2n - 3.
     """
-    data = make_odd_case(n)
-    vectors = make_w_alpha(n)
-    lap = data.laplacian_like
-    r = rank(lap)
-    if solve(lap, vectors.w) is not None:
+    n = (len(dec.w) + 1) // 2
+    if n % 2 == 0:
+        raise NotOddError(f"odd n required, got {n}")
+    if solve(dec.laplacian_like, dec.w) is not None:
         raise VerificationError("w is unexpectedly in the range of L")
-    candidate = Fraction(-1, 2) * lap + vectors.alpha * RatMatrix.outer(vectors.w, vectors.w)
-    if rank(candidate) != r + 1:
+    if rank(dec.candidate()) != rank_l + 1:
         raise VerificationError("rank of -L/2 + alpha ww' is not rank(L) + 1")
-    if rank(helm_distance_block(n)) != r + 1:
+    if rank_d != rank_l + 1:
         raise VerificationError("rank of the distance matrix is not rank(L) + 1")
-    return r
+    return rank_l

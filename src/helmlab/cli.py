@@ -51,7 +51,9 @@ from .exact_core import (
     RatMatrix,
     determinant,
     inertia,
+    inverse,
     penrose_check,
+    pseudoinverse,
     rank,
     vec,
 )
@@ -126,14 +128,19 @@ def _raised(exc: Exception) -> str:
 
 
 def run_verification(n: int) -> VerificationReport:
-    """Run every check for one n and collect the results.
+    """Run every check for one n >= 4 and collect the results.
+
+    Each per-n object is built once, by a set-up step: D and its
+    determinant, rank and inertia, w and alpha, the closed-form case,
+    the rim cycle's signless Laplacian S, the Decomposition, for odd n
+    the factorization pseudoinverse of D, and rank(L).  The checks
+    share them and rebuild nothing.
 
     A check that raises is recorded as failed with the exception text.
-    A set-up step that raises (building D and its determinant, rank and
-    inertia, the closed-form ingredients, rank(L)) is recorded as a
-    failed check named ``setup:<step>``; the checks after it are not
-    run, and the summary values not yet computed are None.  The report
-    itself is always produced.
+    A set-up step that raises is recorded as a failed check named
+    ``setup:<step>``; the checks after it are not run, and the summary
+    values not yet computed are None.  For every n >= 4 the report is
+    produced; n < 4 raises NTooSmallError.
     """
     if n < 4:
         raise NTooSmallError(f"helm graphs need n >= 4, got {n}")
@@ -211,45 +218,51 @@ def _run_checks(n: int, report: VerificationReport) -> None:
     else:
         case = setup("make_odd_case", make_odd_case, n)
     lap = case.laplacian_like
-    coupling = -RatMatrix.identity(k) if even else case.coupling_block
     ident = RatMatrix.identity(order)
     s_mat = setup("materialize", lambda: materialize(cycle_signless_laplacian_spec(k)))
+    dec = setup("decomposition", Decomposition, lap, vectors.w, vectors.alpha)
 
     if even:
 
         def chk_closed():
-            x = closed_form_inverse(n)
-            ok = x @ d == ident
+            x = closed_form_inverse(dec)
+            ok = x @ d == ident and x == inverse(d)
             return ok, "-L/2 + alpha ww' times D equals I; matches elimination inverse"
 
     else:
+        pinv = setup("pseudoinverse", pseudoinverse, d)
 
         def chk_closed():
-            x = closed_form_mp_inverse(n)
-            ok = penrose_check(d, x)
+            x = closed_form_mp_inverse(dec)
+            ok = penrose_check(d, x) and x == pinv
             return ok, "-L/2 + alpha ww' satisfies all four Penrose conditions; matches factorization pseudoinverse"
 
     run_check("closed_form_inverse" if even else "closed_form_mp_inverse", chk_closed)
 
     def chk_six():
-        conditions = check_conditions_i_vi(case.rim_block, coupling, s_mat)
+        conditions = check_conditions_i_vi(case.rim_block, case.coupling_block, s_mat)
         held = sum(1 for b in conditions if b)
         return conditions.all_hold(), f"{held}/6 block conditions hold"
 
     run_check("six_conditions", chk_six)
 
     def chk_kernel():
-        two_we = 2 * RatMatrix.outer(vectors.w, (Fraction(1),) * order)
+        e = (Fraction(1),) * order
+        correction = lap @ d + 2 * ident - 2 * RatMatrix.outer(vectors.w, e)
         if even:
-            ok = lap @ d + 2 * ident == two_we
-            return ok, "L D + 2I = 2we' (correction vanishes: D nonsingular)"
-        projector = build_kernel_projector(n).matrix
-        ok = lap @ d + 2 * ident - two_we == projector
+            return correction.is_zero(), "L D + 2I = 2we' (correction vanishes: D nonsingular)"
+        v_mat = build_kernel_projector(case)
+        ok = (
+            v_mat.is_symmetric()
+            and not any(v_mat.mul_vector(e))
+            and (d @ v_mat).is_zero()
+            and (v_mat @ lap).is_zero()
+            and not any(v_mat.mul_vector(vectors.w))
+            and correction == v_mat
+        )
         return ok, "D V = 0, V L = 0, V w = 0, and L D + 2I - 2we' = V"
 
     run_check("kernel_projector", chk_kernel)
-
-    dec = setup("decomposition", Decomposition, lap, vectors.w, vectors.alpha)
 
     def chk_equiv():
         ok = check_equiv_formulation(d, dec)
@@ -267,15 +280,16 @@ def _run_checks(n: int, report: VerificationReport) -> None:
 
     run_check("uniqueness", chk_unique)
 
-    report.rank_l = setup("rank_L", rank, lap)
+    report.rank_l = rank_l = setup("rank_L", rank, lap)
     if not even:
 
         def chk_psd():
-            ok = schur_psd_check(lap, n)
-            return ok, f"inertia(L) = {tuple(inertia(lap))}; Schur chain verified"
+            inertia_l = inertia(lap)
+            ok = inertia_l.i_minus == 0 and schur_psd_check(lap, case)
+            return ok, f"inertia(L) = {tuple(inertia_l)}; Schur chain verified"
 
         def chk_rank_l():
-            r = rank_l_check(n)
+            r = rank_l_check(dec, rank_val, rank_l)
             return r == 2 * n - 3, f"rank(L) = {r}, expected 2n-3 = {2 * n - 3}"
 
         run_check("psd_via_schur", chk_psd)

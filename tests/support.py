@@ -50,3 +50,12 @@ def random_delta_vector(rng: random.Random, length: int) -> tuple[Fraction, ...]
     for i in range(1, length):
         coords[length - i] = coords[i]
     return tuple(coords)
+
+
+def helm_decomposition(n: int):
+    """The helm triple (L, w, alpha) for n as a Decomposition."""
+    from helmlab import Decomposition, make_even_case, make_odd_case, make_w_alpha
+
+    case = make_even_case(n) if n % 2 == 0 else make_odd_case(n)
+    vectors = make_w_alpha(n)
+    return Decomposition(case.laplacian_like, vectors.w, vectors.alpha)

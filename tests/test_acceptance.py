@@ -41,6 +41,7 @@ from helmlab import (
 )
 from helmlab.circulant import DeltaVector
 from support import (
+    helm_decomposition,
     make_rng,
     random_delta_vector,
     random_fraction,
@@ -66,14 +67,14 @@ def test_criterion_1_inverse_reproduction_even():
     with criterion(1, "closed-form inverse reproduces I exactly, even n"):
         for n in EVEN_NS:
             d = helm_distance_block(n)
-            assert closed_form_inverse(n) @ d == RatMatrix.identity(2 * n - 1)
+            assert closed_form_inverse(helm_decomposition(n)) @ d == RatMatrix.identity(2 * n - 1)
 
 
 def test_criterion_2_mp_inverse_reproduction_odd():
     with criterion(2, "closed-form MP inverse: Penrose + factorization oracle, odd n"):
         for n in ODD_NS:
             d = helm_distance_block(n)
-            x = closed_form_mp_inverse(n)
+            x = closed_form_mp_inverse(helm_decomposition(n))
             assert penrose_check(d, x)
             assert x == pseudoinverse(d)
 
@@ -101,10 +102,12 @@ def test_criterion_4_rank_and_inertia():
 def test_criterion_5_l_is_psd_of_rank_2n_minus_3():
     with criterion(5, "inertia(L) = (2n-3, 0, 2) for odd n"):
         for n in ODD_NS:
-            lap = make_odd_case(n).laplacian_like
+            case = make_odd_case(n)
+            lap = case.laplacian_like
             assert inertia(lap) == InertiaTriple(2 * n - 3, 0, 2)
-            assert schur_psd_check(lap, n)
-            assert rank_l_check(n) == 2 * n - 3
+            assert schur_psd_check(lap, case)
+            d = helm_distance_block(n)
+            assert rank_l_check(helm_decomposition(n), rank(d), rank(lap)) == 2 * n - 3
 
 
 def test_criterion_6_characterization_suite():
@@ -123,7 +126,7 @@ def test_criterion_6_characterization_suite():
             if even:
                 projector = RatMatrix.zeros(order, order)
             else:
-                projector = build_kernel_projector(n).matrix
+                projector = build_kernel_projector(case)
             assert (d @ projector).is_zero()
             assert (projector @ case.laplacian_like).is_zero()
             assert all(x == 0 for x in projector.mul_vector(vectors.w))

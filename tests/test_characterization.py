@@ -15,6 +15,7 @@ from helmlab import (
     OnesNotInRangeError,
     RatMatrix,
     ShapeMismatchError,
+    VerificationError,
     alternating_signs,
     build_kernel_projector,
     check_conditions_i_vi,
@@ -163,7 +164,7 @@ def test_six_conditions_shape_guard():
 
 
 def test_kernel_projector_rim_block_has_rank_one():
-    projector = build_kernel_projector(5).matrix
+    projector = build_kernel_projector(make_odd_case(5))
     rim = projector.submatrix(range(1, 5), range(1, 5))
     assert rank(rim) == 1
     data = make_odd_case(5)
@@ -172,11 +173,12 @@ def test_kernel_projector_rim_block_has_rank_one():
 
 @pytest.mark.parametrize("n", ODD_RANGE)
 def test_kernel_projector_identities(n):
-    projector = build_kernel_projector(n).matrix
+    data = make_odd_case(n)
+    projector = build_kernel_projector(data)
     order = 2 * n - 1
     d = helm_distance_block(n)
-    data = make_odd_case(n)
     vectors = make_w_alpha(n)
+    assert projector.is_symmetric()
     assert all(x == 0 for x in projector.mul_vector(ones_vector(order)))
     assert (d @ projector).is_zero()
     assert (projector @ data.laplacian_like).is_zero()
@@ -199,7 +201,7 @@ def test_even_correction_vanishes(n):
 
 def test_kernel_projector_rejects_even():
     with pytest.raises(NotOddError):
-        build_kernel_projector(6)
+        build_kernel_projector(make_even_case(6))
 
 
 # -- kernel structure ----------------------------------------------------------------
@@ -207,7 +209,7 @@ def test_kernel_projector_rejects_even():
 
 @pytest.mark.parametrize("n", ODD_RANGE)
 def test_mp_inverse_shares_the_kernel(n):
-    x = closed_form_mp_inverse(n)
+    x = closed_form_mp_inverse(_helm_decomposition(n)[1])
     vectors = make_w_alpha(n)
     assert vectors.kernel_vector is not None
     assert all(v == 0 for v in x.mul_vector(vectors.kernel_vector))
@@ -250,7 +252,8 @@ def test_shifted_coupling_block_annihilating_polynomial(n):
 
 @pytest.mark.parametrize("n", (5, 7, 9))
 def test_schur_psd_check_accepts_the_real_l(n):
-    assert schur_psd_check(make_odd_case(n).laplacian_like, n)
+    case = make_odd_case(n)
+    assert schur_psd_check(case.laplacian_like, case)
 
 
 @pytest.mark.parametrize("n", ODD_RANGE)
@@ -261,20 +264,35 @@ def test_inertia_of_l(n):
 
 def test_schur_psd_check_rejects_negated_corner():
     n = 7
-    lap = make_odd_case(n).laplacian_like
+    case = make_odd_case(n)
+    lap = case.laplacian_like
     rows = lap.to_lists()
     rows[0][0] = -rows[0][0]
-    assert not schur_psd_check(RatMatrix.from_rows(rows), n)
+    assert not schur_psd_check(RatMatrix.from_rows(rows), case)
 
 
 def test_schur_psd_check_shape_guard():
     with pytest.raises(ShapeMismatchError):
-        schur_psd_check(RatMatrix.identity(4), 7)
+        schur_psd_check(RatMatrix.identity(4), make_odd_case(7))
+
+
+def _rank_l(n: int) -> int:
+    d, dec = _helm_decomposition(n)
+    return rank_l_check(dec, rank(d), rank(dec.laplacian_like))
 
 
 def test_rank_l_check_values():
-    assert rank_l_check(5) == 7
-    assert rank_l_check(9) == 15
+    assert _rank_l(5) == 7
+    assert _rank_l(9) == 15
+
+
+def test_rank_l_check_rejects_ranks_that_do_not_fit():
+    d, dec = _helm_decomposition(7)
+    rank_l = rank(dec.laplacian_like)
+    with pytest.raises(VerificationError, match="-L/2"):
+        rank_l_check(dec, rank(d), rank_l + 1)
+    with pytest.raises(VerificationError, match="distance matrix"):
+        rank_l_check(dec, rank(d) + 1, rank_l)
 
 
 @pytest.mark.parametrize("n", ODD_RANGE)
@@ -289,4 +307,4 @@ def test_rank_gap_between_l_and_the_mp_inverse(n):
 
 def test_rank_l_check_rejects_even():
     with pytest.raises(NotOddError):
-        rank_l_check(6)
+        _rank_l(6)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
+import helmlab
 from helmlab import cli
 
 
@@ -180,3 +183,52 @@ def test_closed_stdout_pipe_exits_without_traceback():
     _, err = proc.communicate(timeout=120)
     assert err == b""
     assert proc.returncode == 1
+
+
+GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep_4_13.json"
+
+
+def test_sweep_4_13_json_matches_the_golden_report(capsys):
+    # check order, detail strings and summaries for n = 4..13, timing aside
+    code, out, _ = run_main(capsys, "sweep", "--min", "4", "--max", "13", "--format", "json")
+    assert code == 0
+    reports = json.loads(out)
+    for report in reports:
+        report["summary"].pop("elapsed_ms")
+    assert reports == json.loads(GOLDEN_SWEEP.read_text(encoding="utf-8"))
+
+
+def test_verify_builds_each_per_n_object_once(monkeypatch):
+    # count calls in every helmlab namespace, so no module can rebuild
+    # D, w/alpha, the case or the pseudoinverse behind the report's back
+    counted = (
+        "helm_distance_block",
+        "make_w_alpha",
+        "make_even_case",
+        "make_odd_case",
+        "pseudoinverse",
+        "penrose_check",
+    )
+    calls = Counter()
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "helmlab"]
+    for name in counted:
+        original = getattr(helmlab, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+    assert cli.run_verification(6).all_passed
+    assert calls == {"helm_distance_block": 1, "make_w_alpha": 1, "make_even_case": 1}
+    calls.clear()
+    assert cli.run_verification(7).all_passed
+    assert calls == {
+        "helm_distance_block": 1,
+        "make_w_alpha": 1,
+        "make_odd_case": 1,
+        "pseudoinverse": 1,
+        "penrose_check": 1,
+    }

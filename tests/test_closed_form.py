@@ -31,6 +31,7 @@ from helmlab import (
     rim_signless_product,
 )
 from helmlab.exact_core import dot, ones_vector, scale_vector
+from support import helm_decomposition
 
 ODD_RANGE = (5, 7, 9, 11, 13)
 EVEN_RANGE = (4, 6, 8, 10, 12)
@@ -235,16 +236,16 @@ def test_odd_laplacian_like_structure(n):
 @pytest.mark.parametrize("n", (4, 6))
 def test_closed_form_inverse_times_d_is_identity(n):
     d = helm_distance_block(n)
-    assert closed_form_inverse(n) @ d == RatMatrix.identity(2 * n - 1)
+    assert closed_form_inverse(helm_decomposition(n)) @ d == RatMatrix.identity(2 * n - 1)
 
 
 def test_closed_form_inverse_equals_elimination_inverse():
-    assert closed_form_inverse(6) == inverse(helm_distance_block(6))
+    assert closed_form_inverse(helm_decomposition(6)) == inverse(helm_distance_block(6))
 
 
 def test_closed_form_inverse_laplacian_part_has_zero_row_sums():
     n = 8
-    x = closed_form_inverse(n)
+    x = closed_form_inverse(helm_decomposition(n))
     vectors = make_w_alpha(n)
     lap_part = -2 * (x - vectors.alpha * RatMatrix.outer(vectors.w, vectors.w))
     assert all(s == 0 for s in lap_part.row_sums())
@@ -252,27 +253,27 @@ def test_closed_form_inverse_laplacian_part_has_zero_row_sums():
 
 def test_closed_form_inverse_rejects_odd():
     with pytest.raises(NotEvenError):
-        closed_form_inverse(7)
+        closed_form_inverse(helm_decomposition(7))
 
 
 @pytest.mark.parametrize("n", (5, 7))
 def test_closed_form_mp_inverse_penrose_and_oracle(n):
     d = helm_distance_block(n)
-    x = closed_form_mp_inverse(n)
+    x = closed_form_mp_inverse(helm_decomposition(n))
     assert penrose_check(d, x)
     assert x == pseudoinverse(d)
 
 
 @pytest.mark.parametrize("n", ODD_RANGE)
 def test_mp_inverse_maps_ones_to_alpha_w(n):
-    x = closed_form_mp_inverse(n)
+    x = closed_form_mp_inverse(helm_decomposition(n))
     vectors = make_w_alpha(n)
     assert x.mul_vector(ones_vector(2 * n - 1)) == scale_vector(vectors.alpha, vectors.w)
 
 
 def test_closed_form_mp_inverse_rejects_even():
     with pytest.raises(NotOddError):
-        closed_form_mp_inverse(8)
+        closed_form_mp_inverse(helm_decomposition(8))
 
 
 # -- the rim spec times S row ---------------------------------------------------------

@@ -1,0 +1,118 @@
+"""Fault injection through the CLI path: every moved identity can fail.
+
+Each test patches one ingredient constructor that ``helmlab.cli``
+imports, so that it returns a slightly wrong value, runs
+``verify --n N --format json`` and asserts exactly which checks go red.
+The report builds each ingredient once and hands the same object to
+every check, so a wrong ingredient reaches every check that uses it.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+from fractions import Fraction
+
+import pytest
+
+from helmlab import RatMatrix, cli
+
+
+def _bump_l(case):
+    # add (e_1 - e_2)(e_1 - e_2)'/3 on two adjacent rim vertices: L stays
+    # symmetric with zero row sums, so the Decomposition still accepts it
+    rows = case.laplacian_like.to_lists()
+    for i, j, sign in ((1, 1, 1), (2, 2, 1), (1, 2, -1), (2, 1, -1)):
+        rows[i][j] += sign * Fraction(1, 3)
+    return dataclasses.replace(case, laplacian_like=RatMatrix.from_rows(rows))
+
+
+def _shift_w(vectors):
+    # move 1/4 between two adjacent rim entries: e'w = 1 still holds
+    w = list(vectors.w)
+    w[1] += Fraction(1, 4)
+    w[2] -= Fraction(1, 4)
+    return dataclasses.replace(vectors, w=tuple(w))
+
+
+def _double_alpha(vectors):
+    return dataclasses.replace(vectors, alpha=2 * vectors.alpha)
+
+
+def _bump_d(d):
+    # the hub-side rim vertex 1 and its pendant vertex: distance 1 becomes 2
+    n = (d.rows + 1) // 2
+    rows = d.to_lists()
+    rows[1][n] += 1
+    rows[n][1] += 1
+    return RatMatrix.from_rows(rows)
+
+
+PERTURBATIONS = {
+    "L": (("make_even_case", "make_odd_case"), _bump_l),
+    "w": (("make_w_alpha",), _shift_w),
+    "alpha": (("make_w_alpha",), _double_alpha),
+    "D": (("helm_distance_block",), _bump_d),
+}
+
+EXPECTED_FAILURES = {
+    # uniqueness recovers (alpha, w) from X e, which L's zero row sums keep
+    ("L", 6): {"closed_form_inverse", "kernel_projector", "equiv_formulation"},
+    ("L", 7): {
+        "closed_form_mp_inverse",
+        "kernel_projector",
+        "equiv_formulation",
+        "psd_via_schur",
+        "rank_of_l",
+    },
+    ("w", 6): {"closed_form_inverse", "kernel_projector", "equiv_formulation", "uniqueness"},
+    ("w", 7): {"closed_form_mp_inverse", "kernel_projector", "equiv_formulation", "uniqueness"},
+    # alpha enters neither L D nor the projector
+    ("alpha", 6): {"closed_form_inverse", "equiv_formulation", "uniqueness"},
+    ("alpha", 7): {"closed_form_mp_inverse", "equiv_formulation", "uniqueness"},
+    # D stays nonsingular for n = 6 (rank and inertia unchanged), and
+    # becomes nonsingular for n = 7
+    ("D", 6): {
+        "distance_block_vs_bfs",
+        "determinant",
+        "closed_form_inverse",
+        "kernel_projector",
+        "equiv_formulation",
+    },
+    ("D", 7): {
+        "distance_block_vs_bfs",
+        "determinant",
+        "rank",
+        "inertia",
+        "closed_form_mp_inverse",
+        "kernel_projector",
+        "equiv_formulation",
+        "rank_of_l",
+    },
+}
+
+
+@pytest.mark.parametrize("ingredient, n", sorted(EXPECTED_FAILURES))
+def test_perturbed_ingredient_turns_exactly_its_checks_red(capsys, monkeypatch, ingredient, n):
+    constructors, perturb = PERTURBATIONS[ingredient]
+    for name in constructors:
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda n, original=original: perturb(original(n)))
+    code = cli.main(["verify", "--n", str(n), "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert not any(c["name"].startswith("setup:") for c in report["checks"])
+    failed = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert failed == EXPECTED_FAILURES[ingredient, n]
+
+
+def test_every_check_moved_out_of_a_constructor_can_fail():
+    moved = {
+        "closed_form_inverse",
+        "closed_form_mp_inverse",
+        "kernel_projector",
+        "equiv_formulation",
+        "rank_of_l",
+        "psd_via_schur",
+    }
+    assert moved <= set().union(*EXPECTED_FAILURES.values())
