@@ -151,7 +151,7 @@ def delta_closure_check(z: DeltaVector, g: CirculantSpec) -> bool:
     if len(z) != k:
         raise LengthMismatchError(f"vector of length {len(z)} against spec of length {k}")
     g_mat = materialize(g)
-    product = tuple(dot(z.coords, g_mat.column(j)) for j in range(k))
+    product = tuple([dot(z.coords, g_mat.column(j)) for j in range(k)])
     return is_delta(product)
 
 
@@ -200,4 +200,4 @@ def rim_distance_spec(order: int) -> CirculantSpec:
 
 def alternating_signs(length: int) -> Vector:
     """The vector (1, -1, 1, -1, ...)."""
-    return tuple(Fraction(1) if i % 2 == 0 else Fraction(-1) for i in range(length))
+    return tuple([Fraction(1) if i % 2 == 0 else Fraction(-1) for i in range(length)])

@@ -7,7 +7,8 @@ Three subcommands:
     eig --matrix S|B|A --n N               circulant spectra vs analytic values
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 invalid
-arguments.  Rationals are serialized as exact "p/q" strings in JSON.
+arguments (n below 4 or above MAX_N, an empty range).  Rationals are
+serialized as exact "p/q" strings in JSON.
 """
 
 from __future__ import annotations
@@ -60,6 +61,12 @@ from .exact_core import (
 from .graphs import NTooSmallError, bfs_distance_matrix, build_helm, helm_distance_block
 
 EIG_TOLERANCE = 1e-9
+
+# Largest n accepted by verify, sweep and eig, so that an oversized n is
+# refused instead of starting a dense run that does not end.  The dense
+# oracles cost about n^3 integer operations; `run_verification(131)` takes
+# about a minute on a 2-vCPU Xeon VM (Python 3.11).
+MAX_N = 130
 
 
 @dataclass
@@ -296,9 +303,19 @@ def _run_checks(n: int, report: VerificationReport) -> None:
         run_check("rank_of_l", chk_rank_l)
 
 
+def _too_large(flag: str, value: int) -> bool:
+    """True (with a message) when value exceeds MAX_N."""
+    if value > MAX_N:
+        print(f"error: {flag} must be <= {MAX_N}, got {value}", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.n < 4:
         print(f"error: --n must be >= 4, got {args.n}", file=sys.stderr)
+        return 2
+    if _too_large("--n", args.n):
         return 2
     report = run_verification(args.n)
     if args.format == "json":
@@ -311,6 +328,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.min < 4 or args.min > args.max:
         print(f"error: need 4 <= min <= max, got {args.min}..{args.max}", file=sys.stderr)
+        return 2
+    if _too_large("--max", args.max):
         return 2
     values = list(range(args.min, args.max + 1))
     if args.parallel and len(values) > 1:
@@ -341,6 +360,8 @@ def _cmd_eig(args: argparse.Namespace) -> int:
     name = args.matrix
     if n < 4:
         print(f"error: --n must be >= 4, got {n}", file=sys.stderr)
+        return 2
+    if _too_large("--n", n):
         return 2
     if name in ("A", "B") and (n % 2 == 0 or n < 5):
         print(f"error: matrix {name} requires odd n >= 5, got {n}", file=sys.stderr)
@@ -385,13 +406,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the full check suite for one n")
-    p_verify.add_argument("--n", type=int, required=True, help="helm parameter, n >= 4")
+    p_verify.add_argument("--n", type=int, required=True, help=f"helm parameter, 4 <= n <= {MAX_N}")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="verify a range of n")
     p_sweep.add_argument("--min", type=int, default=4)
-    p_sweep.add_argument("--max", type=int, default=13)
+    p_sweep.add_argument("--max", type=int, default=13, help=f"at most {MAX_N}")
     p_sweep.add_argument("--parallel", action="store_true", help="one process per n")
     p_sweep.add_argument("--format", choices=("text", "json"), default="text")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -399,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eig = sub.add_parser("eig", help="circulant spectra vs analytic values")
     p_eig.add_argument("--matrix", choices=("S", "B", "A"), required=True,
                        help="S: rim cycle signless Laplacian; A/B: odd-case rim/coupling blocks")
-    p_eig.add_argument("--n", type=int, required=True)
+    p_eig.add_argument("--n", type=int, required=True, help=f"4 <= n <= {MAX_N}")
     p_eig.set_defaults(func=_cmd_eig)
     return parser
 

@@ -138,16 +138,16 @@ def make_odd_case(n: int) -> HelmCase:
     m = (n - 1) // 2
     k = n - 1
     coeffs = tuple(
-        Fraction((-1) ** (kk + 1) * (2 * m * m - 6 * (m - kk) ** 2 + 7))
-        for kk in range(1, m + 1)
+        [
+            Fraction((-1) ** (kk + 1) * (2 * m * m - 6 * (m - kk) ** 2 + 7))
+            for kk in range(1, m + 1)
+        ]
     )
     body = [Fraction(n * n + 4 * n - 12)] + list(coeffs) + list(coeffs[-2::-1])
     denom = Fraction(1, 6 * (n - 1))
-    x = tuple(denom * val for val in body)
+    x = tuple([denom * val for val in body])
     v = alternating_signs(k)
-    y = tuple(
-        val / (n - 1) - (1 if i == 0 else 0) for i, val in enumerate(v)
-    )
+    y = tuple([val / (n - 1) - (1 if i == 0 else 0) for i, val in enumerate(v)])
     return _helm_case(n, coeffs, x, y)
 
 
@@ -165,11 +165,9 @@ def make_even_case(n: int) -> HelmCase:
         raise NTooSmallError(f"helm graphs need n >= 4, got {n}")
     half = n // 2
     k = n - 1
-    coeffs = tuple(
-        Fraction((-1) ** kk * (n - 1 - 2 * kk)) for kk in range(1, half)
-    )
+    coeffs = tuple([Fraction((-1) ** kk * (n - 1 - 2 * kk)) for kk in range(1, half)])
     body = [Fraction(n + 1)] + list(coeffs) + list(reversed(coeffs))
-    z = tuple(Fraction(1, 2) * val for val in body)
+    z = tuple([Fraction(1, 2) * val for val in body])
     minus_e1 = (Fraction(-1),) + (Fraction(0),) * (k - 1)
     return _helm_case(n, coeffs, z, minus_e1)
 
@@ -214,4 +212,4 @@ def rim_signless_product(n: int) -> Vector:
         raise NotOddError(f"odd n required, got {n}")
     data = make_odd_case(n)
     s_mat = materialize(cycle_signless_laplacian_spec(n - 1))
-    return tuple(dot(data.rim_spec, s_mat.column(j)) for j in range(n - 1))
+    return tuple([dot(data.rim_spec, s_mat.column(j)) for j in range(n - 1)])

@@ -1,19 +1,21 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices with ``fractions.Fraction`` entries, plus the generic
-oracles (rank, inverse, Moore-Penrose pseudoinverse, inertia, kernel
-bases) against which every closed-form identity in this package is
-verified.  There is no floating point and no tolerance anywhere in this
-module: equality of matrices means entrywise equality of reduced
-fractions.
+Dense rational matrices, plus the generic oracles (rank, inverse,
+Moore-Penrose pseudoinverse, inertia, kernel bases) against which every
+closed-form identity in this package is verified.  There is no floating
+point and no tolerance anywhere in this module: equality of matrices
+means entrywise equality of reduced fractions.
 
-``RatMatrix`` stores ``Fraction`` entries, but the kernels below do not
-compute with them.  Each one clears denominators first (one common
-denominator per matrix, or per row for elimination) and then works in
-Python integers:
+``RatMatrix`` stores one positive common denominator and row-major
+integer entries, kept canonical (the denominator and the entries have
+no common factor, and the zero matrix has denominator 1), so equal
+matrices have equal storage.  Every operation works on the integers:
 
-* matmul takes integer dot products and divides by the product of the
-  two denominators once per entry;
+* ``+`` and ``-`` bring both operands to the lcm of their denominators,
+  a scalar multiplies the entries by its numerator and the denominator
+  by its denominator;
+* matmul takes integer dot products under the product of the two
+  denominators;
 * Gauss-Jordan elimination is fraction-free: a row update is
   ``a*row - b*lead`` followed by division by the row's content;
 * the determinant is Bareiss's fraction-free elimination (Bareiss 1968,
@@ -21,8 +23,9 @@ Python integers:
 * the inertia is a Sylvester congruence reduction in integers, scaled by
   positive factors only, so signs and hence the inertia are preserved.
 
-Results are converted back to reduced fractions, so every result equals
-the one plain ``Fraction`` arithmetic gives.
+``Fraction`` values are made only where entries are read (indexing,
+rows, columns, ``to_lists`` and the vectors the matrix methods return),
+and they equal the ones plain ``Fraction`` arithmetic gives.
 
 The pseudoinverse is computed by full-rank factorization (pivot columns
 times reduced-echelon rows), the inertia with 2x2 hyperbolic pivots
@@ -79,8 +82,14 @@ def frac(value: Scalar) -> Fraction:
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
 
 
+# Small tuples below are built from lists, never from generators: a tuple
+# built from a generator is allocated at a guessed length and resized, and
+# CPython keeps freed short tuples on per-length free lists that only a
+# full garbage collection empties.
+
+
 def vec(values: Iterable[Scalar]) -> Vector:
-    return tuple(frac(v) for v in values)
+    return tuple([frac(v) for v in values])
 
 
 def ones_vector(length: int) -> Vector:
@@ -95,52 +104,72 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 def scale_vector(c: Scalar, v: Sequence[Fraction]) -> Vector:
     cf = frac(c)
-    return tuple(cf * x for x in v)
+    return tuple([cf * x for x in v])
 
 
 def add_vectors(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     if len(u) != len(v):
         raise ShapeMismatchError(f"sum of lengths {len(u)} and {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple([a + b for a, b in zip(u, v)])
 
 
-# -- integer kernel ---------------------------------------------------------
+# -- integer representation ---------------------------------------------------
 
 
 def _common_denominator(values: Iterable[Scalar]) -> tuple[int, list[int]]:
-    """(d, ints) with d the lcm of the denominators and ints[i] = d * values[i]."""
+    """(d, ints) with d the lcm of the denominators and ints[i] = d * values[i].
+
+    For reduced values (every ``Fraction`` is) d and ints have no common
+    factor.  Anything but an int or a Fraction raises TypeError.
+    """
     vals = list(values)
+    for t in {type(x) for x in vals}:
+        if not issubclass(t, (int, Fraction)):
+            raise TypeError(f"expected an exact scalar, got {t.__name__}")
     d = math.lcm(*{x.denominator for x in vals})
     return d, [x.numerator * (d // x.denominator) for x in vals]
 
 
-def _product(a: Sequence[Scalar], n: int, k: int, b: Sequence[Scalar], m: int) -> list[Fraction]:
-    """Row-major entries of the (n x k) by (k x m) product, exactly."""
-    da, ai = _common_denominator(a)
-    db, bi = _common_denominator(b)
-    den = da * db
-    cols = [bi[j::m] for j in range(m)]
-    return [
-        Fraction(sum(map(mul, ai[i * k : (i + 1) * k], col)), den)
-        for i in range(n)
-        for col in cols
-    ]
+def _fractions(ints: Sequence[int], den: int) -> Vector:
+    """The reduced fractions ints[i] / den."""
+    if den == 1:
+        return tuple([Fraction(x) for x in ints])
+    return tuple([Fraction(x, den) for x in ints])
 
 
 class RatMatrix:
-    """Immutable dense matrix of Fractions, stored row-major."""
+    """Immutable dense rational matrix: integer entries over one denominator.
 
-    __slots__ = ("rows", "cols", "_entries")
+    Row-major ``_ints`` and a positive ``_den`` with
+    ``gcd(_den, *_ints) == 1``; the matrix is ``_ints / _den``.
+    """
+
+    __slots__ = ("rows", "cols", "_den", "_ints")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]):
-        data = tuple(frac(x) for x in entries)
-        if len(data) != rows * cols:
+        den, ints = _common_denominator(entries)
+        if len(ints) != rows * cols:
             raise ShapeMismatchError(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(data)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(ints)}"
             )
         self.rows = rows
         self.cols = cols
-        self._entries = data
+        self._den = den
+        self._ints = tuple(ints)
+
+    @classmethod
+    def _from_ints(cls, rows: int, cols: int, den: int, ints: list[int]) -> "RatMatrix":
+        """The matrix ints / den (den > 0), reduced to canonical form."""
+        g = math.gcd(den, *ints)
+        if g > 1:
+            den //= g
+            ints = [x // g for x in ints]
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._den = den
+        m._ints = tuple(ints)
+        return m
 
     # -- constructors ---------------------------------------------------
 
@@ -150,30 +179,35 @@ class RatMatrix:
         ncols = len(rows[0]) if nrows else 0
         if any(len(r) != ncols for r in rows):
             raise ShapeMismatchError("ragged rows")
-        return cls(nrows, ncols, (x for r in rows for x in r))
+        return cls(nrows, ncols, [x for r in rows for x in r])
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, (_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
+        ints = [0] * (n * n)
+        ints[:: n + 1] = [1] * n
+        return cls._from_ints(n, n, 1, ints)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, (_ZERO,) * (rows * cols))
+        return cls._from_ints(rows, cols, 1, [0] * (rows * cols))
 
     @classmethod
     def ones(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, (_ONE,) * (rows * cols))
+        return cls._from_ints(rows, cols, 1, [1] * (rows * cols))
 
     @classmethod
     def diagonal(cls, values: Sequence[Scalar]) -> "RatMatrix":
         n = len(values)
-        vals = vec(values)
-        return cls(n, n, (vals[i] if i == j else _ZERO for i in range(n) for j in range(n)))
+        den, diag = _common_denominator(values)
+        ints = [0] * (n * n)
+        ints[:: n + 1] = diag
+        return cls._from_ints(n, n, den, ints)
 
     @classmethod
     def outer(cls, u: Sequence[Scalar], v: Sequence[Scalar]) -> "RatMatrix":
-        uf, vf = vec(u), vec(v)
-        return cls(len(uf), len(vf), (a * b for a in uf for b in vf))
+        du, ui = _common_denominator(u)
+        dv, vi = _common_denominator(v)
+        return cls._from_ints(len(ui), len(vi), du * dv, [a * b for a in ui for b in vi])
 
     @classmethod
     def from_blocks(cls, grid: Sequence[Sequence[Union["RatMatrix", Scalar]]]) -> "RatMatrix":
@@ -187,12 +221,14 @@ class RatMatrix:
             for j, b in enumerate(row):
                 if b.rows != row_heights[i] or b.cols != col_widths[j]:
                     raise ShapeMismatchError(f"block ({i},{j}) is {b.rows}x{b.cols}")
-        out: list[Fraction] = []
-        for i, row in enumerate(norm):
-            for r in range(row_heights[i]):
-                for b in row:
-                    out.extend(b._entries[r * b.cols : (r + 1) * b.cols])
-        return cls(sum(row_heights), sum(col_widths), out)
+        den = math.lcm(*[b._den for row in norm for b in row])
+        out: list[int] = []
+        for row, height in zip(norm, row_heights):
+            scaled = [[x * (den // b._den) for x in b._ints] for b in row]
+            for r in range(height):
+                for b, ints in zip(row, scaled):
+                    out.extend(ints[r * b.cols : (r + 1) * b.cols])
+        return cls._from_ints(sum(row_heights), sum(col_widths), den, out)
 
     # -- access ----------------------------------------------------------
 
@@ -200,22 +236,21 @@ class RatMatrix:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
-        return self._entries[i * self.cols + j]
+        return Fraction(self._ints[i * self.cols + j], self._den)
 
     def row(self, i: int) -> Vector:
-        return self._entries[i * self.cols : (i + 1) * self.cols]
+        return _fractions(self._ints[i * self.cols : (i + 1) * self.cols], self._den)
 
     def column(self, j: int) -> Vector:
-        return tuple(self._entries[i * self.cols + j] for i in range(self.rows))
+        return _fractions(self._ints[j :: self.cols], self._den)
 
     def to_lists(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RatMatrix":
-        return RatMatrix(
-            len(row_idx),
-            len(col_idx),
-            (self._entries[i * self.cols + j] for i in row_idx for j in col_idx),
+        e, c = self._ints, self.cols
+        return RatMatrix._from_ints(
+            len(row_idx), len(col_idx), self._den, [e[i * c + j] for i in row_idx for j in col_idx]
         )
 
     # -- algebra ----------------------------------------------------------
@@ -226,26 +261,37 @@ class RatMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self._entries == other._entries
+            and self._den == other._den
+            and self._ints == other._ints
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._entries))
+        return hash((self.rows, self.cols, self._den, self._ints))
+
+    def _combine(self, other: "RatMatrix", sign: int) -> "RatMatrix":
+        """self + sign * other, under the lcm of the two denominators."""
+        self._require_same_shape(other)
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, sign * (den // other._den)
+        return RatMatrix._from_ints(
+            self.rows, self.cols, den, [a * x + b * y for x, y in zip(self._ints, other._ints)]
+        )
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._require_same_shape(other)
-        return RatMatrix(self.rows, self.cols, (a + b for a, b in zip(self._entries, other._entries)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._require_same_shape(other)
-        return RatMatrix(self.rows, self.cols, (a - b for a, b in zip(self._entries, other._entries)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, (-a for a in self._entries))
+        return RatMatrix._from_ints(self.rows, self.cols, self._den, [-x for x in self._ints])
 
     def __mul__(self, c: Scalar) -> "RatMatrix":
         cf = frac(c)
-        return RatMatrix(self.rows, self.cols, (cf * a for a in self._entries))
+        p = cf.numerator
+        return RatMatrix._from_ints(
+            self.rows, self.cols, self._den * cf.denominator, [p * x for x in self._ints]
+        )
 
     __rmul__ = __mul__
 
@@ -254,23 +300,31 @@ class RatMatrix:
             raise ShapeMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        entries = _product(self._entries, self.rows, self.cols, other._entries, other.cols)
-        return RatMatrix(self.rows, other.cols, entries)
+        a, k, m = self._ints, self.cols, other.cols
+        cols = [other._ints[j::m] for j in range(m)]
+        entries = [
+            sum(map(mul, a[i * k : (i + 1) * k], col)) for i in range(self.rows) for col in cols
+        ]
+        return RatMatrix._from_ints(self.rows, m, self._den * other._den, entries)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols,
-            self.rows,
-            (self._entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
+        e, c = self._ints, self.cols
+        out: list[int] = []
+        for j in range(c):
+            out.extend(e[j::c])
+        return RatMatrix._from_ints(c, self.rows, self._den, out)
 
-    def mul_vector(self, v: Sequence[Fraction]) -> Vector:
+    def mul_vector(self, v: Sequence[Scalar]) -> Vector:
         if len(v) != self.cols:
             raise ShapeMismatchError(f"matrix has {self.cols} columns, vector length {len(v)}")
-        return tuple(_product(self._entries, self.rows, self.cols, v, 1))
+        dv, vi = _common_denominator(v)
+        e, c = self._ints, self.cols
+        sums = [sum(map(mul, e[i * c : (i + 1) * c], vi)) for i in range(self.rows)]
+        return _fractions(sums, self._den * dv)
 
     def row_sums(self) -> Vector:
-        return tuple(sum(self.row(i), _ZERO) for i in range(self.rows))
+        e, c = self._ints, self.cols
+        return _fractions([sum(e[i * c : (i + 1) * c]) for i in range(self.rows)], self._den)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -278,11 +332,11 @@ class RatMatrix:
     def is_symmetric(self) -> bool:
         if not self.is_square():
             return False
-        e, n = self._entries, self.rows
-        return all(e[i * n + j] == e[j * n + i] for i in range(n) for j in range(i + 1, n))
+        e, n = self._ints, self.rows
+        return all(e[i * n : (i + 1) * n] == e[i::n] for i in range(n))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self._entries)
+        return not any(self._ints)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(min(self.rows, 6)))
@@ -340,6 +394,12 @@ class Decomposition:
 # -- elimination helpers --------------------------------------------------
 
 
+def _int_rows(m: RatMatrix) -> list[list[int]]:
+    """The rows of m's integer entries, as fresh lists (m times its denominator)."""
+    e, c = m._ints, m.cols
+    return [list(e[i * c : (i + 1) * c]) for i in range(m.rows)]
+
+
 def _echelon_ints(rows: list[list[int]], ncols: int) -> list[int]:
     """Fraction-free Gauss-Jordan on integer rows, in place; returns pivot columns.
 
@@ -348,7 +408,8 @@ def _echelon_ints(rows: list[list[int]], ncols: int) -> list[int]:
     then division by the row's content, so every row stays a nonzero
     multiple of the row plain rational Gauss-Jordan would hold and the
     entries stay small.  On return each pivot row is its reduced-echelon
-    row times its pivot entry.
+    row times its pivot entry.  Only the first ``ncols`` columns are
+    searched for pivots; row operations act on whole rows.
     """
     pivots: list[int] = []
     r = 0
@@ -375,49 +436,45 @@ def _echelon_ints(rows: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
-def _reduced_echelon(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """In-place reduced row echelon form; returns pivot column indices.
+def _divide_by_pivots(rows: list[list[int]], pivots: list[int], start: int) -> RatMatrix:
+    """The matrix whose row r is rows[r][start:] over row r's pivot entry.
 
-    Only the first ``ncols`` columns are searched for pivots; row
-    operations act on whole rows.  Rows past the rank are zero when
-    ``ncols`` covers every column; otherwise they hold some multiple of
-    what rational elimination would leave there.
+    Rows past the rank are taken as they are; callers pass zero rows
+    there.
     """
-    work = [_common_denominator(row)[1] for row in rows]
-    pivots = _echelon_ints(work, ncols)
-    for r, row in enumerate(work):
-        pv = row[pivots[r]] if r < len(pivots) else 1
-        rows[r] = [Fraction(x, pv) for x in row]
-    return pivots
+    scales = [rows[r][c] for r, c in enumerate(pivots)]
+    scales += [1] * (len(rows) - len(scales))
+    den = math.lcm(*scales)
+    out: list[int] = []
+    for row, pv in zip(rows, scales):
+        f = den // pv
+        out.extend([f * x for x in row[start:]])
+    width = len(rows[0]) - start if rows else 0
+    return RatMatrix._from_ints(len(rows), width, den, out)
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns, exactly."""
-    work = m.to_lists()
-    pivots = _reduced_echelon(work, m.cols)
-    return RatMatrix.from_rows(work) if work else RatMatrix.zeros(0, m.cols), tuple(pivots)
+    work = _int_rows(m)
+    pivots = _echelon_ints(work, m.cols)
+    reduced = _divide_by_pivots(work, pivots, 0) if work else RatMatrix.zeros(0, m.cols)
+    return reduced, tuple(pivots)
 
 
 def rank(m: RatMatrix) -> int:
     """Dimension of the row space, by exact elimination."""
-    work = [_common_denominator(m.row(i))[1] for i in range(m.rows)]
-    return len(_echelon_ints(work, m.cols))
+    return len(_echelon_ints(_int_rows(m), m.cols))
 
 
 def determinant(m: RatMatrix) -> Fraction:
     """Exact determinant by Bareiss fraction-free elimination.
 
-    Each row is scaled to integers by its own common denominator; the
-    last Bareiss pivot is then the determinant of the scaled matrix.
+    On the integer entries A of m = A/d the last Bareiss pivot is det(A),
+    and det(m) = det(A) / d^n.
     """
     if not m.is_square():
         raise NonSquareError(f"determinant of {m.rows}x{m.cols} matrix")
-    scale = 1
-    work: list[list[int]] = []
-    for i in range(m.rows):
-        d, row = _common_denominator(m.row(i))
-        scale *= d
-        work.append(row)
+    work = _int_rows(m)
     sign, prev = 1, 1
     while work:
         p = next((i for i, row in enumerate(work) if row[0]), None)
@@ -432,22 +489,29 @@ def determinant(m: RatMatrix) -> Fraction:
             for row in work[1:]
         ]
         prev = pv
-    return Fraction(sign * prev, scale)
+    return Fraction(sign * prev, m._den ** m.rows)
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
-    """Exact inverse via Gauss-Jordan; raises SingularMatrixError if det = 0."""
+    """Exact inverse via Gauss-Jordan; raises SingularMatrixError if det = 0.
+
+    With m = A/d, the rows of [A | d I] reduce to [I | inverse(m)].
+    """
     if not m.is_square():
         raise NonSquareError(f"inverse of {m.rows}x{m.cols} matrix")
-    n = m.rows
-    work = [list(m.row(i)) + [_ONE if j == i else _ZERO for j in range(n)] for i in range(n)]
-    pivots = _reduced_echelon(work, n)
+    n, d = m.rows, m._den
+    work = _int_rows(m)
+    for i, row in enumerate(work):
+        tail = [0] * n
+        tail[i] = d
+        row.extend(tail)
+    pivots = _echelon_ints(work, n)
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    return RatMatrix.from_rows([row[n:] for row in work])
+    return _divide_by_pivots(work, pivots, n)
 
 
-def solve(m: RatMatrix, b: Sequence[Fraction]) -> Optional[Vector]:
+def solve(m: RatMatrix, b: Sequence[Scalar]) -> Optional[Vector]:
     """One exact solution of m x = b, or None if the system is inconsistent.
 
     Free variables are set to zero.  Used both as a solver and as the
@@ -455,13 +519,17 @@ def solve(m: RatMatrix, b: Sequence[Fraction]) -> Optional[Vector]:
     """
     if len(b) != m.rows:
         raise ShapeMismatchError(f"matrix has {m.rows} rows, rhs length {len(b)}")
-    work = [list(m.row(i)) + [frac(b[i])] for i in range(m.rows)]
-    pivots = _reduced_echelon(work, m.cols + 1)
+    # with m = A/d and b = c/db, m x = b is (db/g) A x = (d/g) c, g = gcd(d, db)
+    db, rhs = _common_denominator(b)
+    g = math.gcd(m._den, db)
+    sa, sb = db // g, m._den // g
+    work = [[sa * x for x in row] + [sb * c] for row, c in zip(_int_rows(m), rhs)]
+    pivots = _echelon_ints(work, m.cols + 1)
     if m.cols in pivots:
         return None
     x = [_ZERO] * m.cols
     for r, c in enumerate(pivots):
-        x[c] = work[r][m.cols]
+        x[c] = Fraction(work[r][m.cols], work[r][c])
     return tuple(x)
 
 
@@ -529,7 +597,7 @@ def _sym_swap(w: list[list[int]], i: int, j: int) -> None:
 
 
 def _divide_content(block: list[list[int]]) -> list[list[int]]:
-    content = math.gcd(*(math.gcd(*row) for row in block))
+    content = math.gcd(*[math.gcd(*row) for row in block])
     if content > 1:
         return [[x // content for x in row] for row in block]
     return block
@@ -544,7 +612,7 @@ def inertia(m: RatMatrix) -> InertiaTriple:
     contributes one positive and one negative eigenvalue.  A zero
     remaining block terminates with i_zero.
 
-    The work is in integers: the matrix is scaled by its positive common
+    The work is in integers: the integer entries are m times its positive
     denominator, and each Schur complement is replaced by a positive
     multiple of itself (|d| S for a 1x1 pivot d, |b| S for a 2x2 pivot
     with off-diagonal b) divided by its content.  Positive scalings keep
@@ -552,9 +620,7 @@ def inertia(m: RatMatrix) -> InertiaTriple:
     """
     if not m.is_symmetric():
         raise NotSymmetricError("inertia requires a symmetric matrix")
-    n = m.rows
-    _, flat = _common_denominator(m._entries)
-    w = [flat[i * n : (i + 1) * n] for i in range(n)]
+    w = _int_rows(m)
     i_plus = i_minus = 0
     while w:
         p = next((i for i in range(len(w)) if w[i][i]), None)

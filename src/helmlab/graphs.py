@@ -61,7 +61,7 @@ def build_helm(n: int) -> HelmInstance:
     link(n - 1, 1)
     for i in range(1, n):
         link(i, n - 1 + i)
-    return HelmInstance(n, tuple(tuple(sorted(a)) for a in nbrs))
+    return HelmInstance(n, tuple([tuple(sorted(a)) for a in nbrs]))
 
 
 def bfs_distance_matrix(g: HelmInstance) -> RatMatrix:

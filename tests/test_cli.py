@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import helmlab
-from helmlab import cli
+from helmlab import RatMatrix, cli
 
 
 def run_main(capsys, *argv):
@@ -232,3 +236,58 @@ def test_verify_builds_each_per_n_object_once(monkeypatch):
         "pseudoinverse": 1,
         "penrose_check": 1,
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--n"), ("sweep", "--min", "4", "--max"), ("eig", "--matrix", "S", "--n")],
+)
+def test_n_above_max_n_exits_2_before_any_matrix_is_built(capsys, monkeypatch, argv):
+    monkeypatch.setattr(RatMatrix, "__init__", _boom)
+    monkeypatch.setattr(RatMatrix, "_from_ints", classmethod(_boom))
+    monkeypatch.setattr(cli, "run_verification", _boom)
+    monkeypatch.setattr(cli, "circulant_eigenvalues", _boom)
+    code, out, err = run_main(capsys, *argv, str(cli.MAX_N + 1))
+    assert code == 2
+    assert out == ""
+    assert f"must be <= {cli.MAX_N}, got {cli.MAX_N + 1}" in err
+
+
+def test_max_n_itself_is_accepted(capsys, monkeypatch):
+    # verify and sweep get a stub report: the full order-(2 MAX_N - 1) run
+    # is what MAX_N was measured with, far too slow for this suite
+    seen = []
+
+    def stub(n):
+        seen.append(n)
+        return cli.VerificationReport(n, "odd" if n % 2 else "even", [], None, None, None, None, 0.0)
+
+    monkeypatch.setattr(cli, "run_verification", stub)
+    assert run_main(capsys, "verify", "--n", str(cli.MAX_N))[0] == 0
+    limits = ("--min", str(cli.MAX_N), "--max", str(cli.MAX_N))
+    assert run_main(capsys, "sweep", *limits, "--format", "json")[0] == 0
+    assert seen == [cli.MAX_N, cli.MAX_N]
+    assert run_main(capsys, "eig", "--matrix", "S", "--n", str(cli.MAX_N))[0] == 0
+
+
+def test_repeated_verification_keeps_no_memory():
+    # Small tuples built from generators are resized, and freed resized
+    # tuples pile up on CPython's per-length free lists (up to 2000 each)
+    # until a full collection; with gc disabled nothing empties them.
+    for n in (8, 9):
+        cli.run_verification(n)
+    gc.collect()
+    gc.disable()
+    try:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(20):
+                for n in (8, 9):
+                    assert cli.run_verification(n).all_passed
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    finally:
+        gc.enable()
+    assert kept < 64 * 1024

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -579,3 +580,120 @@ def test_inertia_matches_reference(rng):
         symmetric.append((f"random symmetric #{t}", random_symmetric(rng, rng.randint(1, 7))))
     for label, m in symmetric:
         assert inertia(m) == _ref_inertia(m.to_lists()), label
+
+
+# -- differential tests: integer storage vs plain Fraction reference -----------
+#
+# RatMatrix keeps one denominator and integer entries; every elementwise
+# operation and block assembly must equal the entrywise Fraction result.
+
+
+_SCALARS = (0, 1, -3, Fraction(-7, 4), Fraction(5, 9), Fraction(2**200 + 1, 3**90))
+
+
+def _assert_canonical(m: RatMatrix, label: str) -> None:
+    assert m._den > 0, label
+    assert math.gcd(m._den, *m._ints) == 1, label
+    if m.is_zero():
+        assert m._den == 1, label
+    assert all(type(x) is Fraction for r in m.to_lists() for x in r), label
+
+
+def _mixed(rng, count: int, big: RatMatrix) -> list[Fraction]:
+    """count small random fractions, every third replaced by an entry of big."""
+    flat = [x for r in big.to_lists() for x in r]
+    return [flat[i % len(flat)] if i % 3 == 0 else _rat(rng) for i in range(count)]
+
+
+def _partner(rng, m: RatMatrix, big: RatMatrix) -> RatMatrix:
+    """A second operand of m's shape, partly with large entries."""
+    return RatMatrix(m.rows, m.cols, _mixed(rng, m.rows * m.cols, big))
+
+
+def test_elementwise_ops_match_reference(rng):
+    cases = _differential_cases(rng)
+    big = dict(cases)["pseudoinverse of gram 9 (large entries)"]
+    for label, m in cases:
+        other = _partner(rng, m, big)
+        a, b = m.to_lists(), other.to_lists()
+        results = [
+            (m + other, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+            (m - other, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+            (other - m, [[y - x for x, y in zip(r, s)] for r, s in zip(a, b)]),
+            (-m, [[-x for x in r] for r in a]),
+            (m.transpose(), [[a[i][j] for i in range(m.rows)] for j in range(m.cols)]),
+        ]
+        for c in _SCALARS:
+            want = [[c * x for x in r] for r in a]
+            results += [(c * m, want), (m * c, want)]
+        for got, want in results:
+            assert got.to_lists() == want, label
+            _assert_canonical(got, label)
+        assert m.row_sums() == tuple(sum(r, Fraction(0)) for r in a), label
+        assert m.is_zero() == all(x == 0 for r in a for x in r), label
+        assert (m - m).is_zero() and (m - m) == RatMatrix.zeros(m.rows, m.cols), label
+        ref_symmetric = m.is_square() and all(
+            a[i][j] == a[j][i] for i in range(m.rows) for j in range(m.cols)
+        )
+        assert m.is_symmetric() == ref_symmetric, label
+        if m.is_square() and m.rows > 1:
+            sym = m + m.transpose()
+            assert sym.is_symmetric(), label
+            bumped = sym + RatMatrix.outer([1] + [0] * (m.rows - 1), [0, 1] + [0] * (m.rows - 2))
+            assert not bumped.is_symmetric(), label
+        v = _mixed(rng, m.cols, big)
+        want_v = tuple(sum((x * y for x, y in zip(r, v)), Fraction(0)) for r in a)
+        assert m.mul_vector(v) == want_v, label
+
+
+def test_outer_blocks_and_submatrix_match_reference(rng):
+    cases = _differential_cases(rng)
+    big = dict(cases)["pseudoinverse of gram 9 (large entries)"]
+    for label, m in cases:
+        a = m.to_lists()
+        u, v = _mixed(rng, m.rows, big), _mixed(rng, m.cols, big)
+        outer = RatMatrix.outer(u, v)
+        assert outer.to_lists() == [[x * y for y in v] for x in u], label
+        _assert_canonical(outer, label)
+
+        right = _partner(rng, RatMatrix.zeros(m.rows, 1), big)
+        bottom = _partner(rng, RatMatrix.zeros(1, m.cols), big)
+        corner = Fraction(-5, 12)
+        blocks = RatMatrix.from_blocks([[m, right], [bottom, corner]])
+        want = [r + list(right.row(i)) for i, r in enumerate(a)] + [list(bottom.row(0)) + [corner]]
+        assert blocks.to_lists() == want, label
+        _assert_canonical(blocks, label)
+
+        row_idx = [i for i in range(m.rows) if rng.random() < 0.6][::-1]
+        col_idx = [j for j in range(m.cols) if rng.random() < 0.6] + list(range(min(m.cols, 2)))
+        sub = m.submatrix(row_idx, col_idx)
+        assert sub.to_lists() == [[a[i][j] for j in col_idx] for i in row_idx], label
+        _assert_canonical(sub, label)
+    scalars_only = RatMatrix.from_blocks([[1, Fraction(1, 2)], [Fraction(-2, 3), 0]])
+    assert scalars_only.to_lists() == [[1, Fraction(1, 2)], [Fraction(-2, 3), 0]]
+
+
+def test_equal_matrices_have_equal_storage(rng):
+    for label, m in _differential_cases(rng):
+        zeros = RatMatrix.zeros(m.rows, m.cols)
+        routes = [
+            2 * (m * Fraction(1, 2)),
+            RatMatrix.from_rows(m.to_lists()) if m.rows else RatMatrix(0, m.cols, []),
+            RatMatrix(m.rows, m.cols, [x for r in m.to_lists() for x in r]),
+            m + zeros,
+            zeros + m,
+            m - zeros,
+            -(-m),
+            (m * 6) * Fraction(1, 6),
+            m * 7 - m * 6,
+            (m + m) * Fraction(1, 2),
+            m.transpose().transpose(),
+            m.submatrix(range(m.rows), range(m.cols)),
+            RatMatrix.identity(m.rows) @ m,
+        ]
+        for got in routes:
+            _assert_canonical(got, label)
+            assert got == m and hash(got) == hash(m), label
+        for zero in (m - m, 0 * m, m * Fraction(0), zeros @ RatMatrix.zeros(m.cols, 2) @ RatMatrix.zeros(2, m.cols)):
+            _assert_canonical(zero, label)
+            assert zero == zeros and hash(zero) == hash(zeros), label
