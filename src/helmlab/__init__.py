@@ -16,13 +16,7 @@ that surround it.
 from .exact_core import (
     Decomposition,
     InertiaTriple,
-    InvalidDecompositionError,
-    NonSquareError,
-    NotSymmetricError,
     RatMatrix,
-    Rational,
-    ShapeMismatchError,
-    SingularMatrixError,
     VerificationError,
     determinant,
     inertia,
@@ -34,12 +28,8 @@ from .exact_core import (
     solve,
 )
 from .circulant import (
-    BadPatternError,
     CirculantSpec,
     DeltaVector,
-    EmptySpecError,
-    KTooSmallError,
-    LengthMismatchError,
     alternating_signs,
     circulant_eigenvalues,
     circulant_product,
@@ -50,12 +40,10 @@ from .circulant import (
     rim_distance_spec,
     tridiagonal_211_det,
 )
-from .graphs import HelmInstance, NTooSmallError, bfs_distance_matrix, build_helm, helm_distance_block
+from .graphs import HelmInstance, bfs_distance_matrix, build_helm, helm_distance_block
 from .closed_form import (
     HelmCase,
     HelmVectors,
-    NotEvenError,
-    NotOddError,
     closed_form_inverse,
     closed_form_mp_inverse,
     make_even_case,
@@ -65,7 +53,6 @@ from .closed_form import (
     rim_signless_product,
 )
 from .characterization import (
-    OnesNotInRangeError,
     SixConditions,
     build_kernel_projector,
     check_conditions_i_vi,
@@ -78,28 +65,14 @@ from .characterization import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadPatternError",
     "CirculantSpec",
     "Decomposition",
     "DeltaVector",
-    "EmptySpecError",
     "HelmCase",
     "HelmInstance",
     "HelmVectors",
     "InertiaTriple",
-    "InvalidDecompositionError",
-    "KTooSmallError",
-    "LengthMismatchError",
-    "NTooSmallError",
-    "NonSquareError",
-    "NotEvenError",
-    "NotOddError",
-    "NotSymmetricError",
-    "OnesNotInRangeError",
     "RatMatrix",
-    "Rational",
-    "ShapeMismatchError",
-    "SingularMatrixError",
     "SixConditions",
     "VerificationError",
     "alternating_signs",

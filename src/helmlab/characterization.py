@@ -1,12 +1,16 @@
 """When is a Moore-Penrose inverse of the form -L/2 + alpha ww'?
 
 This module packages the machinery around that question for symmetric
-matrices with the all-ones vector in their range: the witness identities
-that certify a candidate triple (equiv formulation), constructive
-uniqueness of the triple, the six block conditions that pin down the
-bordered matrix L for helm distance matrices, the kernel projector that
-closes the certificate, and exact positive-semidefiniteness / rank
-checks for L via Schur complements and congruence inertia.
+matrices: the witness identities that certify a candidate triple (equiv
+formulation; the first, D w = e/alpha, also puts the all-ones vector in
+the range), constructive uniqueness of the triple, the six block
+conditions that pin down the bordered matrix L for helm distance
+matrices, the kernel projector that closes the certificate, and exact
+positive-semidefiniteness / rank checks for L via Schur complements,
+congruence inertia and the rank-one modification lemma.
+
+Each identity is checked once: no function runs an oracle whose answer
+a later test in the same function already implies.
 
 Every function takes objects built once by the caller (the distance
 matrix, a closed_form.HelmCase, a Decomposition, ranks already
@@ -20,13 +24,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .closed_form import HelmCase, NotOddError
+from .closed_form import HelmCase
 from .exact_core import (
     Decomposition,
-    InvalidDecompositionError,
-    NotSymmetricError,
     RatMatrix,
-    ShapeMismatchError,
     Vector,
     VerificationError,
     dot,
@@ -35,13 +36,7 @@ from .exact_core import (
     ones_vector,
     rank,
     scale_vector,
-    solve,
 )
-
-
-class OnesNotInRangeError(ValueError):
-    """The all-ones vector is not in the range of the matrix, so the
-    decomposition characterization does not apply."""
 
 
 class SixConditions(NamedTuple):
@@ -65,26 +60,26 @@ class SixConditions(NamedTuple):
 def check_equiv_formulation(d: RatMatrix, dec: Decomposition) -> bool:
     """Certify dec.candidate() as the Moore-Penrose inverse of d.
 
-    Requires d symmetric with the all-ones vector in its range (checked
-    by an exact solve; OnesNotInRangeError otherwise).  Returns True iff
-    all witness identities hold exactly:
+    Requires d symmetric (ValueError otherwise).  Returns True iff all
+    witness identities hold exactly:
 
         D w = (1/alpha) e,
         L D + 2 I = 2 w e' + V   for V = 2(I - X D), X = dec.candidate(),
         V symmetric,  D V = 0,  V X = 0.
 
-    Together they give the four Penrose conditions, so X is the
+    The first maps alpha w to e, so it also proves the characterization's
+    hypothesis that the all-ones vector lies in the range of D; a d
+    without e in its range fails it and gets False.  Together the
+    identities give the four Penrose conditions, so X is the
     Moore-Penrose inverse of D; the comparison with the factorization
     pseudoinverse is left to the caller's oracle check.
     """
     if not d.is_symmetric():
-        raise NotSymmetricError("characterization applies to symmetric matrices")
+        raise ValueError("characterization applies to symmetric matrices")
     order = d.rows
     if len(dec.w) != order:
-        raise ShapeMismatchError(f"decomposition of order {len(dec.w)} against {order}")
+        raise ValueError(f"decomposition of order {len(dec.w)} against {order}")
     e = ones_vector(order)
-    if solve(d, e) is None:
-        raise OnesNotInRangeError("all-ones vector is outside the range of the matrix")
     if d.mul_vector(dec.w) != scale_vector(1 / dec.alpha, e):
         return False
     candidate = dec.candidate()
@@ -105,19 +100,19 @@ def check_uniqueness(d: RatMatrix, dec: Decomposition) -> tuple[Fraction, Vector
     With X = -L/2 + alpha ww', zero row sums of L give X e = alpha w and
     e' X e = alpha, so the triple is pinned down by X.  The recovered
     values must match dec's fields exactly; a mismatch (or a candidate
-    with e'Xe = 0) raises InvalidDecompositionError.
+    with e'Xe = 0) raises ValueError.
     """
     if len(dec.w) != d.rows:
-        raise ShapeMismatchError(f"decomposition of order {len(dec.w)} against {d.rows}")
+        raise ValueError(f"decomposition of order {len(dec.w)} against {d.rows}")
     candidate = dec.candidate()
     e = ones_vector(d.rows)
     image = candidate.mul_vector(e)
     alpha = dot(e, image)
     if alpha == 0:
-        raise InvalidDecompositionError("candidate has e'Xe = 0; no scale recoverable")
+        raise ValueError("candidate has e'Xe = 0; no scale recoverable")
     w = scale_vector(1 / alpha, image)
     if alpha != dec.alpha or w != dec.w:
-        raise InvalidDecompositionError("recovered (alpha, w) differ from the stored fields")
+        raise ValueError("recovered (alpha, w) differ from the stored fields")
     return alpha, w
 
 
@@ -130,9 +125,9 @@ def check_conditions_i_vi(
     (B = -I in the even case), S the rim cycle's signless Laplacian.
     """
     if not (a_mat.is_square() and a_mat.rows == b_mat.rows == s_mat.rows):
-        raise ShapeMismatchError("A, B, S must be square of equal order")
+        raise ValueError("A, B, S must be square of equal order")
     if b_mat.cols != b_mat.rows or s_mat.cols != s_mat.rows:
-        raise ShapeMismatchError("A, B, S must be square of equal order")
+        raise ValueError("A, B, S must be square of equal order")
     k = a_mat.rows
     e = ones_vector(k)
     ident = RatMatrix.identity(k)
@@ -158,7 +153,7 @@ def build_kernel_projector(case: HelmCase) -> RatMatrix:
     D V = 0, V L = 0 and V w = 0.
     """
     if case.n % 2 == 0:
-        raise NotOddError(f"odd n required, got {case.n}")
+        raise ValueError(f"odd n required, got {case.n}")
     k = case.n - 1
     rim = 2 * (case.coupling_block + RatMatrix.identity(k))
     zeros_row = RatMatrix.zeros(1, k)
@@ -191,9 +186,9 @@ def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
     n = case.n
     order = 2 * n - 1
     if lap.rows != order or lap.cols != order:
-        raise ShapeMismatchError(f"expected order {order}, got {lap.rows}x{lap.cols}")
+        raise ValueError(f"expected order {order}, got {lap.rows}x{lap.cols}")
     if not lap.is_symmetric():
-        raise NotSymmetricError("PSD check requires a symmetric matrix")
+        raise ValueError("PSD check requires a symmetric matrix")
     corner = lap[0, 0]
     if corner <= 0:
         return False
@@ -229,16 +224,17 @@ def rank_l_check(dec: Decomposition, rank_d: int, rank_l: int) -> int:
     """Rank of the odd-case matrix L, with the mechanism behind it.
 
     rank_d and rank_l are the ranks of D and of L = dec.laplacian_like.
-    Verifies that w is not in the range of L (the system L z = w is
-    inconsistent), so adding the rank-one term alpha ww' raises the rank
-    by exactly one, matching the rank of the distance matrix.  Returns
-    rank(L), which equals 2n - 3.
+    Verifies that adding the rank-one term alpha ww' to -L/2 raises the
+    rank by exactly one, matching the rank of the distance matrix.  L is
+    symmetric (the Decomposition enforces it) and alpha is nonzero, so by
+    the rank-one modification lemma (Meyer 1973, SIAM J. Appl. Math. 24)
+    rank(-L/2 + alpha ww') = rank(L) + 1 holds exactly when w is not in
+    the range of L: the rank check also proves that L z = w is
+    inconsistent.  Returns rank(L), which equals 2n - 3.
     """
     n = (len(dec.w) + 1) // 2
     if n % 2 == 0:
-        raise NotOddError(f"odd n required, got {n}")
-    if solve(dec.laplacian_like, dec.w) is not None:
-        raise VerificationError("w is unexpectedly in the range of L")
+        raise ValueError(f"odd n required, got {n}")
     if rank(dec.candidate()) != rank_l + 1:
         raise VerificationError("rank of -L/2 + alpha ww' is not rank(L) + 1")
     if rank_d != rank_l + 1:

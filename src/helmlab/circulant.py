@@ -33,22 +33,6 @@ from .exact_core import (
 _ZERO = Fraction(0)
 
 
-class EmptySpecError(ValueError):
-    """A circulant spec needs at least one entry."""
-
-
-class LengthMismatchError(ValueError):
-    """Circulant product requires specs of equal length."""
-
-
-class BadPatternError(ValueError):
-    """Spec does not have the required (a, b, 0, ..., 0, b) sparsity."""
-
-
-class KTooSmallError(ValueError):
-    """Tridiagonal order must be at least 1."""
-
-
 @dataclass(frozen=True)
 class CirculantSpec:
     """First row of a circulant matrix."""
@@ -58,7 +42,7 @@ class CirculantSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "first_row", vec(self.first_row))
         if not self.first_row:
-            raise EmptySpecError("circulant spec must be nonempty")
+            raise ValueError("circulant spec must be nonempty")
 
     def __len__(self) -> int:
         return len(self.first_row)
@@ -106,7 +90,7 @@ def circulant_product(a: CirculantSpec, b: CirculantSpec) -> CirculantSpec:
     Circulants of equal order commute, so this is also the spec of B A.
     """
     if len(a) != len(b):
-        raise LengthMismatchError(f"specs of length {len(a)} and {len(b)}")
+        raise ValueError(f"specs of length {len(a)} and {len(b)}")
     ar, br = a.first_row, b.first_row
     k = len(ar)
     # entry j of a' B = sum_i a_i * B[i][j] with B[i][j] = br[(j - i) mod k]
@@ -147,9 +131,9 @@ def delta_closure_check(z: DeltaVector, g: CirculantSpec) -> bool:
     if k < 2 or pattern[1] != pattern[k - 1] or any(
         pattern[i] != 0 for i in range(2, k - 1)
     ):
-        raise BadPatternError(f"spec {pattern} is not of the form (a, b, 0, ..., 0, b)")
+        raise ValueError(f"spec {pattern} is not of the form (a, b, 0, ..., 0, b)")
     if len(z) != k:
-        raise LengthMismatchError(f"vector of length {len(z)} against spec of length {k}")
+        raise ValueError(f"vector of length {len(z)} against spec of length {k}")
     g_mat = materialize(g)
     product = tuple([dot(z.coords, g_mat.column(j)) for j in range(k)])
     return is_delta(product)
@@ -159,7 +143,7 @@ def tridiagonal_211_det(k: int) -> Fraction:
     """Determinant of the k x k tridiagonal matrix with 2 on the diagonal
     and 1 on both off-diagonals; equals k + 1."""
     if k < 1:
-        raise KTooSmallError(f"order must be >= 1, got {k}")
+        raise ValueError(f"order must be >= 1, got {k}")
     t = RatMatrix(
         k,
         k,
@@ -178,7 +162,7 @@ def tridiagonal_211_det(k: int) -> Fraction:
 def cycle_signless_laplacian_spec(order: int) -> CirculantSpec:
     """Spec (2, 1, 0, ..., 0, 1): twice the identity plus the cycle adjacency."""
     if order < 2:
-        raise EmptySpecError(f"cycle needs order >= 2, got {order}")
+        raise ValueError(f"cycle needs order >= 2, got {order}")
     row = [frac(0)] * order
     row[0] = frac(2)
     row[1] += 1
@@ -190,7 +174,7 @@ def rim_distance_spec(order: int) -> CirculantSpec:
     """Spec (0, 1, 2, ..., 2, 1): pairwise distances around a wheel rim,
     where any two non-adjacent rim vertices are 2 apart via the hub."""
     if order < 2:
-        raise EmptySpecError(f"rim needs order >= 2, got {order}")
+        raise ValueError(f"rim needs order >= 2, got {order}")
     row = [frac(2)] * order
     row[0] = frac(0)
     row[1] = frac(1)

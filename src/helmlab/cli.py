@@ -58,7 +58,7 @@ from .exact_core import (
     rank,
     vec,
 )
-from .graphs import NTooSmallError, bfs_distance_matrix, build_helm, helm_distance_block
+from .graphs import bfs_distance_matrix, build_helm, helm_distance_block
 
 EIG_TOLERANCE = 1e-9
 
@@ -147,10 +147,10 @@ def run_verification(n: int) -> VerificationReport:
     A set-up step that raises is recorded as a failed check named
     ``setup:<step>``; the checks after it are not run, and the summary
     values not yet computed are None.  For every n >= 4 the report is
-    produced; n < 4 raises NTooSmallError.
+    produced; n < 4 raises ValueError.
     """
     if n < 4:
-        raise NTooSmallError(f"helm graphs need n >= 4, got {n}")
+        raise ValueError(f"helm graphs need n >= 4, got {n}")
     start = time.perf_counter()
     report = VerificationReport(
         n=n,

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
-
 from .circulant import (
     CirculantSpec,
     alternating_signs,
@@ -29,15 +27,6 @@ from .circulant import (
     materialize,
 )
 from .exact_core import Decomposition, RatMatrix, Vector, dot
-from .graphs import NTooSmallError
-
-
-class NotOddError(ValueError):
-    """Operation is defined for odd n only."""
-
-
-class NotEvenError(ValueError):
-    """Operation is defined for even n only."""
 
 
 def rank_one_scale(n: int) -> Fraction:
@@ -50,20 +39,20 @@ class HelmVectors:
     """The vectors attached to the helm graph of parameter n.
 
     w = (5-n, -e', 2e')/4 and alpha = 4/(3(n-1)), so that D w = e/alpha
-    and e'w = 1.  For odd n the distance matrix is singular with
-    one-dimensional kernel spanned by kernel_vector = (0, v', 0')' where
-    v alternates +1/-1 around the rim.
+    and e'w = 1.  For odd n, D has a one-dimensional kernel spanned by
+    u = (0, v', 0')' with v alternating +1/-1 around the rim; the report
+    checks it through the kernel projector 2uu'/(n-1)
+    (characterization.build_kernel_projector).
     """
 
     w: Vector
     alpha: Fraction
-    kernel_vector: Optional[Vector]
 
 
 def make_w_alpha(n: int) -> HelmVectors:
-    """Build w = (5-n, -e', 2e')/4, alpha = 4/(3(n-1)) and, for odd n, the kernel vector."""
+    """Build w = (5-n, -e', 2e')/4 and alpha = 4/(3(n-1))."""
     if n < 4:
-        raise NTooSmallError(f"helm graphs need n >= 4, got {n}")
+        raise ValueError(f"helm graphs need n >= 4, got {n}")
     k = n - 1
     quarter = Fraction(1, 4)
     w = (
@@ -71,10 +60,7 @@ def make_w_alpha(n: int) -> HelmVectors:
         + tuple([-quarter] * k)
         + tuple([2 * quarter] * k)
     )
-    kernel_vector: Optional[Vector] = None
-    if n % 2 == 1:
-        kernel_vector = (Fraction(0),) + alternating_signs(k) + (Fraction(0),) * k
-    return HelmVectors(w, rank_one_scale(n), kernel_vector)
+    return HelmVectors(w, rank_one_scale(n))
 
 
 @dataclass(frozen=True)
@@ -132,9 +118,9 @@ def make_odd_case(n: int) -> HelmCase:
     sign vector, i.e. (2-n, -1, 1, ..., 1, -1)/(n-1).
     """
     if n % 2 == 0:
-        raise NotOddError(f"odd n required, got {n}")
+        raise ValueError(f"odd n required, got {n}")
     if n < 5:
-        raise NTooSmallError(f"odd case needs n >= 5, got {n}")
+        raise ValueError(f"odd case needs n >= 5, got {n}")
     m = (n - 1) // 2
     k = n - 1
     coeffs = tuple(
@@ -160,9 +146,9 @@ def make_even_case(n: int) -> HelmCase:
         b_k = (-1)^k * ((n-1) - 2k).
     """
     if n % 2 == 1:
-        raise NotEvenError(f"even n required, got {n}")
+        raise ValueError(f"even n required, got {n}")
     if n < 4:
-        raise NTooSmallError(f"helm graphs need n >= 4, got {n}")
+        raise ValueError(f"helm graphs need n >= 4, got {n}")
     half = n // 2
     k = n - 1
     coeffs = tuple([Fraction((-1) ** kk * (n - 1 - 2 * kk)) for kk in range(1, half)])
@@ -180,7 +166,7 @@ def closed_form_inverse(dec: Decomposition) -> RatMatrix:
     """
     n = (len(dec.w) + 1) // 2
     if n % 2 == 1:
-        raise NotEvenError(f"even n required, got {n}")
+        raise ValueError(f"even n required, got {n}")
     return dec.candidate()
 
 
@@ -193,7 +179,7 @@ def closed_form_mp_inverse(dec: Decomposition) -> RatMatrix:
     """
     n = (len(dec.w) + 1) // 2
     if n % 2 == 0:
-        raise NotOddError(f"odd n required, got {n}")
+        raise ValueError(f"odd n required, got {n}")
     return dec.candidate()
 
 
@@ -209,7 +195,7 @@ def rim_signless_product(n: int) -> Vector:
     exercised in the tests rather than assumed here.
     """
     if n % 2 == 0:
-        raise NotOddError(f"odd n required, got {n}")
+        raise ValueError(f"odd n required, got {n}")
     data = make_odd_case(n)
     s_mat = materialize(cycle_signless_laplacian_spec(n - 1))
     return tuple([dot(data.rim_spec, s_mat.column(j)) for j in range(n - 1)])

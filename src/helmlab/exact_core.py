@@ -41,32 +41,11 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-Rational = Fraction
 Scalar = Union[Fraction, int]
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-class NonSquareError(ValueError):
-    """Operation requires a square matrix."""
-
-
-class SingularMatrixError(ValueError):
-    """Matrix has determinant zero where an inverse was requested."""
-
-
-class ShapeMismatchError(ValueError):
-    """Operand shapes are incompatible."""
-
-
-class NotSymmetricError(ValueError):
-    """Operation requires a symmetric matrix."""
-
-
-class InvalidDecompositionError(ValueError):
-    """Candidate (L, w, alpha) triple violates a structural invariant."""
 
 
 class VerificationError(RuntimeError):
@@ -98,19 +77,13 @@ def ones_vector(length: int) -> Vector:
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
-        raise ShapeMismatchError(f"dot of lengths {len(u)} and {len(v)}")
+        raise ValueError(f"dot of lengths {len(u)} and {len(v)}")
     return sum((a * b for a, b in zip(u, v)), _ZERO)
 
 
 def scale_vector(c: Scalar, v: Sequence[Fraction]) -> Vector:
     cf = frac(c)
     return tuple([cf * x for x in v])
-
-
-def add_vectors(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    if len(u) != len(v):
-        raise ShapeMismatchError(f"sum of lengths {len(u)} and {len(v)}")
-    return tuple([a + b for a, b in zip(u, v)])
 
 
 # -- integer representation ---------------------------------------------------
@@ -149,7 +122,7 @@ class RatMatrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]):
         den, ints = _common_denominator(entries)
         if len(ints) != rows * cols:
-            raise ShapeMismatchError(
+            raise ValueError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(ints)}"
             )
         self.rows = rows
@@ -178,7 +151,7 @@ class RatMatrix:
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         if any(len(r) != ncols for r in rows):
-            raise ShapeMismatchError("ragged rows")
+            raise ValueError("ragged rows")
         return cls(nrows, ncols, [x for r in rows for x in r])
 
     @classmethod
@@ -217,10 +190,10 @@ class RatMatrix:
         col_widths = [b.cols for b in norm[0]]
         for i, row in enumerate(norm):
             if len(row) != len(col_widths):
-                raise ShapeMismatchError("ragged block grid")
+                raise ValueError("ragged block grid")
             for j, b in enumerate(row):
                 if b.rows != row_heights[i] or b.cols != col_widths[j]:
-                    raise ShapeMismatchError(f"block ({i},{j}) is {b.rows}x{b.cols}")
+                    raise ValueError(f"block ({i},{j}) is {b.rows}x{b.cols}")
         den = math.lcm(*[b._den for row in norm for b in row])
         out: list[int] = []
         for row, height in zip(norm, row_heights):
@@ -297,7 +270,7 @@ class RatMatrix:
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
-            raise ShapeMismatchError(
+            raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         a, k, m = self._ints, self.cols, other.cols
@@ -316,7 +289,7 @@ class RatMatrix:
 
     def mul_vector(self, v: Sequence[Scalar]) -> Vector:
         if len(v) != self.cols:
-            raise ShapeMismatchError(f"matrix has {self.cols} columns, vector length {len(v)}")
+            raise ValueError(f"matrix has {self.cols} columns, vector length {len(v)}")
         dv, vi = _common_denominator(v)
         e, c = self._ints, self.cols
         sums = [sum(map(mul, e[i * c : (i + 1) * c], vi)) for i in range(self.rows)]
@@ -345,7 +318,7 @@ class RatMatrix:
 
     def _require_same_shape(self, other: "RatMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeMismatchError(
+            raise ValueError(
                 f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
@@ -364,7 +337,7 @@ class Decomposition:
 
     L must be symmetric with all row sums zero (Laplacian-like), w must
     satisfy e'w = 1, and alpha must be nonzero.  Violations raise
-    InvalidDecompositionError at construction time.
+    ValueError at construction time.
     """
 
     laplacian_like: RatMatrix
@@ -376,15 +349,15 @@ class Decomposition:
         object.__setattr__(self, "alpha", frac(self.alpha))
         lap = self.laplacian_like
         if not lap.is_square() or lap.rows != len(self.w):
-            raise InvalidDecompositionError("L must be square of the same order as w")
+            raise ValueError("L must be square of the same order as w")
         if not lap.is_symmetric():
-            raise InvalidDecompositionError("L must be symmetric")
+            raise ValueError("L must be symmetric")
         if any(s != 0 for s in lap.row_sums()):
-            raise InvalidDecompositionError("L must have zero row sums")
+            raise ValueError("L must have zero row sums")
         if sum(self.w, _ZERO) != 1:
-            raise InvalidDecompositionError("w must satisfy e'w = 1")
+            raise ValueError("w must satisfy e'w = 1")
         if self.alpha == 0:
-            raise InvalidDecompositionError("alpha must be nonzero")
+            raise ValueError("alpha must be nonzero")
 
     def candidate(self) -> RatMatrix:
         """The matrix -L/2 + alpha * w w' encoded by this triple."""
@@ -473,7 +446,7 @@ def determinant(m: RatMatrix) -> Fraction:
     and det(m) = det(A) / d^n.
     """
     if not m.is_square():
-        raise NonSquareError(f"determinant of {m.rows}x{m.cols} matrix")
+        raise ValueError(f"determinant of {m.rows}x{m.cols} matrix")
     work = _int_rows(m)
     sign, prev = 1, 1
     while work:
@@ -493,12 +466,12 @@ def determinant(m: RatMatrix) -> Fraction:
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
-    """Exact inverse via Gauss-Jordan; raises SingularMatrixError if det = 0.
+    """Exact inverse via Gauss-Jordan; raises ValueError if det = 0.
 
     With m = A/d, the rows of [A | d I] reduce to [I | inverse(m)].
     """
     if not m.is_square():
-        raise NonSquareError(f"inverse of {m.rows}x{m.cols} matrix")
+        raise ValueError(f"inverse of {m.rows}x{m.cols} matrix")
     n, d = m.rows, m._den
     work = _int_rows(m)
     for i, row in enumerate(work):
@@ -507,7 +480,7 @@ def inverse(m: RatMatrix) -> RatMatrix:
         row.extend(tail)
     pivots = _echelon_ints(work, n)
     if len(pivots) < n:
-        raise SingularMatrixError("matrix is singular")
+        raise ValueError("matrix is singular")
     return _divide_by_pivots(work, pivots, n)
 
 
@@ -518,7 +491,7 @@ def solve(m: RatMatrix, b: Sequence[Scalar]) -> Optional[Vector]:
     membership test "b in the column space of m".
     """
     if len(b) != m.rows:
-        raise ShapeMismatchError(f"matrix has {m.rows} rows, rhs length {len(b)}")
+        raise ValueError(f"matrix has {m.rows} rows, rhs length {len(b)}")
     # with m = A/d and b = c/db, m x = b is (db/g) A x = (d/g) c, g = gcd(d, db)
     db, rhs = _common_denominator(b)
     g = math.gcd(m._den, db)
@@ -553,8 +526,9 @@ def pseudoinverse(m: RatMatrix) -> RatMatrix:
 
     Factor m = F G with F the pivot columns of m (full column rank r) and
     G the first r rows of the reduced echelon form (full row rank), then
+    by MacDuffee's formula
 
-        pinv(m) = G' (G G')^(-1) (F' F)^(-1) F'.
+        pinv(m) = G' (F' m G')^(-1) F',   F' m G' = (F' F)(G G').
 
     The zero matrix maps to the zero matrix of transposed shape.
     """
@@ -566,7 +540,7 @@ def pseudoinverse(m: RatMatrix) -> RatMatrix:
     g_mat = reduced.submatrix(range(r), range(m.cols))
     gt = g_mat.transpose()
     ft = f_mat.transpose()
-    return gt @ inverse(g_mat @ gt) @ inverse(ft @ f_mat) @ ft
+    return gt @ inverse(ft @ m @ gt) @ ft
 
 
 def penrose_check(m: RatMatrix, x: RatMatrix) -> bool:
@@ -575,7 +549,7 @@ def penrose_check(m: RatMatrix, x: RatMatrix) -> bool:
     MXM = M, XMX = X, and both MX and XM symmetric.
     """
     if x.rows != m.cols or x.cols != m.rows:
-        raise ShapeMismatchError(
+        raise ValueError(
             f"candidate must be {m.cols}x{m.rows}, got {x.rows}x{x.cols}"
         )
     mx = m @ x
@@ -619,7 +593,7 @@ def inertia(m: RatMatrix) -> InertiaTriple:
     the inertia.
     """
     if not m.is_symmetric():
-        raise NotSymmetricError("inertia requires a symmetric matrix")
+        raise ValueError("inertia requires a symmetric matrix")
     w = _int_rows(m)
     i_plus = i_minus = 0
     while w:

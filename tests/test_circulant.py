@@ -10,12 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helmlab import (
-    BadPatternError,
     CirculantSpec,
     DeltaVector,
-    EmptySpecError,
-    KTooSmallError,
-    LengthMismatchError,
     RatMatrix,
     alternating_signs,
     circulant_eigenvalues,
@@ -50,7 +46,7 @@ def test_materialize_unit_spec_is_identity():
 
 
 def test_materialize_rejects_empty():
-    with pytest.raises(EmptySpecError):
+    with pytest.raises(ValueError, match="nonempty"):
         CirculantSpec(())
 
 
@@ -89,7 +85,7 @@ def test_product_with_unit_spec_is_identity_map():
 def test_product_length_guard():
     a = CirculantSpec((Fraction(1),))
     b = CirculantSpec((Fraction(1), Fraction(2)))
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(ValueError, match="specs of length"):
         circulant_product(a, b)
 
 
@@ -180,7 +176,7 @@ def test_delta_closure_even_rim_spec_against_s():
 def test_delta_closure_rejects_bad_pattern():
     z = DeltaVector((Fraction(1),) * 5)
     g = CirculantSpec(tuple(map(Fraction, (1, 2, 3, 0, 2))))
-    with pytest.raises(BadPatternError):
+    with pytest.raises(ValueError, match=r"\(a, b, 0, \.\.\., 0, b\)"):
         delta_closure_check(z, g)
 
 
@@ -241,5 +237,5 @@ def test_tridiagonal_det_is_k_plus_one(k):
 
 
 def test_tridiagonal_det_rejects_nonpositive_order():
-    with pytest.raises(KTooSmallError):
+    with pytest.raises(ValueError, match="order must be >= 1"):
         tridiagonal_211_det(0)

@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 from helmlab import (
     Decomposition,
     InertiaTriple,
-    InvalidDecompositionError,
-    NonSquareError,
-    NotSymmetricError,
     RatMatrix,
-    ShapeMismatchError,
-    SingularMatrixError,
     determinant,
     helm_distance_block,
     inertia,
@@ -78,7 +73,7 @@ def test_determinant_of_helm_distance_matrices():
 
 
 def test_determinant_rejects_non_square():
-    with pytest.raises(NonSquareError):
+    with pytest.raises(ValueError, match="determinant of 2x3"):
         determinant(RatMatrix.zeros(2, 3))
 
 
@@ -94,9 +89,9 @@ def test_inverse_of_even_helm_distance_matrix():
 
 
 def test_inverse_rejects_singular_and_non_square():
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(ValueError, match="singular"):
         inverse(RatMatrix.ones(3, 3))
-    with pytest.raises(NonSquareError):
+    with pytest.raises(ValueError, match="inverse of 2x3"):
         inverse(RatMatrix.ones(2, 3))
 
 
@@ -139,7 +134,7 @@ def test_penrose_check_examples():
 
 
 def test_penrose_check_rejects_bad_shape():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValueError, match="candidate must be 3x2"):
         penrose_check(RatMatrix.ones(2, 3), RatMatrix.ones(2, 3))
 
 
@@ -172,7 +167,7 @@ def test_inertia_of_helm_distance_matrices():
 
 
 def test_inertia_requires_symmetry():
-    with pytest.raises(NotSymmetricError):
+    with pytest.raises(ValueError, match="inertia requires a symmetric"):
         inertia(RatMatrix.from_rows([[0, 1], [2, 0]]))
 
 
@@ -311,19 +306,19 @@ def test_decomposition_accepts_the_helm_triple():
 
 def test_decomposition_rejects_flipped_w():
     lap, w, alpha = _valid_decomposition()
-    with pytest.raises(InvalidDecompositionError):
+    with pytest.raises(ValueError, match="e'w = 1"):
         Decomposition(lap, tuple(-x for x in w), alpha)
 
 
 def test_decomposition_rejects_zero_alpha():
     lap, w, _ = _valid_decomposition()
-    with pytest.raises(InvalidDecompositionError):
+    with pytest.raises(ValueError, match="alpha must be nonzero"):
         Decomposition(lap, w, Fraction(0))
 
 
 def test_decomposition_rejects_nonzero_row_sums():
     _, w, alpha = _valid_decomposition()
-    with pytest.raises(InvalidDecompositionError):
+    with pytest.raises(ValueError, match="zero row sums"):
         Decomposition(RatMatrix.identity(13), w, alpha)
 
 
@@ -336,7 +331,7 @@ def test_from_blocks_assembles_in_order():
 
 
 def test_matmul_shape_guard():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValueError, match="cannot multiply 2x3 by 2x3"):
         RatMatrix.ones(2, 3) @ RatMatrix.ones(2, 3)
 
 
@@ -554,7 +549,7 @@ def test_inverse_and_solve_match_reference(rng):
         ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         work, piv = _ref_rref([r + ident[i] for i, r in enumerate(m.to_lists())], n)
         if len(piv) < n:
-            with pytest.raises(SingularMatrixError):
+            with pytest.raises(ValueError, match="singular"):
                 inverse(m)
         else:
             assert inverse(m).to_lists() == [r[n:] for r in work], label

@@ -1,4 +1,4 @@
-"""Fault injection through the CLI path: every moved identity can fail.
+"""Fault injection through the CLI path: every check can fail.
 
 Each test patches one ingredient constructor that ``helmlab.cli``
 imports, so that it returns a slightly wrong value, runs
@@ -27,6 +27,15 @@ def _bump_l(case):
     return dataclasses.replace(case, laplacian_like=RatMatrix.from_rows(rows))
 
 
+def _bump_a(case):
+    # change only the rim block A; L, and so every check built on L, keeps
+    # the true blocks, and only the checks that read A itself see it
+    k = case.n - 1
+    return dataclasses.replace(
+        case, rim_block=case.rim_block + Fraction(1, 3) * RatMatrix.identity(k)
+    )
+
+
 def _shift_w(vectors):
     # move 1/4 between two adjacent rim entries: e'w = 1 still holds
     w = list(vectors.w)
@@ -50,6 +59,7 @@ def _bump_d(d):
 
 PERTURBATIONS = {
     "L": (("make_even_case", "make_odd_case"), _bump_l),
+    "A": (("make_even_case", "make_odd_case"), _bump_a),
     "w": (("make_w_alpha",), _shift_w),
     "alpha": (("make_w_alpha",), _double_alpha),
     "D": (("helm_distance_block",), _bump_d),
@@ -65,6 +75,9 @@ EXPECTED_FAILURES = {
         "psd_via_schur",
         "rank_of_l",
     },
+    # the six conditions and the Schur chain read A; nothing else does
+    ("A", 6): {"six_conditions"},
+    ("A", 7): {"six_conditions", "psd_via_schur"},
     ("w", 6): {"closed_form_inverse", "kernel_projector", "equiv_formulation", "uniqueness"},
     ("w", 7): {"closed_form_mp_inverse", "kernel_projector", "equiv_formulation", "uniqueness"},
     # alpha enters neither L D nor the projector
@@ -115,4 +128,10 @@ def test_every_check_moved_out_of_a_constructor_can_fail():
         "rank_of_l",
         "psd_via_schur",
     }
-    assert moved <= set().union(*EXPECTED_FAILURES.values())
+    reachable = set().union(*EXPECTED_FAILURES.values())
+    assert moved <= reachable
+    # and so is every other check of a passing report
+    for n in (6, 7):
+        report = cli.run_verification(n)
+        assert report.all_passed
+        assert {c.name for c in report.checks} <= reachable

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from helmlab import (
-    NTooSmallError,
+    RatMatrix,
     bfs_distance_matrix,
     build_helm,
     cycle_signless_laplacian_spec,
@@ -27,9 +27,9 @@ def test_build_helm_smallest_case():
 
 
 def test_build_helm_rejects_small_n():
-    with pytest.raises(NTooSmallError):
+    with pytest.raises(ValueError, match="need n >= 4, got 3"):
         build_helm(3)
-    with pytest.raises(NTooSmallError):
+    with pytest.raises(ValueError, match="need n >= 4, got 3"):
         helm_distance_block(3)
 
 
@@ -63,6 +63,35 @@ def test_bfs_diagonal_is_zero():
 @pytest.mark.parametrize("n", range(4, 14))
 def test_block_formula_matches_bfs(n):
     assert helm_distance_block(n) == bfs_distance_matrix(build_helm(n))
+
+
+@pytest.mark.parametrize("n", range(4, 14))
+def test_rim_distance_block_is_2j_minus_s(n):
+    # D splits into a rank-structured part plus a correction from the rim
+    # cycle's signless Laplacian S: the rim distance block is 2J - S
+    k = n - 1
+    s = materialize(cycle_signless_laplacian_spec(k))
+    j = RatMatrix.ones(k, k)
+    i = RatMatrix.identity(k)
+    e_row = RatMatrix.ones(1, k)
+    e_col = RatMatrix.ones(k, 1)
+    zeros_row = RatMatrix.zeros(1, k)
+    zeros_col = RatMatrix.zeros(k, 1)
+    d_flat = RatMatrix.from_blocks(
+        [
+            [0, e_row, 2 * e_row],
+            [e_col, 2 * j, 3 * j],
+            [2 * e_col, 3 * j, 4 * j],
+        ]
+    )
+    d_corr = RatMatrix.from_blocks(
+        [
+            [0, zeros_row, zeros_row],
+            [zeros_col, -s, -s],
+            [zeros_col, -s, -(s + 2 * i)],
+        ]
+    )
+    assert helm_distance_block(n) == d_flat + d_corr
 
 
 def test_block_corner_entries():
