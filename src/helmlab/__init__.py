@@ -38,7 +38,6 @@ from .circulant import (
     is_delta,
     materialize,
     rim_distance_spec,
-    tridiagonal_211_det,
 )
 from .graphs import HelmInstance, bfs_distance_matrix, build_helm, helm_distance_block
 from .closed_form import (
@@ -107,5 +106,4 @@ __all__ = [
     "rim_signless_product",
     "schur_psd_check",
     "solve",
-    "tridiagonal_211_det",
 ]

@@ -9,8 +9,7 @@ package and is never used to gate an exact claim.
 
 Also hosts the two special circulants the helm distance matrix is built
 from: the signless Laplacian of the rim cycle, spec (2,1,0,...,0,1), and
-the rim distance circulant, spec (0,1,2,...,2,1), plus the tridiagonal
-comparison matrix with 2 on the diagonal and 1 off it.
+the rim distance circulant, spec (0,1,2,...,2,1).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .exact_core import (
     RatMatrix,
     Scalar,
     Vector,
-    determinant,
     dot,
     frac,
     vec,
@@ -137,23 +135,6 @@ def delta_closure_check(z: DeltaVector, g: CirculantSpec) -> bool:
     g_mat = materialize(g)
     product = tuple([dot(z.coords, g_mat.column(j)) for j in range(k)])
     return is_delta(product)
-
-
-def tridiagonal_211_det(k: int) -> Fraction:
-    """Determinant of the k x k tridiagonal matrix with 2 on the diagonal
-    and 1 on both off-diagonals; equals k + 1."""
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
-    t = RatMatrix(
-        k,
-        k,
-        (
-            2 if i == j else (1 if abs(i - j) == 1 else 0)
-            for i in range(k)
-            for j in range(k)
-        ),
-    )
-    return determinant(t)
 
 
 # -- named specs used throughout the package -------------------------------

@@ -55,7 +55,6 @@ from .exact_core import (
     inverse,
     penrose_check,
     pseudoinverse,
-    rank,
     vec,
 )
 from .graphs import bfs_distance_matrix, build_helm, helm_distance_block
@@ -65,7 +64,7 @@ EIG_TOLERANCE = 1e-9
 # Largest n accepted by verify, sweep and eig, so that an oversized n is
 # refused instead of starting a dense run that does not end.  The dense
 # oracles cost about n^3 integer operations; `run_verification(131)` takes
-# about a minute on a 2-vCPU Xeon VM (Python 3.11).
+# about 33 seconds on a 2-vCPU Xeon VM (Python 3.11).
 MAX_N = 130
 
 
@@ -138,10 +137,11 @@ def run_verification(n: int) -> VerificationReport:
     """Run every check for one n >= 4 and collect the results.
 
     Each per-n object is built once, by a set-up step: D and its
-    determinant, rank and inertia, w and alpha, the closed-form case,
-    the rim cycle's signless Laplacian S, the Decomposition, for odd n
-    the factorization pseudoinverse of D, and rank(L).  The checks
-    share them and rebuild nothing.
+    determinant and inertia, w and alpha, the closed-form case, the rim
+    cycle's signless Laplacian S, the Decomposition, for odd n the
+    factorization pseudoinverse of D, and the inertia of L.  The ranks
+    of D and L are read off their inertias.  The checks share them and
+    rebuild nothing.
 
     A check that raises is recorded as failed with the exception text.
     A set-up step that raises is recorded as a failed check named
@@ -193,8 +193,9 @@ def _run_checks(n: int, report: VerificationReport) -> None:
 
     d = setup("helm_distance_block", helm_distance_block, n)
     report.det = det_val = setup("determinant", determinant, d)
-    report.rank_d = rank_val = setup("rank", rank, d)
     report.inertia_triple = inertia_val = setup("inertia", inertia, d)
+    # Sylvester's law of inertia: the rank is the number of nonzero signs
+    report.rank_d = rank_val = inertia_val.i_plus + inertia_val.i_minus
 
     def chk_block():
         ok = d == bfs_distance_matrix(build_helm(n))
@@ -287,11 +288,11 @@ def _run_checks(n: int, report: VerificationReport) -> None:
 
     run_check("uniqueness", chk_unique)
 
-    report.rank_l = rank_l = setup("rank_L", rank, lap)
+    inertia_l = setup("inertia_L", inertia, lap)
+    report.rank_l = rank_l = inertia_l.i_plus + inertia_l.i_minus
     if not even:
 
         def chk_psd():
-            inertia_l = inertia(lap)
             ok = inertia_l.i_minus == 0 and schur_psd_check(lap, case)
             return ok, f"inertia(L) = {tuple(inertia_l)}; Schur chain verified"
 

@@ -24,7 +24,6 @@ from helmlab import (
     materialize,
     rank,
     rim_distance_spec,
-    tridiagonal_211_det,
 )
 from support import random_delta_vector, random_fraction
 
@@ -220,22 +219,3 @@ def test_signless_laplacian_kernel_for_odd_n(n):
     v = alternating_signs(n - 1)
     assert all(x == 0 for x in s.mul_vector(v))
     assert rank(s) == n - 2
-
-
-# -- tridiagonal comparison matrix ---------------------------------------------
-
-
-def test_tridiagonal_det_small_cases():
-    assert tridiagonal_211_det(1) == 2
-    assert tridiagonal_211_det(2) == 3
-    assert tridiagonal_211_det(5) == 6
-
-
-@pytest.mark.parametrize("k", range(1, 13))
-def test_tridiagonal_det_is_k_plus_one(k):
-    assert tridiagonal_211_det(k) == k + 1
-
-
-def test_tridiagonal_det_rejects_nonpositive_order():
-    with pytest.raises(ValueError, match="order must be >= 1"):
-        tridiagonal_211_det(0)

@@ -202,6 +202,34 @@ def test_sweep_4_13_json_matches_the_golden_report(capsys):
     assert reports == json.loads(GOLDEN_SWEEP.read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize("n", (21, 41))
+def test_verify_json_matches_the_golden_report(capsys, n):
+    # the odd path at orders 41 and 81, timing aside
+    code, out, _ = run_main(capsys, "verify", "--n", str(n), "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    report["summary"].pop("elapsed_ms")
+    golden = Path(__file__).parent / "data" / f"verify_{n}.json"
+    assert report == json.loads(golden.read_text(encoding="utf-8"))
+
+
+def _count_calls(monkeypatch, names) -> Counter:
+    """Count calls to helmlab's names in every helmlab namespace."""
+    calls = Counter()
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "helmlab"]
+    for name in names:
+        original = getattr(helmlab, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
 def test_verify_builds_each_per_n_object_once(monkeypatch):
     # count calls in every helmlab namespace, so no module can rebuild
     # D, w/alpha, the case or the pseudoinverse behind the report's back
@@ -213,18 +241,7 @@ def test_verify_builds_each_per_n_object_once(monkeypatch):
         "pseudoinverse",
         "penrose_check",
     )
-    calls = Counter()
-    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "helmlab"]
-    for name in counted:
-        original = getattr(helmlab, name)
-
-        def counting(*args, name=name, original=original):
-            calls[name] += 1
-            return original(*args)
-
-        for mod in modules:
-            if getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counting)
+    calls = _count_calls(monkeypatch, counted)
     assert cli.run_verification(6).all_passed
     assert calls == {"helm_distance_block": 1, "make_w_alpha": 1, "make_even_case": 1}
     calls.clear()
@@ -236,6 +253,17 @@ def test_verify_builds_each_per_n_object_once(monkeypatch):
         "pseudoinverse": 1,
         "penrose_check": 1,
     }
+
+
+def test_verify_eliminates_once_per_fact(monkeypatch):
+    # rank is never called: ranks are read off inertias; L's inertia is
+    # shared by rank_L and the PSD check; the Schur chain inverts nothing
+    calls = _count_calls(monkeypatch, ("rank", "inertia", "inverse"))
+    assert cli.run_verification(6).all_passed
+    assert calls == {"inertia": 2, "inverse": 1}  # D, L; the inverse check
+    calls.clear()
+    assert cli.run_verification(7).all_passed
+    assert calls == {"inertia": 3, "inverse": 1}  # D, L, Schur; in pseudoinverse
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helmlab import (
@@ -263,6 +264,22 @@ def test_mp_inverse_maps_ones_to_alpha_w(n):
 def test_closed_form_mp_inverse_rejects_even():
     with pytest.raises(ValueError, match="odd n required, got 8"):
         closed_form_mp_inverse(helm_decomposition(8))
+
+
+def _floats(m: RatMatrix) -> np.ndarray:
+    return np.array([[float(x) for x in row] for row in m.to_lists()])
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7, 8, 9))
+def test_closed_forms_agree_with_numpy_in_floating_point(n):
+    # a witness from an independent float library, not a gate: the exact
+    # checks above decide; this only shows the same matrices in floats
+    d = _floats(helm_distance_block(n))
+    if n % 2 == 0:
+        x, reference = closed_form_inverse(helm_decomposition(n)), np.linalg.inv(d)
+    else:
+        x, reference = closed_form_mp_inverse(helm_decomposition(n)), np.linalg.pinv(d)
+    assert np.max(np.abs(_floats(x) - reference)) < 1e-9
 
 
 # -- the rim spec times S row ---------------------------------------------------------
