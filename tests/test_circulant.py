@@ -18,6 +18,7 @@ from helmlab import (
     circulant_product,
     cycle_signless_laplacian_spec,
     delta_closure_check,
+    determinant,
     is_delta,
     make_even_case,
     make_odd_case,
@@ -219,3 +220,33 @@ def test_signless_laplacian_kernel_for_odd_n(n):
     v = alternating_signs(n - 1)
     assert all(x == 0 for x in s.mul_vector(v))
     assert rank(s) == n - 2
+
+
+# -- tridiagonal comparison matrix ---------------------------------------------
+
+
+def _tridiagonal_211(k: int) -> RatMatrix:
+    """The rim signless Laplacian (2,1,0,...,0,1) of order k with its two
+    corner entries removed: 2 on the diagonal, 1 on both off-diagonals."""
+    return RatMatrix(
+        k,
+        k,
+        (
+            2 if i == j else (1 if abs(i - j) == 1 else 0)
+            for i in range(k)
+            for j in range(k)
+        ),
+    )
+
+
+def test_tridiagonal_det_small_cases():
+    assert determinant(_tridiagonal_211(1)) == 2
+    assert determinant(_tridiagonal_211(2)) == 3
+    assert determinant(_tridiagonal_211(5)) == 6
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_tridiagonal_det_is_k_plus_one(k):
+    # Expanding along the first row gives d_k = 2 d_(k-1) - d_(k-2),
+    # d_0 = 1, d_1 = 2, so d_k = k + 1.
+    assert determinant(_tridiagonal_211(k)) == k + 1
