@@ -1,19 +1,19 @@
 """When is a Moore-Penrose inverse of the form -L/2 + alpha ww'?
 
 This module packages the machinery around that question for symmetric
-matrices: the witness identities that certify a candidate triple (equiv
-formulation; the first, D w = e/alpha, also puts the all-ones vector in
-the range), constructive uniqueness of the triple, the six block
+matrices: the certificate for a candidate triple (equiv formulation:
+D w = e/alpha, which also puts e in the range, and the four Penrose
+conditions), constructive uniqueness of the triple, the six block
 conditions that pin down the bordered matrix L for helm distance
 matrices, the kernel projector that closes the certificate, and exact
 positive-semidefiniteness / rank checks for L via a Schur complement
 chain with one congruence inertia, and the rank-one modification lemma.
 
 Each identity is checked once: no function runs an oracle whose answer
-another check of the same report already implies.  The ranks come from
-the caller (read off inertias), and the rank of the candidate X is not
-recomputed: the report's closed_form_mp_inverse check proves X equal to
-the pseudoinverse of D, so rank(X) = rank(D).
+another check of the same report already implies.  The Penrose
+conditions are proved only by check_equiv_formulation.  The ranks come
+from the caller (read off inertias), and rank(X) is not recomputed: the
+report's closed_form_mp_inverse check proves X = pinv(D).
 
 Every function takes objects built once by the caller (the distance
 matrix, a closed_form.HelmCase, a Decomposition, ranks already
@@ -36,6 +36,7 @@ from .exact_core import (
     dot,
     inertia,
     ones_vector,
+    penrose_check,
     scale_vector,
 )
 
@@ -61,38 +62,24 @@ class SixConditions(NamedTuple):
 def check_equiv_formulation(d: RatMatrix, dec: Decomposition) -> bool:
     """Certify dec.candidate() as the Moore-Penrose inverse of d.
 
-    Requires d symmetric (ValueError otherwise).  Returns True iff all
-    witness identities hold exactly:
-
-        D w = (1/alpha) e,
-        L D + 2 I = 2 w e' + V   for V = 2(I - X D), X = dec.candidate(),
-        V symmetric,  D V = 0,  V X = 0.
-
-    The first maps alpha w to e, so it also proves the characterization's
+    Requires d symmetric (ValueError otherwise).  Returns True iff
+    D w = (1/alpha) e and X = dec.candidate() passes penrose_check.  The
+    first maps alpha w to e, so it also proves the characterization's
     hypothesis that the all-ones vector lies in the range of D; a d
-    without e in its range fails it and gets False.  Together the
-    identities give the four Penrose conditions, so X is the
-    Moore-Penrose inverse of D; the comparison with the factorization
-    pseudoinverse is left to the caller's oracle check.
+    without e in its range fails it and gets False.  For symmetric D and
+    X the four Penrose conditions say exactly that V = 2(I - X D) is
+    symmetric, D V = 0 and V X = 0.  L D + 2 I = 2 w e' + V needs no test:
+    D w = e/alpha gives X D = -L D/2 + alpha w (D w)' = -L D/2 + w e'.
+    The comparison with the pseudoinverse is the caller's oracle check.
     """
     if not d.is_symmetric():
         raise ValueError("characterization applies to symmetric matrices")
     order = d.rows
     if len(dec.w) != order:
         raise ValueError(f"decomposition of order {len(dec.w)} against {order}")
-    e = ones_vector(order)
-    if d.mul_vector(dec.w) != scale_vector(1 / dec.alpha, e):
+    if d.mul_vector(dec.w) != scale_vector(1 / dec.alpha, ones_vector(order)):
         return False
-    candidate = dec.candidate()
-    correction = 2 * (RatMatrix.identity(order) - candidate @ d)
-    if not correction.is_symmetric():
-        return False
-    lhs = dec.laplacian_like @ d + 2 * RatMatrix.identity(order)
-    if lhs != 2 * RatMatrix.outer(dec.w, e) + correction:
-        return False
-    if not (d @ correction).is_zero():
-        return False
-    return (correction @ candidate).is_zero()
+    return penrose_check(d, dec.candidate())
 
 
 def check_uniqueness(d: RatMatrix, dec: Decomposition) -> tuple[Fraction, Vector]:

@@ -174,8 +174,9 @@ def closed_form_mp_inverse(dec: Decomposition) -> RatMatrix:
     """Moore-Penrose inverse of the distance matrix for odd n: dec's -L/2 + alpha ww'.
 
     Same shape as the even case.  The report's closed_form_mp_inverse
-    check tests the four Penrose conditions and compares it with the
-    full-rank-factorization pseudoinverse.
+    check compares it with the full-rank-factorization pseudoinverse;
+    its four Penrose conditions are proved once, by the equiv_formulation
+    check (characterization.check_equiv_formulation).
     """
     n = (len(dec.w) + 1) // 2
     if n % 2 == 0:

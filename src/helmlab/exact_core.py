@@ -212,9 +212,13 @@ class RatMatrix:
         return Fraction(self._ints[i * self.cols + j], self._den)
 
     def row(self, i: int) -> Vector:
+        if not 0 <= i < self.rows:
+            raise IndexError(i)
         return _fractions(self._ints[i * self.cols : (i + 1) * self.cols], self._den)
 
     def column(self, j: int) -> Vector:
+        if not 0 <= j < self.cols:
+            raise IndexError(j)
         return _fractions(self._ints[j :: self.cols], self._den)
 
     def to_lists(self) -> list[list[Fraction]]:

@@ -59,3 +59,13 @@ def helm_decomposition(n: int):
     case = make_even_case(n) if n % 2 == 0 else make_odd_case(n)
     vectors = make_w_alpha(n)
     return Decomposition(case.laplacian_like, vectors.w, vectors.alpha)
+
+
+def bump_l(lap: RatMatrix) -> RatMatrix:
+    """lap plus (e_1 - e_2)(e_1 - e_2)'/3, on two adjacent rim vertices.
+
+    The result stays symmetric with zero row sums, so a Decomposition
+    still accepts it.
+    """
+    u = (Fraction(0), Fraction(1), Fraction(-1)) + (Fraction(0),) * (lap.rows - 3)
+    return lap + Fraction(1, 3) * RatMatrix.outer(u, u)

@@ -32,6 +32,7 @@ from helmlab import (
 )
 from helmlab.closed_form import _helm_case
 from helmlab.exact_core import dot, ones_vector, scale_vector
+from support import bump_l
 
 ODD_RANGE = (5, 7, 9, 11, 13)
 EVEN_RANGE = (4, 6, 8, 10, 12)
@@ -63,6 +64,29 @@ def test_equiv_formulation_rejects_perturbed_alpha():
     d, dec = _helm_decomposition(7)
     wrong = Decomposition(dec.laplacian_like, dec.w, Fraction(1, 4))
     assert not check_equiv_formulation(d, wrong)
+
+
+@pytest.mark.parametrize("n", (6, 7))
+def test_equiv_formulation_rejects_perturbed_l(n):
+    # the helm w and alpha keep D w = e/alpha, so only the Penrose
+    # conditions on X = -L/2 + alpha ww' can reject the bumped L
+    d, dec = _helm_decomposition(n)
+    bumped = Decomposition(bump_l(dec.laplacian_like), dec.w, dec.alpha)
+    assert d.mul_vector(bumped.w) == scale_vector(1 / bumped.alpha, ones_vector(d.rows))
+    assert not check_equiv_formulation(d, bumped)
+
+
+@pytest.mark.parametrize("bump", (False, True))
+@pytest.mark.parametrize("n", (6, 7))
+def test_l_d_witness_form_follows_from_d_w(n, bump):
+    # D w = e/alpha gives X D = -L D/2 + w e' for every L, so
+    # L D + 2I - 2we' = 2(I - X D) holds whether or not X is the MP inverse
+    d, dec = _helm_decomposition(n)
+    lap = bump_l(dec.laplacian_like) if bump else dec.laplacian_like
+    x = Decomposition(lap, dec.w, dec.alpha).candidate()
+    ident = RatMatrix.identity(d.rows)
+    e = ones_vector(d.rows)
+    assert lap @ d + 2 * ident - 2 * RatMatrix.outer(dec.w, e) == 2 * (ident - x @ d)
 
 
 def test_equiv_formulation_hypothesis_failure():

@@ -232,7 +232,8 @@ def _count_calls(monkeypatch, names) -> Counter:
 
 def test_verify_builds_each_per_n_object_once(monkeypatch):
     # count calls in every helmlab namespace, so no module can rebuild
-    # D, w/alpha, the case or the pseudoinverse behind the report's back
+    # D, w/alpha, the case or the pseudoinverse behind the report's back;
+    # equiv_formulation is the one Penrose proof for both parities
     counted = (
         "helm_distance_block",
         "make_w_alpha",
@@ -243,7 +244,12 @@ def test_verify_builds_each_per_n_object_once(monkeypatch):
     )
     calls = _count_calls(monkeypatch, counted)
     assert cli.run_verification(6).all_passed
-    assert calls == {"helm_distance_block": 1, "make_w_alpha": 1, "make_even_case": 1}
+    assert calls == {
+        "helm_distance_block": 1,
+        "make_w_alpha": 1,
+        "make_even_case": 1,
+        "penrose_check": 1,
+    }
     calls.clear()
     assert cli.run_verification(7).all_passed
     assert calls == {
@@ -257,10 +263,11 @@ def test_verify_builds_each_per_n_object_once(monkeypatch):
 
 def test_verify_eliminates_once_per_fact(monkeypatch):
     # rank is never called: ranks are read off inertias; L's inertia is
-    # shared by rank_L and the PSD check; the Schur chain inverts nothing
-    calls = _count_calls(monkeypatch, ("rank", "inertia", "inverse"))
+    # shared by rank_L and the PSD check; the Schur chain inverts nothing;
+    # a singular D's determinant is read off its inertia's zero sign
+    calls = _count_calls(monkeypatch, ("rank", "inertia", "inverse", "determinant"))
     assert cli.run_verification(6).all_passed
-    assert calls == {"inertia": 2, "inverse": 1}  # D, L; the inverse check
+    assert calls == {"inertia": 2, "inverse": 1, "determinant": 1}  # D, L; the inverse check
     calls.clear()
     assert cli.run_verification(7).all_passed
     assert calls == {"inertia": 3, "inverse": 1}  # D, L, Schur; in pseudoinverse

@@ -330,6 +330,23 @@ def test_from_blocks_assembles_in_order():
     assert a == RatMatrix.from_rows([[1, 1, 1], [0, 1, 0], [0, 0, 1]])
 
 
+def test_row_and_column_reject_out_of_range_indices():
+    m = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    assert m.row(1) == (Fraction(4), Fraction(5), Fraction(6))
+    assert m.column(2) == (Fraction(3), Fraction(6))
+    for bad in (-1, 2):
+        with pytest.raises(IndexError):
+            m.row(bad)
+    for bad in (-1, 3):
+        with pytest.raises(IndexError):
+            m.column(bad)
+    square = RatMatrix.from_rows([[1, 2], [3, 4]])
+    with pytest.raises(IndexError):
+        square.column(2)
+    with pytest.raises(IndexError):
+        square.row(2)
+
+
 def test_matmul_shape_guard():
     with pytest.raises(ValueError, match="cannot multiply 2x3 by 2x3"):
         RatMatrix.ones(2, 3) @ RatMatrix.ones(2, 3)

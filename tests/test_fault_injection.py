@@ -16,15 +16,11 @@ from fractions import Fraction
 import pytest
 
 from helmlab import RatMatrix, cli
+from support import bump_l
 
 
 def _bump_l(case):
-    # add (e_1 - e_2)(e_1 - e_2)'/3 on two adjacent rim vertices: L stays
-    # symmetric with zero row sums, so the Decomposition still accepts it
-    rows = case.laplacian_like.to_lists()
-    for i, j, sign in ((1, 1, 1), (2, 2, 1), (1, 2, -1), (2, 1, -1)):
-        rows[i][j] += sign * Fraction(1, 3)
-    return dataclasses.replace(case, laplacian_like=RatMatrix.from_rows(rows))
+    return dataclasses.replace(case, laplacian_like=bump_l(case.laplacian_like))
 
 
 def _bump_a(case):
