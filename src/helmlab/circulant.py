@@ -23,7 +23,6 @@ from .exact_core import (
     RatMatrix,
     Scalar,
     Vector,
-    dot,
     frac,
     vec,
 )
@@ -132,9 +131,7 @@ def delta_closure_check(z: DeltaVector, g: CirculantSpec) -> bool:
         raise ValueError(f"spec {pattern} is not of the form (a, b, 0, ..., 0, b)")
     if len(z) != k:
         raise ValueError(f"vector of length {len(z)} against spec of length {k}")
-    g_mat = materialize(g)
-    product = tuple([dot(z.coords, g_mat.column(j)) for j in range(k)])
-    return is_delta(product)
+    return is_delta((RatMatrix(1, k, z.coords) @ materialize(g)).row(0))
 
 
 # -- named specs used throughout the package -------------------------------

@@ -63,7 +63,7 @@ EIG_TOLERANCE = 1e-9
 # Largest n accepted by verify, sweep and eig, so that an oversized n is
 # refused instead of starting a dense run that does not end.  The dense
 # oracles cost about n^3 integer operations; `run_verification(131)` takes
-# about 29 seconds on a 2-vCPU Xeon VM (Python 3.11).
+# about 17 seconds on a 2-vCPU Xeon VM (Python 3.11).
 MAX_N = 130
 
 

@@ -26,7 +26,7 @@ from .circulant import (
     cycle_signless_laplacian_spec,
     materialize,
 )
-from .exact_core import Decomposition, RatMatrix, Vector, dot
+from .exact_core import Decomposition, RatMatrix, Vector
 
 
 def rank_one_scale(n: int) -> Fraction:
@@ -199,4 +199,4 @@ def rim_signless_product(n: int) -> Vector:
         raise ValueError(f"odd n required, got {n}")
     data = make_odd_case(n)
     s_mat = materialize(cycle_signless_laplacian_spec(n - 1))
-    return tuple([dot(data.rim_spec, s_mat.column(j)) for j in range(n - 1)])
+    return (RatMatrix(1, n - 1, data.rim_spec) @ s_mat).row(0)

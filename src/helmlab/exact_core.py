@@ -14,8 +14,14 @@ matrices have equal storage.  Every operation works on the integers:
 * ``+`` and ``-`` bring both operands to the lcm of their denominators,
   a scalar multiplies the entries by its numerator and the denominator
   by its denominator;
-* matmul takes integer dot products under the product of the two
-  denominators;
+* matmul is a Kronecker-packed integer product under the product of the
+  two denominators (Kronecker substitution; see D. Harvey, J. Symbolic
+  Comput. 44, 2009): each row of B becomes one Python int with one
+  fixed-width slot per entry, the width taken from the bound
+  ``k * max|a| * max|b|`` on the entries of the product plus a sign bit,
+  so a row of the product costs one big-int multiply-add per nonzero
+  entry of that row of A and one unpack.  Slots of up to 64 bits are
+  read by ``array.frombytes``, wider ones by slicing the bytes;
 * Gauss-Jordan elimination is fraction-free: a row update is
   ``a*row - b*lead`` followed by division by the row's content;
 * the determinant is Bareiss's fraction-free elimination (Bareiss 1968,
@@ -36,8 +42,11 @@ independent of any closed-form expression they are used to check.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -108,6 +117,31 @@ def _fractions(ints: Sequence[int], den: int) -> Vector:
     if den == 1:
         return tuple([Fraction(x) for x in ints])
     return tuple([Fraction(x, den) for x in ints])
+
+
+# Slot sizes in bytes that a signed C integer array type reads directly.
+_SLOT_CODES = {array(code).itemsize: code for code in "bhilq"}
+
+
+def _pack_slots(ints: Sequence[int], size: int) -> bytes:
+    """ints as consecutive size-byte two's-complement slots, in native byte order."""
+    code = _SLOT_CODES.get(size)
+    if code:
+        return array(code, ints).tobytes()
+    return b"".join([x.to_bytes(size, sys.byteorder, signed=True) for x in ints])
+
+
+def _unpack_slots(buf: bytes, size: int) -> list[int]:
+    """The inverse of ``_pack_slots``."""
+    code = _SLOT_CODES.get(size)
+    if code:
+        slots = array(code)
+        slots.frombytes(buf)
+        return slots.tolist()
+    return [
+        int.from_bytes(buf[t : t + size], sys.byteorder, signed=True)
+        for t in range(0, len(buf), size)
+    ]
 
 
 class RatMatrix:
@@ -273,16 +307,47 @@ class RatMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
+        """Kronecker-packed integer product under the product of the denominators.
+
+        Every entry of the integer product has absolute value at most
+        ``bound = k * max|a| * max|b|`` (k the inner dimension), so it fits
+        a w-bit two's-complement slot for any w > ``bound.bit_length()``.
+        w is a whole number of bytes: the narrowest signed C array type
+        that is wide enough (8 to 64 bits, enough for every helm product),
+        else the fewest bytes.  Row j of B becomes one int
+        ``P_j = sum_t b_jt 2^(wt)``, row i of the product is the single int
+        ``sum(a_ij * P_j for nonzero a_ij)``, and its slots are the entries.
+
+        Both conversions run in C, in O(width) per row.  With ``bias`` the
+        constant that holds ``2^(w-1)`` in every slot, ``(x + bias) ^ bias``
+        turns a packed row x into its slots' two's-complement bytes (the
+        biased slots are nonnegative, so nothing carries), and
+        ``(y ^ bias) - bias`` turns such bytes y back into a packed row.
+        Slot bytes go through ``array`` when a C type has that width, and
+        through one ``int.to_bytes``/``from_bytes`` per entry otherwise.
+        """
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        a, k, m = self._ints, self.cols, other.cols
-        cols = [other._ints[j::m] for j in range(m)]
-        entries = [
-            sum(map(mul, a[i * k : (i + 1) * k], col)) for i in range(self.rows) for col in cols
+        a, n, k, m = self._ints, self.rows, self.cols, other.cols
+        # max(., 1): the bound must also cover B's entries, which share its slots
+        bound = k * max(max(map(abs, a), default=0), 1) * max(map(abs, other._ints), default=0)
+        need = (bound.bit_length() + 8) // 8  # bytes for the bound and a sign bit
+        size = min([s for s in _SLOT_CODES if s >= need], default=need)
+        order, width = sys.byteorder, size * m  # array is native-order, so these are too
+        bias = int.from_bytes((1 << (8 * size - 1)).to_bytes(size, order) * m, order)
+        b_bytes = _pack_slots(other._ints, size)
+        packed = [
+            (int.from_bytes(b_bytes[j * width : (j + 1) * width], order) ^ bias) - bias
+            for j in range(k)
         ]
-        return RatMatrix._from_ints(self.rows, m, self._den * other._den, entries)
+        out = []
+        for i in range(n):
+            row = a[i * k : (i + 1) * k]
+            total = sum(map(mul, compress(row, row), compress(packed, row)))
+            out.append(((total + bias) ^ bias).to_bytes(width, order))
+        return RatMatrix._from_ints(n, m, self._den * other._den, _unpack_slots(b"".join(out), size))
 
     def transpose(self) -> "RatMatrix":
         e, c = self._ints, self.cols

@@ -518,6 +518,115 @@ def test_matmul_matches_reference(rng):
     assert inner_zero == RatMatrix.zeros(2, 3)
 
 
+# -- packed matmul: slot-boundary cases -----------------------------------------
+#
+# matmul packs each row of B into one integer with one slot per entry,
+# wide enough for bound = inner * max|a| * max|b| plus a sign bit; slots of
+# up to 64 bits are read as a C integer array, wider ones one at a time.
+
+
+def _assert_matmul(a: RatMatrix, b: RatMatrix, label: str = "") -> RatMatrix:
+    got = a @ b
+    assert (got.rows, got.cols) == (a.rows, b.cols), label
+    assert got.to_lists() == _ref_matmul(a, b), label
+    _assert_canonical(got, label)
+    return got
+
+
+@pytest.mark.parametrize("bits", [7, 8, 9, 15, 16, 31, 32, 33, 63, 64, 65, 72, 450])
+def test_matmul_reaches_the_bound_exactly(bits):
+    # bound = 2 * 2^(bits-2) * 1 = 2^(bits-1), so bound.bit_length() == bits
+    # and a slot needs bits + 1 bits; up to 63 the array path unpacks.
+    top = 1 << (bits - 2)
+    a = RatMatrix.from_rows([[top, top], [-top, -top], [top, -top], [-top, top]])
+    b = RatMatrix.from_rows([[-1, 1, 0, 1, -1], [-1, 1, 1, -1, -1]])
+    got = _assert_matmul(a, b, f"{bits} bits")
+    bound = 2 * top
+    # the first and last slots of a row hold -bound, the slot between +bound
+    assert got.row(0) == (-bound, bound, top, 0, -bound)
+    assert got.row(1) == (bound, -bound, -top, 0, bound)
+    assert got.row(2) == (0, 0, -top, bound, 0)
+    assert _assert_matmul(b.transpose(), a.transpose()) == got.transpose()
+
+
+@pytest.mark.parametrize("bits", [3, 14, 30, 31, 449])
+def test_matmul_negative_entries_in_every_slot(rng, bits):
+    # bound < 4 * 2^(2 bits): 2-, 4- and 8-byte slots, then the wide path
+    top = (1 << bits) - 1
+    a = RatMatrix.from_rows([[rng.randint(1, top) for _ in range(4)] for _ in range(3)])
+    b = RatMatrix.from_rows([[-rng.randint(1, top) for _ in range(6)] for _ in range(4)])
+    got = _assert_matmul(a, b, f"{bits} bits")
+    assert all(x < 0 for r in got.to_lists() for x in r)
+    assert all(x > 0 for r in _assert_matmul(-a, b).to_lists() for x in r)
+    checkerboard = RatMatrix.from_rows(
+        [[x if (i + j) % 2 else -x for j, x in enumerate(r)] for i, r in enumerate(b.to_lists())]
+    )
+    _assert_matmul(a, checkerboard, f"{bits} bits, checkerboard signs")
+    _assert_matmul(-a, -checkerboard, f"{bits} bits, both negated")
+
+
+def test_matmul_zero_rows_columns_and_operands(rng):
+    huge = RatMatrix(3, 4, [Fraction(rng.getrandbits(450) - (1 << 449), 7) for _ in range(12)])
+    a = _rand(rng, 5, 3)
+    a = _with_rows(a, lambda i, r: [Fraction(0)] * 3 if i in (0, 2, 4) else r)
+    b = RatMatrix.from_rows([[0, *r[1:3], 0] for r in huge.to_lists()])
+    _assert_matmul(a, b, "zero rows of A, zero first and last columns of B")
+    for zero in (RatMatrix.zeros(5, 3), RatMatrix.zeros(2, 3)):
+        assert _assert_matmul(zero, huge) == RatMatrix.zeros(zero.rows, 4)
+    assert _assert_matmul(huge.transpose(), RatMatrix.zeros(3, 2)) == RatMatrix.zeros(4, 2)
+    assert _assert_matmul(RatMatrix.zeros(4, 3), RatMatrix.zeros(3, 5)) == RatMatrix.zeros(4, 5)
+
+
+def test_matmul_degenerate_shapes(rng):
+    big = RatMatrix(2, 2, [Fraction(rng.getrandbits(450), 3) for _ in range(4)])
+    for a, b in (
+        (RatMatrix(0, 3, []), _rand(rng, 3, 4)),
+        (_rand(rng, 4, 3), RatMatrix(3, 0, [])),
+        (RatMatrix(0, 2, []), big),
+        (RatMatrix(2, 0, []), RatMatrix(0, 3, [])),
+        (RatMatrix(0, 0, []), RatMatrix(0, 0, [])),
+    ):
+        got = _assert_matmul(a, b, f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+        assert got == RatMatrix.zeros(a.rows, b.cols)
+    assert _assert_matmul(RatMatrix(1, 1, [Fraction(-7, 3)]), RatMatrix(1, 1, [Fraction(3, 14)])) == RatMatrix(
+        1, 1, [Fraction(-1, 2)]
+    )
+    assert _assert_matmul(RatMatrix(1, 1, [-(1 << 449)]), RatMatrix(1, 1, [-(1 << 449)]))[0, 0] == 1 << 898
+
+
+def test_matmul_on_entries_of_about_450_bits(rng):
+    def wide(rows, cols):
+        return RatMatrix(
+            rows, cols, [Fraction(rng.getrandbits(450) - (1 << 449), rng.getrandbits(440) | 1) for _ in range(rows * cols)]
+        )
+
+    for rows, inner, cols in ((3, 4, 5), (6, 6, 6), (1, 9, 2), (7, 1, 3)):
+        a, b = wide(rows, inner), wide(inner, cols)
+        _assert_matmul(a, b)
+        _assert_matmul(a, _rand(rng, inner, cols))
+        _assert_matmul(_rand(rng, rows, inner), b)
+
+
+def test_matmul_random_shapes_and_widths(rng):
+    widths = (1, 2, 7, 8, 15, 31, 32, 62, 63, 64, 120, 450)
+    for trial in range(300):
+        n, k, m = (rng.randint(0, 6) for _ in range(3))
+        ops = []
+        for rows, cols in ((n, k), (k, m)):
+            bits = rng.choice(widths)
+            ops.append(
+                RatMatrix(
+                    rows,
+                    cols,
+                    [
+                        Fraction(rng.randint(-(1 << bits), 1 << bits) * (rng.random() < 0.8), rng.randint(1, 5))
+                        for _ in range(rows * cols)
+                    ],
+                )
+            )
+        _assert_matmul(*ops, f"trial {trial}: {n}x{k} @ {k}x{m}")
+
+
 def test_mul_vector_matches_reference(rng):
     for label, m in _differential_cases(rng):
         v = tuple(_rat(rng) for _ in range(m.cols))
