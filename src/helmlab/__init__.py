@@ -29,17 +29,15 @@ from .exact_core import (
 )
 from .circulant import (
     CirculantSpec,
-    DeltaVector,
     alternating_signs,
     circulant_eigenvalues,
     circulant_product,
     cycle_signless_laplacian_spec,
-    delta_closure_check,
     is_delta,
     materialize,
     rim_distance_spec,
 )
-from .graphs import HelmInstance, bfs_distance_matrix, build_helm, helm_distance_block
+from .graphs import bfs_distance_matrix, build_helm, helm_distance_block
 from .closed_form import (
     HelmCase,
     HelmVectors,
@@ -49,7 +47,6 @@ from .closed_form import (
     make_odd_case,
     make_w_alpha,
     rank_one_scale,
-    rim_signless_product,
 )
 from .characterization import (
     SixConditions,
@@ -66,9 +63,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CirculantSpec",
     "Decomposition",
-    "DeltaVector",
     "HelmCase",
-    "HelmInstance",
     "HelmVectors",
     "InertiaTriple",
     "RatMatrix",
@@ -86,7 +81,6 @@ __all__ = [
     "closed_form_inverse",
     "closed_form_mp_inverse",
     "cycle_signless_laplacian_spec",
-    "delta_closure_check",
     "determinant",
     "helm_distance_block",
     "inertia",
@@ -103,7 +97,6 @@ __all__ = [
     "rank_l_check",
     "rank_one_scale",
     "rim_distance_spec",
-    "rim_signless_product",
     "schur_psd_check",
     "solve",
 ]

@@ -11,9 +11,10 @@ chain with one congruence inertia, and the rank-one modification lemma.
 
 Each identity is checked once: no function runs an oracle whose answer
 another check of the same report already implies.  The Penrose
-conditions are proved only by check_equiv_formulation.  The ranks come
-from the caller (read off inertias), and rank(X) is not recomputed: the
-report's closed_form_mp_inverse check proves X = pinv(D).
+conditions are proved only by check_equiv_formulation; they also give
+every fact about the kernel projector V but L D + 2I - 2we' = V.  The
+ranks come from the caller (read off inertias), and rank(X) is not
+recomputed: the report's closed_form_mp_inverse check proves X = pinv(D).
 
 Every function takes objects built once by the caller (the distance
 matrix, a closed_form.HelmCase, a Decomposition, ranks already
@@ -132,16 +133,17 @@ def check_conditions_i_vi(
 
 
 def build_kernel_projector(case: HelmCase) -> RatMatrix:
-    """Twice the orthogonal projector onto the kernel of D, for odd n.
+    """Twice the orthogonal projector onto the kernel of D, either parity.
 
     The block matrix with 2(B + I) on the rim and zeros elsewhere, B the
-    case's coupling block; on the rim it equals 2vv'/(n-1) for the
-    alternating vector v.  The report's kernel_projector check verifies
-    that it is symmetric, annihilates the all-ones vector, and that
-    D V = 0, V L = 0 and V w = 0.
+    case's coupling block: 2vv'/(n-1) on the rim for odd n, v the
+    alternating vector, and the zero matrix for even n, where B = -I.
+    The report checks only L D + 2I - 2we' = V.  Once equiv_formulation
+    passes (D w = e/alpha, and X = -L/2 + alpha ww' is the MP inverse),
+    that says V = 2(I - X D), so D V = 0, V is symmetric and V X = 0;
+    V e = alpha V D w = 0; X e = alpha w (L e = 0 and e'w = 1) gives
+    V w = 0; and V L = 2 alpha (V w) w' - 2 V X = 0.
     """
-    if case.n % 2 == 0:
-        raise ValueError(f"odd n required, got {case.n}")
     k = case.n - 1
     rim = 2 * (case.coupling_block + RatMatrix.identity(k))
     zeros_row = RatMatrix.zeros(1, k)

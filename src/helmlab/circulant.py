@@ -7,6 +7,9 @@ matrix.  Spectra come from evaluating the first-row polynomial at the
 roots of unity; this is the single floating-point convenience in the
 package and is never used to gate an exact claim.
 
+A spec is delta-symmetric (is_delta) exactly when its circulant is
+symmetric; such specs are closed under circulant_product.
+
 Also hosts the two special circulants the helm distance matrix is built
 from: the signless Laplacian of the rim cycle, spec (2,1,0,...,0,1), and
 the rim distance circulant, spec (0,1,2,...,2,1).
@@ -45,29 +48,11 @@ class CirculantSpec:
         return len(self.first_row)
 
 
-@dataclass(frozen=True)
-class DeltaVector:
-    """Vector whose last k-1 coordinates are symmetric: z[i] = z[k-i] (0-based).
-
-    Equivalently the spec of a symmetric circulant; the first coordinate
-    is unconstrained.
-    """
-
-    coords: Vector
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", vec(self.coords))
-        if not is_delta(self.coords):
-            raise ValueError(f"vector is not delta-symmetric: {self.coords}")
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-
 def is_delta(z: Sequence[Scalar]) -> bool:
     """True iff the tail of z reads the same forwards and backwards.
 
-    In 1-based terms: z_i = z_{k+2-i} for i = 2..k where k = len(z).
+    In 1-based terms: z_i = z_{k+2-i} for i = 2..k where k = len(z); z_1
+    is free.
     """
     values = vec(z)
     k = len(values)
@@ -114,24 +99,6 @@ def circulant_eigenvalues(spec: CirculantSpec) -> list[complex]:
             power *= omega_j
         out.append(acc)
     return out
-
-
-def delta_closure_check(z: DeltaVector, g: CirculantSpec) -> bool:
-    """Check that z' G lands back in the delta-symmetric set.
-
-    g must have the sparsity pattern (a, b, 0, ..., 0, b); the closure
-    then holds for every delta-symmetric z, and this function verifies it
-    by direct multiplication.
-    """
-    pattern = g.first_row
-    k = len(pattern)
-    if k < 2 or pattern[1] != pattern[k - 1] or any(
-        pattern[i] != 0 for i in range(2, k - 1)
-    ):
-        raise ValueError(f"spec {pattern} is not of the form (a, b, 0, ..., 0, b)")
-    if len(z) != k:
-        raise ValueError(f"vector of length {len(z)} against spec of length {k}")
-    return is_delta((RatMatrix(1, k, z.coords) @ materialize(g)).row(0))
 
 
 # -- named specs used throughout the package -------------------------------

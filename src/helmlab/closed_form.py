@@ -23,7 +23,6 @@ from fractions import Fraction
 from .circulant import (
     CirculantSpec,
     alternating_signs,
-    cycle_signless_laplacian_spec,
     materialize,
 )
 from .exact_core import Decomposition, RatMatrix, Vector
@@ -183,20 +182,3 @@ def closed_form_mp_inverse(dec: Decomposition) -> RatMatrix:
         raise ValueError(f"odd n required, got {n}")
     return dec.candidate()
 
-
-def rim_signless_product(n: int) -> Vector:
-    """The row vector x' S for odd n, computed by dense multiplication.
-
-    x is the odd-case rim spec and S the rim cycle's signless Laplacian.
-    The result works out to
-
-        (4n-6, n+1, -2, 2, -2, ..., 2, -2, n+1) / (n-1)
-
-    and satisfies x'S + 2y' = s' (the spec of S); both facts are
-    exercised in the tests rather than assumed here.
-    """
-    if n % 2 == 0:
-        raise ValueError(f"odd n required, got {n}")
-    data = make_odd_case(n)
-    s_mat = materialize(cycle_signless_laplacian_spec(n - 1))
-    return (RatMatrix(1, n - 1, data.rim_spec) @ s_mat).row(0)

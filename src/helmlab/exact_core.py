@@ -154,6 +154,8 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "_den", "_ints")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]):
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative dimensions {rows}x{cols}")
         den, ints = _common_denominator(entries)
         if len(ints) != rows * cols:
             raise ValueError(
@@ -259,6 +261,10 @@ class RatMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RatMatrix":
+        for idx, bound in ((row_idx, self.rows), (col_idx, self.cols)):
+            for i in idx:
+                if not 0 <= i < bound:
+                    raise IndexError(i)
         e, c = self._ints, self.cols
         return RatMatrix._from_ints(
             len(row_idx), len(col_idx), self._den, [e[i * c + j] for i in row_idx for j in col_idx]

@@ -8,35 +8,20 @@ u_1..u_{n-1}; every closed-form block below depends on this order.
 Two independent routes to the distance matrix are provided: plain BFS
 from every vertex, and the 3x3 block formula built from the rim distance
 circulant.  The report's distance_block_vs_bfs check compares them.
+BFS takes any graph as an adjacency tuple, not only a helm.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .exact_core import RatMatrix
 from .circulant import materialize, rim_distance_spec
 
 
-@dataclass(frozen=True)
-class HelmInstance:
-    """Adjacency lists of a helm graph, in hub / rim / pendant order."""
-
-    n: int
-    adjacency: tuple[tuple[int, ...], ...]
-
-    @property
-    def vertex_count(self) -> int:
-        return 2 * self.n - 1
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
-
-
-def build_helm(n: int) -> HelmInstance:
-    """Helm graph: hub 0, rim 1..n-1 in a cycle, pendant n-1+i below rim i."""
+def build_helm(n: int) -> tuple[tuple[int, ...], ...]:
+    """Sorted adjacency lists of the helm graph: hub 0, rim 1..n-1 in a
+    cycle, pendant n-1+i below rim i (2n-1 vertices, 3(n-1) edges)."""
     if n < 4:
         raise ValueError(f"helm graphs need n >= 4, got {n}")
     size = 2 * n - 1
@@ -53,12 +38,12 @@ def build_helm(n: int) -> HelmInstance:
     link(n - 1, 1)
     for i in range(1, n):
         link(i, n - 1 + i)
-    return HelmInstance(n, tuple([tuple(sorted(a)) for a in nbrs]))
+    return tuple([tuple(sorted(a)) for a in nbrs])
 
 
-def bfs_distance_matrix(g: HelmInstance) -> RatMatrix:
-    """All-pairs shortest path lengths via BFS from every vertex."""
-    size = g.vertex_count
+def bfs_distance_matrix(adjacency: tuple[tuple[int, ...], ...]) -> RatMatrix:
+    """All-pairs shortest path lengths of a connected graph, by BFS from every vertex."""
+    size = len(adjacency)
     rows: list[list[int]] = []
     for src in range(size):
         dist = [-1] * size
@@ -66,7 +51,7 @@ def bfs_distance_matrix(g: HelmInstance) -> RatMatrix:
         queue = deque([src])
         while queue:
             v = queue.popleft()
-            for u in g.adjacency[v]:
+            for u in adjacency[v]:
                 if dist[u] < 0:
                     dist[u] = dist[v] + 1
                     queue.append(u)

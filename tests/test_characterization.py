@@ -225,9 +225,11 @@ def test_even_correction_vanishes(n):
     assert data.laplacian_like @ d + 2 * RatMatrix.identity(order) == two_we
 
 
-def test_kernel_projector_rejects_even():
-    with pytest.raises(ValueError, match="odd n required"):
-        build_kernel_projector(make_even_case(6))
+@pytest.mark.parametrize("n", EVEN_RANGE)
+def test_kernel_projector_vanishes_for_even_n(n):
+    # B = -I, so 2(B + I) = 0: the one construction gives V = 0 for a nonsingular D
+    order = 2 * n - 1
+    assert build_kernel_projector(make_even_case(n)) == RatMatrix.zeros(order, order)
 
 
 # -- kernel structure ----------------------------------------------------------------

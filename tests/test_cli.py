@@ -134,6 +134,14 @@ def test_eig_rejects_even_n_for_coupling_block(capsys):
     assert "odd n" in err
 
 
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # only sweep --parallel needs a process pool, and it imports one itself
+    code = "import sys, helmlab.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "helmlab.cli", "verify", "--n", "4", "--format", "json"],
@@ -264,13 +272,23 @@ def test_verify_builds_each_per_n_object_once(monkeypatch):
 def test_verify_eliminates_once_per_fact(monkeypatch):
     # rank is never called: ranks are read off inertias; L's inertia is
     # shared by rank_L and the PSD check; the Schur chain inverts nothing;
-    # a singular D's determinant is read off its inertia's zero sign
+    # a singular D's determinant is read off its inertia's zero sign;
+    # kernel_projector takes one product, L D, for either parity
     calls = _count_calls(monkeypatch, ("rank", "inertia", "inverse", "determinant"))
+    matmul = RatMatrix.__matmul__
+
+    def counting_matmul(a, b):
+        calls["matmul"] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(RatMatrix, "__matmul__", counting_matmul)
     assert cli.run_verification(6).all_passed
-    assert calls == {"inertia": 2, "inverse": 1, "determinant": 1}  # D, L; the inverse check
+    # D, L; the inverse check
+    assert calls == {"inertia": 2, "inverse": 1, "determinant": 1, "matmul": 9}
     calls.clear()
     assert cli.run_verification(7).all_passed
-    assert calls == {"inertia": 3, "inverse": 1}  # D, L, Schur; in pseudoinverse
+    # D, L, Schur; in pseudoinverse
+    assert calls == {"inertia": 3, "inverse": 1, "matmul": 15}
 
 
 @pytest.mark.parametrize(

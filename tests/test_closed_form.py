@@ -26,7 +26,6 @@ from helmlab import (
     pseudoinverse,
     rank,
     rank_one_scale,
-    rim_signless_product,
 )
 from helmlab.exact_core import dot, ones_vector, scale_vector
 from support import helm_decomposition
@@ -283,6 +282,8 @@ def test_closed_forms_agree_with_numpy_in_floating_point(n):
 
 
 # -- the rim spec times S row ---------------------------------------------------------
+# for odd n, x'S = (4n-6, n+1, -2, 2, ..., 2, -2, n+1)/(n-1) and x'S + 2y' = s',
+# with x, y the rim and coupling specs and s the spec of S
 
 
 def _expected_rim_signless(n: int) -> tuple[Fraction, ...]:
@@ -297,25 +298,22 @@ def _expected_rim_signless(n: int) -> tuple[Fraction, ...]:
 
 
 def test_rim_signless_product_n7_value():
-    assert rim_signless_product(7) == tuple(Fraction(v, 6) for v in (22, 8, -2, 2, -2, 8))
+    x, s = CirculantSpec(make_odd_case(7).rim_spec), cycle_signless_laplacian_spec(6)
+    assert circulant_product(x, s).first_row == tuple(Fraction(v, 6) for v in (22, 8, -2, 2, -2, 8))
 
 
 @pytest.mark.parametrize("n", ODD_RANGE)
 def test_rim_signless_product_pattern_and_delta(n):
-    row = rim_signless_product(n)
+    x, s = CirculantSpec(make_odd_case(n).rim_spec), cycle_signless_laplacian_spec(n - 1)
+    row = circulant_product(x, s).first_row
     assert row == _expected_rim_signless(n)
     assert is_delta(row)
 
 
 @pytest.mark.parametrize("n", ODD_RANGE)
 def test_rim_signless_product_balances_coupling(n):
-    row = rim_signless_product(n)
     data = make_odd_case(n)
     s_spec = cycle_signless_laplacian_spec(n - 1)
+    row = circulant_product(CirculantSpec(data.rim_spec), s_spec).first_row
     combined = tuple(r + 2 * y for r, y in zip(row, data.coupling_spec))
     assert combined == s_spec.first_row
-
-
-def test_rim_signless_product_rejects_even():
-    with pytest.raises(ValueError, match="odd n required, got 6"):
-        rim_signless_product(6)

@@ -347,6 +347,22 @@ def test_row_and_column_reject_out_of_range_indices():
         square.row(2)
 
 
+def test_submatrix_rejects_out_of_range_indices():
+    m = RatMatrix.from_rows([[1, 2], [3, 4]])
+    assert m.submatrix([1, 0], [1]) == RatMatrix.from_rows([[4], [2]])
+    assert m.submatrix([], [0]) == RatMatrix.zeros(0, 1)
+    # an unchecked flat index would read [[3]] for column 2 and [[4]] for -1
+    for rows, cols in (([0], [2]), ([0], [-1]), ([2], [0]), ([-1], [0]), ([0, 1], [0, 2])):
+        with pytest.raises(IndexError):
+            m.submatrix(rows, cols)
+
+
+def test_negative_dimensions_are_refused():
+    for rows, cols, entries in ((-1, -1, [5]), (-1, 0, []), (0, -2, []), (2, -1, [])):
+        with pytest.raises(ValueError, match="negative dimensions"):
+            RatMatrix(rows, cols, entries)
+
+
 def test_matmul_shape_guard():
     with pytest.raises(ValueError, match="cannot multiply 2x3 by 2x3"):
         RatMatrix.ones(2, 3) @ RatMatrix.ones(2, 3)

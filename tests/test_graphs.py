@@ -16,14 +16,14 @@ from helmlab import (
 
 def test_build_helm_h7_counts():
     g = build_helm(7)
-    assert g.vertex_count == 13
-    assert g.edge_count == 18
+    assert len(g) == 13
+    assert sum(map(len, g)) // 2 == 18
 
 
 def test_build_helm_smallest_case():
     g = build_helm(4)
-    assert g.vertex_count == 7
-    assert g.edge_count == 9
+    assert len(g) == 7
+    assert sum(map(len, g)) // 2 == 9
 
 
 def test_build_helm_rejects_small_n():
@@ -36,7 +36,7 @@ def test_build_helm_rejects_small_n():
 @pytest.mark.parametrize("n", range(4, 14))
 def test_degree_sequence(n):
     g = build_helm(n)
-    degrees = [len(nbrs) for nbrs in g.adjacency]
+    degrees = [len(nbrs) for nbrs in g]
     assert degrees[0] == n - 1
     assert all(degrees[i] == 4 for i in range(1, n))
     assert all(degrees[i] == 1 for i in range(n, 2 * n - 1))
@@ -58,6 +58,25 @@ def test_bfs_pendant_to_pendant():
 def test_bfs_diagonal_is_zero():
     d = bfs_distance_matrix(build_helm(5))
     assert all(d[i, i] == 0 for i in range(9))
+
+
+@pytest.mark.parametrize("m", (1, 2, 5, 9))
+def test_bfs_on_a_path(m):
+    # vertices 0..m-1 in a line: d(i, j) = |i - j|
+    path = tuple(tuple(j for j in (i - 1, i + 1) if 0 <= j < m) for i in range(m))
+    expected = RatMatrix.from_rows([[abs(i - j) for j in range(m)] for i in range(m)])
+    assert bfs_distance_matrix(path) == expected
+
+
+@pytest.mark.parametrize("leaves", (1, 3, 6))
+def test_bfs_on_a_star(leaves):
+    # centre 0 joined to leaves 1..leaves: centre-leaf 1, leaf-leaf 2
+    star = (tuple(range(1, leaves + 1)),) + ((0,),) * leaves
+    size = leaves + 1
+    expected = RatMatrix.from_rows(
+        [[0 if i == j else (1 if 0 in (i, j) else 2) for j in range(size)] for i in range(size)]
+    )
+    assert bfs_distance_matrix(star) == expected
 
 
 @pytest.mark.parametrize("n", range(4, 14))
