@@ -7,10 +7,9 @@ The distance matrix D of the helm graph on 2n-1 vertices has an inverse
 
 with L a symmetric zero-row-sum matrix built from circulant rim blocks
 and w = (5-n, -e', 2e')'/4.  This package constructs both sides of that
-identity independently (closed forms vs elimination / full-rank
-factorization / BFS oracles) and checks them for exact equality, along
-with the determinant, rank, inertia and positive-semidefiniteness facts
-that surround it.
+identity independently (closed forms vs elimination and BFS oracles)
+and checks them for exact equality, along with the determinant, rank,
+inertia and positive-semidefiniteness facts that surround it.
 """
 
 from .exact_core import (

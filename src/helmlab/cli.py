@@ -62,7 +62,7 @@ EIG_TOLERANCE = 1e-9
 # Largest n accepted by verify, sweep and eig, so that an oversized n is
 # refused instead of starting a dense run that does not end.  The dense
 # oracles cost about n^3 integer operations; `run_verification(131)` takes
-# about 17 seconds on a 2-vCPU Xeon VM (Python 3.11).
+# about 13 seconds on a 2-vCPU Xeon VM (Python 3.11).
 MAX_N = 130
 
 
@@ -137,7 +137,7 @@ def run_verification(n: int) -> VerificationReport:
     Each per-n object is built once, by a set-up step: D and its
     inertia and (only when that inertia has no zero sign) determinant,
     w and alpha, the closed-form case, the rim cycle's signless
-    Laplacian S, the Decomposition, for odd n the factorization
+    Laplacian S, the Decomposition, for odd n the Gauss-Jordan
     pseudoinverse of D, and the inertia of L.  The ranks of D and L are
     read off their inertias.  The checks share them and rebuild nothing.
     Each identity is checked once: the closed-form check only compares

@@ -12,8 +12,8 @@ shape for both parities; only its coupling block differs, and for even
 n it is -I.  This module builds every ingredient of that formula from
 its closed form alone: no constructor builds D or runs an oracle.  The
 identities that tie the ingredients to D are checked once, by the
-report in helmlab.cli, against the generic elimination /
-full-rank-factorization oracles from exact_core.
+report in helmlab.cli, against the generic elimination oracles from
+exact_core.
 """
 
 from __future__ import annotations
@@ -173,7 +173,8 @@ def closed_form_mp_inverse(dec: Decomposition) -> RatMatrix:
     """Moore-Penrose inverse of the distance matrix for odd n: dec's -L/2 + alpha ww'.
 
     Same shape as the even case.  The report's closed_form_mp_inverse
-    check compares it with the full-rank-factorization pseudoinverse;
+    check compares it with exact_core.pseudoinverse, the projected
+    generalized inverse from one Gauss-Jordan pass;
     its four Penrose conditions are proved once, by the equiv_formulation
     check (characterization.check_equiv_formulation).
     """

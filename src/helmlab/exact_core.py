@@ -33,10 +33,14 @@ matrices have equal storage.  Every operation works on the integers:
 rows, columns, ``to_lists`` and the vectors the matrix methods return),
 and they equal the ones plain ``Fraction`` arithmetic gives.
 
-The pseudoinverse is computed by full-rank factorization (pivot columns
-times reduced-echelon rows), the inertia with 2x2 hyperbolic pivots
-where the diagonal vanishes, so both stay purely rational and
-independent of any closed-form expression they are used to check.
+The pseudoinverse comes from one Gauss-Jordan pass on [A | d I]: its
+reduced echelon form R = E m gives a generalized inverse G = S E (S
+puts row t at the t-th pivot row, and R S R = R), and
+pinv(m) = pinv(m) m G m pinv(m) = (I - P_N) G (I - P_Q), with P_N and
+P_Q the orthogonal projections onto ker m and ker m', whose bases the
+same pass yields.  The inertia uses 2x2 hyperbolic pivots where the
+diagonal vanishes.  Both stay purely rational and independent of any
+closed-form expression they are used to check.
 """
 
 from __future__ import annotations
@@ -540,6 +544,24 @@ def determinant(m: RatMatrix) -> Fraction:
     return Fraction(sign * prev, m._den ** m.rows)
 
 
+def _augmented_echelon(m: RatMatrix) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan on the integer rows of [A | d I], m = A/d.
+
+    Returns the eliminated rows and the pivot columns, which are searched
+    in A's columns only.  The right block records the row operations: let
+    row t of E be row t's right block, divided by its pivot entry when t
+    is below the rank.  Then E is invertible and E m is the reduced
+    echelon form of m, whose rows past the rank are zero.
+    """
+    d, size = m._den, m.rows
+    work = _int_rows(m)
+    for i, row in enumerate(work):
+        tail = [0] * size
+        tail[i] = d
+        row.extend(tail)
+    return work, _echelon_ints(work, m.cols)
+
+
 def inverse(m: RatMatrix) -> RatMatrix:
     """Exact inverse via Gauss-Jordan; raises ValueError if det = 0.
 
@@ -547,16 +569,10 @@ def inverse(m: RatMatrix) -> RatMatrix:
     """
     if not m.is_square():
         raise ValueError(f"inverse of {m.rows}x{m.cols} matrix")
-    n, d = m.rows, m._den
-    work = _int_rows(m)
-    for i, row in enumerate(work):
-        tail = [0] * n
-        tail[i] = d
-        row.extend(tail)
-    pivots = _echelon_ints(work, n)
-    if len(pivots) < n:
+    work, pivots = _augmented_echelon(m)
+    if len(pivots) < m.rows:
         raise ValueError("matrix is singular")
-    return _divide_by_pivots(work, pivots, n)
+    return _divide_by_pivots(work, pivots, m.cols)
 
 
 def solve(m: RatMatrix, b: Sequence[Scalar]) -> Optional[Vector]:
@@ -597,25 +613,49 @@ def null_space_basis(m: RatMatrix) -> list[Vector]:
 
 
 def pseudoinverse(m: RatMatrix) -> RatMatrix:
-    """Moore-Penrose inverse by full-rank factorization, exactly.
+    """Moore-Penrose inverse from one Gauss-Jordan pass, exactly.
 
-    Factor m = F G with F the pivot columns of m (full column rank r) and
-    G the first r rows of the reduced echelon form (full row rank), then
-    by MacDuffee's formula
+    The pass on [A | d I] (see ``_augmented_echelon``) gives E with
+    E m = R, R the reduced echelon form with pivot columns c_0 < c_1 < ...
+    Let S put row t at row c_t.  R S is the identity on the first r = rank
+    coordinates and zero past them, so R S R = R, and G = S E is a
+    generalized inverse: m G m = E^-1 R S R = m.  For every such G
 
-        pinv(m) = G' (F' m G')^(-1) F',   F' m G' = (F' F)(G G').
+        pinv(m) = pinv(m) m G m pinv(m) = (I - P_N) G (I - P_Q),
 
-    The zero matrix maps to the zero matrix of transposed shape.
+    since pinv(m) m and m pinv(m) are the orthogonal projections onto the
+    complements of N = ker m and Q = ker m'.  An integer basis of N is
+    read off the free columns of R; the rows of E past the rank are a
+    basis of Q, because they annihilate m and E is invertible.  Each
+    projection P = B' (B B')^-1 B, for B the k rows of a basis, is applied
+    as thin products with one k x k Gram inverse, k the nullity.  Every
+    shape takes this path: a nonsingular m has k = 0 on both sides and
+    G = m^-1, and the zero matrix has G = 0.
     """
-    reduced, pivots = rref(m)
+    rows, cols = m.rows, m.cols
+    work, pivots = _augmented_echelon(m)
     r = len(pivots)
-    if r == 0:
-        return RatMatrix.zeros(m.cols, m.rows)
-    f_mat = m.submatrix(range(m.rows), pivots)
-    g_mat = reduced.submatrix(range(r), range(m.cols))
-    gt = g_mat.transpose()
-    ft = f_mat.transpose()
-    return gt @ inverse(ft @ m @ gt) @ ft
+    # row t of work over its pivot entry is row t of [R | E]; scale all by den
+    den = math.lcm(*[work[t][c] for t, c in enumerate(pivots)])
+    factors = [den // work[t][c] for t, c in enumerate(pivots)]
+    g_ints = [0] * (cols * rows)
+    for t, (c, f) in enumerate(zip(pivots, factors)):
+        g_ints[c * rows : (c + 1) * rows] = [f * x for x in work[t][cols:]]
+    g = RatMatrix._from_ints(cols, rows, den, g_ints)
+    # one row den * (e_j - sum_t R[t, j] e_(c_t)) per free column j
+    pivot_set = set(pivots)
+    n_ints: list[int] = []
+    for j in range(cols):
+        if j not in pivot_set:
+            v = [0] * cols
+            v[j] = den
+            for t, (c, f) in enumerate(zip(pivots, factors)):
+                v[c] = -f * work[t][j]
+            n_ints.extend(v)
+    n_t = RatMatrix._from_ints(cols - r, cols, 1, n_ints)
+    q = RatMatrix._from_ints(rows - r, rows, 1, [x for row in work[r:] for x in row[cols:]])
+    x = g - n_t.transpose() @ (inverse(n_t @ n_t.transpose()) @ (n_t @ g))
+    return x - (x @ q.transpose()) @ inverse(q @ q.transpose()) @ q
 
 
 def penrose_check(m: RatMatrix, x: RatMatrix) -> bool:

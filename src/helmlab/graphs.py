@@ -42,8 +42,18 @@ def build_helm(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def bfs_distance_matrix(adjacency: tuple[tuple[int, ...], ...]) -> RatMatrix:
-    """All-pairs shortest path lengths of a connected graph, by BFS from every vertex."""
+    """All-pairs shortest path lengths of a connected graph, by BFS from every vertex.
+
+    Raises ValueError for a neighbour outside 0..size-1, an asymmetric
+    adjacency (u lists v but v does not list u) or an unreachable pair.
+    """
     size = len(adjacency)
+    arcs = {(v, u) for v in range(size) for u in adjacency[v]}
+    for v, u in arcs:
+        if not 0 <= u < size:
+            raise ValueError(f"vertex {v} has neighbour {u} outside 0..{size - 1}")
+        if (u, v) not in arcs:
+            raise ValueError(f"adjacency is not symmetric: {v} lists {u} but {u} does not list {v}")
     rows: list[list[int]] = []
     for src in range(size):
         dist = [-1] * size
@@ -55,6 +65,8 @@ def bfs_distance_matrix(adjacency: tuple[tuple[int, ...], ...]) -> RatMatrix:
                 if dist[u] < 0:
                     dist[u] = dist[v] + 1
                     queue.append(u)
+        if -1 in dist:
+            raise ValueError(f"graph is not connected: no path from {src} to {dist.index(-1)}")
         rows.append(dist)
     return RatMatrix.from_rows(rows)
 

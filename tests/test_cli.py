@@ -273,7 +273,10 @@ def test_verify_eliminates_once_per_fact(monkeypatch):
     # rank is never called: ranks are read off inertias; L's inertia is
     # shared by rank_L and the PSD check; the Schur chain inverts nothing;
     # a singular D's determinant is read off its inertia's zero sign;
-    # kernel_projector takes one product, L D, for either parity
+    # kernel_projector takes one product, L D, for either parity;
+    # pseudoinverse eliminates D once without going through inverse, then
+    # inverts the two 1x1 kernel Grams and spends 8 thin products on the
+    # two kernel projections
     calls = _count_calls(monkeypatch, ("rank", "inertia", "inverse", "determinant"))
     matmul = RatMatrix.__matmul__
 
@@ -287,8 +290,8 @@ def test_verify_eliminates_once_per_fact(monkeypatch):
     assert calls == {"inertia": 2, "inverse": 1, "determinant": 1, "matmul": 9}
     calls.clear()
     assert cli.run_verification(7).all_passed
-    # D, L, Schur; in pseudoinverse
-    assert calls == {"inertia": 3, "inverse": 1, "matmul": 15}
+    # D, L, Schur; the kernel Grams of D and D' in pseudoinverse
+    assert calls == {"inertia": 3, "inverse": 2, "matmul": 19}
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from helmlab import (
     solve,
     cycle_signless_laplacian_spec,
 )
+from helmlab import exact_core
 from helmlab.exact_core import rref
 from support import random_invertible, random_symmetric
 
@@ -115,7 +116,7 @@ def test_pseudoinverse_zero_matrix_transposes_shape():
 
 
 def test_pseudoinverse_of_singular_helm_matrix_has_closed_form():
-    # the factorization oracle must reproduce -L/2 + (1/3) ww' at n = 5
+    # the Gauss-Jordan oracle must reproduce -L/2 + (1/3) ww' at n = 5
     n = 5
     data = make_odd_case(n)
     vectors = make_w_alpha(n)
@@ -124,6 +125,25 @@ def test_pseudoinverse_of_singular_helm_matrix_has_closed_form():
         vectors.w, vectors.w
     )
     assert pseudoinverse(helm_distance_block(n)) == formula
+
+
+def test_pseudoinverse_eliminates_its_argument_once(monkeypatch):
+    # one pass over [A | dI] of order 13; past it only the two 1x1 kernel
+    # Grams of D and D' are inverted, and rref is not called
+    shapes = []
+    echelon = exact_core._echelon_ints
+
+    def counting(rows, ncols):
+        shapes.append((len(rows), ncols))
+        return echelon(rows, ncols)
+
+    def no_rref(m):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(exact_core, "_echelon_ints", counting)
+    monkeypatch.setattr(exact_core, "rref", no_rref)
+    pseudoinverse(helm_distance_block(7))
+    assert shapes == [(13, 13), (1, 1), (1, 1)]
 
 
 def test_penrose_check_examples():
@@ -380,12 +400,16 @@ def test_outer_and_row_sums():
 # gcd per operation.  Every oracle must agree with it exactly.
 
 
-def _ref_matmul(a: RatMatrix, b: RatMatrix) -> list[list[Fraction]]:
-    inner, cols, b = a.cols, b.cols, b.to_lists()
+def _ref_mul(a: list[list[Fraction]], b: list[list[Fraction]], cols: int) -> list[list[Fraction]]:
+    """The product of a and b, b having cols columns."""
     return [
-        [sum((row[t] * b[t][j] for t in range(inner)), Fraction(0)) for j in range(cols)]
-        for row in a.to_lists()
+        [sum((row[t] * b[t][j] for t in range(len(b))), Fraction(0)) for j in range(cols)]
+        for row in a
     ]
+
+
+def _ref_matmul(a: RatMatrix, b: RatMatrix) -> list[list[Fraction]]:
+    return _ref_mul(a.to_lists(), b.to_lists(), b.cols)
 
 
 def _ref_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -708,6 +732,35 @@ def test_pseudoinverse_matches_reference(rng):
         assert _ref_matmul(mx, m) == m.to_lists(), label
         assert _ref_matmul(xm, x) == x.to_lists(), label
         assert mx.is_symmetric() and xm.is_symmetric(), label
+
+
+def _ref_macduffee(m: RatMatrix) -> list[list[Fraction]]:
+    """MacDuffee's G' (F' m G')^-1 F' on Fractions.
+
+    F holds the pivot columns of m and G the nonzero rows of its reduced
+    echelon form, so m = F G is a full-rank factorization.
+    """
+    rows = m.to_lists()
+    reduced, pivots = _ref_rref(rows, m.cols)
+    r = len(pivots)
+    f_t = [[row[c] for row in rows] for c in pivots]
+    g_t = [[row[j] for row in reduced[:r]] for j in range(m.cols)]
+    core = _ref_mul(_ref_mul(f_t, rows, m.cols), g_t, r)
+    ident = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+    core_inv = [row[r:] for row in _ref_rref([a + b for a, b in zip(core, ident)], r)[0]]
+    return _ref_mul(_ref_mul(g_t, core_inv, r), f_t, m.rows)
+
+
+def test_pseudoinverse_matches_the_factorization_route(rng):
+    # the same matrix by a second route: MacDuffee's formula on plain Fractions;
+    # A B with A m x r and B r x n, m != n, has rank at most r
+    shapes = [(0, 4, 0), (4, 0, 0), (3, 5, 0), (5, 2, 0), (6, 4, 1), (3, 7, 2), (8, 5, 3)]
+    shapes += [(m, n, rng.randint(1, min(m, n))) for m, n in [(4, 6), (7, 3), (9, 5), (2, 8)]]
+    cases = _differential_cases(rng)
+    cases += [(f"{m}x{n} of rank <= {r}", _rand(rng, m, r) @ _rand(rng, r, n)) for m, n, r in shapes]
+    cases += [(f"helm n={n}", helm_distance_block(n)) for n in range(4, 16)]
+    for label, m in cases:
+        assert pseudoinverse(m).to_lists() == _ref_macduffee(m), label
 
 
 def test_inertia_matches_reference(rng):

@@ -141,3 +141,21 @@ def test_distance_matrix_is_metric(n):
 def test_rim_signless_laplacian_row_sums(n):
     s = materialize(cycle_signless_laplacian_spec(n - 1))
     assert s.row_sums() == tuple([4] * (n - 1))
+
+
+def test_bfs_rejects_an_unreachable_pair():
+    with pytest.raises(ValueError, match="not connected: no path from 0 to 1"):
+        bfs_distance_matrix(((), ()))
+    with pytest.raises(ValueError, match="not connected: no path from 0 to 2"):
+        bfs_distance_matrix(((1,), (0,), (3,), (2,)))
+
+
+def test_bfs_rejects_an_asymmetric_adjacency():
+    with pytest.raises(ValueError, match="not symmetric: 0 lists 1 but 1 does not list 0"):
+        bfs_distance_matrix(((1,), ()))
+
+
+def test_bfs_rejects_a_neighbour_out_of_range():
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match=f"vertex 1 has neighbour {bad} outside 0..1"):
+            bfs_distance_matrix(((1,), (0, bad)))
