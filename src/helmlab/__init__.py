@@ -29,7 +29,6 @@ from .exact_core import (
 from .circulant import (
     CirculantSpec,
     alternating_signs,
-    circulant_eigenvalues,
     circulant_product,
     cycle_signless_laplacian_spec,
     is_delta,
@@ -75,7 +74,6 @@ __all__ = [
     "check_conditions_i_vi",
     "check_equiv_formulation",
     "check_uniqueness",
-    "circulant_eigenvalues",
     "circulant_product",
     "closed_form_inverse",
     "closed_form_mp_inverse",

@@ -112,6 +112,20 @@ def check_conditions_i_vi(
 
     A and B are the rim and coupling blocks of the bordered matrix
     (B = -I in the even case), S the rim cycle's signless Laplacian.
+
+    For odd n, conditions (iii), (v) and (vi) and four more identities
+    fix the three spectra exactly; ``helmlab eig`` checks each one.  Let
+    k = n - 1, v the alternating vector, and s_j, b_j, a_j the eigenvalues
+    of S, B, A on the Fourier vector f_j = (r^(ij))_i, r = exp(2 pi i/k),
+    an eigenvector of every circulant of order k; v = f_(k/2).
+    S: S = 2I + C, C the rim cycle's adjacency read off the graph, with
+       eigenvalues r^j + r^-j, so s_j = 4cos^2(pi j/k), zero only at k/2.
+    B: condition (v), (B + I) B = 0, puts each b_j in {0, -1}.  B v = 0
+       gives b_(k/2) = 0, and trace B = 2 - n = -(k - 1) leaves room for
+       no other zero, so b_j = -1 for j != k/2.
+    A: (iii) and (vi) give A S = -B S - 2B = S - 2B, so (a_j - 1) s_j =
+       -2 b_j: a_j = 1 + 2/s_j = 1 + 1/(2cos^2(pi j/k)) for j != k/2,
+       which is 3/2 at j = 0.  A v = 0 gives a_(k/2) = 0.
     """
     if not (a_mat.is_square() and a_mat.rows == b_mat.rows == s_mat.rows):
         raise ValueError("A, B, S must be square of equal order")

@@ -1,11 +1,11 @@
-"""Circulant matrices, delta-symmetric vectors, and their spectra.
+"""Circulant matrices and delta-symmetric vectors.
 
 A circulant matrix is determined by its first row; every later row is
 the cyclic right-shift of the previous one.  Products of circulants are
 again circulant, and the product spec is the first row times the other
-matrix.  Spectra come from evaluating the first-row polynomial at the
-roots of unity; this is the single floating-point convenience in the
-package and is never used to gate an exact claim.
+matrix.  Circulants of one order share the Fourier eigenvectors, which
+is how ``helmlab eig`` reads the rim blocks' spectra off exact block
+identities (characterization.check_conditions_i_vi).
 
 A spec is delta-symmetric (is_delta) exactly when its circulant is
 symmetric; such specs are closed under circulant_product.
@@ -17,7 +17,6 @@ the rim distance circulant, spec (0,1,2,...,2,1).
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -78,27 +77,6 @@ def circulant_product(a: CirculantSpec, b: CirculantSpec) -> CirculantSpec:
     # entry j of a' B = sum_i a_i * B[i][j] with B[i][j] = br[(j - i) mod k]
     out = [sum((ar[i] * br[(j - i) % k] for i in range(k)), _ZERO) for j in range(k)]
     return CirculantSpec(tuple(out))
-
-
-def circulant_eigenvalues(spec: CirculantSpec) -> list[complex]:
-    """Eigenvalues f(w^j), j = 0..k-1, with f the first-row polynomial.
-
-    Direct polynomial evaluation at the k-th roots of unity, in order of
-    increasing j.  Floating point; documented tolerance 1e-9 against a
-    generic dense eigensolver at the orders used here.
-    """
-    coeffs = [float(c) for c in spec.first_row]
-    k = len(coeffs)
-    out: list[complex] = []
-    for j in range(k):
-        omega_j = cmath.exp(2j * cmath.pi * j / k)
-        acc = 0j
-        power = 1 + 0j
-        for c in coeffs:
-            acc += c * power
-            power *= omega_j
-        out.append(acc)
-    return out
 
 
 # -- named specs used throughout the package -------------------------------

@@ -4,7 +4,7 @@ Three subcommands:
 
     verify --n N [--format text|json]      run the full per-n check suite
     sweep --min A --max B [--parallel]     one report per n, merged ascending
-    eig --matrix S|B|A --n N               circulant spectra vs analytic values
+    eig --matrix S|B|A --n N               a rim block's spectrum, proved exactly
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 invalid
 arguments (n below 4 or above MAX_N, an empty range).  Rationals are
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -31,12 +30,7 @@ from .characterization import (
     rank_l_check,
     schur_psd_check,
 )
-from .circulant import (
-    CirculantSpec,
-    circulant_eigenvalues,
-    cycle_signless_laplacian_spec,
-    materialize,
-)
+from .circulant import alternating_signs, cycle_signless_laplacian_spec, materialize
 from .closed_form import (
     closed_form_inverse,
     closed_form_mp_inverse,
@@ -57,12 +51,10 @@ from .exact_core import (
 )
 from .graphs import bfs_distance_matrix, build_helm, helm_distance_block
 
-EIG_TOLERANCE = 1e-9
-
 # Largest n accepted by verify, sweep and eig, so that an oversized n is
 # refused instead of starting a dense run that does not end.  The dense
 # oracles cost about n^3 integer operations; `run_verification(131)` takes
-# about 13 seconds on a 2-vCPU Xeon VM (Python 3.11).
+# 12 to 13 seconds on a 2-vCPU Xeon VM (Python 3.11).
 MAX_N = 130
 
 
@@ -245,7 +237,7 @@ def _run_checks(n: int, report: VerificationReport) -> None:
 
         def chk_closed():
             ok = closed_form_mp_inverse(dec) == pinv
-            return ok, "-L/2 + alpha ww' matches the factorization pseudoinverse"
+            return ok, "-L/2 + alpha ww' matches the Moore-Penrose oracle"
 
     run_check("closed_form_inverse" if even else "closed_form_mp_inverse", chk_closed)
 
@@ -362,36 +354,43 @@ def _cmd_eig(args: argparse.Namespace) -> int:
     if name in ("A", "B") and (n % 2 == 0 or n < 5):
         print(f"error: matrix {name} requires odd n >= 5, got {n}", file=sys.stderr)
         return 2
-    k = n - 1
-    if name == "S":
-        spec = cycle_signless_laplacian_spec(k)
-        analytic = [4 * math.cos(math.pi * j / k) ** 2 for j in range(k)]
-        label = "4cos^2(pi j/(n-1))"
-    else:
-        data = make_odd_case(n)
-        if name == "B":
-            spec = CirculantSpec(data.coupling_spec)
-            analytic = [0.0 if j == k // 2 else -1.0 for j in range(k)]
-            label = "0 at j=(n-1)/2, else -1"
-        else:
-            spec = CirculantSpec(data.rim_spec)
-            analytic = [
-                1.5
-                if j == 0
-                else (0.0 if j == k // 2 else 1.0 + 1.0 / (2 * math.cos(math.pi * j / k) ** 2))
-                for j in range(k)
+    # spectra on the Fourier vectors f_j, proved by the identities below (see
+    # check_conditions_i_vi); A's proof uses S's and B's, so it checks theirs
+    k, h = n - 1, (n - 1) // 2
+    spectrum = {
+        "S": f"4cos^2(pi j/{k})",
+        "B": f"0 at j={h}, else -1",
+        "A": f"3/2 at j=0, 0 at j={h}, else 1 + 1/(2cos^2(pi j/{k}))",
+    }[name]
+    s_mat = materialize(cycle_signless_laplacian_spec(k))
+    claims = []
+    if name != "B":
+        rim = build_helm(n)[1:n]
+        cycle = RatMatrix(k, k, (int(j + 1 in rim[i]) for i in range(k) for j in range(k)))
+        claims.append(("S = 2I + C, C the rim cycle's adjacency in build_helm(n)",
+                       s_mat == 2 * RatMatrix.identity(k) + cycle))
+    if name != "S":
+        case = make_odd_case(n)
+        a_mat, b_mat = case.rim_block, case.coupling_block
+        conditions = check_conditions_i_vi(a_mat, b_mat, s_mat)
+        v = alternating_signs(k)
+        claims += [
+            ("(B + I) B = 0", conditions.b_annihilated),
+            ("trace B = 2 - n", sum(b_mat[i, i] for i in range(k)) == 2 - n),
+            ("B v = 0", not any(b_mat.mul_vector(v))),
+        ]
+        if name == "A":
+            claims += [
+                ("B S = -S", conditions.b_absorbs_s),
+                ("(A + B) S + 2B = 0", conditions.s_balance),
+                ("A v = 0", not any(a_mat.mul_vector(v))),
             ]
-            label = "3/2 at j=0, 0 at j=(n-1)/2, else 1 + 1/(2cos^2(pi j/(n-1)))"
-    computed = circulant_eigenvalues(spec)
-    print(f"eigenvalues of {name} for n={n} (order {k}); analytic: {label}")
-    print(f"{'j':>3} {'computed':>24} {'analytic':>24} {'deviation':>12}")
-    max_dev = 0.0
-    for j, (c, a) in enumerate(zip(computed, analytic)):
-        dev = abs(c - a)
-        max_dev = max(max_dev, dev)
-        print(f"{j:>3} {c.real:>24.17g} {a:>24.17g} {dev:>12.3e}")
-    print(f"max deviation = {max_dev:.3e} (tolerance {EIG_TOLERANCE:.0e})")
-    return 0 if max_dev < EIG_TOLERANCE else 1
+    print(f"spectrum of {name} for n={n} (order {k}), j = 0..{k - 1}: {spectrum}")
+    for identity, holds in claims:
+        print(f"  [{'PASS' if holds else 'FAIL'}] {identity}")
+    ok = all(holds for _, holds in claims)
+    print(f"  result: {'OK' if ok else 'FAILED'}")
+    return 0 if ok else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -413,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", choices=("text", "json"), default="text")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_eig = sub.add_parser("eig", help="circulant spectra vs analytic values")
+    p_eig = sub.add_parser("eig", help="a rim block's spectrum, proved by exact identities")
     p_eig.add_argument("--matrix", choices=("S", "B", "A"), required=True,
                        help="S: rim cycle signless Laplacian; A/B: odd-case rim/coupling blocks")
     p_eig.add_argument("--n", type=int, required=True, help=f"4 <= n <= {MAX_N}")

@@ -597,19 +597,31 @@ def solve(m: RatMatrix, b: Sequence[Scalar]) -> Optional[Vector]:
     return tuple(x)
 
 
-def null_space_basis(m: RatMatrix) -> list[Vector]:
-    """Exact basis of the kernel, read off the reduced echelon form."""
-    reduced, pivots = rref(m)
+def _kernel_rows(
+    work: list[list[int]], pivots: list[int], ncols: int
+) -> tuple[int, list[list[int]]]:
+    """den, the lcm of the pivot entries of rows left by ``_echelon_ints``,
+    and one integer kernel row den * (e_j - sum_t R[t, j] e_(c_t)) per
+    free column j, ascending; R is the reduced echelon form."""
+    den = math.lcm(*[work[t][c] for t, c in enumerate(pivots)])
+    scaled = [(c, den // work[t][c]) for t, c in enumerate(pivots)]
     pivot_set = set(pivots)
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
-    basis: list[Vector] = []
-    for j in free_cols:
-        v = [_ZERO] * m.cols
-        v[j] = _ONE
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r, j]
-        basis.append(tuple(v))
-    return basis
+    out: list[list[int]] = []
+    for j in range(ncols):
+        if j not in pivot_set:
+            v = [0] * ncols
+            v[j] = den
+            for t, (c, f) in enumerate(scaled):
+                v[c] = -f * work[t][j]
+            out.append(v)
+    return den, out
+
+
+def null_space_basis(m: RatMatrix) -> list[Vector]:
+    """Exact basis of the kernel, one vector per free column of the reduced echelon form."""
+    work = _int_rows(m)
+    den, kernel = _kernel_rows(work, _echelon_ints(work, m.cols), m.cols)
+    return [tuple([Fraction(x, den) for x in v]) for v in kernel]
 
 
 def pseudoinverse(m: RatMatrix) -> RatMatrix:
@@ -636,23 +648,13 @@ def pseudoinverse(m: RatMatrix) -> RatMatrix:
     work, pivots = _augmented_echelon(m)
     r = len(pivots)
     # row t of work over its pivot entry is row t of [R | E]; scale all by den
-    den = math.lcm(*[work[t][c] for t, c in enumerate(pivots)])
-    factors = [den // work[t][c] for t, c in enumerate(pivots)]
+    den, kernel = _kernel_rows(work, pivots, cols)
     g_ints = [0] * (cols * rows)
-    for t, (c, f) in enumerate(zip(pivots, factors)):
+    for t, c in enumerate(pivots):
+        f = den // work[t][c]
         g_ints[c * rows : (c + 1) * rows] = [f * x for x in work[t][cols:]]
     g = RatMatrix._from_ints(cols, rows, den, g_ints)
-    # one row den * (e_j - sum_t R[t, j] e_(c_t)) per free column j
-    pivot_set = set(pivots)
-    n_ints: list[int] = []
-    for j in range(cols):
-        if j not in pivot_set:
-            v = [0] * cols
-            v[j] = den
-            for t, (c, f) in enumerate(zip(pivots, factors)):
-                v[c] = -f * work[t][j]
-            n_ints.extend(v)
-    n_t = RatMatrix._from_ints(cols - r, cols, 1, n_ints)
+    n_t = RatMatrix._from_ints(cols - r, cols, 1, [x for v in kernel for x in v])
     q = RatMatrix._from_ints(rows - r, rows, 1, [x for row in work[r:] for x in row[cols:]])
     x = g - n_t.transpose() @ (inverse(n_t @ n_t.transpose()) @ (n_t @ g))
     return x - (x @ q.transpose()) @ inverse(q @ q.transpose()) @ q

@@ -1,13 +1,14 @@
 """Acceptance suite: the full set of exact claims, one criterion per test.
 
-Every criterion prints a single PASS/FAIL line; exact claims use exact
-rational equality (no tolerance), the one floating-point criterion
-(circulant spectra) uses its stated 1e-9 bound.
+Every criterion prints a single PASS/FAIL line.  Every claim is exact
+rational equality, with no tolerance: the spectra of criterion 8 are
+proved by the exact identities ``helmlab eig`` checks.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 from fractions import Fraction
 
 from helmlab import (
@@ -20,8 +21,8 @@ from helmlab import (
     build_kernel_projector,
     check_conditions_i_vi,
     check_uniqueness,
-    circulant_eigenvalues,
     circulant_product,
+    cli,
     closed_form_inverse,
     closed_form_mp_inverse,
     cycle_signless_laplacian_spec,
@@ -70,7 +71,7 @@ def test_criterion_1_inverse_reproduction_even():
 
 
 def test_criterion_2_mp_inverse_reproduction_odd():
-    with criterion(2, "closed-form MP inverse: Penrose + factorization oracle, odd n"):
+    with criterion(2, "closed-form MP inverse: Penrose + Moore-Penrose oracle, odd n"):
         for n in ODD_NS:
             d = helm_distance_block(n)
             x = closed_form_mp_inverse(helm_decomposition(n))
@@ -151,14 +152,13 @@ def test_criterion_7_oracle_cross_checks():
 
 
 def test_criterion_8_spectra():
-    import math
-
-    with criterion(8, "S spectrum within 1e-9; coupling block spectrum rationally"):
-        for n in range(5, 14):
-            k = n - 1
-            computed = circulant_eigenvalues(cycle_signless_laplacian_spec(k))
-            analytic = [4 * math.cos(math.pi * j / k) ** 2 for j in range(k)]
-            assert max(abs(c - a) for c, a in zip(computed, analytic)) < 1e-9
+    with criterion(8, "eig proves the S, B and A spectra exactly; coupling block rationally"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            for n in range(4, cli.MAX_N + 1):
+                assert cli.main(["eig", "--matrix", "S", "--n", str(n)]) == 0
+            for n in range(5, 42, 2):
+                for name in ("B", "A"):
+                    assert cli.main(["eig", "--matrix", name, "--n", str(n)]) == 0
         for n in ODD_NS:
             k = n - 1
             b = make_odd_case(n).coupling_block

@@ -1,10 +1,9 @@
-"""Circulant algebra, delta symmetry, and spectra."""
+"""Circulant algebra, delta symmetry, and exact spectral facts."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +12,6 @@ from helmlab import (
     CirculantSpec,
     RatMatrix,
     alternating_signs,
-    circulant_eigenvalues,
     circulant_product,
     cycle_signless_laplacian_spec,
     determinant,
@@ -183,34 +181,44 @@ def test_delta_closure_rejects_bad_pattern():
 
 
 def test_eigenvalues_of_scalar_spec():
+    # a scalar spec is that scalar times I: every eigenvalue is 7/2
     spec = CirculantSpec((Fraction(7, 2), Fraction(0), Fraction(0)))
-    for ev in circulant_eigenvalues(spec):
-        assert abs(ev - 3.5) < 1e-12
+    assert materialize(spec) == Fraction(7, 2) * RatMatrix.identity(3)
 
 
 def test_eigenvalues_of_signless_laplacian_n7():
-    vals = sorted(ev.real for ev in circulant_eigenvalues(cycle_signless_laplacian_spec(6)))
-    assert np.allclose(vals, [0, 1, 1, 3, 3, 4], atol=1e-9)
+    # S is symmetric, so S(S - I)(S - 3I)(S - 4I) = 0 puts its spectrum in
+    # {0, 1, 3, 4}, and the nullities of S - tI give the multiplicities
+    # 1, 2, 2, 1 of the spectrum {0, 1, 1, 3, 3, 4}
+    s = materialize(cycle_signless_laplacian_spec(6))
+    ident = RatMatrix.identity(6)
+    assert (s @ (s - ident) @ (s - 3 * ident) @ (s - 4 * ident)).is_zero()
+    nullities = [6 - rank(s - t * ident) for t in (0, 1, 3, 4)]
+    assert nullities == [1, 2, 2, 1]
 
 
 def test_eigenvalues_of_coupling_spec_n7():
-    spec = CirculantSpec(make_odd_case(7).coupling_spec)
-    vals = sorted(ev.real for ev in circulant_eigenvalues(spec))
-    assert np.allclose(vals, [-1, -1, -1, -1, -1, 0], atol=1e-9)
+    # B^2 = -B puts the spectrum in {0, -1}; rank(B + I) = 1 leaves one 0
+    b = materialize(CirculantSpec(make_odd_case(7).coupling_spec))
+    assert b @ b == -b
+    assert rank(b + RatMatrix.identity(6)) == 1
+    assert rank(b) == 5
 
 
 @given(specs(max_len=12))
 def test_eigenvalues_match_dense_eigensolver(spec):
-    computed = circulant_eigenvalues(spec)
-    dense = np.array(
-        [[float(x) for x in materialize(spec).row(i)] for i in range(len(spec))]
-    )
-    reference = np.linalg.eigvals(dense)
-    key = lambda z: (round(z.real, 6), round(z.imag, 6))
-    computed_sorted = sorted(computed, key=key)
-    reference_sorted = sorted(reference.tolist(), key=key)
-    for c, r in zip(computed_sorted, reference_sorted):
-        assert abs(c - r) < 1e-9
+    # e is the Fourier vector f_0, with eigenvalue the spec's sum; for an
+    # even order the alternating vector is f_(k/2), with eigenvalue the
+    # spec's alternating sum
+    c = materialize(spec)
+    row = spec.first_row
+    k = len(row)
+    e = (Fraction(1),) * k
+    assert c.mul_vector(e) == tuple(sum(row) * x for x in e)
+    if k % 2 == 0:
+        v = alternating_signs(k)
+        alt = sum(x * sign for x, sign in zip(row, v))
+        assert c.mul_vector(v) == tuple(alt * x for x in v)
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])

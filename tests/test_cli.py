@@ -110,22 +110,39 @@ def test_sweep_parallel_matches_sequential(capsys):
     assert parallel == sequential
 
 
+def _identity_lines(out):
+    return [line.strip() for line in out.splitlines() if line.lstrip().startswith("[")]
+
+
 def test_eig_s_matches_analytic_values(capsys):
     code, out, _ = run_main(capsys, "eig", "--matrix", "S", "--n", "7")
     assert code == 0
-    max_dev = float(out.splitlines()[-1].split("=")[1].split()[0])
-    assert max_dev < 1e-9
+    assert "j = 0..5: 4cos^2(pi j/6)" in out.splitlines()[0]
+    assert _identity_lines(out) == ["[PASS] S = 2I + C, C the rim cycle's adjacency in build_helm(n)"]
 
 
 def test_eig_b_values_for_n9(capsys):
     code, out, _ = run_main(capsys, "eig", "--matrix", "B", "--n", "9")
     assert code == 0
-    assert "max deviation" in out
+    assert out.splitlines()[0].endswith("j = 0..7: 0 at j=4, else -1")
+    assert _identity_lines(out) == [
+        "[PASS] (B + I) B = 0",
+        "[PASS] trace B = 2 - n",
+        "[PASS] B v = 0",
+    ]
 
 
 def test_eig_a_uses_derived_analytic_form(capsys):
     code, out, _ = run_main(capsys, "eig", "--matrix", "A", "--n", "11")
     assert code == 0
+    assert out.splitlines()[0].endswith(
+        "3/2 at j=0, 0 at j=5, else 1 + 1/(2cos^2(pi j/10))"
+    )
+    # A's proof reads the spectra of S and B, so it checks their identities too
+    lines = _identity_lines(out)
+    assert len(lines) == 7 and all(line.startswith("[PASS] ") for line in lines)
+    assert lines[-3:] == ["[PASS] B S = -S", "[PASS] (A + B) S + 2B = 0", "[PASS] A v = 0"]
+    assert out.splitlines()[-1].strip() == "result: OK"
 
 
 def test_eig_rejects_even_n_for_coupling_block(capsys):
@@ -302,7 +319,6 @@ def test_n_above_max_n_exits_2_before_any_matrix_is_built(capsys, monkeypatch, a
     monkeypatch.setattr(RatMatrix, "__init__", _boom)
     monkeypatch.setattr(RatMatrix, "_from_ints", classmethod(_boom))
     monkeypatch.setattr(cli, "run_verification", _boom)
-    monkeypatch.setattr(cli, "circulant_eigenvalues", _boom)
     code, out, err = run_main(capsys, *argv, str(cli.MAX_N + 1))
     assert code == 2
     assert out == ""

@@ -2,9 +2,10 @@
 
 Each test patches one ingredient constructor that ``helmlab.cli``
 imports, so that it returns a slightly wrong value, runs
-``verify --n N --format json`` and asserts exactly which checks go red.
-The report builds each ingredient once and hands the same object to
-every check, so a wrong ingredient reaches every check that uses it.
+``verify --n N --format json`` or ``eig --matrix M --n N`` and asserts
+exactly which checks or identities go red.  The report builds each
+ingredient once and hands the same object to every check, so a wrong
+ingredient reaches every check that uses it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from helmlab import RatMatrix, cli
+from helmlab import CirculantSpec, RatMatrix, cli
 from support import bump_l
 
 
@@ -131,3 +132,75 @@ def test_every_check_moved_out_of_a_constructor_can_fail():
         report = cli.run_verification(n)
         assert report.all_passed
         assert {c.name for c in report.checks} <= reachable
+
+
+def _replace_b(case, block):
+    return dataclasses.replace(case, coupling_block=block)
+
+
+# Three changes of B, each seen by exactly one of B's identities, so none
+# of the three follows from the other two.
+def _add_j_to_b(case):
+    # B + J/(n-1) keeps (B + I) B = 0 and B v = 0: it moves the eigenvalue
+    # on e from -1 to 0, which only the trace sees
+    k = case.n - 1
+    return _replace_b(case, case.coupling_block + Fraction(1, k) * RatMatrix.ones(k, k))
+
+
+def _move_b_kernel_to_e(case):
+    # J/(n-1) - I has B's spectrum with the zero on e instead of v
+    k = case.n - 1
+    return _replace_b(case, Fraction(1, k) * RatMatrix.ones(k, k) - RatMatrix.identity(k))
+
+
+def _add_nilpotent_to_b(case):
+    # x e' with x = e_1 - e_3 squares to 0, has trace 0 and kills v
+    k = case.n - 1
+    x = (1, 0, -1) + (0,) * (k - 3)
+    return _replace_b(case, case.coupling_block + RatMatrix.outer(x, (1,) * k))
+
+
+def _bump_s(spec):
+    # S + I
+    return CirculantSpec((spec.first_row[0] + 1,) + spec.first_row[1:])
+
+
+S_IDENTITY = "S = 2I + C, C the rim cycle's adjacency in build_helm(n)"
+A_CONDITIONS = {"B S = -S", "(A + B) S + 2B = 0"}
+
+EIG_PERTURBATIONS = {
+    "A": ("make_odd_case", _bump_a),
+    "B+J": ("make_odd_case", _add_j_to_b),
+    "B kernel": ("make_odd_case", _move_b_kernel_to_e),
+    "B+xe'": ("make_odd_case", _add_nilpotent_to_b),
+    "S": ("cycle_signless_laplacian_spec", _bump_s),
+}
+
+EIG_FAILURES = {
+    ("A", "A"): {"(A + B) S + 2B = 0", "A v = 0"},
+    # B's spectrum does not depend on A
+    ("A", "B"): set(),
+    ("B+J", "B"): {"trace B = 2 - n"},
+    ("B+J", "A"): {"trace B = 2 - n"} | A_CONDITIONS,
+    ("B kernel", "B"): {"B v = 0"},
+    ("B kernel", "A"): {"B v = 0"} | A_CONDITIONS,
+    ("B+xe'", "B"): {"(B + I) B = 0"},
+    ("B+xe'", "A"): {"(B + I) B = 0"} | A_CONDITIONS,
+    ("S", "S"): {S_IDENTITY},
+    ("S", "A"): {S_IDENTITY} | A_CONDITIONS,
+}
+
+
+@pytest.mark.parametrize("block, matrix", sorted(EIG_FAILURES))
+def test_perturbed_block_fails_exactly_its_spectrum_identities(
+    capsys, monkeypatch, block, matrix
+):
+    name, perturb = EIG_PERTURBATIONS[block]
+    original = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda arg: perturb(original(arg)))
+    code = cli.main(["eig", "--matrix", matrix, "--n", "9"])
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    failed = {line[len("[FAIL] "):] for line in lines if line.startswith("[FAIL] ")}
+    assert failed == EIG_FAILURES[block, matrix]
+    assert code == (1 if failed else 0)
+    assert lines[-1] == ("result: FAILED" if failed else "result: OK")
