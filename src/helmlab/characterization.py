@@ -14,7 +14,9 @@ another check of the same report already implies.  The Penrose
 conditions are proved only by check_equiv_formulation; they also give
 every fact about the kernel projector V but L D + 2I - 2we' = V.  The
 ranks come from the caller (read off inertias), and rank(X) is not
-recomputed: the report's closed_form_mp_inverse check proves X = pinv(D).
+recomputed: the report's closed-form check proves X = pinv(D).  Every
+function here holds for both parities: for even n, D is nonsingular,
+pinv(D) = D^-1 and the kernel projector is zero.
 
 Every function takes objects built once by the caller (the distance
 matrix, a closed_form.HelmCase, a Decomposition, ranks already
@@ -61,10 +63,10 @@ class SixConditions(NamedTuple):
 
 
 def check_equiv_formulation(d: RatMatrix, dec: Decomposition) -> bool:
-    """Certify dec.candidate() as the Moore-Penrose inverse of d.
+    """Certify dec.candidate as the Moore-Penrose inverse of d.
 
     Requires d symmetric (ValueError otherwise).  Returns True iff
-    D w = (1/alpha) e and X = dec.candidate() passes penrose_check.  The
+    D w = (1/alpha) e and X = dec.candidate passes penrose_check.  The
     first maps alpha w to e, so it also proves the characterization's
     hypothesis that the all-ones vector lies in the range of D; a d
     without e in its range fails it and gets False.  For symmetric D and
@@ -80,7 +82,7 @@ def check_equiv_formulation(d: RatMatrix, dec: Decomposition) -> bool:
         raise ValueError(f"decomposition of order {len(dec.w)} against {order}")
     if d.mul_vector(dec.w) != scale_vector(1 / dec.alpha, ones_vector(order)):
         return False
-    return penrose_check(d, dec.candidate())
+    return penrose_check(d, dec.candidate)
 
 
 def check_uniqueness(d: RatMatrix, dec: Decomposition) -> tuple[Fraction, Vector]:
@@ -93,7 +95,7 @@ def check_uniqueness(d: RatMatrix, dec: Decomposition) -> tuple[Fraction, Vector
     """
     if len(dec.w) != d.rows:
         raise ValueError(f"decomposition of order {len(dec.w)} against {d.rows}")
-    candidate = dec.candidate()
+    candidate = dec.candidate
     e = ones_vector(d.rows)
     image = candidate.mul_vector(e)
     alpha = dot(e, image)
@@ -217,23 +219,20 @@ def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
 
 
 def rank_l_check(dec: Decomposition, rank_d: int, rank_l: int) -> int:
-    """Rank of the odd-case matrix L, with the mechanism behind it.
+    """Rank of the bordered matrix L, with the mechanism behind it.
 
     rank_d and rank_l are the ranks of D and of L = dec.laplacian_like.
     Verifies that adding the rank-one term alpha ww' to -L/2 raises the
     rank by exactly one.  The rank of X = -L/2 + alpha ww' is not
-    recomputed here: this leans on the report's closed_form_mp_inverse
-    check, which proves X equal to the pseudoinverse of D, so that
+    recomputed here: this leans on the report's closed-form check, which
+    proves X equal to the pseudoinverse of D, so that
     rank(X) = rank(D) and rank_d == rank_l + 1 alone is the test.  L is
     symmetric (the Decomposition enforces it) and alpha is nonzero, so by
     the rank-one modification lemma (Meyer 1973, SIAM J. Appl. Math. 24)
     rank(X) = rank(L) + 1 holds exactly when w is not in the range of L:
     the rank check also proves that L z = w is inconsistent.  Returns
-    rank(L), which equals 2n - 3.
+    rank(L), which equals 2n - 3 for odd n and 2n - 2 for even n.
     """
-    n = (len(dec.w) + 1) // 2
-    if n % 2 == 0:
-        raise ValueError(f"odd n required, got {n}")
     if rank_d != rank_l + 1:
         raise VerificationError("rank of the distance matrix is not rank(L) + 1")
     return rank_l

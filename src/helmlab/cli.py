@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -45,7 +45,6 @@ from .exact_core import (
     RatMatrix,
     determinant,
     inertia,
-    inverse,
     pseudoinverse,
     vec,
 )
@@ -64,18 +63,48 @@ class CheckResult:
     passed: bool
     detail: str
 
+    def __str__(self) -> str:
+        detail = f": {self.detail}" if self.detail else ""
+        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}{detail}"
+
+
+class _SetupFailed(Exception):
+    """A set-up step raised; its failed check is already recorded."""
+
+
+def _raised(exc: Exception) -> str:
+    return f"raised {type(exc).__name__}: {exc}"
+
+
+class _Checks(list):
+    """CheckResults in run order, for verify and eig: a raise fails, never escapes."""
+
+    def run(self, name: str, fn) -> None:
+        try:
+            passed, detail = fn()
+        except Exception as exc:  # a crashed check is a failed check
+            passed, detail = False, _raised(exc)
+        self.append(CheckResult(name, passed, detail))
+
+    def setup(self, step: str, fn, *args):
+        try:
+            return fn(*args)
+        except Exception as exc:  # a crashed set-up step is a failed check
+            self.append(CheckResult(f"setup:{step}", False, _raised(exc)))
+            raise _SetupFailed(step) from exc
+
 
 @dataclass
 class VerificationReport:
     n: int
     parity: str
-    checks: list[CheckResult]
+    checks: list[CheckResult] = field(default_factory=_Checks)
     # None when the set-up step computing the value raised
-    det: Optional[Fraction]
-    rank_d: Optional[int]
-    inertia_triple: Optional[InertiaTriple]
-    rank_l: Optional[int]
-    elapsed_ms: float
+    det: Optional[Fraction] = None
+    rank_d: Optional[int] = None
+    inertia_triple: Optional[InertiaTriple] = None
+    rank_l: Optional[int] = None
+    elapsed_ms: float = 0.0
 
     @property
     def all_passed(self) -> bool:
@@ -99,9 +128,7 @@ class VerificationReport:
 
     def to_text(self) -> str:
         lines = [f"helm n={self.n} ({self.parity}), {2 * self.n - 1} vertices"]
-        for c in self.checks:
-            mark = "PASS" if c.passed else "FAIL"
-            lines.append(f"  [{mark}] {c.name}: {c.detail}")
+        lines += [f"  {c}" for c in self.checks]
         lines.append(
             f"  summary: det={self.det} rank={self.rank_d} "
             f"inertia={_inertia_text(self.inertia_triple)} "
@@ -115,28 +142,22 @@ def _inertia_text(tri: Optional[InertiaTriple]) -> str:
     return "None" if tri is None else f"({tri.i_plus},{tri.i_minus},{tri.i_zero})"
 
 
-class _SetupFailed(Exception):
-    """A set-up step raised; its failed check is already recorded."""
-
-
-def _raised(exc: Exception) -> str:
-    return f"raised {type(exc).__name__}: {exc}"
-
-
 def run_verification(n: int) -> VerificationReport:
     """Run every check for one n >= 4 and collect the results.
 
-    Each per-n object is built once, by a set-up step: D and its
-    inertia and (only when that inertia has no zero sign) determinant,
-    w and alpha, the closed-form case, the rim cycle's signless
-    Laplacian S, the Decomposition, for odd n the Gauss-Jordan
-    pseudoinverse of D, and the inertia of L.  The ranks of D and L are
-    read off their inertias.  The checks share them and rebuild nothing.
-    Each identity is checked once: the closed-form check only compares
-    X with its oracle, and equiv_formulation proves the Penrose
-    conditions.  kernel_projector is one comparison for both parities,
-    L D + 2I - 2we' = V, which with them gives V = 2(I - X D) and so
-    D V = 0, V L = 0, V w = 0, V e = 0 and V symmetric (build_kernel_projector).
+    Every n takes one path through the same eleven checks; only the case
+    constructor, the expected values and the closed-form check's name
+    depend on parity.  Each per-n object is built once, by a set-up
+    step: D and its inertia and (only when that inertia has no zero
+    sign) determinant, w and alpha, the closed-form case, the rim
+    cycle's signless Laplacian S, the Decomposition (and with it X), the
+    pseudoinverse of D (D^-1 for even n), and the inertia of L.  The
+    ranks of D and L are read off their inertias.  The checks share them
+    and rebuild nothing.  Each identity is checked once: the closed-form
+    check only compares X with the pseudoinverse, and equiv_formulation
+    proves the Penrose conditions.  kernel_projector, L D + 2I - 2we' = V,
+    with them gives V = 2(I - X D) and so D V = 0, V L = 0, V w = 0,
+    V e = 0 and V symmetric (build_kernel_projector).
 
     A check that raises is recorded as failed with the exception text.
     A set-up step that raises is recorded as a failed check named
@@ -147,16 +168,7 @@ def run_verification(n: int) -> VerificationReport:
     if n < 4:
         raise ValueError(f"helm graphs need n >= 4, got {n}")
     start = time.perf_counter()
-    report = VerificationReport(
-        n=n,
-        parity="even" if n % 2 == 0 else "odd",
-        checks=[],
-        det=None,
-        rank_d=None,
-        inertia_triple=None,
-        rank_l=None,
-        elapsed_ms=0.0,
-    )
+    report = VerificationReport(n, "even" if n % 2 == 0 else "odd")
     try:
         _run_checks(n, report)
     except _SetupFailed:
@@ -172,26 +184,12 @@ def _run_checks(n: int, report: VerificationReport) -> None:
     k = n - 1
     checks = report.checks
 
-    def run_check(name: str, fn) -> None:
-        try:
-            passed, detail = fn()
-        except Exception as exc:  # a crashed check is a failed check
-            passed, detail = False, _raised(exc)
-        checks.append(CheckResult(name, passed, detail))
-
-    def setup(step: str, fn, *args):
-        try:
-            return fn(*args)
-        except Exception as exc:  # a crashed set-up step is a failed check
-            checks.append(CheckResult(f"setup:{step}", False, _raised(exc)))
-            raise _SetupFailed(step) from exc
-
-    d = setup("helm_distance_block", helm_distance_block, n)
-    report.inertia_triple = inertia_val = setup("inertia", inertia, d)
+    d = checks.setup("helm_distance_block", helm_distance_block, n)
+    report.inertia_triple = inertia_val = checks.setup("inertia", inertia, d)
     # Sylvester's law of inertia: the rank is the number of nonzero signs,
     # and det(D) = 0 exactly when a sign is zero
     report.rank_d = rank_val = inertia_val.i_plus + inertia_val.i_minus
-    det_val = Fraction(0) if inertia_val.i_zero else setup("determinant", determinant, d)
+    det_val = Fraction(0) if inertia_val.i_zero else checks.setup("determinant", determinant, d)
     report.det = det_val
 
     def chk_block():
@@ -212,57 +210,48 @@ def _run_checks(n: int, report: VerificationReport) -> None:
         expected = InertiaTriple(1, 2 * n - 2, 0) if even else InertiaTriple(1, 2 * n - 3, 1)
         return inertia_val == expected, f"inertia(D) = {tuple(inertia_val)}, expected {tuple(expected)}"
 
-    run_check("distance_block_vs_bfs", chk_block)
-    run_check("determinant", chk_det)
-    run_check("rank", chk_rank)
-    run_check("inertia", chk_inertia)
+    checks.run("distance_block_vs_bfs", chk_block)
+    checks.run("determinant", chk_det)
+    checks.run("rank", chk_rank)
+    checks.run("inertia", chk_inertia)
 
-    vectors = setup("make_w_alpha", make_w_alpha, n)
+    vectors = checks.setup("make_w_alpha", make_w_alpha, n)
     if even:
-        case = setup("make_even_case", make_even_case, n)
+        case = checks.setup("make_even_case", make_even_case, n)
     else:
-        case = setup("make_odd_case", make_odd_case, n)
+        case = checks.setup("make_odd_case", make_odd_case, n)
     lap = case.laplacian_like
-    s_mat = setup("materialize", lambda: materialize(cycle_signless_laplacian_spec(k)))
-    dec = setup("decomposition", Decomposition, lap, vectors.w, vectors.alpha)
+    s_mat = checks.setup("materialize", lambda: materialize(cycle_signless_laplacian_spec(k)))
+    dec = checks.setup("decomposition", Decomposition, lap, vectors.w, vectors.alpha)
+    pinv = checks.setup("pseudoinverse", pseudoinverse, d)
+    closed_form = closed_form_inverse if even else closed_form_mp_inverse
 
-    if even:
+    def chk_closed():
+        ok = closed_form(dec) == pinv
+        return ok, "-L/2 + alpha ww' matches the Moore-Penrose oracle"
 
-        def chk_closed():
-            ok = closed_form_inverse(dec) == inverse(d)
-            return ok, "-L/2 + alpha ww' matches the elimination inverse"
-
-    else:
-        pinv = setup("pseudoinverse", pseudoinverse, d)
-
-        def chk_closed():
-            ok = closed_form_mp_inverse(dec) == pinv
-            return ok, "-L/2 + alpha ww' matches the Moore-Penrose oracle"
-
-    run_check("closed_form_inverse" if even else "closed_form_mp_inverse", chk_closed)
+    checks.run("closed_form_inverse" if even else "closed_form_mp_inverse", chk_closed)
 
     def chk_six():
         conditions = check_conditions_i_vi(case.rim_block, case.coupling_block, s_mat)
         held = sum(1 for b in conditions if b)
         return conditions.all_hold(), f"{held}/6 block conditions hold"
 
-    run_check("six_conditions", chk_six)
+    checks.run("six_conditions", chk_six)
 
     def chk_kernel():
         e = (Fraction(1),) * order
         correction = lap @ d + 2 * RatMatrix.identity(order) - 2 * RatMatrix.outer(vectors.w, e)
         ok = correction == build_kernel_projector(case)
-        if even:
-            return ok, "L D + 2I = 2we' (correction vanishes: D nonsingular)"
         return ok, "L D + 2I - 2we' = V, with V = 2(B + I) on the rim"
 
-    run_check("kernel_projector", chk_kernel)
+    checks.run("kernel_projector", chk_kernel)
 
     def chk_equiv():
         ok = check_equiv_formulation(d, dec)
         return ok, "witness identities certify -L/2 + alpha ww' as the MP inverse"
 
-    run_check("equiv_formulation", chk_equiv)
+    checks.run("equiv_formulation", chk_equiv)
 
     def chk_unique():
         alpha, w = check_uniqueness(d, dec)
@@ -272,22 +261,22 @@ def _run_checks(n: int, report: VerificationReport) -> None:
         ok = alpha == rank_one_scale(n) and w == expected_w
         return ok, f"recovered alpha = {alpha} and w = (5-n, -e', 2e')'/4"
 
-    run_check("uniqueness", chk_unique)
+    checks.run("uniqueness", chk_unique)
 
-    inertia_l = setup("inertia_L", inertia, lap)
+    inertia_l = checks.setup("inertia_L", inertia, lap)
     report.rank_l = rank_l = inertia_l.i_plus + inertia_l.i_minus
-    if not even:
 
-        def chk_psd():
-            ok = inertia_l.i_minus == 0 and schur_psd_check(lap, case)
-            return ok, f"inertia(L) = {tuple(inertia_l)}; Schur chain verified"
+    def chk_psd():
+        ok = inertia_l.i_minus == 0 and schur_psd_check(lap, case)
+        return ok, f"inertia(L) = {tuple(inertia_l)}; Schur chain verified"
 
-        def chk_rank_l():
-            r = rank_l_check(dec, rank_val, rank_l)
-            return r == 2 * n - 3, f"rank(L) = {r}, expected 2n-3 = {2 * n - 3}"
+    def chk_rank_l():
+        r = rank_l_check(dec, rank_val, rank_l)
+        expected, formula = (2 * n - 2, "2n-2") if even else (2 * n - 3, "2n-3")
+        return r == expected, f"rank(L) = {r}, expected {formula} = {expected}"
 
-        run_check("psd_via_schur", chk_psd)
-        run_check("rank_of_l", chk_rank_l)
+    checks.run("psd_via_schur", chk_psd)
+    checks.run("rank_of_l", chk_rank_l)
 
 
 def _too_large(flag: str, value: int) -> bool:
@@ -321,7 +310,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     values = list(range(args.min, args.max + 1))
     if args.parallel and len(values) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only this path needs it
-        with ProcessPoolExecutor() as pool:
+        # the pool starts every worker up front: no more than n values or usable CPUs
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with ProcessPoolExecutor(max_workers=min(len(values), cpus or 1)) as pool:
             reports = list(pool.map(run_verification, values))
     else:
         reports = [run_verification(n) for n in values]
@@ -362,34 +353,38 @@ def _cmd_eig(args: argparse.Namespace) -> int:
         "B": f"0 at j={h}, else -1",
         "A": f"3/2 at j=0, 0 at j={h}, else 1 + 1/(2cos^2(pi j/{k}))",
     }[name]
-    s_mat = materialize(cycle_signless_laplacian_spec(k))
-    claims = []
-    if name != "B":
-        rim = build_helm(n)[1:n]
-        cycle = RatMatrix(k, k, (int(j + 1 in rim[i]) for i in range(k) for j in range(k)))
-        claims.append(("S = 2I + C, C the rim cycle's adjacency in build_helm(n)",
-                       s_mat == 2 * RatMatrix.identity(k) + cycle))
-    if name != "S":
-        case = make_odd_case(n)
-        a_mat, b_mat = case.rim_block, case.coupling_block
-        conditions = check_conditions_i_vi(a_mat, b_mat, s_mat)
-        v = alternating_signs(k)
-        claims += [
-            ("(B + I) B = 0", conditions.b_annihilated),
-            ("trace B = 2 - n", sum(b_mat[i, i] for i in range(k)) == 2 - n),
-            ("B v = 0", not any(b_mat.mul_vector(v))),
-        ]
-        if name == "A":
+    checks, claims = _Checks(), []
+    try:
+        s_mat = checks.setup("materialize", lambda: materialize(cycle_signless_laplacian_spec(k)))
+        if name != "B":
+            rim = checks.setup("build_helm", build_helm, n)[1:n]
+            adjacency = (int(j + 1 in rim[i]) for i in range(k) for j in range(k))
+            cycle = checks.setup("rim_cycle", RatMatrix, k, k, adjacency)
+            claims.append(("S = 2I + C, C the rim cycle's adjacency in build_helm(n)",
+                           lambda: s_mat == 2 * RatMatrix.identity(k) + cycle))
+        if name != "S":
+            case = checks.setup("make_odd_case", make_odd_case, n)
+            a_mat, b_mat = case.rim_block, case.coupling_block
+            conditions = checks.setup("six_conditions", check_conditions_i_vi, a_mat, b_mat, s_mat)
+            v = alternating_signs(k)
             claims += [
-                ("B S = -S", conditions.b_absorbs_s),
-                ("(A + B) S + 2B = 0", conditions.s_balance),
-                ("A v = 0", not any(a_mat.mul_vector(v))),
+                ("(B + I) B = 0", lambda: conditions.b_annihilated),
+                ("trace B = 2 - n", lambda: sum(b_mat[i, i] for i in range(k)) == 2 - n),
+                ("B v = 0", lambda: not any(b_mat.mul_vector(v))),
             ]
+            if name == "A":
+                claims += [
+                    ("B S = -S", lambda: conditions.b_absorbs_s),
+                    ("(A + B) S + 2B = 0", lambda: conditions.s_balance),
+                    ("A v = 0", lambda: not any(a_mat.mul_vector(v))),
+                ]
+        for identity, holds in claims:
+            checks.run(identity, lambda: (holds(), ""))
+    except _SetupFailed:
+        pass
+    ok = all(c.passed for c in checks)
     print(f"spectrum of {name} for n={n} (order {k}), j = 0..{k - 1}: {spectrum}")
-    for identity, holds in claims:
-        print(f"  [{'PASS' if holds else 'FAIL'}] {identity}")
-    ok = all(holds for _, holds in claims)
-    print(f"  result: {'OK' if ok else 'FAILED'}")
+    print("\n".join([f"  {c}" for c in checks] + [f"  result: {'OK' if ok else 'FAILED'}"]))
     return 0 if ok else 1
 
 

@@ -160,13 +160,13 @@ def make_even_case(n: int) -> HelmCase:
 def closed_form_inverse(dec: Decomposition) -> RatMatrix:
     """Inverse of the distance matrix for even n: dec's -L/2 + alpha ww'.
 
-    The report's closed_form_inverse check compares it with the
-    elimination inverse.
+    The report's closed_form_inverse check compares it with
+    exact_core.pseudoinverse, which is D^-1 for a nonsingular D.
     """
     n = (len(dec.w) + 1) // 2
     if n % 2 == 1:
         raise ValueError(f"even n required, got {n}")
-    return dec.candidate()
+    return dec.candidate
 
 
 def closed_form_mp_inverse(dec: Decomposition) -> RatMatrix:
@@ -181,5 +181,4 @@ def closed_form_mp_inverse(dec: Decomposition) -> RatMatrix:
     n = (len(dec.w) + 1) // 2
     if n % 2 == 0:
         raise ValueError(f"odd n required, got {n}")
-    return dec.candidate()
-
+    return dec.candidate

@@ -50,6 +50,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
@@ -438,8 +439,9 @@ class Decomposition:
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
 
+    @cached_property
     def candidate(self) -> RatMatrix:
-        """The matrix -L/2 + alpha * w w' encoded by this triple."""
+        """The matrix -L/2 + alpha * w w' encoded by this (immutable) triple, built once."""
         return Fraction(-1, 2) * self.laplacian_like + self.alpha * RatMatrix.outer(self.w, self.w)
 
 

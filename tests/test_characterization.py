@@ -83,7 +83,7 @@ def test_l_d_witness_form_follows_from_d_w(n, bump):
     # L D + 2I - 2we' = 2(I - X D) holds whether or not X is the MP inverse
     d, dec = _helm_decomposition(n)
     lap = bump_l(dec.laplacian_like) if bump else dec.laplacian_like
-    x = Decomposition(lap, dec.w, dec.alpha).candidate()
+    x = Decomposition(lap, dec.w, dec.alpha).candidate
     ident = RatMatrix.identity(d.rows)
     e = ones_vector(d.rows)
     assert lap @ d + 2 * ident - 2 * RatMatrix.outer(dec.w, e) == 2 * (ident - x @ d)
@@ -321,6 +321,7 @@ def _rank_l(n: int) -> int:
 
 def test_rank_l_check_values():
     assert _rank_l(5) == 7
+    assert _rank_l(6) == 10
     assert _rank_l(9) == 15
 
 
@@ -341,8 +342,3 @@ def test_rank_gap_between_l_and_the_mp_inverse(n):
     assert rank(candidate) - rank(data.laplacian_like) == 1
     # the rank-one lemma behind the gap: w is outside the range of L
     assert solve(data.laplacian_like, vectors.w) is None
-
-
-def test_rank_l_check_rejects_even():
-    with pytest.raises(ValueError, match="odd n required"):
-        _rank_l(6)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import functools
 import gc
 import json
 import subprocess
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import helmlab
-from helmlab import RatMatrix, cli
+from helmlab import Decomposition, RatMatrix, cli
 
 
 def run_main(capsys, *argv):
@@ -200,6 +202,53 @@ def test_crash_in_first_setup_step_fails_every_n_of_a_sweep(capsys, monkeypatch)
     assert "0/2 parameter values fully verified" in out
 
 
+@pytest.mark.parametrize(
+    "matrix, patched, step",
+    [
+        ("B", "make_odd_case", "make_odd_case"),
+        ("S", "cycle_signless_laplacian_spec", "materialize"),
+    ],
+)
+def test_crash_in_eig_gives_failed_result(capsys, monkeypatch, matrix, patched, step):
+    monkeypatch.setattr(cli, patched, _boom)
+    code, out, _ = run_main(capsys, "eig", "--matrix", matrix, "--n", "9")
+    assert code == 1
+    assert _identity_lines(out) == [f"[FAIL] setup:{step}: raised RuntimeError: injected"]
+    assert out.splitlines()[-1].strip() == "result: FAILED"
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+    sizes = []
+
+    def __init__(self, max_workers=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, values):
+        return map(fn, values)
+
+
+def test_sweep_parallel_starts_no_more_workers_than_values_or_cpus(capsys, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    sweep = ("sweep", "--parallel", "--min", "4", "--max")
+    assert run_main(capsys, *sweep, "5")[0] == 0
+    assert run_main(capsys, *sweep, "8")[0] == 0
+    # without an affinity call the CPU count bounds the pool
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert run_main(capsys, *sweep, "9")[0] == 0
+    assert _SerialPool.sizes == [2, 3, 4]
+
+
 def test_closed_stdout_pipe_exits_without_traceback():
     # the reader closes its end before anything is written, as
     # `helmlab sweep --format json | head -1` does once it has its line
@@ -258,7 +307,9 @@ def _count_calls(monkeypatch, names) -> Counter:
 def test_verify_builds_each_per_n_object_once(monkeypatch):
     # count calls in every helmlab namespace, so no module can rebuild
     # D, w/alpha, the case or the pseudoinverse behind the report's back;
-    # equiv_formulation is the one Penrose proof for both parities
+    # equiv_formulation is the one Penrose proof and the pseudoinverse the
+    # one oracle for both parities; X = -L/2 + alpha ww' is built once and
+    # shared by the closed-form check, equiv_formulation and uniqueness
     counted = (
         "helm_distance_block",
         "make_w_alpha",
@@ -268,22 +319,26 @@ def test_verify_builds_each_per_n_object_once(monkeypatch):
         "penrose_check",
     )
     calls = _count_calls(monkeypatch, counted)
-    assert cli.run_verification(6).all_passed
-    assert calls == {
-        "helm_distance_block": 1,
-        "make_w_alpha": 1,
-        "make_even_case": 1,
-        "penrose_check": 1,
-    }
-    calls.clear()
-    assert cli.run_verification(7).all_passed
-    assert calls == {
-        "helm_distance_block": 1,
-        "make_w_alpha": 1,
-        "make_odd_case": 1,
-        "pseudoinverse": 1,
-        "penrose_check": 1,
-    }
+    build_x = Decomposition.candidate.func
+
+    def counting_build_x(dec):
+        calls["candidate"] += 1
+        return build_x(dec)
+
+    counting = functools.cached_property(counting_build_x)
+    counting.__set_name__(Decomposition, "candidate")
+    monkeypatch.setattr(Decomposition, "candidate", counting)
+    for n, case in ((6, "make_even_case"), (7, "make_odd_case")):
+        calls.clear()
+        assert cli.run_verification(n).all_passed
+        assert calls == {
+            "helm_distance_block": 1,
+            "make_w_alpha": 1,
+            case: 1,
+            "pseudoinverse": 1,
+            "penrose_check": 1,
+            "candidate": 1,
+        }
 
 
 def test_verify_eliminates_once_per_fact(monkeypatch):
@@ -292,8 +347,8 @@ def test_verify_eliminates_once_per_fact(monkeypatch):
     # a singular D's determinant is read off its inertia's zero sign;
     # kernel_projector takes one product, L D, for either parity;
     # pseudoinverse eliminates D once without going through inverse, then
-    # inverts the two 1x1 kernel Grams and spends 8 thin products on the
-    # two kernel projections
+    # inverts the two kernel Grams (1x1 for odd n, 0x0 for even n) and
+    # spends 8 thin products on the two kernel projections
     calls = _count_calls(monkeypatch, ("rank", "inertia", "inverse", "determinant"))
     matmul = RatMatrix.__matmul__
 
@@ -302,13 +357,14 @@ def test_verify_eliminates_once_per_fact(monkeypatch):
         return matmul(a, b)
 
     monkeypatch.setattr(RatMatrix, "__matmul__", counting_matmul)
+    # D, L, Schur; the kernel Grams of D and D' in pseudoinverse
+    expected = {"inertia": 3, "inverse": 2, "matmul": 19}
     assert cli.run_verification(6).all_passed
-    # D, L; the inverse check
-    assert calls == {"inertia": 2, "inverse": 1, "determinant": 1, "matmul": 9}
+    # a nonsingular D's determinant is one Bareiss pass
+    assert calls == {**expected, "determinant": 1}
     calls.clear()
     assert cli.run_verification(7).all_passed
-    # D, L, Schur; the kernel Grams of D and D' in pseudoinverse
-    assert calls == {"inertia": 3, "inverse": 2, "matmul": 19}
+    assert calls == expected
 
 
 @pytest.mark.parametrize(

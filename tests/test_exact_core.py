@@ -321,7 +321,7 @@ def _valid_decomposition():
 def test_decomposition_accepts_the_helm_triple():
     lap, w, alpha = _valid_decomposition()
     dec = Decomposition(lap, w, alpha)
-    assert dec.candidate().is_symmetric()
+    assert dec.candidate.is_symmetric()
 
 
 def test_decomposition_rejects_flipped_w():
