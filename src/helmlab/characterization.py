@@ -218,10 +218,11 @@ def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
     return inertia(complement_2).i_minus == 0
 
 
-def rank_l_check(dec: Decomposition, rank_d: int, rank_l: int) -> int:
+def rank_l_check(rank_d: int, rank_l: int) -> int:
     """Rank of the bordered matrix L, with the mechanism behind it.
 
-    rank_d and rank_l are the ranks of D and of L = dec.laplacian_like.
+    rank_d and rank_l are the ranks of D and of the L of the report's
+    Decomposition X = -L/2 + alpha ww'.
     Verifies that adding the rank-one term alpha ww' to -L/2 raises the
     rank by exactly one.  The rank of X = -L/2 + alpha ww' is not
     recomputed here: this leans on the report's closed-form check, which

@@ -43,9 +43,8 @@ from .exact_core import (
     Decomposition,
     InertiaTriple,
     RatMatrix,
-    determinant,
+    factor_symmetric,
     inertia,
-    pseudoinverse,
     vec,
 )
 from .graphs import bfs_distance_matrix, build_helm, helm_distance_block
@@ -53,7 +52,9 @@ from .graphs import bfs_distance_matrix, build_helm, helm_distance_block
 # Largest n accepted by verify, sweep and eig, so that an oversized n is
 # refused instead of starting a dense run that does not end.  The dense
 # oracles cost about n^3 integer operations; `run_verification(131)` takes
-# 12 to 13 seconds on a 2-vCPU Xeon VM (Python 3.11).
+# about 6 seconds on a 2-vCPU Xeon VM (Python 3.11), nearly all of it the
+# congruence inertia of L, so that pass, not the factorization of D,
+# bounds n.
 MAX_N = 130
 
 
@@ -148,11 +149,11 @@ def run_verification(n: int) -> VerificationReport:
     Every n takes one path through the same eleven checks; only the case
     constructor, the expected values and the closed-form check's name
     depend on parity.  Each per-n object is built once, by a set-up
-    step: D and its inertia and (only when that inertia has no zero
-    sign) determinant, w and alpha, the closed-form case, the rim
-    cycle's signless Laplacian S, the Decomposition (and with it X), the
-    pseudoinverse of D (D^-1 for even n), and the inertia of L.  The
-    ranks of D and L are read off their inertias.  The checks share them
+    step: D; one factorization of D (factor_symmetric) that gives its
+    inertia, determinant and pseudoinverse (D^-1 for even n); w and
+    alpha, the closed-form case, the rim cycle's signless Laplacian S,
+    the Decomposition (and with it X), and the inertia of L.  The ranks
+    of D and L are read off their inertias.  The checks share them
     and rebuild nothing.  Each identity is checked once: the closed-form
     check only compares X with the pseudoinverse, and equiv_formulation
     proves the Penrose conditions.  kernel_projector, L D + 2I - 2we' = V,
@@ -185,12 +186,10 @@ def _run_checks(n: int, report: VerificationReport) -> None:
     checks = report.checks
 
     d = checks.setup("helm_distance_block", helm_distance_block, n)
-    report.inertia_triple = inertia_val = checks.setup("inertia", inertia, d)
-    # Sylvester's law of inertia: the rank is the number of nonzero signs,
-    # and det(D) = 0 exactly when a sign is zero
+    inertia_val, det_val, pinv = checks.setup("factor_symmetric", factor_symmetric, d)
+    report.inertia_triple, report.det = inertia_val, det_val
+    # Sylvester's law of inertia: the rank is the number of nonzero signs
     report.rank_d = rank_val = inertia_val.i_plus + inertia_val.i_minus
-    det_val = Fraction(0) if inertia_val.i_zero else checks.setup("determinant", determinant, d)
-    report.det = det_val
 
     def chk_block():
         ok = d == bfs_distance_matrix(build_helm(n))
@@ -223,7 +222,6 @@ def _run_checks(n: int, report: VerificationReport) -> None:
     lap = case.laplacian_like
     s_mat = checks.setup("materialize", lambda: materialize(cycle_signless_laplacian_spec(k)))
     dec = checks.setup("decomposition", Decomposition, lap, vectors.w, vectors.alpha)
-    pinv = checks.setup("pseudoinverse", pseudoinverse, d)
     closed_form = closed_form_inverse if even else closed_form_mp_inverse
 
     def chk_closed():
@@ -271,7 +269,7 @@ def _run_checks(n: int, report: VerificationReport) -> None:
         return ok, f"inertia(L) = {tuple(inertia_l)}; Schur chain verified"
 
     def chk_rank_l():
-        r = rank_l_check(dec, rank_val, rank_l)
+        r = rank_l_check(rank_val, rank_l)
         expected, formula = (2 * n - 2, "2n-2") if even else (2 * n - 3, "2n-3")
         return r == expected, f"rank(L) = {r}, expected {formula} = {expected}"
 

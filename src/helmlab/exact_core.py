@@ -33,14 +33,39 @@ matrices have equal storage.  Every operation works on the integers:
 rows, columns, ``to_lists`` and the vectors the matrix methods return),
 and they equal the ones plain ``Fraction`` arithmetic gives.
 
-The pseudoinverse comes from one Gauss-Jordan pass on [A | d I]: its
-reduced echelon form R = E m gives a generalized inverse G = S E (S
-puts row t at the t-th pivot row, and R S R = R), and
-pinv(m) = pinv(m) m G m pinv(m) = (I - P_N) G (I - P_Q), with P_N and
-P_Q the orthogonal projections onto ker m and ker m', whose bases the
-same pass yields.  The inertia uses 2x2 hyperbolic pivots where the
-diagonal vanishes.  Both stay purely rational and independent of any
-closed-form expression they are used to check.
+The pseudoinverse is pinv(m) = pinv(m) m G m pinv(m) = (I - P_N) G (I - P_Q)
+for any generalized inverse G of m (m G m = m), with P_N and P_Q the
+orthogonal projections onto ker m and ker m'.  One Gauss-Jordan pass on
+[A | d I] gives G, N and Q: its reduced echelon form R = E m gives
+G = S E (S puts row t at the t-th pivot row, and R S R = R).  The
+inertia uses 2x2 hyperbolic pivots where the diagonal vanishes.  All
+stay purely rational and independent of any closed-form expression
+they are used to check.
+
+``factor_symmetric`` gives the inertia, determinant and pseudoinverse
+of a symmetric matrix together.  Above a small order (``_SCHUR_CUTOFF``)
+it factors the matrix once by a Schur-complement recursion (Bunch and
+Hopcroft, Math. Comp. 28, 1974), which reduces the elimination to
+half-size eliminations and packed products; ``inertia``,
+``determinant`` and ``pseudoinverse`` keep their single passes and so
+stay independent routes to check it.  For M = [[A, B], [B', E]] with A nonsingular,
+Y = A^-1 B and S = E - B' Y:
+
+* inertia(M) = inertia(A) + inertia(S) (Haynsworth, LAA 1, 1968);
+* det M = det A * det S;
+* G = [[A^-1 + Y S^- Y', -Y S^-], [-S^- Y', S^-]] is a generalized
+  inverse of M when S^- is one of S, and symmetric when S^- is;
+* ker M = {(-Y z, z) : z in ker S}.
+
+A and S are factored the same way, and blocks at or below the cutoff by
+the congruence, Bareiss and Gauss-Jordan passes (a singular block's G
+made symmetric as (G + G')/2).  The leading half A is tried in the
+natural order of the indices, and if it is singular, in the reversed
+order; if that A is singular too, the block is factored by the base
+passes whatever its order.  Both rules depend only on the matrix, so
+the same input always takes the same path, and a different path would
+change only the speed: the inertia, the determinant and, after the
+projections with Q = N, the pseudoinverse are unique.
 """
 
 from __future__ import annotations
@@ -520,6 +545,25 @@ def rank(m: RatMatrix) -> int:
     return len(_echelon_ints(_int_rows(m), m.cols))
 
 
+def _bareiss(rows: list[list[int]]) -> int:
+    """The determinant of the square integer rows (consumed), by Bareiss."""
+    sign, prev = 1, 1
+    while rows:
+        p = next((i for i, row in enumerate(rows) if row[0]), None)
+        if p is None:
+            return 0
+        if p:
+            rows[0], rows[p] = rows[p], rows[0]
+            sign = -sign
+        pv, *tail = rows[0]
+        rows = [
+            [(pv * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+            for row in rows[1:]
+        ]
+        prev = pv
+    return sign * prev
+
+
 def determinant(m: RatMatrix) -> Fraction:
     """Exact determinant by Bareiss fraction-free elimination.
 
@@ -528,22 +572,7 @@ def determinant(m: RatMatrix) -> Fraction:
     """
     if not m.is_square():
         raise ValueError(f"determinant of {m.rows}x{m.cols} matrix")
-    work = _int_rows(m)
-    sign, prev = 1, 1
-    while work:
-        p = next((i for i, row in enumerate(work) if row[0]), None)
-        if p is None:
-            return _ZERO
-        if p:
-            work[0], work[p] = work[p], work[0]
-            sign = -sign
-        pv, *tail = work[0]
-        work = [
-            [(pv * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
-            for row in work[1:]
-        ]
-        prev = pv
-    return Fraction(sign * prev, m._den ** m.rows)
+    return Fraction(_bareiss(_int_rows(m)), m._den ** m.rows)
 
 
 def _augmented_echelon(m: RatMatrix) -> tuple[list[list[int]], list[int]]:
@@ -626,25 +655,18 @@ def null_space_basis(m: RatMatrix) -> list[Vector]:
     return [tuple([Fraction(x, den) for x in v]) for v in kernel]
 
 
-def pseudoinverse(m: RatMatrix) -> RatMatrix:
-    """Moore-Penrose inverse from one Gauss-Jordan pass, exactly.
+def _gauss_jordan(m: RatMatrix) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
+    """(G, N, Q) from one Gauss-Jordan pass: G a generalized inverse of m,
+    and the rows of N and Q integer bases of ker m and ker m'.
 
     The pass on [A | d I] (see ``_augmented_echelon``) gives E with
     E m = R, R the reduced echelon form with pivot columns c_0 < c_1 < ...
     Let S put row t at row c_t.  R S is the identity on the first r = rank
     coordinates and zero past them, so R S R = R, and G = S E is a
-    generalized inverse: m G m = E^-1 R S R = m.  For every such G
-
-        pinv(m) = pinv(m) m G m pinv(m) = (I - P_N) G (I - P_Q),
-
-    since pinv(m) m and m pinv(m) are the orthogonal projections onto the
-    complements of N = ker m and Q = ker m'.  An integer basis of N is
-    read off the free columns of R; the rows of E past the rank are a
-    basis of Q, because they annihilate m and E is invertible.  Each
-    projection P = B' (B B')^-1 B, for B the k rows of a basis, is applied
-    as thin products with one k x k Gram inverse, k the nullity.  Every
-    shape takes this path: a nonsingular m has k = 0 on both sides and
-    G = m^-1, and the zero matrix has G = 0.
+    generalized inverse: m G m = E^-1 R S R = m.  N is read off the free
+    columns of R; the rows of E past the rank are Q, because they
+    annihilate m and E is invertible.  A nonsingular m gets G = m^-1 and
+    empty N and Q, and the zero matrix gets G = 0.
     """
     rows, cols = m.rows, m.cols
     work, pivots = _augmented_echelon(m)
@@ -658,8 +680,38 @@ def pseudoinverse(m: RatMatrix) -> RatMatrix:
     g = RatMatrix._from_ints(cols, rows, den, g_ints)
     n_t = RatMatrix._from_ints(cols - r, cols, 1, [x for v in kernel for x in v])
     q = RatMatrix._from_ints(rows - r, rows, 1, [x for row in work[r:] for x in row[cols:]])
-    x = g - n_t.transpose() @ (inverse(n_t @ n_t.transpose()) @ (n_t @ g))
-    return x - (x @ q.transpose()) @ inverse(q @ q.transpose()) @ q
+    return g, n_t, q
+
+
+def _project_out(g: RatMatrix, n_t: RatMatrix, q: RatMatrix) -> RatMatrix:
+    """(I - P_N) g (I - P_Q), P_N and P_Q the orthogonal projections onto
+    the row spaces of n_t and q.
+
+    Each projection P = B' (B B')^-1 B is applied as thin products with
+    one k x k Gram inverse, k the number of rows of B, and is skipped
+    when k = 0.
+    """
+    if n_t.rows:
+        n = n_t.transpose()
+        g = g - n @ (inverse(n_t @ n) @ (n_t @ g))
+    if q.rows:
+        q_col = q.transpose()
+        g = g - (g @ q_col) @ inverse(q @ q_col) @ q
+    return g
+
+
+def pseudoinverse(m: RatMatrix) -> RatMatrix:
+    """Moore-Penrose inverse, exactly.
+
+    For every generalized inverse G of m (m G m = m)
+
+        pinv(m) = pinv(m) m G m pinv(m) = (I - P_N) G (I - P_Q),
+
+    since pinv(m) m and m pinv(m) are the orthogonal projections onto the
+    complements of N = ker m and Q = ker m'.  G, N and Q come from one
+    Gauss-Jordan pass (``_gauss_jordan``), for every shape and order.
+    """
+    return _project_out(*_gauss_jordan(m))
 
 
 def penrose_check(m: RatMatrix, x: RatMatrix) -> bool:
@@ -713,7 +765,11 @@ def inertia(m: RatMatrix) -> InertiaTriple:
     """
     if not m.is_symmetric():
         raise ValueError("inertia requires a symmetric matrix")
-    w = _int_rows(m)
+    return _congruence_inertia(_int_rows(m))
+
+
+def _congruence_inertia(w: list[list[int]]) -> InertiaTriple:
+    """The inertia of the symmetric integer rows w (consumed); see ``inertia``."""
     i_plus = i_minus = 0
     while w:
         p = next((i for i in range(len(w)) if w[i][i]), None)
@@ -755,3 +811,75 @@ def inertia(m: RatMatrix) -> InertiaTriple:
         i_plus += 1
         i_minus += 1
     return InertiaTriple(i_plus, i_minus, len(w))
+
+
+# -- Schur-complement recursion for symmetric matrices --------------------------
+
+# Symmetric matrices of this order or less are factored by the base passes
+# (congruence, Bareiss, Gauss-Jordan); larger ones are split in two.  On a
+# 2-vCPU x86_64 VM (Python 3.11), `verify` at n = 21 and 61 and a sweep of
+# n = 4..13 ran about equally fast for cutoffs 8 to 20, and slower from 24.
+_SCHUR_CUTOFF = 16
+
+
+class _Factor(NamedTuple):
+    inertia: InertiaTriple
+    det: Fraction
+    ginv: RatMatrix  # a symmetric generalized inverse
+    kernel: RatMatrix  # its rows are a basis of the kernel
+
+
+def _base_factor(m: RatMatrix) -> _Factor:
+    """The factor of m from the congruence, Bareiss and Gauss-Jordan passes."""
+    tri = _congruence_inertia(_int_rows(m))
+    det = _ZERO if tri.i_zero else Fraction(_bareiss(_int_rows(m)), m._den ** m.rows)
+    g, kernel, _ = _gauss_jordan(m)
+    if kernel.rows:
+        # G' is a generalized inverse of a symmetric m too, and so is (G + G')/2
+        g = Fraction(1, 2) * (g + g.transpose())
+    return _Factor(tri, det, g, kernel)
+
+
+def _schur_split(m: RatMatrix, reverse: bool) -> Optional[_Factor]:
+    """The factor of m from its split into a leading and a trailing half
+    of its indices, taken in reversed order if reverse; None when the
+    leading block is singular."""
+    size = m.rows
+    order = list(range(size - 1, -1, -1)) if reverse else list(range(size))
+    lead, rest = order[: size // 2], order[size // 2 :]
+    fa = _factor(m.submatrix(lead, lead))
+    if fa.inertia.i_zero:
+        return None
+    b = m.submatrix(lead, rest)
+    y = fa.ginv @ b
+    fs = _factor(m.submatrix(rest, rest) - b.transpose() @ y)
+    z = y @ fs.ginv
+    ginv = RatMatrix.from_blocks([[fa.ginv + z @ y.transpose(), -z], [-z.transpose(), fs.ginv]])
+    kernel = fs.kernel
+    if kernel.rows:
+        kernel = RatMatrix.from_blocks([[-(kernel @ y.transpose()), kernel]])
+    else:
+        kernel = RatMatrix.zeros(0, size)
+    if reverse:  # the reversal is its own inverse
+        ginv = ginv.submatrix(order, order)
+        kernel = kernel.submatrix(range(kernel.rows), order)
+    tri = InertiaTriple(*[a + s for a, s in zip(fa.inertia, fs.inertia)])
+    return _Factor(tri, fa.det * fs.det, ginv, kernel)
+
+
+def _factor(m: RatMatrix) -> _Factor:
+    if m.rows > _SCHUR_CUTOFF:
+        for reverse in (False, True):
+            f = _schur_split(m, reverse)
+            if f is not None:
+                return f
+    return _base_factor(m)
+
+
+def factor_symmetric(m: RatMatrix) -> tuple[InertiaTriple, Fraction, RatMatrix]:
+    """(inertia, determinant, Moore-Penrose inverse) of a symmetric m, from
+    one factorization (see the module docstring)."""
+    if not m.is_symmetric():
+        raise ValueError("factor_symmetric requires a symmetric matrix")
+    f = _factor(m)
+    return f.inertia, f.det, _project_out(f.ginv, f.kernel, f.kernel)

@@ -316,7 +316,7 @@ def test_schur_psd_check_shape_guard():
 
 def _rank_l(n: int) -> int:
     d, dec = _helm_decomposition(n)
-    return rank_l_check(dec, rank(d), rank(dec.laplacian_like))
+    return rank_l_check(rank(d), rank(dec.laplacian_like))
 
 
 def test_rank_l_check_values():
@@ -329,7 +329,7 @@ def test_rank_l_check_rejects_ranks_that_do_not_fit():
     d, dec = _helm_decomposition(7)
     rank_l = rank(dec.laplacian_like)
     with pytest.raises(VerificationError, match="distance matrix"):
-        rank_l_check(dec, rank(d) + 1, rank_l)
+        rank_l_check(rank(d) + 1, rank_l)
 
 
 @pytest.mark.parametrize("n", ODD_RANGE)

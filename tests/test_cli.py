@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import helmlab
-from helmlab import Decomposition, RatMatrix, cli
+from helmlab import Decomposition, RatMatrix, cli, exact_core
 
 
 def run_main(capsys, *argv):
@@ -191,6 +191,18 @@ def test_crashing_setup_step_gives_failed_report(capsys, monkeypatch):
     assert report["summary"]["rank_L"] is None
 
 
+def test_crash_in_the_factorization_of_d_leaves_its_summary_empty(capsys, monkeypatch):
+    # one set-up step computes the inertia, determinant and pseudoinverse
+    # of D, so a crash there leaves the rank, det and inertia unknown
+    monkeypatch.setattr(cli, "factor_symmetric", _boom)
+    code, out, _ = run_main(capsys, "verify", "--n", "6", "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert [c["name"] for c in report["checks"]] == ["setup:factor_symmetric"]
+    summary = report["summary"]
+    assert [summary[key] for key in ("det", "rank", "inertia", "rank_L")] == [None] * 4
+
+
 def test_crash_in_first_setup_step_fails_every_n_of_a_sweep(capsys, monkeypatch):
     monkeypatch.setattr(cli, "helm_distance_block", _boom)
     code, out, _ = run_main(capsys, "verify", "--n", "6")
@@ -287,15 +299,19 @@ def test_verify_json_matches_the_golden_report(capsys, n):
     assert report == json.loads(golden.read_text(encoding="utf-8"))
 
 
-def _count_calls(monkeypatch, names) -> Counter:
-    """Count calls to helmlab's names in every helmlab namespace."""
+def _count_calls(monkeypatch, names, seen=None) -> Counter:
+    """Count calls to helmlab's names (exact_core's for a name the package
+    root does not export) in every helmlab namespace; append (name, order
+    of the first argument) of each call to seen if given."""
     calls = Counter()
     modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "helmlab"]
     for name in names:
-        original = getattr(helmlab, name)
+        original = getattr(helmlab, name, None) or getattr(exact_core, name)
 
         def counting(*args, name=name, original=original):
             calls[name] += 1
+            if seen is not None:
+                seen.append((name, args[0].rows))
             return original(*args)
 
         for mod in modules:
@@ -306,15 +322,17 @@ def _count_calls(monkeypatch, names) -> Counter:
 
 def test_verify_builds_each_per_n_object_once(monkeypatch):
     # count calls in every helmlab namespace, so no module can rebuild
-    # D, w/alpha, the case or the pseudoinverse behind the report's back;
-    # equiv_formulation is the one Penrose proof and the pseudoinverse the
-    # one oracle for both parities; X = -L/2 + alpha ww' is built once and
-    # shared by the closed-form check, equiv_formulation and uniqueness
+    # D, w/alpha, the case or the factorization of D behind the report's
+    # back; equiv_formulation is the one Penrose proof and the
+    # pseudoinverse from factor_symmetric the one oracle for both parities;
+    # X = -L/2 + alpha ww' is built once and shared by the closed-form
+    # check, equiv_formulation and uniqueness
     counted = (
         "helm_distance_block",
         "make_w_alpha",
         "make_even_case",
         "make_odd_case",
+        "factor_symmetric",
         "pseudoinverse",
         "penrose_check",
     )
@@ -335,21 +353,16 @@ def test_verify_builds_each_per_n_object_once(monkeypatch):
             "helm_distance_block": 1,
             "make_w_alpha": 1,
             case: 1,
-            "pseudoinverse": 1,
+            "factor_symmetric": 1,
             "penrose_check": 1,
             "candidate": 1,
         }
 
 
-def test_verify_eliminates_once_per_fact(monkeypatch):
-    # rank is never called: ranks are read off inertias; L's inertia is
-    # shared by rank_L and the PSD check; the Schur chain inverts nothing;
-    # a singular D's determinant is read off its inertia's zero sign;
-    # kernel_projector takes one product, L D, for either parity;
-    # pseudoinverse eliminates D once without going through inverse, then
-    # inverts the two kernel Grams (1x1 for odd n, 0x0 for even n) and
-    # spends 8 thin products on the two kernel projections
-    calls = _count_calls(monkeypatch, ("rank", "inertia", "inverse", "determinant"))
+def _count_eliminations(monkeypatch, seen=None) -> Counter:
+    """Count the elimination oracles and the matmuls of a run."""
+    names = ("rank", "inertia", "inverse", "determinant", "pseudoinverse", "factor_symmetric")
+    calls = _count_calls(monkeypatch, names, seen)
     matmul = RatMatrix.__matmul__
 
     def counting_matmul(a, b):
@@ -357,14 +370,45 @@ def test_verify_eliminates_once_per_fact(monkeypatch):
         return matmul(a, b)
 
     monkeypatch.setattr(RatMatrix, "__matmul__", counting_matmul)
-    # D, L, Schur; the kernel Grams of D and D' in pseudoinverse
-    expected = {"inertia": 3, "inverse": 2, "matmul": 19}
+    return calls
+
+
+def test_verify_eliminates_once_per_fact(monkeypatch):
+    # rank is never called: ranks are read off inertias; D is factored
+    # once, and its inertia, determinant and pseudoinverse all come from
+    # that one call; L's inertia is shared by rank_L and the PSD check;
+    # the Schur chain inverts nothing; kernel_projector takes one product,
+    # L D, for either parity.  Below the recursion cutoff the factorization
+    # is one pass each of congruence, Bareiss (nonsingular D only) and
+    # Gauss-Jordan; a singular D then takes 8 thin products and two 1x1
+    # kernel Gram inverses for the projections, which a nonsingular D skips
+    calls = _count_eliminations(monkeypatch)
+    # L and the Schur complement
+    expected = {"factor_symmetric": 1, "inertia": 2}
     assert cli.run_verification(6).all_passed
-    # a nonsingular D's determinant is one Bareiss pass
-    assert calls == {**expected, "determinant": 1}
+    assert calls == {**expected, "matmul": 11}
     calls.clear()
     assert cli.run_verification(7).all_passed
-    assert calls == expected
+    assert calls == {**expected, "inverse": 2, "matmul": 19}
+
+
+@pytest.mark.parametrize("n, products", [(12, 15), (13, 24)])
+def test_verify_factors_d_once_above_the_recursion_cutoff(monkeypatch, n, products):
+    # D of order 23 or 25 is split once: 4 products for the generalized
+    # inverse, one more for the kernel of a singular D, then the
+    # projections as below the cutoff.  No pseudoinverse, determinant or
+    # inertia call sees D: the only order-(2n-1) inertia is L's
+    assert 2 * n - 1 > exact_core._SCHUR_CUTOFF
+    seen = []
+    calls = _count_eliminations(monkeypatch, seen)
+    assert cli.run_verification(n).all_passed
+    odd = {"inverse": 2} if n % 2 else {}
+    assert calls == {"factor_symmetric": 1, "inertia": 2, "matmul": products, **odd}
+    assert [call for call in seen if call[0] != "inverse"] == [
+        ("factor_symmetric", 2 * n - 1),
+        ("inertia", 2 * n - 1),
+        ("inertia", n - 1),
+    ]
 
 
 @pytest.mark.parametrize(

@@ -887,3 +887,92 @@ def test_equal_matrices_have_equal_storage(rng):
         for zero in (m - m, 0 * m, m * Fraction(0), zeros @ RatMatrix.zeros(m.cols, 2) @ RatMatrix.zeros(2, m.cols)):
             _assert_canonical(zero, label)
             assert zero == zeros and hash(zero) == hash(zeros), label
+
+
+# -- the Schur-complement recursion for symmetric matrices ---------------------
+#
+# Above the cutoff, factor_symmetric splits M = [[A, B], [B', E]]; its
+# inertia, determinant and pseudoinverse must equal the congruence
+# inertia and the Bareiss determinant of the whole of M, and a
+# Moore-Penrose inverse found without any split: the MacDuffee reference
+# on plain Fractions and the one Gauss-Jordan pass of pseudoinverse where
+# those are affordable, and the four Penrose conditions, which have one
+# solution, everywhere.
+
+
+def _zero_diagonal(rng, order: int) -> RatMatrix:
+    s = random_symmetric(rng, order)
+    return _with_rows(s, lambda i, r: r[:i] + [Fraction(0)] + r[i + 1 :])
+
+
+def _assert_matches_independent_routes(m: RatMatrix, label: str, macduffee: bool) -> None:
+    assert m.rows > exact_core._SCHUR_CUTOFF, label
+    tri, det, pinv = exact_core.factor_symmetric(m)
+    assert tri == inertia(m), label
+    assert det == determinant(m), label
+    assert penrose_check(m, pinv), label
+    if m.rows <= 61:
+        assert pinv == pseudoinverse(m), label
+    if macduffee:
+        assert pinv.to_lists() == _ref_macduffee(m), label
+
+
+def test_factor_symmetric_matches_independent_routes_on_helm_d():
+    # orders 25..121; the odd-n D has a one-dimensional kernel
+    for n in range(13, 62):
+        _assert_matches_independent_routes(helm_distance_block(n), f"helm n={n}", n <= 14)
+
+
+def test_factor_symmetric_matches_independent_routes_on_random_matrices(rng):
+    cases = [
+        ("random symmetric 25", random_symmetric(rng, 25), False),
+        ("random symmetric 60", random_symmetric(rng, 60), False),
+        ("zero-diagonal 25", _zero_diagonal(rng, 25), False),
+        ("zero-diagonal 40", _zero_diagonal(rng, 40), False),
+        ("zero 30", RatMatrix.zeros(30, 30), True),
+    ]
+    for order, r in ((25, 23), (32, 12), (40, 20)):
+        a = _rand(rng, order, r)
+        cases.append((f"gram {order} of rank {r}", a @ a.transpose(), order == 25))
+    for label, m, macduffee in cases:
+        _assert_matches_independent_routes(m, label, macduffee)
+
+
+def test_factor_symmetric_requires_symmetry():
+    with pytest.raises(ValueError, match="factor_symmetric requires a symmetric"):
+        exact_core.factor_symmetric(RatMatrix.from_rows([[0, 1], [2, 0]]))
+
+
+def test_singular_leading_block_is_retried_then_factored_by_the_base_passes(rng, monkeypatch):
+    # [[0, B], [B', E]]: the leading zero block is singular, and the
+    # reversed order leads with E instead.  [[0, B], [B', 0]] with equal
+    # halves leads with a zero block in both orders, so it falls back to
+    # the base passes at full size.  Both must give the same answers as
+    # the independent routes.
+    tries, base_orders = [], []
+    split, base = exact_core._schur_split, exact_core._base_factor
+
+    def spying_split(m, reverse):
+        f = split(m, reverse)
+        tries.append((m.rows, reverse, f is not None))
+        return f
+
+    def spying_base(m):
+        base_orders.append(m.rows)
+        return base(m)
+
+    monkeypatch.setattr(exact_core, "_schur_split", spying_split)
+    monkeypatch.setattr(exact_core, "_base_factor", spying_base)
+    # integer entries keep the MacDuffee reference quick
+    b, c = _rand(rng, 13, 13, max_den=1), _rand(rng, 13, 13, max_den=1)
+    zero = RatMatrix.zeros(13, 13)
+    retried = RatMatrix.from_blocks([[zero, b], [b.transpose(), c + c.transpose()]])
+    _assert_matches_independent_routes(retried, "retried", macduffee=True)
+    assert tries[-1] == (26, True, True) and (26, False, False) in tries
+    assert max(base_orders) <= exact_core._SCHUR_CUTOFF
+    tries.clear()
+    base_orders.clear()
+    fallback = RatMatrix.from_blocks([[zero, b], [b.transpose(), zero]])
+    _assert_matches_independent_routes(fallback, "fallback", macduffee=True)
+    assert tries[-2:] == [(26, False, False), (26, True, False)]
+    assert base_orders[-1] == 26
