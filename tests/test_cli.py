@@ -378,21 +378,23 @@ def test_verify_eliminates_once_per_fact(monkeypatch):
     # once, and its inertia, determinant and pseudoinverse all come from
     # that one call; L's inertia is shared by rank_L and the PSD check;
     # the Schur chain inverts nothing; kernel_projector takes one product,
-    # L D, for either parity.  Below the recursion cutoff the factorization
-    # is one pass each of congruence, Bareiss (nonsingular D only) and
-    # Gauss-Jordan; a singular D then takes 8 thin products and two 1x1
-    # kernel Gram inverses for the projections, which a nonsingular D skips
+    # L D, for either parity; the Penrose check of the symmetric D and X
+    # takes three, since XM = (MX)'.  Below the recursion cutoff the
+    # factorization is one pass each of congruence, Bareiss (nonsingular D
+    # only) and Gauss-Jordan; a singular D then takes 8 thin products and
+    # two 1x1 kernel Gram inverses for the projections, which a nonsingular
+    # D skips
     calls = _count_eliminations(monkeypatch)
     # L and the Schur complement
     expected = {"factor_symmetric": 1, "inertia": 2}
     assert cli.run_verification(6).all_passed
-    assert calls == {**expected, "matmul": 11}
+    assert calls == {**expected, "matmul": 10}
     calls.clear()
     assert cli.run_verification(7).all_passed
-    assert calls == {**expected, "inverse": 2, "matmul": 19}
+    assert calls == {**expected, "inverse": 2, "matmul": 18}
 
 
-@pytest.mark.parametrize("n, products", [(12, 15), (13, 24)])
+@pytest.mark.parametrize("n, products", [(12, 14), (13, 23)])
 def test_verify_factors_d_once_above_the_recursion_cutoff(monkeypatch, n, products):
     # D of order 23 or 25 is split once: 4 products for the generalized
     # inverse, one more for the kernel of a singular D, then the

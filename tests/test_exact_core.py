@@ -17,6 +17,7 @@ from helmlab import (
     helm_distance_block,
     inertia,
     inverse,
+    make_even_case,
     make_odd_case,
     make_w_alpha,
     materialize,
@@ -156,6 +157,34 @@ def test_penrose_check_examples():
 def test_penrose_check_rejects_bad_shape():
     with pytest.raises(ValueError, match="candidate must be 3x2"):
         penrose_check(RatMatrix.ones(2, 3), RatMatrix.ones(2, 3))
+
+
+def test_penrose_check_rejects_a_candidate_failing_only_the_fourth_condition():
+    # MXM = M, XMX = X and MX symmetric, but XM = [[1, 0], [2, 0]] is not;
+    # the second m is symmetric, so only x's asymmetry keeps XM in play
+    for m in (RatMatrix.from_rows([[1, 0]]), RatMatrix.from_rows([[1, 0], [0, 0]])):
+        x = RatMatrix.from_rows([[1, 0], [2, 0]]).submatrix(range(2), range(m.rows))
+        assert not penrose_check(m, x)
+
+
+def test_penrose_check_skips_xm_only_when_both_are_symmetric(monkeypatch):
+    products = []
+    matmul = RatMatrix.__matmul__
+
+    def counting(a, b):
+        products.append((a.rows, b.cols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(RatMatrix, "__matmul__", counting)
+    d = helm_distance_block(7)
+    x = pseudoinverse(d)
+    products.clear()
+    assert penrose_check(d, x)
+    assert len(products) == 3
+    m = RatMatrix.from_rows([[1, 2], [3, 4]])
+    products.clear()
+    assert penrose_check(m, inverse(m))
+    assert len(products) == 4
 
 
 @given(matrices())
@@ -770,6 +799,102 @@ def test_inertia_matches_reference(rng):
         symmetric.append((f"random symmetric #{t}", random_symmetric(rng, rng.randint(1, 7))))
     for label, m in symmetric:
         assert inertia(m) == _ref_inertia(m.to_lists()), label
+
+
+# -- the congruence kernel's pivot paths -----------------------------------------
+#
+# The kernel pivots on the nonzero diagonal entry of least absolute value
+# (lowest index on a tie) and takes a 2x2 pivot on the first nonzero
+# off-diagonal entry when the whole diagonal is zero.  Each matrix below
+# is built to take one path; the comment names the pivots it takes.
+
+
+def _one_then_two_by_two() -> RatMatrix:
+    # [[a, u'], [u, Z + uu'/a]] with a = 1/100 the least diagonal entry:
+    # the 1x1 pivot on a leaves the zero-diagonal Z, so a 2x2 pivot follows
+    a, u = Fraction(1, 100), [1, -1, 3]
+    z = [[0, 1, 2], [1, 0, -1], [2, -1, 0]]
+    return RatMatrix.from_rows(
+        [[a] + u] + [[u[i]] + [z[i][j] + u[i] * u[j] / a for j in range(3)] for i in range(3)]
+    )
+
+
+_KERNEL_PATHS = [
+    ("1x1, then 2x2, then 1x1", _one_then_two_by_two()),
+    # the 2x2 pivot on (0, 1) leaves diagonal -16, -30: 1x1 pivots on negatives
+    ("2x2, then negative 1x1", RatMatrix.from_rows([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])),
+    # a zero row 0 (a zero eigenvalue) and a_12 = 0 put the first nonzero
+    # off-diagonal entry, -2, at (1, 3), with rows between and after the pair
+    (
+        "2x2 on an inner pair with b < 0",
+        RatMatrix.from_rows(
+            [
+                [0, 0, 0, 0, 0, 0],
+                [0, 0, 0, -2, 1, -1],
+                [0, 0, 0, 3, -2, 1],
+                [0, -2, 3, 0, 1, 2],
+                [0, 1, -2, 1, 0, -3],
+                [0, -1, 1, 2, -3, 0],
+            ]
+        ),
+    ),
+    # |-2| = |2| = |-2| at indices 1, 2 and 3: the tie goes to index 1, negative
+    (
+        "tied negative least pivot",
+        RatMatrix.from_rows(
+            [[3, 1, 0, 1, 0], [1, -2, 1, 0, 0], [0, 1, 2, 1, 1], [1, 0, 1, -2, 1], [0, 0, 1, 1, 5]]
+        ),
+    ),
+    ("tied positive least pivots", RatMatrix.from_rows([[1, 2, 0], [2, 1, 3], [0, 3, 1]])),
+    ("0x0", RatMatrix(0, 0, [])),
+    ("1x1 positive", RatMatrix.from_rows([[Fraction(5, 7)]])),
+    ("1x1 negative", RatMatrix.from_rows([[Fraction(-3, 2)]])),
+    ("1x1 zero", RatMatrix.zeros(1, 1)),
+]
+
+
+@pytest.mark.parametrize("label, m", _KERNEL_PATHS, ids=[label for label, _ in _KERNEL_PATHS])
+def test_inertia_on_each_kernel_path_matches_both_references(label, m):
+    tri = inertia(m)
+    assert tri == _ref_inertia(m.to_lists())
+    assert tri == _inertia_by_sign_variations(m)
+
+
+def test_inertia_is_invariant_under_symmetric_permutation(rng):
+    # m.submatrix(perm, perm) is P'MP for the permutation matrix P with
+    # P e_k = e_perm[k]; the pivot choice depends on the values, so a
+    # permutation changes the path the kernel takes, but never the inertia
+    cases = []
+    for order in range(1, 13):
+        cases.append((f"random symmetric {order}", random_symmetric(rng, order)))
+        cases.append((f"zero-diagonal {order}", _zero_diagonal(rng, order)))
+        if order > 2:
+            a = _rand(rng, order, order // 2)
+            cases.append((f"gram {order} of rank {order // 2}", a @ a.transpose()))
+    for n in (5, 6, 9, 12):
+        case = make_odd_case(n) if n % 2 else make_even_case(n)
+        cases.append((f"helm L n={n}", case.laplacian_like))
+    for label, m in cases:
+        want = inertia(m)
+        for _ in range(4):
+            perm = list(range(m.rows))
+            rng.shuffle(perm)
+            assert inertia(m.submatrix(perm, perm)) == want, (label, perm)
+        reverse = list(range(m.rows))[::-1]
+        assert inertia(m.submatrix(reverse, reverse)) == want, label
+
+
+@pytest.mark.parametrize("n", (17, 30, 41, 61))
+def test_inertia_of_helm_l_at_larger_n_is_the_papers(n):
+    # the paper: L is positive semidefinite of rank 2n-3 for odd n, and of
+    # rank 2n-2 for even n; factor_symmetric reaches the same inertia by
+    # the Schur-complement recursion, since order 2n-1 > the cutoff
+    case = make_odd_case(n) if n % 2 else make_even_case(n)
+    lap = case.laplacian_like
+    want = InertiaTriple(2 * n - 3, 0, 2) if n % 2 else InertiaTriple(2 * n - 2, 0, 1)
+    assert lap.rows > exact_core._SCHUR_CUTOFF
+    assert inertia(lap) == want
+    assert exact_core.factor_symmetric(lap)[0] == want
 
 
 # -- differential tests: integer storage vs plain Fraction reference -----------
