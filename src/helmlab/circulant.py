@@ -25,6 +25,7 @@ from .exact_core import (
     RatMatrix,
     Scalar,
     Vector,
+    _common_denominator,
     frac,
     vec,
 )
@@ -59,10 +60,15 @@ def is_delta(z: Sequence[Scalar]) -> bool:
 
 
 def materialize(spec: CirculantSpec) -> RatMatrix:
-    """Dense circulant matrix: row i is the right-shift of the spec by i."""
-    row = spec.first_row
+    """Dense circulant matrix: row i is the right-shift of the spec by i.
+
+    The spec is brought to one common denominator once, and the rows are
+    rotations of its integer numerators.
+    """
+    den, row = _common_denominator(spec.first_row)
     k = len(row)
-    return RatMatrix(k, k, (row[(j - i) % k] for i in range(k) for j in range(k)))
+    ints = [x for i in range(k) for x in row[k - i :] + row[: k - i]]
+    return RatMatrix._from_ints(k, k, den, ints)
 
 
 def circulant_product(a: CirculantSpec, b: CirculantSpec) -> CirculantSpec:

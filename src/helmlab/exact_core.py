@@ -61,13 +61,18 @@ Y = A^-1 B and S = E - B' Y:
 
 A and S are factored the same way, and blocks at or below the cutoff by
 the congruence, Bareiss and Gauss-Jordan passes (a singular block's G
-made symmetric as (G + G')/2).  The leading half A is tried in the
-natural order of the indices, and if it is singular, in the reversed
-order; if that A is singular too, the block is factored by the base
-passes whatever its order.  Both rules depend only on the matrix, so
-the same input always takes the same path, and a different path would
-change only the speed: the inertia, the determinant and, after the
-projections with Q = N, the pseudoinverse are unique.
+made symmetric as (G + G')/2).  The indices are split in one order:
+those with a nonzero diagonal entry first, then the other indices of
+nonzero rows, then those of zero rows, each group ascending.  A
+principal block holding a zero row is singular, so zero rows never
+lead; the kernel of an odd helm D shows up as such a row in every
+trailing Schur complement.  If A is singular all the same, the block is
+factored by the base passes whatever its order.  Both rules depend only
+on the matrix, so the same input always takes the same path, and a
+different path would change only the speed: the inertia, the
+determinant and the pseudoinverse are unique.  The last is G projected
+on both sides onto the complement of ker M, in one symmetric step
+(``_project_out_symmetric``).
 """
 
 from __future__ import annotations
@@ -134,10 +139,14 @@ def _common_denominator(values: Iterable[Scalar]) -> tuple[int, list[int]]:
     """(d, ints) with d the lcm of the denominators and ints[i] = d * values[i].
 
     For reduced values (every ``Fraction`` is) d and ints have no common
-    factor.  Anything but an int or a Fraction raises TypeError.
+    factor.  Plain ints come back as they are, over d = 1.  Anything but
+    an int or a Fraction raises TypeError.
     """
     vals = list(values)
-    for t in {type(x) for x in vals}:
+    types = {type(x) for x in vals}
+    if types <= {int}:
+        return 1, vals
+    for t in types:
         if not issubclass(t, (int, Fraction)):
             raise TypeError(f"expected an exact scalar, got {t.__name__}")
     d = math.lcm(*{x.denominator for x in vals})
@@ -850,12 +859,20 @@ def _base_factor(m: RatMatrix) -> _Factor:
     return _Factor(tri, det, g, kernel)
 
 
-def _schur_split(m: RatMatrix, reverse: bool) -> Optional[_Factor]:
+def _schur_split(m: RatMatrix) -> Optional[_Factor]:
     """The factor of m from its split into a leading and a trailing half
-    of its indices, taken in reversed order if reverse; None when the
-    leading block is singular."""
-    size = m.rows
-    order = list(range(size - 1, -1, -1)) if reverse else list(range(size))
+    of its indices; None when the leading block is singular.
+
+    The indices are taken in one order that depends only on m: those with
+    a nonzero diagonal entry, then the other indices of nonzero rows, then
+    those of zero rows (which make every principal block holding them
+    singular, so they never lead), each group ascending.
+    """
+    e, size = m._ints, m.rows
+    order = sorted(
+        range(size),
+        key=lambda i: (not e[i * (size + 1)]) + (not any(e[i * size : (i + 1) * size])),
+    )
     lead, rest = order[: size // 2], order[size // 2 :]
     fa = _factor(m.submatrix(lead, lead))
     if fa.inertia.i_zero:
@@ -870,20 +887,41 @@ def _schur_split(m: RatMatrix, reverse: bool) -> Optional[_Factor]:
         kernel = RatMatrix.from_blocks([[-(kernel @ y.transpose()), kernel]])
     else:
         kernel = RatMatrix.zeros(0, size)
-    if reverse:  # the reversal is its own inverse
-        ginv = ginv.submatrix(order, order)
-        kernel = kernel.submatrix(range(kernel.rows), order)
+    if order != list(range(size)):
+        back = sorted(range(size), key=order.__getitem__)  # the inverse permutation
+        ginv = ginv.submatrix(back, back)
+        kernel = kernel.submatrix(range(kernel.rows), back)
     tri = InertiaTriple(*[a + s for a, s in zip(fa.inertia, fs.inertia)])
     return _Factor(tri, fa.det * fs.det, ginv, kernel)
 
 
 def _factor(m: RatMatrix) -> _Factor:
     if m.rows > _SCHUR_CUTOFF:
-        for reverse in (False, True):
-            f = _schur_split(m, reverse)
-            if f is not None:
-                return f
+        f = _schur_split(m)
+        if f is not None:
+            return f
     return _base_factor(m)
+
+
+def _project_out_symmetric(g: RatMatrix, n_t: RatMatrix) -> RatMatrix:
+    """(I - P) g (I - P) for a symmetric g, P the orthogonal projection
+    onto the row space of n_t; equal to ``_project_out(g, n_t, n_t)``.
+
+    With N = n_t, H = g N', C = (N N')^-1, W = H C and T = C (N W),
+    (I - P) g (I - P) = g - P g - g P + P g P = g - U N - (U N)' for
+    U = W - N' T / 2 (g P = W N, P g = (g P)' and P g P = N' T N), so it
+    takes one thin product g N', one k x k Gram inverse and one rank-k
+    update, k the number of rows of n_t.
+    """
+    if not n_t.rows:
+        return g
+    n = n_t.transpose()
+    h = g @ n
+    c = inverse(n_t @ n)
+    w = h @ c
+    u = w - Fraction(1, 2) * (n @ (c @ (n_t @ w)))
+    un = u @ n_t
+    return g - un - un.transpose()
 
 
 def factor_symmetric(m: RatMatrix) -> tuple[InertiaTriple, Fraction, RatMatrix]:
@@ -892,4 +930,4 @@ def factor_symmetric(m: RatMatrix) -> tuple[InertiaTriple, Fraction, RatMatrix]:
     if not m.is_symmetric():
         raise ValueError("factor_symmetric requires a symmetric matrix")
     f = _factor(m)
-    return f.inertia, f.det, _project_out(f.ginv, f.kernel, f.kernel)
+    return f.inertia, f.det, _project_out_symmetric(f.ginv, f.kernel)

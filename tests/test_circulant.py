@@ -62,6 +62,16 @@ def test_materialize_rim_distance_spec():
     assert d.is_symmetric()
 
 
+def test_materialize_matches_the_entrywise_definition(rng):
+    # mixed denominators, zeros and integer specs; the result is canonical
+    for k in range(1, 10):
+        for den in (1, 6):
+            first = tuple(random_fraction(rng, max_den=den) for _ in range(k))
+            m = materialize(CirculantSpec(first))
+            want = RatMatrix(k, k, [first[(j - i) % k] for i in range(k) for j in range(k)])
+            assert m == want
+
+
 def test_row_shift_structure():
     spec = CirculantSpec(tuple(map(Fraction, (5, 6, 7))))
     m = materialize(spec)

@@ -381,9 +381,9 @@ def test_verify_eliminates_once_per_fact(monkeypatch):
     # L D, for either parity; the Penrose check of the symmetric D and X
     # takes three, since XM = (MX)'.  Below the recursion cutoff the
     # factorization is one pass each of congruence, Bareiss (nonsingular D
-    # only) and Gauss-Jordan; a singular D then takes 8 thin products and
-    # two 1x1 kernel Gram inverses for the projections, which a nonsingular
-    # D skips
+    # only) and Gauss-Jordan; a singular D then takes 7 thin products and
+    # one 1x1 kernel Gram inverse for the symmetric projection, which a
+    # nonsingular D skips
     calls = _count_eliminations(monkeypatch)
     # L and the Schur complement
     expected = {"factor_symmetric": 1, "inertia": 2}
@@ -391,20 +391,20 @@ def test_verify_eliminates_once_per_fact(monkeypatch):
     assert calls == {**expected, "matmul": 10}
     calls.clear()
     assert cli.run_verification(7).all_passed
-    assert calls == {**expected, "inverse": 2, "matmul": 18}
+    assert calls == {**expected, "inverse": 1, "matmul": 17}
 
 
-@pytest.mark.parametrize("n, products", [(12, 14), (13, 23)])
+@pytest.mark.parametrize("n, products", [(12, 14), (13, 22)])
 def test_verify_factors_d_once_above_the_recursion_cutoff(monkeypatch, n, products):
     # D of order 23 or 25 is split once: 4 products for the generalized
     # inverse, one more for the kernel of a singular D, then the
-    # projections as below the cutoff.  No pseudoinverse, determinant or
+    # projection as below the cutoff.  No pseudoinverse, determinant or
     # inertia call sees D: the only order-(2n-1) inertia is L's
     assert 2 * n - 1 > exact_core._SCHUR_CUTOFF
     seen = []
     calls = _count_eliminations(monkeypatch, seen)
     assert cli.run_verification(n).all_passed
-    odd = {"inverse": 2} if n % 2 else {}
+    odd = {"inverse": 1} if n % 2 else {}
     assert calls == {"factor_symmetric": 1, "inertia": 2, "matmul": products, **odd}
     assert [call for call in seen if call[0] != "inverse"] == [
         ("factor_symmetric", 2 * n - 1),

@@ -412,6 +412,20 @@ def test_negative_dimensions_are_refused():
             RatMatrix(rows, cols, entries)
 
 
+def test_common_denominator_of_plain_ints_and_of_other_scalars():
+    assert exact_core._common_denominator([3, -4, 0]) == (1, [3, -4, 0])
+    assert exact_core._common_denominator([]) == (1, [])
+    assert exact_core._common_denominator([2, Fraction(1, 6), Fraction(-3, 4)]) == (12, [24, 2, -9])
+    # bool is an int subclass: its entries come back as plain ints
+    den, ints = exact_core._common_denominator([True, 2, False])
+    assert (den, ints) == (1, [1, 2, 0]) and all(type(x) is int for x in ints)
+    for bad in ([1, 2.0], [0.5], [1, "2"], [Fraction(1, 2), 1.5]):
+        with pytest.raises(TypeError, match="expected an exact scalar"):
+            exact_core._common_denominator(bad)
+    with pytest.raises(TypeError, match="got float"):
+        RatMatrix(1, 2, [1, 2.0])
+
+
 def test_matmul_shape_guard():
     with pytest.raises(ValueError, match="cannot multiply 2x3 by 2x3"):
         RatMatrix.ones(2, 3) @ RatMatrix.ones(2, 3)
@@ -1068,18 +1082,15 @@ def test_factor_symmetric_requires_symmetry():
         exact_core.factor_symmetric(RatMatrix.from_rows([[0, 1], [2, 0]]))
 
 
-def test_singular_leading_block_is_retried_then_factored_by_the_base_passes(rng, monkeypatch):
-    # [[0, B], [B', E]]: the leading zero block is singular, and the
-    # reversed order leads with E instead.  [[0, B], [B', 0]] with equal
-    # halves leads with a zero block in both orders, so it falls back to
-    # the base passes at full size.  Both must give the same answers as
-    # the independent routes.
+def _spy_on_splits(monkeypatch) -> tuple[list, list]:
+    """Record (matrix order, split succeeded) for every Schur split, and
+    the matrix order of every block the base passes factor."""
     tries, base_orders = [], []
     split, base = exact_core._schur_split, exact_core._base_factor
 
-    def spying_split(m, reverse):
-        f = split(m, reverse)
-        tries.append((m.rows, reverse, f is not None))
+    def spying_split(m):
+        f = split(m)
+        tries.append((m.rows, f is not None))
         return f
 
     def spying_base(m):
@@ -1088,16 +1099,95 @@ def test_singular_leading_block_is_retried_then_factored_by_the_base_passes(rng,
 
     monkeypatch.setattr(exact_core, "_schur_split", spying_split)
     monkeypatch.setattr(exact_core, "_base_factor", spying_base)
+    return tries, base_orders
+
+
+def test_singular_leading_block_falls_back_to_the_base_passes_after_one_try(rng, monkeypatch):
+    # [[0, B], [B', E]] with E positive definite: E's indices have nonzero
+    # diagonal entries, so they lead and the first split succeeds.
+    # [[0, B], [B', 0]] with equal halves has a zero diagonal and no zero
+    # row, so it keeps its natural order, leads with a zero block, and
+    # falls back to the base passes at full size after that one try.
+    # Both must give the same answers as the independent routes.
+    tries, base_orders = _spy_on_splits(monkeypatch)
     # integer entries keep the MacDuffee reference quick
     b, c = _rand(rng, 13, 13, max_den=1), _rand(rng, 13, 13, max_den=1)
     zero = RatMatrix.zeros(13, 13)
-    retried = RatMatrix.from_blocks([[zero, b], [b.transpose(), c + c.transpose()]])
-    _assert_matches_independent_routes(retried, "retried", macduffee=True)
-    assert tries[-1] == (26, True, True) and (26, False, False) in tries
-    assert max(base_orders) <= exact_core._SCHUR_CUTOFF
+    e = c @ c.transpose() + RatMatrix.identity(13)
+    split_first = RatMatrix.from_blocks([[zero, b], [b.transpose(), e]])
+    _assert_matches_independent_routes(split_first, "split first", macduffee=True)
+    assert tries == [(26, True)]
+    assert base_orders == [13, 13]
     tries.clear()
     base_orders.clear()
     fallback = RatMatrix.from_blocks([[zero, b], [b.transpose(), zero]])
     _assert_matches_independent_routes(fallback, "fallback", macduffee=True)
-    assert tries[-2:] == [(26, False, False), (26, True, False)]
-    assert base_orders[-1] == 26
+    assert tries == [(26, False)]
+    assert base_orders == [13, 26]
+
+
+def test_zero_rows_never_lead_a_split(rng, monkeypatch):
+    # a zero-diagonal block behind zero rows at the first indices: every
+    # diagonal entry is zero, and in the natural order the leading half
+    # would hold the zero rows and be singular
+    tries, base_orders = _spy_on_splits(monkeypatch)
+    core = _zero_diagonal(rng, 20)
+    pad = RatMatrix.zeros(4, 20)
+    m = RatMatrix.from_blocks([[RatMatrix.zeros(4, 4), pad], [pad.transpose(), core]])
+    _assert_matches_independent_routes(m, "zero rows first", macduffee=False)
+    assert tries == [(24, True)]
+    assert max(base_orders) <= exact_core._SCHUR_CUTOFF
+
+
+@pytest.mark.parametrize("n", [13, 21, 41, 61])
+def test_odd_helm_d_splits_without_a_failed_try(monkeypatch, n):
+    # each trailing Schur complement of an odd-n D holds the kernel as a
+    # zero row; the split order puts it last, so no leading block is
+    # singular and no block above the cutoff reaches the base passes
+    tries, base_orders = _spy_on_splits(monkeypatch)
+    tri, det, _ = exact_core.factor_symmetric(helm_distance_block(n))
+    assert (tri, det) == ((1, 2 * n - 3, 1), 0)
+    assert tries and all(ok for _, ok in tries)
+    assert max(base_orders) <= exact_core._SCHUR_CUTOFF
+
+
+def _symmetric_singular_cases(rng) -> list[tuple[str, RatMatrix]]:
+    """Symmetric matrices with kernels of dimension 1 to 10."""
+    cases = []
+    for order, r in ((6, 5), (9, 4), (12, 4), (14, 7), (18, 8), (20, 11)):
+        a = _rand(rng, order, r)
+        cases.append((f"gram {order} of rank {r}", a @ a.transpose()))
+    for half, r in ((4, 3), (6, 3), (9, 4)):
+        # [[0, B], [B', 0]] with B of rank r has a kernel of dimension 2 (half - r)
+        b = _rand(rng, half, r) @ _rand(rng, r, half)
+        zero = RatMatrix.zeros(half, half)
+        m = RatMatrix.from_blocks([[zero, b], [b.transpose(), zero]])
+        cases.append((f"zero-diagonal {2 * half} of rank {2 * r}", m))
+    pad = RatMatrix.zeros(7, 3)
+    m = RatMatrix.from_blocks([[_zero_diagonal(rng, 7), pad], [pad.transpose(), RatMatrix.zeros(3, 3)]])
+    cases.append(("zero-diagonal 10 with 3 zero rows", m))
+    for order in (1, 4, 10):
+        cases.append((f"zero {order}", RatMatrix.zeros(order, order)))
+    for n in (5, 7, 13, 21):
+        cases.append((f"helm n={n}", helm_distance_block(n)))
+    return cases
+
+
+def test_symmetric_projection_equals_the_two_sided_projection_and_pseudoinverse(rng):
+    # the symmetric generalized inverse may be any one: the base passes'
+    # (G + G')/2, the recursion's, or either plus N' Z N for a symmetric Z
+    # (M N' = 0, so it stays a symmetric generalized inverse)
+    dims = set()
+    for label, m in _symmetric_singular_cases(rng):
+        want = pseudoinverse(m)
+        kernel_dim = m.rows - rank(m)
+        dims.add(kernel_dim)
+        for f in (exact_core._base_factor(m), exact_core._factor(m)):
+            assert f.kernel.rows == kernel_dim, label
+            z = random_symmetric(rng, kernel_dim)
+            for g in (f.ginv, f.ginv + f.kernel.transpose() @ z @ f.kernel):
+                assert g.is_symmetric() and m @ g @ m == m, label
+                got = exact_core._project_out_symmetric(g, f.kernel)
+                assert got == exact_core._project_out(g, f.kernel, f.kernel), label
+                assert got == want, label
+    assert dims == set(range(1, 11))
