@@ -31,7 +31,6 @@ from .circulant import (
     alternating_signs,
     circulant_product,
     cycle_signless_laplacian_spec,
-    is_delta,
     materialize,
     rim_distance_spec,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "helm_distance_block",
     "inertia",
     "inverse",
-    "is_delta",
     "make_even_case",
     "make_odd_case",
     "make_w_alpha",

@@ -58,9 +58,6 @@ class SixConditions(NamedTuple):
     b_annihilated: bool
     s_balance: bool
 
-    def all_hold(self) -> bool:
-        return all(self)
-
 
 def check_equiv_formulation(d: RatMatrix, dec: Decomposition) -> bool:
     """Certify dec.candidate as the Moore-Penrose inverse of d.

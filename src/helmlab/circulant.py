@@ -7,8 +7,9 @@ matrix.  Circulants of one order share the Fourier eigenvectors, which
 is how ``helmlab eig`` reads the rim blocks' spectra off exact block
 identities (characterization.check_conditions_i_vi).
 
-A spec is delta-symmetric (is_delta) exactly when its circulant is
-symmetric; such specs are closed under circulant_product.
+A spec is delta-symmetric (z_i = z_{k+2-i} for i = 2..k, 1-based, with
+k its length and z_1 free) exactly when its circulant is symmetric; such
+specs are closed under circulant_product.
 
 Also hosts the two special circulants the helm distance matrix is built
 from: the signless Laplacian of the rim cycle, spec (2,1,0,...,0,1), and
@@ -19,11 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .exact_core import (
     RatMatrix,
-    Scalar,
     Vector,
     _common_denominator,
     frac,
@@ -46,17 +45,6 @@ class CirculantSpec:
 
     def __len__(self) -> int:
         return len(self.first_row)
-
-
-def is_delta(z: Sequence[Scalar]) -> bool:
-    """True iff the tail of z reads the same forwards and backwards.
-
-    In 1-based terms: z_i = z_{k+2-i} for i = 2..k where k = len(z); z_1
-    is free.
-    """
-    values = vec(z)
-    k = len(values)
-    return all(values[i] == values[k - i] for i in range(1, k))
 
 
 def materialize(spec: CirculantSpec) -> RatMatrix:

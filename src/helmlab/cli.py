@@ -233,7 +233,7 @@ def _run_checks(n: int, report: VerificationReport) -> None:
     def chk_six():
         conditions = check_conditions_i_vi(case.rim_block, case.coupling_block, s_mat)
         held = sum(1 for b in conditions if b)
-        return conditions.all_hold(), f"{held}/6 block conditions hold"
+        return all(conditions), f"{held}/6 block conditions hold"
 
     checks.run("six_conditions", chk_six)
 
@@ -277,19 +277,17 @@ def _run_checks(n: int, report: VerificationReport) -> None:
     checks.run("rank_of_l", chk_rank_l)
 
 
-def _too_large(flag: str, value: int) -> bool:
-    """True (with a message) when value exceeds MAX_N."""
-    if value > MAX_N:
-        print(f"error: {flag} must be <= {MAX_N}, got {value}", file=sys.stderr)
-        return True
-    return False
+def _n_out_of_range(flag: str, value: int) -> bool:
+    """True (with a message) when value lies outside 4..MAX_N."""
+    if 4 <= value <= MAX_N:
+        return False
+    bound = ">= 4" if value < 4 else f"<= {MAX_N}"
+    print(f"error: {flag} must be {bound}, got {value}", file=sys.stderr)
+    return True
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.n < 4:
-        print(f"error: --n must be >= 4, got {args.n}", file=sys.stderr)
-        return 2
-    if _too_large("--n", args.n):
+    if _n_out_of_range("--n", args.n):
         return 2
     report = run_verification(args.n)
     if args.format == "json":
@@ -303,7 +301,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.min < 4 or args.min > args.max:
         print(f"error: need 4 <= min <= max, got {args.min}..{args.max}", file=sys.stderr)
         return 2
-    if _too_large("--max", args.max):
+    if _n_out_of_range("--max", args.max):
         return 2
     values = list(range(args.min, args.max + 1))
     if args.parallel and len(values) > 1:
@@ -335,10 +333,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_eig(args: argparse.Namespace) -> int:
     n = args.n
     name = args.matrix
-    if n < 4:
-        print(f"error: --n must be >= 4, got {n}", file=sys.stderr)
-        return 2
-    if _too_large("--n", n):
+    if _n_out_of_range("--n", n):
         return 2
     if name in ("A", "B") and (n % 2 == 0 or n < 5):
         print(f"error: matrix {name} requires odd n >= 5, got {n}", file=sys.stderr)

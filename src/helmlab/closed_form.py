@@ -160,8 +160,9 @@ def make_even_case(n: int) -> HelmCase:
 def closed_form_inverse(dec: Decomposition) -> RatMatrix:
     """Inverse of the distance matrix for even n: dec's -L/2 + alpha ww'.
 
-    The report's closed_form_inverse check compares it with
-    exact_core.pseudoinverse, which is D^-1 for a nonsingular D.
+    The report's closed_form_inverse check compares it with the
+    pseudoinverse from exact_core.factor_symmetric, which is D^-1 for a
+    nonsingular D.
     """
     n = (len(dec.w) + 1) // 2
     if n % 2 == 1:
@@ -173,9 +174,9 @@ def closed_form_mp_inverse(dec: Decomposition) -> RatMatrix:
     """Moore-Penrose inverse of the distance matrix for odd n: dec's -L/2 + alpha ww'.
 
     Same shape as the even case.  The report's closed_form_mp_inverse
-    check compares it with exact_core.pseudoinverse, the projected
-    generalized inverse from one Gauss-Jordan pass;
-    its four Penrose conditions are proved once, by the equiv_formulation
+    check compares it with the pseudoinverse from
+    exact_core.factor_symmetric, D's Schur-complement factorization; its
+    four Penrose conditions are proved once, by the equiv_formulation
     check (characterization.check_equiv_formulation).
     """
     n = (len(dec.w) + 1) // 2

@@ -263,6 +263,8 @@ class RatMatrix:
     def from_blocks(cls, grid: Sequence[Sequence[Union["RatMatrix", Scalar]]]) -> "RatMatrix":
         """Assemble a block matrix; scalar grid cells act as 1x1 blocks."""
         norm = [[b if isinstance(b, RatMatrix) else cls(1, 1, [b]) for b in row] for row in grid]
+        if not norm or not all(norm):
+            raise ValueError("empty block grid or row")
         row_heights = [row[0].rows for row in norm]
         col_widths = [b.cols for b in norm[0]]
         for i, row in enumerate(norm):
@@ -526,29 +528,18 @@ def _echelon_ints(rows: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
-def _divide_by_pivots(rows: list[list[int]], pivots: list[int], start: int) -> RatMatrix:
-    """The matrix whose row r is rows[r][start:] over row r's pivot entry.
-
-    Rows past the rank are taken as they are; callers pass zero rows
-    there.
-    """
-    scales = [rows[r][c] for r, c in enumerate(pivots)]
-    scales += [1] * (len(rows) - len(scales))
-    den = math.lcm(*scales)
-    out: list[int] = []
-    for row, pv in zip(rows, scales):
-        f = den // pv
-        out.extend([f * x for x in row[start:]])
-    width = len(rows[0]) - start if rows else 0
-    return RatMatrix._from_ints(len(rows), width, den, out)
-
-
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns, exactly."""
     work = _int_rows(m)
     pivots = _echelon_ints(work, m.cols)
-    reduced = _divide_by_pivots(work, pivots, 0) if work else RatMatrix.zeros(0, m.cols)
-    return reduced, tuple(pivots)
+    # row t is its pivot entry times row t of the form; rows past the rank are zero
+    scales = [work[t][c] for t, c in enumerate(pivots)] + [1] * (m.rows - len(pivots))
+    den = math.lcm(*scales)
+    ints: list[int] = []
+    for row, pv in zip(work, scales):
+        f = den // pv
+        ints.extend([f * x for x in row])
+    return RatMatrix._from_ints(m.rows, m.cols, den, ints), tuple(pivots)
 
 
 def rank(m: RatMatrix) -> int:
@@ -586,35 +577,15 @@ def determinant(m: RatMatrix) -> Fraction:
     return Fraction(_bareiss(_int_rows(m)), m._den ** m.rows)
 
 
-def _augmented_echelon(m: RatMatrix) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan on the integer rows of [A | d I], m = A/d.
-
-    Returns the eliminated rows and the pivot columns, which are searched
-    in A's columns only.  The right block records the row operations: let
-    row t of E be row t's right block, divided by its pivot entry when t
-    is below the rank.  Then E is invertible and E m is the reduced
-    echelon form of m, whose rows past the rank are zero.
-    """
-    d, size = m._den, m.rows
-    work = _int_rows(m)
-    for i, row in enumerate(work):
-        tail = [0] * size
-        tail[i] = d
-        row.extend(tail)
-    return work, _echelon_ints(work, m.cols)
-
-
 def inverse(m: RatMatrix) -> RatMatrix:
-    """Exact inverse via Gauss-Jordan; raises ValueError if det = 0.
-
-    With m = A/d, the rows of [A | d I] reduce to [I | inverse(m)].
-    """
+    """Exact inverse, the Gauss-Jordan generalized inverse of a nonsingular
+    m (``_gauss_jordan``); raises ValueError if det = 0."""
     if not m.is_square():
         raise ValueError(f"inverse of {m.rows}x{m.cols} matrix")
-    work, pivots = _augmented_echelon(m)
-    if len(pivots) < m.rows:
+    g, kernel, _ = _gauss_jordan(m)
+    if kernel.rows:
         raise ValueError("matrix is singular")
-    return _divide_by_pivots(work, pivots, m.cols)
+    return g
 
 
 def solve(m: RatMatrix, b: Sequence[Scalar]) -> Optional[Vector]:
@@ -670,7 +641,10 @@ def _gauss_jordan(m: RatMatrix) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
     """(G, N, Q) from one Gauss-Jordan pass: G a generalized inverse of m,
     and the rows of N and Q integer bases of ker m and ker m'.
 
-    The pass on [A | d I] (see ``_augmented_echelon``) gives E with
+    The fraction-free pass runs on the integer rows of [A | d I], m = A/d,
+    searching A's columns only for pivots.  The right block records the
+    row operations: let row t of E be row t's right block, divided by its
+    pivot entry when t is below the rank.  Then E is invertible and
     E m = R, R the reduced echelon form with pivot columns c_0 < c_1 < ...
     Let S put row t at row c_t.  R S is the identity on the first r = rank
     coordinates and zero past them, so R S R = R, and G = S E is a
@@ -680,7 +654,12 @@ def _gauss_jordan(m: RatMatrix) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
     empty N and Q, and the zero matrix gets G = 0.
     """
     rows, cols = m.rows, m.cols
-    work, pivots = _augmented_echelon(m)
+    work = _int_rows(m)
+    for i, row in enumerate(work):
+        tail = [0] * rows
+        tail[i] = m._den
+        row.extend(tail)
+    pivots = _echelon_ints(work, cols)
     r = len(pivots)
     # row t of work over its pivot entry is row t of [R | E]; scale all by den
     den, kernel = _kernel_rows(work, pivots, cols)

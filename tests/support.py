@@ -23,8 +23,10 @@ def random_fraction(rng: random.Random, span: int = 9, max_den: int = 6) -> Frac
     return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
 
 
-def random_matrix(rng: random.Random, rows: int, cols: int) -> RatMatrix:
-    return RatMatrix(rows, cols, (random_fraction(rng) for _ in range(rows * cols)))
+def random_matrix(
+    rng: random.Random, rows: int, cols: int, span: int = 9, max_den: int = 6
+) -> RatMatrix:
+    return RatMatrix(rows, cols, (random_fraction(rng, span, max_den) for _ in range(rows * cols)))
 
 
 def random_symmetric(rng: random.Random, order: int) -> RatMatrix:

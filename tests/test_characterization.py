@@ -32,17 +32,10 @@ from helmlab import (
 )
 from helmlab.closed_form import _helm_case
 from helmlab.exact_core import dot, ones_vector, scale_vector
-from support import bump_l
+from support import bump_l, helm_decomposition
 
 ODD_RANGE = (5, 7, 9, 11, 13)
 EVEN_RANGE = (4, 6, 8, 10, 12)
-
-
-def _helm_decomposition(n: int) -> tuple[RatMatrix, Decomposition]:
-    d = helm_distance_block(n)
-    case = make_even_case(n) if n % 2 == 0 else make_odd_case(n)
-    vectors = make_w_alpha(n)
-    return d, Decomposition(case.laplacian_like, vectors.w, vectors.alpha)
 
 
 def _kernel_vector(n: int) -> tuple[Fraction, ...]:
@@ -56,12 +49,12 @@ def _kernel_vector(n: int) -> tuple[Fraction, ...]:
 
 @pytest.mark.parametrize("n", (6, 7))
 def test_equiv_formulation_certifies_the_helm_triple(n):
-    d, dec = _helm_decomposition(n)
+    d, dec = helm_distance_block(n), helm_decomposition(n)
     assert check_equiv_formulation(d, dec)
 
 
 def test_equiv_formulation_rejects_perturbed_alpha():
-    d, dec = _helm_decomposition(7)
+    d, dec = helm_distance_block(7), helm_decomposition(7)
     wrong = Decomposition(dec.laplacian_like, dec.w, Fraction(1, 4))
     assert not check_equiv_formulation(d, wrong)
 
@@ -70,7 +63,7 @@ def test_equiv_formulation_rejects_perturbed_alpha():
 def test_equiv_formulation_rejects_perturbed_l(n):
     # the helm w and alpha keep D w = e/alpha, so only the Penrose
     # conditions on X = -L/2 + alpha ww' can reject the bumped L
-    d, dec = _helm_decomposition(n)
+    d, dec = helm_distance_block(n), helm_decomposition(n)
     bumped = Decomposition(bump_l(dec.laplacian_like), dec.w, dec.alpha)
     assert d.mul_vector(bumped.w) == scale_vector(1 / bumped.alpha, ones_vector(d.rows))
     assert not check_equiv_formulation(d, bumped)
@@ -81,7 +74,7 @@ def test_equiv_formulation_rejects_perturbed_l(n):
 def test_l_d_witness_form_follows_from_d_w(n, bump):
     # D w = e/alpha gives X D = -L D/2 + w e' for every L, so
     # L D + 2I - 2we' = 2(I - X D) holds whether or not X is the MP inverse
-    d, dec = _helm_decomposition(n)
+    d, dec = helm_distance_block(n), helm_decomposition(n)
     lap = bump_l(dec.laplacian_like) if bump else dec.laplacian_like
     x = Decomposition(lap, dec.w, dec.alpha).candidate
     ident = RatMatrix.identity(d.rows)
@@ -95,7 +88,7 @@ def test_equiv_formulation_hypothesis_failure():
     # first witness identity fails
     n = 5
     toy = 2 * RatMatrix.identity(n) - Fraction(2, n) * RatMatrix.ones(n, n)
-    _, dec = _helm_decomposition(7)
+    dec = helm_decomposition(7)
     small = Decomposition(
         RatMatrix.zeros(n, n),
         (Fraction(1),) + (Fraction(0),) * (n - 1),
@@ -117,20 +110,20 @@ def test_equiv_formulation_requires_symmetry():
 
 
 def test_uniqueness_recovery_n7():
-    d, dec = _helm_decomposition(7)
+    d, dec = helm_distance_block(7), helm_decomposition(7)
     alpha, w = check_uniqueness(d, dec)
     assert alpha == Fraction(2, 9)
     assert w == (Fraction(-1, 2),) + (Fraction(-1, 4),) * 6 + (Fraction(1, 2),) * 6
 
 
 def test_uniqueness_recovery_n6():
-    d, dec = _helm_decomposition(6)
+    d, dec = helm_distance_block(6), helm_decomposition(6)
     alpha, _ = check_uniqueness(d, dec)
     assert alpha == Fraction(4, 15)
 
 
 def test_flipping_w_is_rejected_at_construction():
-    d, dec = _helm_decomposition(7)
+    d, dec = helm_distance_block(7), helm_decomposition(7)
     with pytest.raises(ValueError, match="e'w = 1"):
         Decomposition(dec.laplacian_like, tuple(-x for x in dec.w), dec.alpha)
 
@@ -157,7 +150,7 @@ def test_six_conditions_odd_n9():
     data = make_odd_case(9)
     s = materialize(cycle_signless_laplacian_spec(8))
     report = check_conditions_i_vi(data.rim_block, data.coupling_block, s)
-    assert report.all_hold()
+    assert all(report)
 
 
 def test_six_conditions_even_n8_with_negative_identity():
@@ -165,7 +158,7 @@ def test_six_conditions_even_n8_with_negative_identity():
     k = 7
     s = materialize(cycle_signless_laplacian_spec(k))
     report = check_conditions_i_vi(data.rim_block, -RatMatrix.identity(k), s)
-    assert report.all_hold()
+    assert all(report)
 
 
 def test_six_conditions_detect_perturbation():
@@ -176,7 +169,7 @@ def test_six_conditions_detect_perturbation():
     )
     report = check_conditions_i_vi(perturbed, data.coupling_block, s)
     assert not report.s_balance
-    assert not report.all_hold()
+    assert not all(report)
 
 
 def test_six_conditions_shape_guard():
@@ -237,7 +230,7 @@ def test_kernel_projector_vanishes_for_even_n(n):
 
 @pytest.mark.parametrize("n", ODD_RANGE)
 def test_mp_inverse_shares_the_kernel(n):
-    x = closed_form_mp_inverse(_helm_decomposition(n)[1])
+    x = closed_form_mp_inverse(helm_decomposition(n))
     assert all(v == 0 for v in x.mul_vector(_kernel_vector(n)))
 
 
@@ -315,7 +308,7 @@ def test_schur_psd_check_shape_guard():
 
 
 def _rank_l(n: int) -> int:
-    d, dec = _helm_decomposition(n)
+    d, dec = helm_distance_block(n), helm_decomposition(n)
     return rank_l_check(rank(d), rank(dec.laplacian_like))
 
 
@@ -326,7 +319,7 @@ def test_rank_l_check_values():
 
 
 def test_rank_l_check_rejects_ranks_that_do_not_fit():
-    d, dec = _helm_decomposition(7)
+    d, dec = helm_distance_block(7), helm_decomposition(7)
     rank_l = rank(dec.laplacian_like)
     with pytest.raises(VerificationError, match="distance matrix"):
         rank_l_check(rank(d) + 1, rank_l)

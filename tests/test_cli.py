@@ -415,16 +415,25 @@ def test_verify_factors_d_once_above_the_recursion_cutoff(monkeypatch, n, produc
 
 @pytest.mark.parametrize(
     "argv",
-    [("verify", "--n"), ("sweep", "--min", "4", "--max"), ("eig", "--matrix", "S", "--n")],
+    [
+        ("verify", "--n", cli.MAX_N + 1),
+        ("sweep", "--min", "4", "--max", cli.MAX_N + 1),
+        ("eig", "--matrix", "S", "--n", cli.MAX_N + 1),
+        ("verify", "--n", 3),
+        ("eig", "--matrix", "S", "--n", 3),
+    ],
 )
 def test_n_above_max_n_exits_2_before_any_matrix_is_built(capsys, monkeypatch, argv):
+    # one gate refuses n outside 4..MAX_N, so n = 3 is refused the same way
+    *flags, n = argv
     monkeypatch.setattr(RatMatrix, "__init__", _boom)
     monkeypatch.setattr(RatMatrix, "_from_ints", classmethod(_boom))
     monkeypatch.setattr(cli, "run_verification", _boom)
-    code, out, err = run_main(capsys, *argv, str(cli.MAX_N + 1))
+    code, out, err = run_main(capsys, *flags, str(n))
     assert code == 2
     assert out == ""
-    assert f"must be <= {cli.MAX_N}, got {cli.MAX_N + 1}" in err
+    bound = ">= 4" if n < 4 else f"<= {cli.MAX_N}"
+    assert err == f"error: {flags[-1]} must be {bound}, got {n}\n"
 
 
 def test_max_n_itself_is_accepted(capsys, monkeypatch):

@@ -30,7 +30,7 @@ from helmlab import (
 )
 from helmlab import exact_core
 from helmlab.exact_core import rref
-from support import random_invertible, random_symmetric
+from support import random_fraction, random_invertible, random_matrix, random_symmetric
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -379,6 +379,25 @@ def test_from_blocks_assembles_in_order():
     assert a == RatMatrix.from_rows([[1, 1, 1], [0, 1, 0], [0, 0, 1]])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RatMatrix.from_blocks([]), "empty block grid or row"),
+        (lambda: RatMatrix.from_blocks([[]]), "empty block grid or row"),
+        (lambda: RatMatrix.from_blocks([[1], []]), "empty block grid or row"),
+        (lambda: RatMatrix.from_blocks([[1, 2], [3]]), "ragged block grid"),
+        (lambda: RatMatrix.from_blocks([[1, RatMatrix.zeros(2, 1)]]), r"block \(0,1\) is 2x1"),
+        (lambda: RatMatrix.from_blocks([[1], [RatMatrix.zeros(1, 2)]]), r"block \(1,0\) is 1x2"),
+        (lambda: RatMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
+    ],
+    ids=["empty grid", "empty row", "empty later row", "ragged grid", "block height", "block width",
+         "ragged rows"],
+)
+def test_malformed_grids_raise_value_error(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_row_and_column_reject_out_of_range_indices():
     m = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert m.row(1) == (Fraction(4), Fraction(5), Fraction(6))
@@ -524,14 +543,6 @@ def _ref_inertia(rows: list[list[Fraction]]) -> InertiaTriple:
     return InertiaTriple(plus, minus, len(w))
 
 
-def _rat(rng, span: int = 9, max_den: int = 6) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
-
-
-def _rand(rng, rows: int, cols: int, **kw) -> RatMatrix:
-    return RatMatrix(rows, cols, [_rat(rng, **kw) for _ in range(rows * cols)])
-
-
 def _with_rows(m: RatMatrix, fn) -> RatMatrix:
     return RatMatrix(m.rows, m.cols, [x for i, r in enumerate(m.to_lists()) for x in fn(i, r)])
 
@@ -543,23 +554,21 @@ def _differential_cases(rng) -> list[tuple[str, RatMatrix]]:
         ("3x0", RatMatrix(3, 0, [])),
         ("1x1", RatMatrix(1, 1, [Fraction(-7, 3)])),
         ("1x1 zero", RatMatrix.zeros(1, 1)),
-        ("wide 3x6", _rand(rng, 3, 6)),
-        ("tall 6x3", _rand(rng, 6, 3)),
-        ("integer 6x6", _rand(rng, 6, 6, max_den=1)),
+        ("wide 3x6", random_matrix(rng, 3, 6)),
+        ("tall 6x3", random_matrix(rng, 6, 3)),
+        ("integer 6x6", random_matrix(rng, 6, 6, max_den=1)),
         ("integer singular", RatMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])),
         ("helm n=7", helm_distance_block(7)),
     ]
     for t in range(4):
-        cases.append((f"general 7x7 #{t}", _rand(rng, 7, 7)))
-    cases.append(
-        ("zero rows", _with_rows(_rand(rng, 6, 6), lambda i, r: [Fraction(0)] * 6 if i in (1, 4) else r))
-    )
-    cases.append(
-        ("negative leading pivots", _with_rows(_rand(rng, 6, 6), lambda i, r: [-abs(r[0]) - 1] + r[1:]))
-    )
+        cases.append((f"general 7x7 #{t}", random_matrix(rng, 7, 7)))
+    zero_rows = _with_rows(random_matrix(rng, 6, 6), lambda i, r: [Fraction(0)] * 6 if i in (1, 4) else r)
+    cases.append(("zero rows", zero_rows))
+    negative = _with_rows(random_matrix(rng, 6, 6), lambda i, r: [-abs(r[0]) - 1] + r[1:])
+    cases.append(("negative leading pivots", negative))
     for t in range(3):
         order = 7 + t
-        a = _rand(rng, order, order - 2)
+        a = random_matrix(rng, order, order - 2)
         cases.append((f"rank-deficient gram {order}", a @ a.transpose()))
     for t in range(3):
         order = 4 + 2 * t
@@ -567,11 +576,11 @@ def _differential_cases(rng) -> list[tuple[str, RatMatrix]]:
         cases.append(
             (f"zero-diagonal symmetric {order}", _with_rows(s, lambda i, r: r[:i] + [Fraction(0)] + r[i + 1 :]))
         )
-    block = _rand(rng, 3, 3)
+    block = random_matrix(rng, 3, 3)
     cases.append(
         ("hyperbolic blocks", RatMatrix.from_blocks([[RatMatrix.zeros(3, 3), block], [block.transpose(), RatMatrix.zeros(3, 3)]]))
     )
-    a = _rand(rng, 9, 7)
+    a = random_matrix(rng, 9, 7)
     big = pseudoinverse(a @ a.transpose())
     cases.append(("pseudoinverse of gram 9 (large entries)", big))
     cases.append(("inverse of general 6 (large entries)", inverse(random_invertible(rng, 6))))
@@ -590,8 +599,8 @@ def test_differential_cases_reach_large_entries(rng):
 def test_matmul_matches_reference(rng):
     cases = _differential_cases(rng)
     for label, m in cases:
-        left = _rand(rng, 3, m.rows)
-        right = _rand(rng, m.cols, 4)
+        left = random_matrix(rng, 3, m.rows)
+        right = random_matrix(rng, m.cols, 4)
         for a, b in ((m, right), (left, m), (m, m.transpose()), (m.transpose(), m)):
             got = a @ b
             assert (got.rows, got.cols) == (a.rows, b.cols), label
@@ -650,7 +659,7 @@ def test_matmul_negative_entries_in_every_slot(rng, bits):
 
 def test_matmul_zero_rows_columns_and_operands(rng):
     huge = RatMatrix(3, 4, [Fraction(rng.getrandbits(450) - (1 << 449), 7) for _ in range(12)])
-    a = _rand(rng, 5, 3)
+    a = random_matrix(rng, 5, 3)
     a = _with_rows(a, lambda i, r: [Fraction(0)] * 3 if i in (0, 2, 4) else r)
     b = RatMatrix.from_rows([[0, *r[1:3], 0] for r in huge.to_lists()])
     _assert_matmul(a, b, "zero rows of A, zero first and last columns of B")
@@ -663,8 +672,8 @@ def test_matmul_zero_rows_columns_and_operands(rng):
 def test_matmul_degenerate_shapes(rng):
     big = RatMatrix(2, 2, [Fraction(rng.getrandbits(450), 3) for _ in range(4)])
     for a, b in (
-        (RatMatrix(0, 3, []), _rand(rng, 3, 4)),
-        (_rand(rng, 4, 3), RatMatrix(3, 0, [])),
+        (RatMatrix(0, 3, []), random_matrix(rng, 3, 4)),
+        (random_matrix(rng, 4, 3), RatMatrix(3, 0, [])),
         (RatMatrix(0, 2, []), big),
         (RatMatrix(2, 0, []), RatMatrix(0, 3, [])),
         (RatMatrix(0, 0, []), RatMatrix(0, 0, [])),
@@ -686,8 +695,8 @@ def test_matmul_on_entries_of_about_450_bits(rng):
     for rows, inner, cols in ((3, 4, 5), (6, 6, 6), (1, 9, 2), (7, 1, 3)):
         a, b = wide(rows, inner), wide(inner, cols)
         _assert_matmul(a, b)
-        _assert_matmul(a, _rand(rng, inner, cols))
-        _assert_matmul(_rand(rng, rows, inner), b)
+        _assert_matmul(a, random_matrix(rng, inner, cols))
+        _assert_matmul(random_matrix(rng, rows, inner), b)
 
 
 def test_matmul_random_shapes_and_widths(rng):
@@ -712,7 +721,7 @@ def test_matmul_random_shapes_and_widths(rng):
 
 def test_mul_vector_matches_reference(rng):
     for label, m in _differential_cases(rng):
-        v = tuple(_rat(rng) for _ in range(m.cols))
+        v = tuple(random_fraction(rng) for _ in range(m.cols))
         want = [r[0] for r in _ref_matmul(m, RatMatrix(m.cols, 1, v))]
         assert m.mul_vector(v) == tuple(want), label
 
@@ -743,7 +752,7 @@ def test_determinant_matches_reference(rng):
 
 def test_inverse_and_solve_match_reference(rng):
     for label, m in _differential_cases(rng):
-        b = [_rat(rng) for _ in range(m.rows)]
+        b = [random_fraction(rng) for _ in range(m.rows)]
         aug, piv = _ref_rref([r + [b[i]] for i, r in enumerate(m.to_lists())], m.cols + 1)
         if m.cols in piv:
             assert solve(m, b) is None, label
@@ -800,7 +809,9 @@ def test_pseudoinverse_matches_the_factorization_route(rng):
     shapes = [(0, 4, 0), (4, 0, 0), (3, 5, 0), (5, 2, 0), (6, 4, 1), (3, 7, 2), (8, 5, 3)]
     shapes += [(m, n, rng.randint(1, min(m, n))) for m, n in [(4, 6), (7, 3), (9, 5), (2, 8)]]
     cases = _differential_cases(rng)
-    cases += [(f"{m}x{n} of rank <= {r}", _rand(rng, m, r) @ _rand(rng, r, n)) for m, n, r in shapes]
+    cases += [
+        (f"{m}x{n} of rank <= {r}", random_matrix(rng, m, r) @ random_matrix(rng, r, n)) for m, n, r in shapes
+    ]
     cases += [(f"helm n={n}", helm_distance_block(n)) for n in range(4, 16)]
     for label, m in cases:
         assert pseudoinverse(m).to_lists() == _ref_macduffee(m), label
@@ -883,7 +894,7 @@ def test_inertia_is_invariant_under_symmetric_permutation(rng):
         cases.append((f"random symmetric {order}", random_symmetric(rng, order)))
         cases.append((f"zero-diagonal {order}", _zero_diagonal(rng, order)))
         if order > 2:
-            a = _rand(rng, order, order // 2)
+            a = random_matrix(rng, order, order // 2)
             cases.append((f"gram {order} of rank {order // 2}", a @ a.transpose()))
     for n in (5, 6, 9, 12):
         case = make_odd_case(n) if n % 2 else make_even_case(n)
@@ -931,7 +942,7 @@ def _assert_canonical(m: RatMatrix, label: str) -> None:
 def _mixed(rng, count: int, big: RatMatrix) -> list[Fraction]:
     """count small random fractions, every third replaced by an entry of big."""
     flat = [x for r in big.to_lists() for x in r]
-    return [flat[i % len(flat)] if i % 3 == 0 else _rat(rng) for i in range(count)]
+    return [flat[i % len(flat)] if i % 3 == 0 else random_fraction(rng) for i in range(count)]
 
 
 def _partner(rng, m: RatMatrix, big: RatMatrix) -> RatMatrix:
@@ -1071,7 +1082,7 @@ def test_factor_symmetric_matches_independent_routes_on_random_matrices(rng):
         ("zero 30", RatMatrix.zeros(30, 30), True),
     ]
     for order, r in ((25, 23), (32, 12), (40, 20)):
-        a = _rand(rng, order, r)
+        a = random_matrix(rng, order, r)
         cases.append((f"gram {order} of rank {r}", a @ a.transpose(), order == 25))
     for label, m, macduffee in cases:
         _assert_matches_independent_routes(m, label, macduffee)
@@ -1111,7 +1122,7 @@ def test_singular_leading_block_falls_back_to_the_base_passes_after_one_try(rng,
     # Both must give the same answers as the independent routes.
     tries, base_orders = _spy_on_splits(monkeypatch)
     # integer entries keep the MacDuffee reference quick
-    b, c = _rand(rng, 13, 13, max_den=1), _rand(rng, 13, 13, max_den=1)
+    b, c = random_matrix(rng, 13, 13, max_den=1), random_matrix(rng, 13, 13, max_den=1)
     zero = RatMatrix.zeros(13, 13)
     e = c @ c.transpose() + RatMatrix.identity(13)
     split_first = RatMatrix.from_blocks([[zero, b], [b.transpose(), e]])
@@ -1155,11 +1166,11 @@ def _symmetric_singular_cases(rng) -> list[tuple[str, RatMatrix]]:
     """Symmetric matrices with kernels of dimension 1 to 10."""
     cases = []
     for order, r in ((6, 5), (9, 4), (12, 4), (14, 7), (18, 8), (20, 11)):
-        a = _rand(rng, order, r)
+        a = random_matrix(rng, order, r)
         cases.append((f"gram {order} of rank {r}", a @ a.transpose()))
     for half, r in ((4, 3), (6, 3), (9, 4)):
         # [[0, B], [B', 0]] with B of rank r has a kernel of dimension 2 (half - r)
-        b = _rand(rng, half, r) @ _rand(rng, r, half)
+        b = random_matrix(rng, half, r) @ random_matrix(rng, r, half)
         zero = RatMatrix.zeros(half, half)
         m = RatMatrix.from_blocks([[zero, b], [b.transpose(), zero]])
         cases.append((f"zero-diagonal {2 * half} of rank {2 * r}", m))
