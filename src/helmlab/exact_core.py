@@ -27,9 +27,11 @@ matrices have equal storage.  Every operation works on the integers:
 * the determinant is Bareiss's fraction-free elimination (Bareiss 1968,
   Math. Comp. 22), whose divisions by the previous pivot are exact;
 * the inertia is a Sylvester congruence reduction in integers on the
-  upper triangle, pivoting on the diagonal entry of least magnitude and
-  scaled by positive factors only, so signs and hence the inertia are
-  preserved.
+  upper triangle, pivoting on the diagonal entry of least magnitude
+  together with every diagonal pivot it can take in the same step (a
+  block of pairwise uncoupled ones, whose Schur complement is one
+  packed product), and scaled by positive factors only, so signs and
+  hence the inertia are preserved.
 
 ``Fraction`` values are made only where entries are read (indexing,
 rows, columns, ``to_lists`` and the vectors the matrix methods return),
@@ -729,7 +731,7 @@ def inertia(m: RatMatrix) -> InertiaTriple:
 
     Sylvester congruence reduction (symmetric 1x1 and 2x2 pivots as in
     Bunch and Kaufman, Math. Comp. 31, 1977, done fraction-free): pivot on
-    the nonzero diagonal entry of least absolute value in the remaining
+    the nonzero diagonal entry p of least absolute value in the remaining
     block, the lowest index on a tie; when the whole diagonal is zero, a
     symmetric 2x2 pivot on the first nonzero off-diagonal entry (in
     row-major order) contributes one positive and one negative eigenvalue.
@@ -737,13 +739,29 @@ def inertia(m: RatMatrix) -> InertiaTriple:
     the entries small: on helm L at n = 101 the largest entry stays near
     24 bits, against 192 with the first nonzero diagonal entry.
 
+    A 1x1 step takes a whole block P of diagonal pivots at once: p, then,
+    in ascending (|a_jj|, j) order, each j with a_jj != 0 whose entries
+    against p and against every pivot already in P are zero.  M_PP is then
+    diagonal, so by Haynsworth's additivity (LAA 1, 1968) the signs of
+    its entries join the inertia and the step goes on with the Schur
+    complement of M_PP.  A block of one pivot is the plain 1x1 step, and a
+    dense matrix, with no zero in p's column, takes only such steps.  On
+    helm L, P is the hub and the pendants, so one step replaces n of them.
+
     The work is in integers and on the upper triangle only: the integer
     entries are m times its positive denominator, and each Schur
-    complement is replaced by a positive multiple of itself (|d| S for a
-    1x1 pivot d, |b| S for a 2x2 pivot with off-diagonal b) divided by its
-    content.  Positive scalings keep the inertia, and the pivot rule
-    depends only on the matrix, so the same input always takes the same
-    path.
+    complement is replaced by a positive multiple of itself (l S with
+    l = lcm |d_q| over the block's pivots d_q, |b| S for a 2x2 pivot with
+    off-diagonal b) divided by its content.  Positive scalings keep the
+    inertia, and the pivot rule depends only on the matrix, so the same
+    input always takes the same path.
+
+    On helm L the first block's complement is the Schur chain's C, so
+    this and ``schur_psd_check``'s inertia run the same kernel on the
+    same matrix, reached two ways: from L's entries and from the
+    closed-form blocks.  The tests' plain-``Fraction`` congruence and
+    characteristic-polynomial sign count stay the kernel's independent
+    checks.
     """
     if not m.is_symmetric():
         raise ValueError("inertia requires a symmetric matrix")
@@ -754,10 +772,14 @@ def _congruence_inertia(m: RatMatrix) -> InertiaTriple:
     """The inertia of the symmetric m; see ``inertia``.
 
     The block is kept as its upper triangle: row i holds a_ij for j >= i,
-    so its entry t is a_i(i+t) and its first entry is the diagonal.  A
-    pivot's rows and columns are dropped by slicing, and the column of a
-    pivot p is read from rows i < p at offset p - i and from row p past
-    its diagonal.
+    so its entry t is a_i(i+t) and its first entry is the diagonal.  The
+    column u of the least pivot p is read from rows i < p at offset p - i
+    and from row p past its diagonal; its zeros name the candidates for
+    p's block.  A block of one pivot is a rank-one update of the rows
+    left after slicing p's row and column out.  A larger block P, with
+    pivots d_q, Q the other indices and U the block's columns restricted
+    to Q, leaves l M_QQ - U diag(sgn(d_q) l/|d_q|) U' (l = lcm |d_q|), the
+    product taken as one packed ``RatMatrix`` matmul.
     """
     e, n = m._ints, m.rows
     w = [list(e[i * n + i : (i + 1) * n]) for i in range(n)]
@@ -767,18 +789,52 @@ def _congruence_inertia(m: RatMatrix) -> InertiaTriple:
         if least is not None:
             size, p = least
             lead = w[p]
-            if lead[0] > 0:
-                i_plus += 1
-            else:
-                i_minus += 1
-            # |d| S = |d| W - sgn(d) u u', u the column of p without a_pp
+            # u: the column of p without a_pp; index j sits at j - (j > p)
             u = [row[p - i] for i, row in enumerate(w[:p])] + lead[1:]
-            su = u if lead[0] > 0 else [-x for x in u]
-            rows = [row[: p - i] + row[p - i + 1 :] for i, row in enumerate(w[:p])] + w[p + 1 :]
-            w = [
-                [size * x - s * y for x, y in zip(row, u[k:])] if s else [size * x for x in row]
-                for k, (row, s) in enumerate(zip(rows, su))
-            ]
+            # the block: p, then greedily each index uncoupled from p (a zero
+            # in u) and from every pivot already taken, by (|a_jj|, j)
+            block = [p]
+            uncoupled = [t + (t >= p) for t, x in enumerate(u) if not x]
+            for _, j in sorted([(abs(w[j][0]), j) for j in uncoupled if w[j][0]]):
+                if not any([w[min(j, q)][abs(j - q)] for q in block[1:]]):
+                    block.append(j)
+            for q in block:
+                if w[q][0] > 0:
+                    i_plus += 1
+                else:
+                    i_minus += 1
+            if len(block) == 1:
+                # |d| S = |d| W - sgn(d) u u'
+                su = u if lead[0] > 0 else [-x for x in u]
+                rows = [row[: p - i] + row[p - i + 1 :] for i, row in enumerate(w[:p])] + w[p + 1 :]
+                w = [
+                    [size * x - s * y for x, y in zip(row, u[k:])] if s else [size * x for x in row]
+                    for k, (row, s) in enumerate(zip(rows, su))
+                ]
+            else:
+                # l S = l W_QQ - U diag(l // d_q) U' for l = lcm |d_q|, U the
+                # block's columns on the rest Q; d_q divides l, so l // d_q is
+                # sgn(d_q) l/|d_q| exactly
+                chosen = set(block)
+                rest = [i for i in range(len(w)) if i not in chosen]
+                size = math.lcm(*[w[q][0] for q in block])
+                ut = [[u[i - (i > p)] for i in rest]] + [
+                    [w[i][q - i] if i < q else w[q][i - q] for i in rest] for q in block[1:]
+                ]
+                nb, nr = len(block), len(rest)
+                weights = [size // w[q][0] for q in block]
+                scaled = RatMatrix._from_ints(
+                    nr, nb, 1, [c * x for row in zip(*ut) for c, x in zip(weights, row)]
+                )
+                packed = RatMatrix._from_ints(nb, nr, 1, [x for col in ut for x in col])
+                update = (scaled @ packed)._ints
+                w = [
+                    [
+                        size * w[i][j - i] - y
+                        for j, y in zip(rest[k:], update[k * (nr + 1) : (k + 1) * nr])
+                    ]
+                    for k, i in enumerate(rest)
+                ]
         else:
             # the whole diagonal is zero, so the rows before the first
             # nonzero one are zero rows and columns: zero eigenvalues

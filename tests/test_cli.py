@@ -383,23 +383,29 @@ def test_verify_eliminates_once_per_fact(monkeypatch):
     # factorization is one pass each of congruence, Bareiss (nonsingular D
     # only) and Gauss-Jordan; a singular D then takes 7 thin products and
     # one 1x1 kernel Gram inverse for the symmetric projection, which a
-    # nonsingular D skips
+    # nonsingular D skips.  Each congruence step that eliminates a block
+    # of two or more uncoupled pivots takes one product: L's first step
+    # (the hub and the pendants) and one more, one in the Schur
+    # complement's inertia, and one in D's congruence at n = 6, two at 7
     calls = _count_eliminations(monkeypatch)
     # L and the Schur complement
     expected = {"factor_symmetric": 1, "inertia": 2}
     assert cli.run_verification(6).all_passed
-    assert calls == {**expected, "matmul": 10}
+    assert calls == {**expected, "matmul": 14}
     calls.clear()
     assert cli.run_verification(7).all_passed
-    assert calls == {**expected, "inverse": 1, "matmul": 17}
+    assert calls == {**expected, "inverse": 1, "matmul": 22}
 
 
-@pytest.mark.parametrize("n, products", [(12, 14), (13, 22)])
+@pytest.mark.parametrize("n, products", [(12, 23), (13, 27)])
 def test_verify_factors_d_once_above_the_recursion_cutoff(monkeypatch, n, products):
     # D of order 23 or 25 is split once: 4 products for the generalized
     # inverse, one more for the kernel of a singular D, then the
     # projection as below the cutoff.  No pseudoinverse, determinant or
-    # inertia call sees D: the only order-(2n-1) inertia is L's
+    # inertia call sees D: the only order-(2n-1) inertia is L's.  The
+    # congruence takes one product per block step of two or more pivots:
+    # 5 in L's inertia and 4 in the Schur complement's at n = 12, 3 and 2
+    # at n = 13, and none in the congruence of D's halves
     assert 2 * n - 1 > exact_core._SCHUR_CUTOFF
     seen = []
     calls = _count_eliminations(monkeypatch, seen)

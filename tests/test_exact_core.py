@@ -871,6 +871,28 @@ _KERNEL_PATHS = [
         ),
     ),
     ("tied positive least pivots", RatMatrix.from_rows([[1, 2, 0], [2, 1, 3], [0, 3, 1]])),
+    # a block step: the least pivot 2 at index 1, then -3 and 4, which are
+    # uncoupled from it and from each other, in one step with lcm 12 (not
+    # the largest pivot); the rest 3, 4 is coupled to index 1, and its
+    # Schur complement is exactly zero, so a wrong weight shows
+    (
+        "block of three mixed-sign pivots",
+        RatMatrix.from_rows(
+            [[4, 0, 0, 0, 4], [0, 2, 0, 2, 2], [0, 0, -3, 6, 0], [0, 2, 6, -10, 2], [4, 2, 0, 2, 6]]
+        ),
+    ),
+    # indices 1 and 2 are both uncoupled from the least pivot 0, but
+    # a_12 = 3: the block is {0, 1}, and 2 must wait, since [[2, 3], [3, 3]]
+    # is indefinite while its diagonal is not
+    (
+        "block rejects a candidate coupled to a chosen pivot",
+        RatMatrix.from_rows([[1, 0, 0, 1], [0, 2, 3, 1], [0, 3, 3, 1], [1, 1, 1, 5]]),
+    ),
+    # every nonzero index is one block, and the zero indices are left
+    ("diagonal with zeros", RatMatrix.diagonal([0, 3, Fraction(-1, 2), 0, 2, -5])),
+    # the first block is the hub and the pendants
+    ("helm L n=5", make_odd_case(5).laplacian_like),
+    ("helm L n=6", make_even_case(6).laplacian_like),
     ("0x0", RatMatrix(0, 0, [])),
     ("1x1 positive", RatMatrix.from_rows([[Fraction(5, 7)]])),
     ("1x1 negative", RatMatrix.from_rows([[Fraction(-3, 2)]])),
@@ -896,7 +918,7 @@ def test_inertia_is_invariant_under_symmetric_permutation(rng):
         if order > 2:
             a = random_matrix(rng, order, order // 2)
             cases.append((f"gram {order} of rank {order // 2}", a @ a.transpose()))
-    for n in (5, 6, 9, 12):
+    for n in (5, 6, 9, 12, 13, 21):
         case = make_odd_case(n) if n % 2 else make_even_case(n)
         cases.append((f"helm L n={n}", case.laplacian_like))
     for label, m in cases:
@@ -907,6 +929,18 @@ def test_inertia_is_invariant_under_symmetric_permutation(rng):
             assert inertia(m.submatrix(perm, perm)) == want, (label, perm)
         reverse = list(range(m.rows))[::-1]
         assert inertia(m.submatrix(reverse, reverse)) == want, label
+
+
+def test_inertia_of_helm_d_and_l_is_the_papers_for_every_small_n():
+    # the paper: D has one positive eigenvalue, and one zero eigenvalue
+    # for odd n; L is positive semidefinite of rank 2n-2 (even n) or 2n-3
+    for n in range(4, 41):
+        odd = n % 2
+        d_want = InertiaTriple(1, 2 * n - 2 - odd, odd)
+        l_want = InertiaTriple(2 * n - 2 - odd, 0, 1 + odd)
+        case = make_odd_case(n) if odd else make_even_case(n)
+        assert inertia(helm_distance_block(n)) == d_want, n
+        assert inertia(case.laplacian_like) == l_want, n
 
 
 @pytest.mark.parametrize("n", (17, 30, 41, 61))
