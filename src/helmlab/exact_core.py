@@ -31,7 +31,8 @@ matrices have equal storage.  Every operation works on the integers:
   together with every diagonal pivot it can take in the same step (a
   block of pairwise uncoupled ones, whose Schur complement is one
   packed product), and scaled by positive factors only, so signs and
-  hence the inertia are preserved.
+  hence the inertia are preserved.  The same kernel can carry its row
+  transform, which turns it into a factorization (see below).
 
 ``Fraction`` values are made only where entries are read (indexing,
 rows, columns, ``to_lists`` and the vectors the matrix methods return),
@@ -50,10 +51,11 @@ they are used to check.
 of a symmetric matrix together.  Above a small order (``_SCHUR_CUTOFF``)
 it factors the matrix once by a Schur-complement recursion (Bunch and
 Hopcroft, Math. Comp. 28, 1974), which reduces the elimination to
-half-size eliminations and packed products; ``inertia``,
-``determinant`` and ``pseudoinverse`` keep their single passes and so
-stay independent routes to check it.  For M = [[A, B], [B', E]] with A nonsingular,
-Y = A^-1 B and S = E - B' Y:
+half-size eliminations and packed products; ``determinant`` and
+``pseudoinverse`` keep their single Bareiss and Gauss-Jordan passes and
+so stay independent routes to check it, and ``inertia`` runs the
+congruence without the transform.  For M = [[A, B], [B', E]] with A
+nonsingular, Y = A^-1 B and S = E - B' Y:
 
 * inertia(M) = inertia(A) + inertia(S) (Haynsworth, LAA 1, 1968);
 * det M = det A * det S;
@@ -62,14 +64,19 @@ Y = A^-1 B and S = E - B' Y:
 * ker M = {(-Y z, z) : z in ker S}.
 
 A and S are factored the same way, and blocks at or below the cutoff by
-the congruence, Bareiss and Gauss-Jordan passes (a singular block's G
-made symmetric as (G + G')/2).  The indices are split in one order:
-those with a nonzero diagonal entry first, then the other indices of
-nonzero rows, then those of zero rows, each group ascending.  A
-principal block holding a zero row is singular, so zero rows never
+one congruence pass that applies each row operation to a transform E
+too (symmetric 1x1 and 2x2 pivots, after Bunch and Kaufman, Math.
+Comp. 31, 1977).  E M E' is then block diagonal: its pivots give the
+inertia and, as E is unit lower triangular in pivot order, the
+determinant; the rows of E that leave as zero rows span the kernel; and
+G = F' Omega F, F the pivots' rows of E and Omega the inverses of the
+pivot blocks, is a symmetric generalized inverse.  The indices are split
+in one order: those with a nonzero diagonal entry first, then the other
+indices of nonzero rows, then those of zero rows, each group ascending.
+A principal block holding a zero row is singular, so zero rows never
 lead; the kernel of an odd helm D shows up as such a row in every
 trailing Schur complement.  If A is singular all the same, the block is
-factored by the base passes whatever its order.  Both rules depend only
+factored by the base pass whatever its order.  Both rules depend only
 on the matrix, so the same input always takes the same path, and a
 different path would change only the speed: the inertia, the
 determinant and the pseudoinverse are unique.  The last is G projected
@@ -765,11 +772,21 @@ def inertia(m: RatMatrix) -> InertiaTriple:
     """
     if not m.is_symmetric():
         raise ValueError("inertia requires a symmetric matrix")
-    return _congruence_inertia(m)
+    return _congruence(m)
 
 
-def _congruence_inertia(m: RatMatrix) -> InertiaTriple:
-    """The inertia of the symmetric m; see ``inertia``.
+def _content(rows: list[list[int]], content: int = 0) -> int:
+    """gcd(content, every entry of rows), stopping early at 1."""
+    for row in rows:
+        content = math.gcd(content, *row)
+        if content == 1:
+            break
+    return content
+
+
+def _congruence(m: RatMatrix, carry: bool = False) -> Union[InertiaTriple, "_Factor"]:
+    """The inertia of the symmetric m; see ``inertia``.  With ``carry``,
+    the factor of m (``_base_factor``) from the same pivots.
 
     The block is kept as its upper triangle: row i holds a_ij for j >= i,
     so its entry t is a_i(i+t) and its first entry is the diagonal.  The
@@ -780,10 +797,44 @@ def _congruence_inertia(m: RatMatrix) -> InertiaTriple:
     pivots d_q, Q the other indices and U the block's columns restricted
     to Q, leaves l M_QQ - U diag(sgn(d_q) l/|d_q|) U' (l = lcm |d_q|), the
     product taken as one packed ``RatMatrix`` matmul.
+
+    ``carry`` applies every row operation, with the same multipliers, to
+    the rows of a transform E that starts as I, so E M E' is block
+    diagonal: the pivots d, the 2x2 pivots [[0, b], [b, 0]], and a zero
+    block.  In pivot order E is unit lower triangular, so a remaining
+    row of E has entry 1 at its own index and is kept as its entries on
+    the eliminated indices (``done``, in elimination order) times one
+    common integer scale ``se``.  The kept triangle is the complement
+    times nw/dw.  Each is divided by its own content after each step,
+    and the scales are two integer ratios, not ``Fraction``s.  Then:
+
+    * det M is the product of the pivots d and -b^2, or 0 with a kernel;
+    * the rows of E that leave as zero rows (dropped by the 2x2 step or
+      left at the end) annihilate M, and are a basis of its kernel;
+    * G = F' Omega F, F the pivots' rows of E and Omega their weights
+      1/d and the swapped pairs 1/b, is a symmetric generalized inverse
+      (M G M = E^-1 Delta Delta^+ Delta E'^-1 = M), and M^-1 for a
+      nonsingular M; it is one packed product.
     """
     e, n = m._ints, m.rows
     w = [list(e[i * n + i : (i + 1) * n]) for i in range(n)]
     i_plus = i_minus = i_zero = 0
+    if carry:
+        # E's remaining rows er on ``done``, their indices idx, the pivots'
+        # rows (row, partner, weight numerator, weight denominator), the
+        # kernel rows in full length, and det = det_num / det_den
+        er: list[list[int]] = [[] for _ in range(n)]
+        idx, done, factors, kernel = list(range(n)), [], [], []
+        se, nw, dw, det_num, det_den = 1, m._den, 1, 1, 1
+
+        def full(row: list[int], own: Optional[int] = None) -> list[int]:
+            v = [0] * n
+            for i, x in zip(done, row):
+                v[i] = x
+            if own is not None:
+                v[own] = se
+            return v
+
     while w:
         least = min([(abs(row[0]), i) for i, row in enumerate(w) if row[0]], default=None)
         if least is not None:
@@ -798,11 +849,22 @@ def _congruence_inertia(m: RatMatrix) -> InertiaTriple:
             for _, j in sorted([(abs(w[j][0]), j) for j in uncoupled if w[j][0]]):
                 if not any([w[min(j, q)][abs(j - q)] for q in block[1:]]):
                     block.append(j)
-            for q in block:
-                if w[q][0] > 0:
+            pivots = [w[q][0] for q in block]
+            for d in pivots:
+                if d > 0:
                     i_plus += 1
                 else:
                     i_minus += 1
+            if carry:
+                # 1/d_true = nw / (d dw), and F's rows are E's over se
+                nb = len(block)
+                for c, (q, d) in enumerate(zip(block, pivots)):
+                    f = er[q] + [se if k == c else 0 for k in range(nb)]
+                    factors.append((f, f, nw if d > 0 else -nw, abs(d) * dw * se * se))
+                    det_num *= d * dw
+                    det_den *= nw
+                blk = [er[q] for q in block]
+                done += [idx[q] for q in block]
             if len(block) == 1:
                 # |d| S = |d| W - sgn(d) u u'
                 su = u if lead[0] > 0 else [-x for x in u]
@@ -811,30 +873,56 @@ def _congruence_inertia(m: RatMatrix) -> InertiaTriple:
                     [size * x - s * y for x, y in zip(row, u[k:])] if s else [size * x for x in row]
                     for k, (row, s) in enumerate(zip(rows, su))
                 ]
+                if carry:
+                    # |d| E_i - sgn(d) u_i E_p
+                    f = factors[-1][0]
+                    er = [
+                        [size * x - s * y for x, y in zip(row, f)] + [-s * se]
+                        for row, s in zip(er[:p] + er[p + 1 :], su)
+                    ]
+                    del idx[p]
             else:
                 # l S = l W_QQ - U diag(l // d_q) U' for l = lcm |d_q|, U the
                 # block's columns on the rest Q; d_q divides l, so l // d_q is
                 # sgn(d_q) l/|d_q| exactly
                 chosen = set(block)
                 rest = [i for i in range(len(w)) if i not in chosen]
-                size = math.lcm(*[w[q][0] for q in block])
+                size = math.lcm(*pivots)
                 ut = [[u[i - (i > p)] for i in rest]] + [
                     [w[i][q - i] if i < q else w[q][i - q] for i in rest] for q in block[1:]
                 ]
                 nb, nr = len(block), len(rest)
-                weights = [size // w[q][0] for q in block]
+                weights = [size // d for d in pivots]
                 scaled = RatMatrix._from_ints(
                     nr, nb, 1, [c * x for row in zip(*ut) for c, x in zip(weights, row)]
                 )
-                packed = RatMatrix._from_ints(nb, nr, 1, [x for col in ut for x in col])
-                update = (scaled @ packed)._ints
-                w = [
-                    [
-                        size * w[i][j - i] - y
-                        for j, y in zip(rest[k:], update[k * (nr + 1) : (k + 1) * nr])
+                if rest:
+                    packed = RatMatrix._from_ints(nb, nr, 1, [x for col in ut for x in col])
+                    update = (scaled @ packed)._ints
+                    w = [
+                        [
+                            size * w[i][j - i] - y
+                            for j, y in zip(rest[k:], update[k * (nr + 1) : (k + 1) * nr])
+                        ]
+                        for k, i in enumerate(rest)
                     ]
-                    for k, i in enumerate(rest)
-                ]
+                else:
+                    w = []
+                if carry:
+                    # l E_Q - U diag(l // d_q) E_P; E_P is blk on ``done``
+                    # and se I on the block's own indices
+                    nd, sc = len(done) - nb, scaled._ints
+                    if nd and rest:
+                        rows_p = RatMatrix._from_ints(nb, nd, 1, [x for row in blk for x in row])
+                        update = (scaled @ rows_p)._ints
+                    else:
+                        update = [0] * (nr * nd)
+                    er = [
+                        [size * x - y for x, y in zip(er[i], update[k * nd : (k + 1) * nd])]
+                        + [-se * c for c in sc[k * nb : (k + 1) * nb]]
+                        for k, i in enumerate(rest)
+                    ]
+                    idx = [idx[i] for i in rest]
         else:
             # the whole diagonal is zero, so the rows before the first
             # nonzero one are zero rows and columns: zero eigenvalues
@@ -857,22 +945,55 @@ def _congruence_inertia(m: RatMatrix) -> InertiaTriple:
             ]
             i_plus += 1
             i_minus += 1
-        content = 0
-        for row in w:
-            content = math.gcd(content, *row)
-            if content == 1:
-                break
+            if carry:
+                kernel += [full(row, own) for row, own in zip(er[:p], idx[:p])]
+                er, idx = er[p:], idx[p:]
+                # 1/b_true = nw / (b dw), and det [[0, b], [b, 0]] = -b^2
+                f0, fq = er[0] + [se, 0], er[q] + [0, se]
+                weight = (nw if b > 0 else -nw, size * dw * se * se)
+                factors += [(f0, fq, *weight), (fq, f0, *weight)]
+                det_num *= -((b * dw) ** 2)
+                det_den *= nw * nw
+                done += [idx[0], idx[q]]
+                # |b| E_i - sgn(b) (v_i E_0 + u_i E_q)
+                er = [
+                    [size * x - s * y - r * z for x, y, z in zip(row, f0, fq)] + [-s * se, -r * se]
+                    for row, s, r in zip(er[1:q] + er[q + 1 :], sv, su)
+                ]
+                idx = idx[1:q] + idx[q + 1 :]
+        content = _content(w)
         if content > 1:
             w = [[x // content for x in row] for row in w]
-    return InertiaTriple(i_plus, i_minus, i_zero + len(w))
+        if carry:
+            nw, dw = nw * size, dw * max(content, 1)
+            g = math.gcd(nw, dw)
+            nw, dw = nw // g, dw // g
+            se *= size
+            content = _content(er, se)
+            if content > 1:
+                er = [[x // content for x in row] for row in er]
+                se //= content
+    tri = InertiaTriple(i_plus, i_minus, i_zero + len(w))
+    if not carry:
+        return tri
+    kernel += [full(row, own) for row, own in zip(er, idx)]
+    kernel = [[x // c for x in v] for v in kernel for c in [math.gcd(*v)]]
+    return _Factor(
+        tri,
+        _ZERO if kernel else Fraction(det_num, det_den),
+        _weighted_gram(n, [(full(f), full(g), a, b) for f, g, a, b in factors]),
+        RatMatrix._from_ints(len(kernel), n, 1, [x for v in kernel for x in v]),
+    )
 
 
 # -- Schur-complement recursion for symmetric matrices --------------------------
 
-# Symmetric matrices of this order or less are factored by the base passes
-# (congruence, Bareiss, Gauss-Jordan); larger ones are split in two.  On a
-# 2-vCPU x86_64 VM (Python 3.11), `verify` at n = 21 and 61 and a sweep of
-# n = 4..13 ran about equally fast for cutoffs 8 to 20, and slower from 24.
+# Symmetric matrices of this order or less are factored by the base pass
+# (the congruence with its row transform); larger ones are split in two.
+# On a 2-vCPU x86_64 VM (Python 3.11), factor_symmetric took 4.4-4.7 ms of
+# `verify --n 21` for every cutoff from 8 to 32, 27.9-29.1 ms of
+# `verify --n 61` and 9.9-11.2 ms of a sweep of n = 4..13 for cutoffs 8
+# to 24, and 33.0 and 11.6 ms at 32 (min of 15 interleaved rounds).
 _SCHUR_CUTOFF = 16
 
 
@@ -884,14 +1005,21 @@ class _Factor(NamedTuple):
 
 
 def _base_factor(m: RatMatrix) -> _Factor:
-    """The factor of m from the congruence, Bareiss and Gauss-Jordan passes."""
-    tri = _congruence_inertia(m)
-    det = _ZERO if tri.i_zero else Fraction(_bareiss(_int_rows(m)), m._den ** m.rows)
-    g, kernel, _ = _gauss_jordan(m)
-    if kernel.rows:
-        # G' is a generalized inverse of a symmetric m too, and so is (G + G')/2
-        g = Fraction(1, 2) * (g + g.transpose())
-    return _Factor(tri, det, g, kernel)
+    """The factor of m from one congruence pass that carries its row
+    transform (``_congruence``)."""
+    return _congruence(m, carry=True)
+
+
+def _weighted_gram(n: int, terms: list[tuple[list[int], list[int], int, int]]) -> RatMatrix:
+    """sum (a/b) f' g over the terms (f, g, a, b), b > 0, of integer rows of
+    length n, as one packed product F' (Omega G)."""
+    if not terms:
+        return RatMatrix.zeros(n, n)
+    terms = [(f, g, a // c, b // c) for f, g, a, b in terms for c in [math.gcd(a, b)]]
+    den = math.lcm(*[b for *_, b in terms])
+    left = RatMatrix._from_ints(len(terms), n, 1, [x for f, *_ in terms for x in f])
+    right = [x * a * (den // b) for _, g, a, b in terms for x in g]
+    return left.transpose() @ RatMatrix._from_ints(len(terms), n, den, right)
 
 
 def _schur_split(m: RatMatrix) -> Optional[_Factor]:

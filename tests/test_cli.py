@@ -380,32 +380,35 @@ def test_verify_eliminates_once_per_fact(monkeypatch):
     # the Schur chain inverts nothing; kernel_projector takes one product,
     # L D, for either parity; the Penrose check of the symmetric D and X
     # takes three, since XM = (MX)'.  Below the recursion cutoff the
-    # factorization is one pass each of congruence, Bareiss (nonsingular D
-    # only) and Gauss-Jordan; a singular D then takes 7 thin products and
-    # one 1x1 kernel Gram inverse for the symmetric projection, which a
-    # nonsingular D skips.  Each congruence step that eliminates a block
-    # of two or more uncoupled pivots takes one product: L's first step
-    # (the hub and the pendants) and one more, one in the Schur
-    # complement's inertia, and one in D's congruence at n = 6, two at 7
+    # factorization is one congruence pass that carries its row transform,
+    # and takes one product for the generalized inverse F' Omega F; a
+    # singular D then takes 7 thin products and one 1x1 kernel Gram
+    # inverse for the symmetric projection, which a nonsingular D skips.
+    # Each congruence step that eliminates a block of two or more
+    # uncoupled pivots takes one product: L's first step (the hub and the
+    # pendants) and one more, and one in the Schur complement's inertia;
+    # D's congruence takes one such step at n = 6 and two at 7, each with
+    # a second product for its rows of the transform
     calls = _count_eliminations(monkeypatch)
     # L and the Schur complement
     expected = {"factor_symmetric": 1, "inertia": 2}
     assert cli.run_verification(6).all_passed
-    assert calls == {**expected, "matmul": 14}
+    assert calls == {**expected, "matmul": 16}
     calls.clear()
     assert cli.run_verification(7).all_passed
-    assert calls == {**expected, "inverse": 1, "matmul": 22}
+    assert calls == {**expected, "inverse": 1, "matmul": 25}
 
 
-@pytest.mark.parametrize("n, products", [(12, 23), (13, 27)])
+@pytest.mark.parametrize("n, products", [(12, 25), (13, 29)])
 def test_verify_factors_d_once_above_the_recursion_cutoff(monkeypatch, n, products):
     # D of order 23 or 25 is split once: 4 products for the generalized
-    # inverse, one more for the kernel of a singular D, then the
-    # projection as below the cutoff.  No pseudoinverse, determinant or
-    # inertia call sees D: the only order-(2n-1) inertia is L's.  The
-    # congruence takes one product per block step of two or more pivots:
-    # 5 in L's inertia and 4 in the Schur complement's at n = 12, 3 and 2
-    # at n = 13, and none in the congruence of D's halves
+    # inverse, one more for the kernel of a singular D, one F' Omega F
+    # product in each half's congruence, then the projection as below the
+    # cutoff.  No pseudoinverse, determinant or inertia call sees D: the
+    # only order-(2n-1) inertia is L's.  The congruence takes one product
+    # per block step of two or more pivots: 5 in L's inertia and 4 in the
+    # Schur complement's at n = 12, 3 and 2 at n = 13, and none in the
+    # congruence of D's halves
     assert 2 * n - 1 > exact_core._SCHUR_CUTOFF
     seen = []
     calls = _count_eliminations(monkeypatch, seen)

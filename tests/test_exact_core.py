@@ -834,18 +834,25 @@ def test_inertia_matches_reference(rng):
 # is built to take one path; the comment names the pivots it takes.
 
 
-def _one_then_two_by_two() -> RatMatrix:
+def _one_then_zero_diagonal(u: list[int], z: list[list[int]]) -> RatMatrix:
     # [[a, u'], [u, Z + uu'/a]] with a = 1/100 the least diagonal entry:
     # the 1x1 pivot on a leaves the zero-diagonal Z, so a 2x2 pivot follows
-    a, u = Fraction(1, 100), [1, -1, 3]
-    z = [[0, 1, 2], [1, 0, -1], [2, -1, 0]]
+    a, k = Fraction(1, 100), len(u)
     return RatMatrix.from_rows(
-        [[a] + u] + [[u[i]] + [z[i][j] + u[i] * u[j] / a for j in range(3)] for i in range(3)]
+        [[a] + u] + [[u[i]] + [z[i][j] + u[i] * u[j] / a for j in range(k)] for i in range(k)]
     )
 
 
 _KERNEL_PATHS = [
-    ("1x1, then 2x2, then 1x1", _one_then_two_by_two()),
+    ("1x1, then 2x2, then 1x1", _one_then_zero_diagonal([1, -1, 3], [[0, 1, 2], [1, 0, -1], [2, -1, 0]])),
+    # Z's first row is zero, so the 2x2 step drops it as a zero eigenvalue
+    # after the 1x1 step has made its row of the transform e_1 - 100 e_0
+    (
+        "1x1, then a zero row dropped before a 2x2",
+        _one_then_zero_diagonal(
+            [1, -1, 3, 2], [[0, 0, 0, 0], [0, 0, 1, 2], [0, 1, 0, -1], [0, 2, -1, 0]]
+        ),
+    ),
     # the 2x2 pivot on (0, 1) leaves diagonal -16, -30: 1x1 pivots on negatives
     ("2x2, then negative 1x1", RatMatrix.from_rows([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])),
     # a zero row 0 (a zero eigenvalue) and a_12 = 0 put the first nonzero
@@ -1219,8 +1226,8 @@ def _symmetric_singular_cases(rng) -> list[tuple[str, RatMatrix]]:
 
 
 def test_symmetric_projection_equals_the_two_sided_projection_and_pseudoinverse(rng):
-    # the symmetric generalized inverse may be any one: the base passes'
-    # (G + G')/2, the recursion's, or either plus N' Z N for a symmetric Z
+    # the symmetric generalized inverse may be any one: the congruence's
+    # F' Omega F, the recursion's, or either plus N' Z N for a symmetric Z
     # (M N' = 0, so it stays a symmetric generalized inverse)
     dims = set()
     for label, m in _symmetric_singular_cases(rng):
@@ -1236,3 +1243,90 @@ def test_symmetric_projection_equals_the_two_sided_projection_and_pseudoinverse(
                 assert got == exact_core._project_out(g, f.kernel, f.kernel), label
                 assert got == want, label
     assert dims == set(range(1, 11))
+
+
+# -- the base factor: one congruence pass that carries its row transform -------
+#
+# Below the cutoff factor_symmetric is _base_factor plus the symmetric
+# projection.  Its inertia, determinant, generalized inverse and kernel
+# must equal what the single-pass oracles give the same matrix: the
+# congruence inertia without the transform, Bareiss, Gauss-Jordan's
+# inverse, rank and pseudoinverse.
+
+
+def _assert_base_factor_matches_independent_routes(m: RatMatrix, label: str) -> None:
+    assert m.rows <= exact_core._SCHUR_CUTOFF, label
+    f = exact_core._base_factor(m)
+    assert f.inertia == inertia(m), label
+    assert f.det == determinant(m), label
+    assert f.kernel.rows == m.rows - rank(m), label
+    if f.kernel.rows:
+        assert f.ginv.is_symmetric() and m @ f.ginv @ m == m, label
+        assert (f.kernel @ m).is_zero(), label
+    else:
+        assert f.ginv == inverse(m), label
+    pinv = exact_core._project_out_symmetric(f.ginv, f.kernel)
+    assert pinv == pseudoinverse(m), label
+    assert exact_core.factor_symmetric(m) == (f.inertia, f.det, pinv), label
+
+
+def _below_cutoff_cases(rng) -> list[tuple[str, RatMatrix]]:
+    cases = [
+        ("0x0", RatMatrix(0, 0, [])),
+        ("1x1 zero", RatMatrix.zeros(1, 1)),
+        ("1x1 nonzero", RatMatrix.from_rows([[Fraction(-4, 9)]])),
+    ]
+    cases += [(f"kernel path {label}", m) for label, m in _KERNEL_PATHS]
+    for lead, order in ((1, 5), (3, 9), (4, 16)):
+        # zero rows first: the 2x2 step drops them as kernel rows
+        pad = RatMatrix.zeros(lead, order - lead)
+        core = _zero_diagonal(rng, order - lead)
+        m = RatMatrix.from_blocks([[RatMatrix.zeros(lead, lead), pad], [pad.transpose(), core]])
+        cases.append((f"zero-diagonal {order} behind {lead} zero rows", m))
+    for order in range(1, 17):
+        cases.append((f"random symmetric {order}", random_symmetric(rng, order)))
+        a = random_matrix(rng, order, (order + 1) // 2)
+        cases.append((f"gram {order} of rank {(order + 1) // 2}", a @ a.transpose()))
+    for n in range(4, 9):
+        cases.append((f"helm n={n}", helm_distance_block(n)))
+    return cases
+
+
+def test_base_factor_matches_independent_routes_below_the_cutoff(rng):
+    cases = _below_cutoff_cases(rng)
+    singular = [label for label, m in cases if rank(m) < m.rows]
+    assert len(singular) > len(cases) // 3
+    for label, m in cases:
+        _assert_base_factor_matches_independent_routes(m, label)
+
+
+def test_base_factor_runs_no_bareiss_or_gauss_jordan_pass(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an elimination pass besides the congruence ran")
+
+    # the symmetric projection of a singular block inverts the kernel's
+    # Gram matrix by Gauss-Jordan, so it runs after the spy is removed
+    for m in (helm_distance_block(7), helm_distance_block(8)):
+        with monkeypatch.context() as patch:
+            patch.setattr(exact_core, "_bareiss", refuse)
+            patch.setattr(exact_core, "_gauss_jordan", refuse)
+            f = exact_core._base_factor(m)
+        assert (f.inertia, f.det) == (inertia(m), determinant(m))
+        assert exact_core._project_out_symmetric(f.ginv, f.kernel) == pseudoinverse(m)
+
+
+@pytest.mark.parametrize("label, m", _KERNEL_PATHS, ids=[label for label, _ in _KERNEL_PATHS])
+def test_congruence_multiplies_no_empty_matrices(label, m, monkeypatch):
+    # a block step that takes every remaining index leaves no complement,
+    # so neither its W product nor its E product is taken
+    shapes = []
+    matmul = RatMatrix.__matmul__
+
+    def spying_matmul(a, b):
+        shapes.append((a.rows, a.cols, b.cols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(RatMatrix, "__matmul__", spying_matmul)
+    inertia(m)
+    exact_core._base_factor(m)
+    assert all(all(shape) for shape in shapes), shapes
