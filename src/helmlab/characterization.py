@@ -126,22 +126,24 @@ def check_conditions_i_vi(
        -2 b_j: a_j = 1 + 2/s_j = 1 + 1/(2cos^2(pi j/k)) for j != k/2,
        which is 3/2 at j = 0.  A v = 0 gives a_(k/2) = 0.
     """
-    if not (a_mat.is_square() and a_mat.rows == b_mat.rows == s_mat.rows):
-        raise ValueError("A, B, S must be square of equal order")
-    if b_mat.cols != b_mat.rows or s_mat.cols != s_mat.rows:
+    if not (
+        a_mat.is_square()
+        and b_mat.is_square()
+        and s_mat.is_square()
+        and a_mat.rows == b_mat.rows == s_mat.rows
+    ):
         raise ValueError("A, B, S must be square of equal order")
     k = a_mat.rows
     e = ones_vector(k)
-    ident = RatMatrix.identity(k)
-    zero = RatMatrix.zeros(k, k)
-    b_plus_i = b_mat + ident
+    b_plus_i = b_mat + RatMatrix.identity(k)
+    # for even n, B = -I: B + I is zero, and so are its products
     return SixConditions(
         a_row_sum=a_mat.mul_vector(e) == scale_vector(Fraction(3, 2), e),
         b_row_sum=b_mat.mul_vector(e) == scale_vector(Fraction(-1), e),
         b_absorbs_s=b_mat @ s_mat == -s_mat,
-        a_annihilated=b_plus_i @ a_mat == zero,
-        b_annihilated=b_plus_i @ b_mat == zero,
-        s_balance=(a_mat + b_mat) @ s_mat + 2 * b_mat == zero,
+        a_annihilated=b_plus_i.is_zero() or (b_plus_i @ a_mat).is_zero(),
+        b_annihilated=b_plus_i.is_zero() or (b_plus_i @ b_mat).is_zero(),
+        s_balance=((a_mat + b_mat) @ s_mat + 2 * b_mat).is_zero(),
     )
 
 

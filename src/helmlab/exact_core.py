@@ -27,12 +27,15 @@ matrices have equal storage.  Every operation works on the integers:
 * the determinant is Bareiss's fraction-free elimination (Bareiss 1968,
   Math. Comp. 22), whose divisions by the previous pivot are exact;
 * the inertia is a Sylvester congruence reduction in integers on the
-  upper triangle, pivoting on the diagonal entry of least magnitude
-  together with every diagonal pivot it can take in the same step (a
-  block of pairwise uncoupled ones, whose Schur complement is one
-  packed product), and scaled by positive factors only, so signs and
-  hence the inertia are preserved.  The same kernel can carry its row
-  transform, which turns it into a factorization (see below).
+  lower triangle.  Each step takes a pivot block P: the diagonal entry
+  of least magnitude with every diagonal pivot uncoupled from it, or a
+  2x2 pivot where the whole diagonal vanishes.  It leaves
+  l M_QQ - U K U' (U the block's columns on the other indices Q,
+  K = l P^-1), a positive multiple of the Schur complement, so signs and
+  hence the inertia are preserved.  U K U' is swept row by row for one
+  or two pivots and is one packed product for three or more.  The same
+  kernel can carry its row transform, which turns it into a
+  factorization (see below).
 
 ``Fraction`` values are made only where entries are read (indexing,
 rows, columns, ``to_lists`` and the vectors the matrix methods return),
@@ -43,9 +46,10 @@ for any generalized inverse G of m (m G m = m), with P_N and P_Q the
 orthogonal projections onto ker m and ker m'.  One Gauss-Jordan pass on
 [A | d I] gives G, N and Q: its reduced echelon form R = E m gives
 G = S E (S puts row t at the t-th pivot row, and R S R = R).  The
-inertia uses 2x2 hyperbolic pivots where the whole diagonal vanishes.
-All stay purely rational and independent of any closed-form expression
-they are used to check.
+inertia's 2x2 pivots [[0, b], [b, 0]] take the same step as its blocks
+of 1x1 pivots, with K = sgn(b) times the swap.  All stay purely
+rational and independent of any closed-form expression they are used
+to check.
 
 ``factor_symmetric`` gives the inertia, determinant and pseudoinverse
 of a symmetric matrix together.  Above a small order (``_SCHUR_CUTOFF``)
@@ -66,22 +70,23 @@ nonsingular, Y = A^-1 B and S = E - B' Y:
 A and S are factored the same way, and blocks at or below the cutoff by
 one congruence pass that applies each row operation to a transform E
 too (symmetric 1x1 and 2x2 pivots, after Bunch and Kaufman, Math.
-Comp. 31, 1977).  E M E' is then block diagonal: its pivots give the
-inertia and, as E is unit lower triangular in pivot order, the
-determinant; the rows of E that leave as zero rows span the kernel; and
-G = F' Omega F, F the pivots' rows of E and Omega the inverses of the
-pivot blocks, is a symmetric generalized inverse.  The indices are split
-in one order: those with a nonzero diagonal entry first, then the other
-indices of nonzero rows, then those of zero rows, each group ascending.
-A principal block holding a zero row is singular, so zero rows never
-lead; the kernel of an odd helm D shows up as such a row in every
-trailing Schur complement.  If A is singular all the same, the block is
-factored by the base pass whatever its order.  Both rules depend only
-on the matrix, so the same input always takes the same path, and a
-different path would change only the speed: the inertia, the
-determinant and the pseudoinverse are unique.  The last is G projected
-on both sides onto the complement of ker M, in one symmetric step
-(``_project_out_symmetric``).
+Comp. 31, 1977): a step leaves l E_Q - U K F for the rows of E, F the
+block's own rows, by the same update as the triangle.  E M E' is then
+block diagonal: its pivots give the inertia and, as E is unit lower
+triangular in pivot order, the determinant; the rows of E that leave as
+zero rows span the kernel; and G = F' Omega F, F the pivots' rows of E
+and Omega the inverses of the pivot blocks, is a symmetric generalized
+inverse.  The indices are split in one order: those with a nonzero
+diagonal entry first, then the other indices of nonzero rows, then those
+of zero rows, each group ascending.  A principal block holding a zero
+row is singular, so zero rows never lead; the kernel of an odd helm D
+shows up as such a row in every trailing Schur complement.  If A is
+singular all the same, the block is factored by the base pass whatever
+its order.  Both rules depend only on the matrix, so the same input
+always takes the same path, and a different path would change only the
+speed: the inertia, the determinant and the pseudoinverse are unique.
+The last is G projected on both sides onto the complement of ker M, in
+one symmetric step (``_project_out_symmetric``).
 """
 
 from __future__ import annotations
@@ -92,8 +97,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
-from operator import mul
+from itertools import compress, repeat
+from operator import add, mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[Fraction, int]
@@ -746,22 +751,27 @@ def inertia(m: RatMatrix) -> InertiaTriple:
     the entries small: on helm L at n = 101 the largest entry stays near
     24 bits, against 192 with the first nonzero diagonal entry.
 
-    A 1x1 step takes a whole block P of diagonal pivots at once: p, then,
-    in ascending (|a_jj|, j) order, each j with a_jj != 0 whose entries
-    against p and against every pivot already in P are zero.  M_PP is then
-    diagonal, so by Haynsworth's additivity (LAA 1, 1968) the signs of
-    its entries join the inertia and the step goes on with the Schur
-    complement of M_PP.  A block of one pivot is the plain 1x1 step, and a
-    dense matrix, with no zero in p's column, takes only such steps.  On
-    helm L, P is the hub and the pendants, so one step replaces n of them.
+    Each step eliminates a block P of pivots at once.  A 1x1 step takes
+    p, then, in ascending (|a_jj|, j) order, each j with a_jj != 0 whose
+    entries against p and against every pivot already in P are zero, so
+    M_PP is diagonal; a 2x2 step takes [[0, b], [b, 0]].  By Haynsworth's
+    additivity (LAA 1, 1968) the signs of P's eigenvalues join the
+    inertia, and the step goes on with the Schur complement
+    M_QQ - U P^-1 U', U the block's columns on the other indices Q.  A
+    dense matrix, with no zero in p's column, takes blocks of one pivot
+    only.  On helm L the first block is the hub and the pendants, so one
+    step replaces n of them.
 
-    The work is in integers and on the upper triangle only: the integer
-    entries are m times its positive denominator, and each Schur
-    complement is replaced by a positive multiple of itself (l S with
-    l = lcm |d_q| over the block's pivots d_q, |b| S for a 2x2 pivot with
-    off-diagonal b) divided by its content.  Positive scalings keep the
-    inertia, and the pivot rule depends only on the matrix, so the same
-    input always takes the same path.
+    The work is in integers and on the lower triangle only: the integer
+    entries are m times its positive denominator, and a step leaves the
+    positive multiple l M_QQ - U K U' of the Schur complement, K = l P^-1,
+    divided by its content: l = lcm |d_q| and K = diag(l // d_q) over a
+    1x1 block's pivots d_q, l = |b| and K = sgn(b) times the swap for a
+    2x2 pivot.  U K U' is swept row by row for one or two pivots and is
+    one packed product for three or more; a U that is all zero leaves
+    l M_QQ.  Positive scalings keep the inertia, and the pivot rule
+    depends only on the matrix, so the same input always takes the same
+    path.
 
     On helm L the first block's complement is the Schur chain's C, so
     this and ``schur_psd_check``'s inertia run the same kernel on the
@@ -784,45 +794,90 @@ def _content(rows: list[list[int]], content: int = 0) -> int:
     return content
 
 
+def _rank_update(
+    scale: int, rows: Iterable[Iterable[int]], left: list[list[int]], right: list[list[int]]
+) -> list[list[int]]:
+    """scale * rows - L R over the integers: L has the columns ``left`` (one
+    entry per row of rows) and R the rows ``right``, one of each per term.
+
+    Row k of the result is as long as row k of rows, which may be shorter
+    than the rows of R, so the rows of a lower triangle give the lower
+    triangle of the result.  The arithmetic follows the number of terms:
+    one or two are swept row by row, three or more are one packed
+    ``RatMatrix`` product, and an L that is all zero only scales the rows.
+    """
+    if len(left) == 1:
+        (r,) = right
+        return [
+            [scale * x - s * y for x, y in zip(row, r)] if s else [scale * x for x in row]
+            for row, s in zip(rows, left[0])
+        ]
+    if not any(map(any, left)):
+        return [[scale * x for x in row] for row in rows]
+    if len(left) == 2:
+        r, v = right
+        return [
+            [scale * x - s * y - t * z for x, y, z in zip(row, r, v)]
+            for row, s, t in zip(rows, *left)
+        ]
+    nr, nb, nc = len(left[0]), len(left), len(right[0])
+    lr = RatMatrix._from_ints(nr, nb, 1, [x for r in zip(*left) for x in r]) @ RatMatrix._from_ints(
+        nb, nc, 1, [x for r in right for x in r]
+    )
+    update = lr._ints
+    return [
+        [scale * x - y for x, y in zip(row, update[k * nc : (k + 1) * nc])]
+        for k, row in enumerate(rows)
+    ]
+
+
 def _congruence(m: RatMatrix, carry: bool = False) -> Union[InertiaTriple, "_Factor"]:
     """The inertia of the symmetric m; see ``inertia``.  With ``carry``,
     the factor of m (``_base_factor``) from the same pivots.
 
-    The block is kept as its upper triangle: row i holds a_ij for j >= i,
-    so its entry t is a_i(i+t) and its first entry is the diagonal.  The
-    column u of the least pivot p is read from rows i < p at offset p - i
-    and from row p past its diagonal; its zeros name the candidates for
-    p's block.  A block of one pivot is a rank-one update of the rows
-    left after slicing p's row and column out.  A larger block P, with
-    pivots d_q, Q the other indices and U the block's columns restricted
-    to Q, leaves l M_QQ - U diag(sgn(d_q) l/|d_q|) U' (l = lcm |d_q|), the
-    product taken as one packed ``RatMatrix`` matmul.
+    The block is kept as its lower triangle: row i holds a_ij for j <= i,
+    so it ends at the diagonal and meets the columns from their start.
+    Each step takes a block P of integer pivots, the other indices Q and
+    U the block's columns on Q, and leaves l M_QQ - U K U', l times the
+    Schur complement of P for K = l P^-1:
+
+    * P the least diagonal pivot and the pivots uncoupled from it:
+      K = diag(l // d_q) for l = lcm |d_q|;
+    * P a 2x2 pivot [[0, b], [b, 0]] on a zero diagonal, whose
+      eigenvalues b and -b stand for its pivots: K = sgn(b) times the
+      swap, l = |b|.
+
+    So column c of U K is k_c times column c of U, or of U with its two
+    columns swapped, and the step is one ``_rank_update`` of the kept
+    triangle by U K and U'.
 
     ``carry`` applies every row operation, with the same multipliers, to
     the rows of a transform E that starts as I, so E M E' is block
-    diagonal: the pivots d, the 2x2 pivots [[0, b], [b, 0]], and a zero
-    block.  In pivot order E is unit lower triangular, so a remaining
-    row of E has entry 1 at its own index and is kept as its entries on
-    the eliminated indices (``done``, in elimination order) times one
-    common integer scale ``se``.  The kept triangle is the complement
-    times nw/dw.  Each is divided by its own content after each step,
-    and the scales are two integer ratios, not ``Fraction``s.  Then:
+    diagonal: the pivot blocks and a zero block.  In pivot order E is unit
+    lower triangular, so a remaining row of E has entry 1 at its own index
+    and is kept as its entries on the eliminated indices (``done``, in
+    elimination order) times one common integer scale ``se``.  The block's
+    rows F of E are then E_P padded with se I on its own indices, and E_Q,
+    padded with zeros there, becomes l E_Q - U K F: the same update.  The
+    kept triangle is the complement times nw/dw.  Each is divided by its
+    own content after each step, and the scales are two integer ratios,
+    not ``Fraction``s.  Then:
 
-    * det M is the product of the pivots d and -b^2, or 0 with a kernel;
-    * the rows of E that leave as zero rows (dropped by the 2x2 step or
+    * det M is the product of the pivots, or 0 with a kernel;
+    * the rows of E that leave as zero rows (dropped before a 2x2 step or
       left at the end) annihilate M, and are a basis of its kernel;
-    * G = F' Omega F, F the pivots' rows of E and Omega their weights
-      1/d and the swapped pairs 1/b, is a symmetric generalized inverse
+    * G = F' Omega F, F the pivots' rows of E and Omega the blocks'
+      inverses K / l, is a symmetric generalized inverse
       (M G M = E^-1 Delta Delta^+ Delta E'^-1 = M), and M^-1 for a
       nonsingular M; it is one packed product.
     """
     e, n = m._ints, m.rows
-    w = [list(e[i * n + i : (i + 1) * n]) for i in range(n)]
-    i_plus = i_minus = i_zero = 0
+    w = [list(e[i * n : i * n + i + 1]) for i in range(n)]
+    i_zero, all_pivots = 0, []
     if carry:
-        # E's remaining rows er on ``done``, their indices idx, the pivots'
-        # rows (row, partner, weight numerator, weight denominator), the
-        # kernel rows in full length, and det = det_num / det_den
+        # E's remaining rows er on ``done``, their indices idx, each step's
+        # (F, swap, K's entries, nw, l dw se^2), the kernel rows in full
+        # length, and det = det_num / det_den
         er: list[list[int]] = [[] for _ in range(n)]
         idx, done, factors, kernel = list(range(n)), [], [], []
         se, nw, dw, det_num, det_den = 1, m._den, 1, 1, 1
@@ -835,153 +890,86 @@ def _congruence(m: RatMatrix, carry: bool = False) -> Union[InertiaTriple, "_Fac
                 v[own] = se
             return v
 
+    def column(q: int) -> list[int]:
+        return w[q] + [row[q] for row in w[q + 1 :]]
+
     while w:
-        least = min([(abs(row[0]), i) for i, row in enumerate(w) if row[0]], default=None)
-        if least is not None:
-            size, p = least
-            lead = w[p]
-            # u: the column of p without a_pp; index j sits at j - (j > p)
-            u = [row[p - i] for i, row in enumerate(w[:p])] + lead[1:]
-            # the block: p, then greedily each index uncoupled from p (a zero
-            # in u) and from every pivot already taken, by (|a_jj|, j)
-            block = [p]
-            uncoupled = [t + (t >= p) for t, x in enumerate(u) if not x]
-            for _, j in sorted([(abs(w[j][0]), j) for j in uncoupled if w[j][0]]):
-                if not any([w[min(j, q)][abs(j - q)] for q in block[1:]]):
-                    block.append(j)
-            pivots = [w[q][0] for q in block]
-            for d in pivots:
-                if d > 0:
-                    i_plus += 1
-                else:
-                    i_minus += 1
-            if carry:
-                # 1/d_true = nw / (d dw), and F's rows are E's over se
-                nb = len(block)
-                for c, (q, d) in enumerate(zip(block, pivots)):
-                    f = er[q] + [se if k == c else 0 for k in range(nb)]
-                    factors.append((f, f, nw if d > 0 else -nw, abs(d) * dw * se * se))
-                    det_num *= d * dw
-                    det_den *= nw
-                blk = [er[q] for q in block]
-                done += [idx[q] for q in block]
-            if len(block) == 1:
-                # |d| S = |d| W - sgn(d) u u'
-                su = u if lead[0] > 0 else [-x for x in u]
-                rows = [row[: p - i] + row[p - i + 1 :] for i, row in enumerate(w[:p])] + w[p + 1 :]
-                w = [
-                    [size * x - s * y for x, y in zip(row, u[k:])] if s else [size * x for x in row]
-                    for k, (row, s) in enumerate(zip(rows, su))
-                ]
-                if carry:
-                    # |d| E_i - sgn(d) u_i E_p
-                    f = factors[-1][0]
-                    er = [
-                        [size * x - s * y for x, y in zip(row, f)] + [-s * se]
-                        for row, s in zip(er[:p] + er[p + 1 :], su)
-                    ]
-                    del idx[p]
-            else:
-                # l S = l W_QQ - U diag(l // d_q) U' for l = lcm |d_q|, U the
-                # block's columns on the rest Q; d_q divides l, so l // d_q is
-                # sgn(d_q) l/|d_q| exactly
-                chosen = set(block)
-                rest = [i for i in range(len(w)) if i not in chosen]
-                size = math.lcm(*pivots)
-                ut = [[u[i - (i > p)] for i in rest]] + [
-                    [w[i][q - i] if i < q else w[q][i - q] for i in rest] for q in block[1:]
-                ]
-                nb, nr = len(block), len(rest)
-                weights = [size // d for d in pivots]
-                scaled = RatMatrix._from_ints(
-                    nr, nb, 1, [c * x for row in zip(*ut) for c, x in zip(weights, row)]
-                )
-                if rest:
-                    packed = RatMatrix._from_ints(nb, nr, 1, [x for col in ut for x in col])
-                    update = (scaled @ packed)._ints
-                    w = [
-                        [
-                            size * w[i][j - i] - y
-                            for j, y in zip(rest[k:], update[k * (nr + 1) : (k + 1) * nr])
-                        ]
-                        for k, i in enumerate(rest)
-                    ]
-                else:
-                    w = []
-                if carry:
-                    # l E_Q - U diag(l // d_q) E_P; E_P is blk on ``done``
-                    # and se I on the block's own indices
-                    nd, sc = len(done) - nb, scaled._ints
-                    if nd and rest:
-                        rows_p = RatMatrix._from_ints(nb, nd, 1, [x for row in blk for x in row])
-                        update = (scaled @ rows_p)._ints
-                    else:
-                        update = [0] * (nr * nd)
-                    er = [
-                        [size * x - y for x, y in zip(er[i], update[k * nd : (k + 1) * nd])]
-                        + [-se * c for c in sc[k * nb : (k + 1) * nb]]
-                        for k, i in enumerate(rest)
-                    ]
-                    idx = [idx[i] for i in rest]
+        diag = [abs(row[-1]) for row in w]
+        if any(diag):
+            p = diag.index(min(filter(None, diag)))
+            # p, then greedily each index uncoupled from p (a zero in p's
+            # column) and from every pivot already taken, by (|a_jj|, j)
+            block, cols, dropped = [p], [column(p)], []
+            if 0 in cols[0]:
+                candidates = [(diag[j], j) for j, x in enumerate(cols[0]) if not x and diag[j]]
+                for _, j in sorted(candidates):
+                    if not any([w[max(j, q)][min(j, q)] for q in block[1:]]):
+                        block.append(j)
+                        cols.append(column(j))
+            pivots = [w[q][-1] for q in block]
+            # d_q divides l, so l // d_q is sgn(d_q) l/|d_q| exactly
+            scale = math.lcm(*pivots)
+            ks, swap = [scale // d for d in pivots], False
         else:
-            # the whole diagonal is zero, so the rows before the first
-            # nonzero one are zero rows and columns: zero eigenvalues
-            p = next((i for i, row in enumerate(w) if any(row)), None)
+            # the whole diagonal is zero, so the indices before the first
+            # one with a nonzero entry below the diagonal are zero rows and
+            # columns: zero eigenvalues
+            p = next((j for j in range(len(w)) if any([row[j] for row in w[j + 1 :]])), None)
             if p is None:
                 break
             i_zero += p
-            w = w[p:]
-            q = next(t for t, x in enumerate(w[0]) if x)
-            b = w[0][q]
-            # |b| S = |b| W - sgn(b) (u v' + v u'), u and v the columns of 0 and q
-            size = abs(b)
-            u = w[0][1:q] + w[0][q + 1 :]
-            v = [row[q - i] for i, row in enumerate(w[1:q], 1)] + w[q][1:]
-            su, sv = (u, v) if b > 0 else ([-x for x in u], [-x for x in v])
-            rows = [row[: q - i] + row[q - i + 1 :] for i, row in enumerate(w[1:q], 1)] + w[q + 1 :]
-            w = [
-                [size * x - s * y - t * z for x, y, z in zip(row, v[k:], u[k:])]
-                for k, (row, s, t) in enumerate(zip(rows, su, sv))
-            ]
-            i_plus += 1
-            i_minus += 1
             if carry:
                 kernel += [full(row, own) for row, own in zip(er[:p], idx[:p])]
-                er, idx = er[p:], idx[p:]
-                # 1/b_true = nw / (b dw), and det [[0, b], [b, 0]] = -b^2
-                f0, fq = er[0] + [se, 0], er[q] + [0, se]
-                weight = (nw if b > 0 else -nw, size * dw * se * se)
-                factors += [(f0, fq, *weight), (fq, f0, *weight)]
-                det_num *= -((b * dw) ** 2)
-                det_den *= nw * nw
-                done += [idx[0], idx[q]]
-                # |b| E_i - sgn(b) (v_i E_0 + u_i E_q)
-                er = [
-                    [size * x - s * y - r * z for x, y, z in zip(row, f0, fq)] + [-s * se, -r * se]
-                    for row, s, r in zip(er[1:q] + er[q + 1 :], sv, su)
-                ]
-                idx = idx[1:q] + idx[q + 1 :]
+            q = next(i for i in range(p + 1, len(w)) if w[i][p])
+            b = w[q][p]
+            block, cols, dropped = [p, q], [column(p), column(q)], range(p)
+            pivots, scale, swap = [b, -b], abs(b), True
+            ks = [b // scale] * 2
+        keep = [True] * len(w)
+        for q in [*dropped, *block]:
+            keep[q] = False
+        u = [list(compress(c, keep)) for c in cols]
+        uk = [c if k == 1 else [k * x for x in c] for k, c in zip(ks, u[::-1] if swap else u)]
+        w = _rank_update(scale, map(compress, compress(w, keep), repeat(keep)), uk, u)
+        all_pivots += pivots
+        if carry:
+            nb, pad = len(block), [0] * len(block)
+            f = [er[q] + pad[:c] + [se] + pad[c + 1 :] for c, q in enumerate(block)]
+            # the true block is P dw/nw and F's rows are E's over se, so
+            # Omega = (K / l) nw/dw over se^2
+            factors.append((f, swap, ks, nw, scale * dw * se * se))
+            det_num *= math.prod(pivots) * dw**nb
+            det_den *= nw**nb
+            done += [idx[q] for q in block]
+            er = _rank_update(scale, map(add, compress(er, keep), repeat(pad)), uk, f)
+            idx = list(compress(idx, keep))
         content = _content(w)
         if content > 1:
             w = [[x // content for x in row] for row in w]
         if carry:
-            nw, dw = nw * size, dw * max(content, 1)
+            nw, dw = nw * scale, dw * max(content, 1)
             g = math.gcd(nw, dw)
             nw, dw = nw // g, dw // g
-            se *= size
+            se *= scale
             content = _content(er, se)
             if content > 1:
                 er = [[x // content for x in row] for row in er]
                 se //= content
-    tri = InertiaTriple(i_plus, i_minus, i_zero + len(w))
+    i_plus = len([d for d in all_pivots if d > 0])
+    tri = InertiaTriple(i_plus, len(all_pivots) - i_plus, i_zero + len(w))
     if not carry:
         return tri
     kernel += [full(row, own) for row, own in zip(er, idx)]
     kernel = [[x // c for x in v] for v in kernel for c in [math.gcd(*v)]]
+    # each block's row c of F against row c, or against its partner's
+    terms = []
+    for f, swap, ks, a, b in factors:
+        f = [full(row) for row in f]
+        terms += [(r, g, k * a, b) for r, g, k in zip(f, f[::-1] if swap else f, ks)]
     return _Factor(
         tri,
         _ZERO if kernel else Fraction(det_num, det_den),
-        _weighted_gram(n, [(full(f), full(g), a, b) for f, g, a, b in factors]),
+        _weighted_gram(n, terms),
         RatMatrix._from_ints(len(kernel), n, 1, [x for v in kernel for x in v]),
     )
 

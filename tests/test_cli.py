@@ -384,31 +384,49 @@ def test_verify_eliminates_once_per_fact(monkeypatch):
     # and takes one product for the generalized inverse F' Omega F; a
     # singular D then takes 7 thin products and one 1x1 kernel Gram
     # inverse for the symmetric projection, which a nonsingular D skips.
-    # Each congruence step that eliminates a block of two or more
-    # uncoupled pivots takes one product: L's first step (the hub and the
-    # pendants) and one more, and one in the Schur complement's inertia;
-    # D's congruence takes one such step at n = 6 and two at 7, each with
-    # a second product for its rows of the transform
+    # A congruence step takes one product when it eliminates three or more
+    # pivots, and sweeps one or two: here only L's first step (the hub and
+    # the pendants) does, and neither the Schur complement's inertia nor
+    # D's congruence takes one.  The six block conditions take two
+    # products, B S and (A + B) S, and two more, (B + I) A and (B + I) B,
+    # only for odd n: for even n, B + I is zero
     calls = _count_eliminations(monkeypatch)
     # L and the Schur complement
     expected = {"factor_symmetric": 1, "inertia": 2}
     assert cli.run_verification(6).all_passed
-    assert calls == {**expected, "matmul": 16}
+    assert calls == {**expected, "matmul": 10}
     calls.clear()
     assert cli.run_verification(7).all_passed
-    assert calls == {**expected, "inverse": 1, "matmul": 25}
+    assert calls == {**expected, "inverse": 1, "matmul": 19}
 
 
-@pytest.mark.parametrize("n, products", [(12, 25), (13, 29)])
+def test_verify_multiplies_no_zero_matrix(monkeypatch):
+    # for even n, B = -I makes B + I zero; the block conditions read (iv)
+    # and (v) off that instead of taking (B + I) A and (B + I) B
+    zero_operands = []
+    matmul = RatMatrix.__matmul__
+
+    def spying_matmul(a, b):
+        if a.is_zero() or b.is_zero():
+            zero_operands.append((a.rows, a.cols, b.cols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(RatMatrix, "__matmul__", spying_matmul)
+    for n in range(4, 14):
+        assert cli.run_verification(n).all_passed
+        assert not zero_operands, (n, zero_operands)
+
+
+@pytest.mark.parametrize("n, products", [(12, 15), (13, 25)])
 def test_verify_factors_d_once_above_the_recursion_cutoff(monkeypatch, n, products):
     # D of order 23 or 25 is split once: 4 products for the generalized
     # inverse, one more for the kernel of a singular D, one F' Omega F
     # product in each half's congruence, then the projection as below the
     # cutoff.  No pseudoinverse, determinant or inertia call sees D: the
-    # only order-(2n-1) inertia is L's.  The congruence takes one product
-    # per block step of two or more pivots: 5 in L's inertia and 4 in the
-    # Schur complement's at n = 12, 3 and 2 at n = 13, and none in the
-    # congruence of D's halves
+    # only order-(2n-1) inertia is L's.  A congruence step takes one
+    # product when it eliminates three or more pivots: L's first step, and
+    # no step of the Schur complement's inertia or of D's halves.  The
+    # block conditions take (B + I) A and (B + I) B for odd n only
     assert 2 * n - 1 > exact_core._SCHUR_CUTOFF
     seen = []
     calls = _count_eliminations(monkeypatch, seen)

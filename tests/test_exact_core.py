@@ -1315,18 +1315,81 @@ def test_base_factor_runs_no_bareiss_or_gauss_jordan_pass(monkeypatch):
         assert exact_core._project_out_symmetric(f.ginv, f.kernel) == pseudoinverse(m)
 
 
-@pytest.mark.parametrize("label, m", _KERNEL_PATHS, ids=[label for label, _ in _KERNEL_PATHS])
+_CONGRUENCE_CASES = _KERNEL_PATHS + [(f"helm D n={n}", helm_distance_block(n)) for n in range(4, 9)]
+
+
+@pytest.mark.parametrize(
+    "label, m", _CONGRUENCE_CASES, ids=[label for label, _ in _CONGRUENCE_CASES]
+)
 def test_congruence_multiplies_no_empty_matrices(label, m, monkeypatch):
     # a block step that takes every remaining index leaves no complement,
-    # so neither its W product nor its E product is taken
-    shapes = []
+    # so neither its W product nor its E product is taken; and a step
+    # sweeps one or two pivots, so each product a step takes has three or
+    # more left columns, and a nonzero left factor U K.  The factor's own
+    # F' Omega F product is not a step's
+    shapes, in_gram = [], []
+    matmul, gram = RatMatrix.__matmul__, exact_core._weighted_gram
+
+    def spying_matmul(a, b):
+        shapes.append((a.rows, a.cols, b.cols, a.is_zero(), bool(in_gram)))
+        return matmul(a, b)
+
+    def marking_gram(n, terms):
+        in_gram.append(True)
+        try:
+            return gram(n, terms)
+        finally:
+            in_gram.pop()
+
+    monkeypatch.setattr(RatMatrix, "__matmul__", spying_matmul)
+    monkeypatch.setattr(exact_core, "_weighted_gram", marking_gram)
+    inertia(m)
+    exact_core._base_factor(m)
+    assert all(all(shape[:3]) for shape in shapes), shapes
+    steps = [shape for shape in shapes if not shape[4]]
+    assert all(inner >= 3 and not zero for _, inner, _, zero, _ in steps), steps
+
+
+def _ref_rank_update(scale, rows, left, right):
+    # scale * rows - L R entry by entry, row k as long as rows[k]
+    return [
+        [scale * x - sum(c[k] * r[j] for c, r in zip(left, right)) for j, x in enumerate(row)]
+        for k, row in enumerate(rows)
+    ]
+
+
+def _mixed_ints(rng, count: int) -> list[int]:
+    # zeros, small and wide entries, so rows with a zero left entry and
+    # packed slots of several widths both show up
+    return [rng.choice((0, rng.randint(-9, 9), rng.randint(-(2**90), 2**90))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 6])
+def test_rank_update_matches_plain_integers_on_each_path(rng, terms, monkeypatch):
+    products = []
     matmul = RatMatrix.__matmul__
 
     def spying_matmul(a, b):
-        shapes.append((a.rows, a.cols, b.cols))
+        products.append((a.rows, a.cols, b.cols))
         return matmul(a, b)
 
     monkeypatch.setattr(RatMatrix, "__matmul__", spying_matmul)
-    inertia(m)
-    exact_core._base_factor(m)
-    assert all(all(shape) for shape in shapes), shapes
+    # (rows, width): empty rows, zero-width right rows, and rows of a
+    # lower triangle (row k has k + 1 entries) or full rows
+    for nr, width in ((0, 0), (0, 4), (3, 0), (1, 1), (5, 5), (6, 9)):
+        for triangle in (False, True):
+            if triangle and nr > width:
+                continue
+            rows = [_mixed_ints(rng, k + 1 if triangle else width) for k in range(nr)]
+            right = [_mixed_ints(rng, width) for _ in range(terms)]
+            # scale != 1, so a skip that forgets to scale shows
+            scale = rng.choice((12, 2**70 + 1))
+            zero = [[0] * nr for _ in range(terms)]
+            for left in ([_mixed_ints(rng, nr) for _ in range(terms)], zero):
+                products.clear()
+                got = exact_core._rank_update(scale, [list(row) for row in rows], left, right)
+                label = (terms, nr, width, triangle, left)
+                assert got == _ref_rank_update(scale, rows, left, right), label
+                # one or two terms are swept, and an all-zero L takes no product
+                packed = terms >= 3 and any(map(any, left))
+                assert products == ([(nr, terms, width)] if packed else []), label
