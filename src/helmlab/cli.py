@@ -52,9 +52,9 @@ from .graphs import bfs_distance_matrix, build_helm, helm_distance_block
 # Largest n accepted by verify, sweep and eig, so that an oversized n is
 # refused instead of starting a dense run that does not end.  The dense
 # oracles cost about n^3 integer operations; `run_verification(n)` takes
-# 0.8 to 1.4 seconds at n = 129 to 131 on a 2-vCPU Xeon VM (Python 3.11),
+# 0.7 to 1.1 seconds at n = 129 to 131 on a 2-vCPU Xeon VM (Python 3.11),
 # of which the congruence inertias (of L and of the Schur complement)
-# take 0.2 to 0.4 s and the factorization of D 0.15 to 0.2 s.
+# take 0.2 to 0.4 s and the factorization of D about 0.2 s.
 MAX_N = 130
 
 

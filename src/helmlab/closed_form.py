@@ -74,12 +74,10 @@ class HelmCase:
         [ -e/2      A          B ]
         [ 0         B          I ]
 
-    coeffs are the alternating numerators that fill the rim spec's tail.
     For even n the coupling spec is (-1, 0, ..., 0), so B = -I.
     """
 
     n: int
-    coeffs: Vector
     rim_spec: Vector
     coupling_spec: Vector
     rim_block: RatMatrix
@@ -87,7 +85,7 @@ class HelmCase:
     laplacian_like: RatMatrix
 
 
-def _helm_case(n: int, coeffs: Vector, rim_spec: Vector, coupling_spec: Vector) -> HelmCase:
+def _helm_case(n: int, rim_spec: Vector, coupling_spec: Vector) -> HelmCase:
     k = n - 1
     rim_block = materialize(CirculantSpec(rim_spec))
     coupling_block = materialize(CirculantSpec(coupling_spec))
@@ -102,7 +100,7 @@ def _helm_case(n: int, coeffs: Vector, rim_spec: Vector, coupling_spec: Vector) 
             [zeros_col, coupling_block, RatMatrix.identity(k)],
         ]
     )
-    return HelmCase(n, coeffs, rim_spec, coupling_spec, rim_block, coupling_block, lap)
+    return HelmCase(n, rim_spec, coupling_spec, rim_block, coupling_block, lap)
 
 
 def make_odd_case(n: int) -> HelmCase:
@@ -133,7 +131,7 @@ def make_odd_case(n: int) -> HelmCase:
     x = tuple([denom * val for val in body])
     v = alternating_signs(k)
     y = tuple([val / (n - 1) - (1 if i == 0 else 0) for i, val in enumerate(v)])
-    return _helm_case(n, coeffs, x, y)
+    return _helm_case(n, x, y)
 
 
 def make_even_case(n: int) -> HelmCase:
@@ -154,7 +152,7 @@ def make_even_case(n: int) -> HelmCase:
     body = [Fraction(n + 1)] + list(coeffs) + list(reversed(coeffs))
     z = tuple([Fraction(1, 2) * val for val in body])
     minus_e1 = (Fraction(-1),) + (Fraction(0),) * (k - 1)
-    return _helm_case(n, coeffs, z, minus_e1)
+    return _helm_case(n, z, minus_e1)
 
 
 def closed_form_inverse(dec: Decomposition) -> RatMatrix:

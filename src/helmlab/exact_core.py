@@ -22,10 +22,12 @@ matrices have equal storage.  Every operation works on the integers:
   so a row of the product costs one big-int multiply-add per nonzero
   entry of that row of A and one unpack.  Slots of up to 64 bits are
   read by ``array.frombytes``, wider ones by slicing the bytes;
-* Gauss-Jordan elimination is fraction-free: a row update is
-  ``a*row - b*lead`` followed by division by the row's content;
-* the determinant is Bareiss's fraction-free elimination (Bareiss 1968,
-  Math. Comp. 22), whose divisions by the previous pivot are exact;
+* one fraction-free Gauss-Jordan pass serves every general oracle: each
+  row is divided once by its content, then a row update is
+  ``(p*row - f*lead) // prev``, exact by Bareiss's theorem (Bareiss 1968,
+  Math. Comp. 22); each pivot row ends as the last pivot q times its
+  reduced-echelon row, and q, the row contents and the permutation sign
+  give the determinant;
 * the inertia is a Sylvester congruence reduction in integers on the
   lower triangle.  Each step takes a pivot block P: the diagonal entry
   of least magnitude with every diagonal pivot uncoupled from it, or a
@@ -56,10 +58,10 @@ of a symmetric matrix together.  Above a small order (``_SCHUR_CUTOFF``)
 it factors the matrix once by a Schur-complement recursion (Bunch and
 Hopcroft, Math. Comp. 28, 1974), which reduces the elimination to
 half-size eliminations and packed products; ``determinant`` and
-``pseudoinverse`` keep their single Bareiss and Gauss-Jordan passes and
-so stay independent routes to check it, and ``inertia`` runs the
-congruence without the transform.  For M = [[A, B], [B', E]] with A
-nonsingular, Y = A^-1 B and S = E - B' Y:
+``pseudoinverse`` read the Gauss-Jordan pass and so stay independent
+routes to check it, and ``inertia`` runs the congruence without the
+transform.  For M = [[A, B], [B', E]] with A nonsingular, Y = A^-1 B and
+S = E - B' Y:
 
 * inertia(M) = inertia(A) + inertia(S) (Haynsworth, LAA 1, 1968);
 * det M = det A * det S;
@@ -506,89 +508,78 @@ def _int_rows(m: RatMatrix) -> list[list[int]]:
     return [list(e[i * c : (i + 1) * c]) for i in range(m.rows)]
 
 
-def _echelon_ints(rows: list[list[int]], ncols: int) -> list[int]:
-    """Fraction-free Gauss-Jordan on integer rows, in place; returns pivot columns.
+def _echelon_ints(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place, with Bareiss's
+    exact division; returns (pivots, q, scale).
 
-    Pivoting is by first nonzero entry.  A row update is
-    ``a*row - b*lead`` with ``a, b = pivot/g, f/g`` for ``g = gcd(pivot, f)``,
-    then division by the row's content, so every row stays a nonzero
-    multiple of the row plain rational Gauss-Jordan would hold and the
-    entries stay small.  On return each pivot row is its reduced-echelon
-    row times its pivot entry.  Only the first ``ncols`` columns are
-    searched for pivots; row operations act on whole rows.
+    Each row is first divided by its content.  Pivoting is by first
+    nonzero entry in the first ``ncols`` columns; row operations act on
+    whole rows.  For a pivot p with row lead, every other row becomes
+    ``(p*row - f*lead) // prev``, f its entry in the pivot column and prev
+    the previous pivot (1 at first).  By Sylvester's identity the entries
+    are then minors of the content-divided rows, so each ``//`` is exact
+    (Bareiss, Math. Comp. 22, 1968).  Every pivot row ends as q times its
+    reduced-echelon row, q the last pivot (1 with none), made positive by
+    negating all rows; scale is the permutation's sign, negated with q,
+    times the row contents, so a square input of full rank has
+    determinant scale * q.
     """
+    scale = 1
+    for i, row in enumerate(rows):
+        content = math.gcd(*row)
+        if content > 1:
+            rows[i] = [x // content for x in row]
+            scale *= content
     pivots: list[int] = []
-    r = 0
+    r, prev = 0, 1
     nrows = len(rows)
     for c in range(ncols):
         p = next((i for i in range(r, nrows) if rows[i][c]), None)
         if p is None:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            scale = -scale
         lead = rows[r]
         pv = lead[c]
         for i in range(nrows):
-            f = rows[i][c]
-            if i != r and f:
-                g = math.gcd(pv, f)
-                a, b = pv // g, f // g
-                row = [a * x - b * y for x, y in zip(rows[i], lead)]
-                content = math.gcd(*row)
-                rows[i] = [x // content for x in row] if content > 1 else row
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], lead)]
+        prev = pv
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return pivots
+    if prev < 0:
+        rows[:] = [[-x for x in row] for row in rows]
+        prev, scale = -prev, -scale
+    return pivots, prev, scale
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns, exactly."""
     work = _int_rows(m)
-    pivots = _echelon_ints(work, m.cols)
-    # row t is its pivot entry times row t of the form; rows past the rank are zero
-    scales = [work[t][c] for t, c in enumerate(pivots)] + [1] * (m.rows - len(pivots))
-    den = math.lcm(*scales)
-    ints: list[int] = []
-    for row, pv in zip(work, scales):
-        f = den // pv
-        ints.extend([f * x for x in row])
-    return RatMatrix._from_ints(m.rows, m.cols, den, ints), tuple(pivots)
+    pivots, q, _ = _echelon_ints(work, m.cols)
+    # row t is q times row t of the form; rows past the rank are zero
+    return RatMatrix._from_ints(m.rows, m.cols, q, [x for row in work for x in row]), tuple(pivots)
 
 
 def rank(m: RatMatrix) -> int:
     """Dimension of the row space, by exact elimination."""
-    return len(_echelon_ints(_int_rows(m), m.cols))
-
-
-def _bareiss(rows: list[list[int]]) -> int:
-    """The determinant of the square integer rows (consumed), by Bareiss."""
-    sign, prev = 1, 1
-    while rows:
-        p = next((i for i, row in enumerate(rows) if row[0]), None)
-        if p is None:
-            return 0
-        if p:
-            rows[0], rows[p] = rows[p], rows[0]
-            sign = -sign
-        pv, *tail = rows[0]
-        rows = [
-            [(pv * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
-            for row in rows[1:]
-        ]
-        prev = pv
-    return sign * prev
+    return len(_echelon_ints(_int_rows(m), m.cols)[0])
 
 
 def determinant(m: RatMatrix) -> Fraction:
-    """Exact determinant by Bareiss fraction-free elimination.
+    """Exact determinant from the Gauss-Jordan pass (``_echelon_ints``).
 
-    On the integer entries A of m = A/d the last Bareiss pivot is det(A),
-    and det(m) = det(A) / d^n.
+    On the integer entries A of m = A/d a full-rank pass gives
+    det(A) = scale * q, and det(m) = det(A) / d^n; below full rank it is 0.
     """
     if not m.is_square():
         raise ValueError(f"determinant of {m.rows}x{m.cols} matrix")
-    return Fraction(_bareiss(_int_rows(m)), m._den ** m.rows)
+    pivots, q, scale = _echelon_ints(_int_rows(m), m.cols)
+    return Fraction(scale * q, m._den ** m.rows) if len(pivots) == m.rows else _ZERO
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
@@ -615,50 +606,46 @@ def solve(m: RatMatrix, b: Sequence[Scalar]) -> Optional[Vector]:
     g = math.gcd(m._den, db)
     sa, sb = db // g, m._den // g
     work = [[sa * x for x in row] + [sb * c] for row, c in zip(_int_rows(m), rhs)]
-    pivots = _echelon_ints(work, m.cols + 1)
+    pivots, q, _ = _echelon_ints(work, m.cols + 1)
     if m.cols in pivots:
         return None
     x = [_ZERO] * m.cols
     for r, c in enumerate(pivots):
-        x[c] = Fraction(work[r][m.cols], work[r][c])
+        x[c] = Fraction(work[r][m.cols], q)
     return tuple(x)
 
 
-def _kernel_rows(
-    work: list[list[int]], pivots: list[int], ncols: int
-) -> tuple[int, list[list[int]]]:
-    """den, the lcm of the pivot entries of rows left by ``_echelon_ints``,
-    and one integer kernel row den * (e_j - sum_t R[t, j] e_(c_t)) per
-    free column j, ascending; R is the reduced echelon form."""
-    den = math.lcm(*[work[t][c] for t, c in enumerate(pivots)])
-    scaled = [(c, den // work[t][c]) for t, c in enumerate(pivots)]
+def _kernel_rows(work: list[list[int]], pivots: list[int], q: int, ncols: int) -> list[list[int]]:
+    """One integer kernel row q * (e_j - sum_t R[t, j] e_(c_t)) per free
+    column j, ascending, from the rows and last pivot q left by
+    ``_echelon_ints``; R is the reduced echelon form."""
     pivot_set = set(pivots)
     out: list[list[int]] = []
     for j in range(ncols):
         if j not in pivot_set:
             v = [0] * ncols
-            v[j] = den
-            for t, (c, f) in enumerate(scaled):
-                v[c] = -f * work[t][j]
+            v[j] = q
+            for t, c in enumerate(pivots):
+                v[c] = -work[t][j]
             out.append(v)
-    return den, out
+    return out
 
 
 def null_space_basis(m: RatMatrix) -> list[Vector]:
     """Exact basis of the kernel, one vector per free column of the reduced echelon form."""
     work = _int_rows(m)
-    den, kernel = _kernel_rows(work, _echelon_ints(work, m.cols), m.cols)
-    return [tuple([Fraction(x, den) for x in v]) for v in kernel]
+    pivots, q, _ = _echelon_ints(work, m.cols)
+    return [tuple([Fraction(x, q) for x in v]) for v in _kernel_rows(work, pivots, q, m.cols)]
 
 
 def _gauss_jordan(m: RatMatrix) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
     """(G, N, Q) from one Gauss-Jordan pass: G a generalized inverse of m,
-    and the rows of N and Q integer bases of ker m and ker m'.
+    and the rows of N and Q primitive integer bases of ker m and ker m'.
 
     The fraction-free pass runs on the integer rows of [A | d I], m = A/d,
     searching A's columns only for pivots.  The right block records the
-    row operations: let row t of E be row t's right block, divided by its
-    pivot entry when t is below the rank.  Then E is invertible and
+    row operations: let row t of E be row t's right block, divided by the
+    last pivot q when t is below the rank.  Then E is invertible and
     E m = R, R the reduced echelon form with pivot columns c_0 < c_1 < ...
     Let S put row t at row c_t.  R S is the identity on the first r = rank
     coordinates and zero past them, so R S R = R, and G = S E is a
@@ -673,18 +660,20 @@ def _gauss_jordan(m: RatMatrix) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
         tail = [0] * rows
         tail[i] = m._den
         row.extend(tail)
-    pivots = _echelon_ints(work, cols)
+    pivots, q, _ = _echelon_ints(work, cols)
     r = len(pivots)
-    # row t of work over its pivot entry is row t of [R | E]; scale all by den
-    den, kernel = _kernel_rows(work, pivots, cols)
+    # row t of work over q is row t of [R | E]
     g_ints = [0] * (cols * rows)
     for t, c in enumerate(pivots):
-        f = den // work[t][c]
-        g_ints[c * rows : (c + 1) * rows] = [f * x for x in work[t][cols:]]
-    g = RatMatrix._from_ints(cols, rows, den, g_ints)
-    n_t = RatMatrix._from_ints(cols - r, cols, 1, [x for v in kernel for x in v])
-    q = RatMatrix._from_ints(rows - r, rows, 1, [x for row in work[r:] for x in row[cols:]])
-    return g, n_t, q
+        g_ints[c * rows : (c + 1) * rows] = work[t][cols:]
+    g = RatMatrix._from_ints(cols, rows, q, g_ints)
+    kernel, cokernel = _kernel_rows(work, pivots, q, cols), [row[cols:] for row in work[r:]]
+    # each basis row over its own content keeps the entries small
+    n_t, q_t = [
+        RatMatrix._from_ints(len(b), w, 1, [x // c for v in b for c in [math.gcd(*v)] for x in v])
+        for b, w in ((kernel, cols), (cokernel, rows))
+    ]
+    return g, n_t, q_t
 
 
 def _project_out(g: RatMatrix, n_t: RatMatrix, q: RatMatrix) -> RatMatrix:

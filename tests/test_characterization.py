@@ -12,6 +12,7 @@ from helmlab import (
     RatMatrix,
     VerificationError,
     alternating_signs,
+    bfs_distance_matrix,
     build_kernel_projector,
     check_conditions_i_vi,
     check_equiv_formulation,
@@ -20,11 +21,13 @@ from helmlab import (
     cycle_signless_laplacian_spec,
     helm_distance_block,
     inertia,
+    inverse,
     make_even_case,
     make_odd_case,
     make_w_alpha,
     materialize,
     null_space_basis,
+    pseudoinverse,
     rank,
     rank_l_check,
     schur_psd_check,
@@ -297,7 +300,7 @@ def test_schur_psd_check_rejects_an_indefinite_but_consistent_l(n):
     # A + B - J/(2(n-1)), now with a negative eigenvalue, can say no
     c = make_odd_case(n)
     rim_spec = (c.rim_spec[0] - 3,) + c.rim_spec[1:]
-    case = _helm_case(n, c.coeffs, rim_spec, c.coupling_spec)
+    case = _helm_case(n, rim_spec, c.coupling_spec)
     assert inertia(case.laplacian_like).i_minus > 0
     assert not schur_psd_check(case.laplacian_like, case)
 
@@ -335,3 +338,46 @@ def test_rank_gap_between_l_and_the_mp_inverse(n):
     assert rank(candidate) - rank(data.laplacian_like) == 1
     # the rank-one lemma behind the gap: w is outside the range of L
     assert solve(data.laplacian_like, vectors.w) is None
+
+
+# -- trees: a second family with D^-1 = -L/2 + alpha ww' -------------------------
+
+
+def _prufer_tree(code: list[int], m: int) -> tuple[tuple[int, ...], ...]:
+    """Sorted adjacency lists of the tree on m >= 2 vertices with Prufer code code."""
+    degree = [1] * m
+    for v in code:
+        degree[v] += 1
+    nbrs: list[list[int]] = [[] for _ in range(m)]
+    for v in code:
+        leaf = degree.index(1)
+        nbrs[leaf].append(v)
+        nbrs[v].append(leaf)
+        degree[leaf] -= 1
+        degree[v] -= 1
+    a, b = [u for u in range(m) if degree[u] == 1]
+    nbrs[a].append(b)
+    nbrs[b].append(a)
+    return tuple(tuple(sorted(row)) for row in nbrs)
+
+
+def test_random_trees_satisfy_the_characterization(rng):
+    # Graham and Lovasz (1978): a tree on m vertices has
+    # D^-1 = -L/2 + tau tau'/(2(m-1)), tau = 2 - deg, L its Laplacian;
+    # as a triple, w = tau/2 and alpha = 2/(m-1)
+    for m in range(2, 15):
+        for _ in range(5):
+            adjacency = _prufer_tree([rng.randrange(m) for _ in range(m - 2)], m)
+            d = bfs_distance_matrix(adjacency)
+            lap = RatMatrix.from_rows(
+                [
+                    [len(nbrs) if i == j else -int(j in nbrs) for j in range(m)]
+                    for i, nbrs in enumerate(adjacency)
+                ]
+            )
+            w = tuple(Fraction(2 - len(nbrs), 2) for nbrs in adjacency)
+            alpha = Fraction(2, m - 1)
+            dec = Decomposition(lap, w, alpha)
+            assert check_equiv_formulation(d, dec), adjacency
+            assert dec.candidate == inverse(d) == pseudoinverse(d), adjacency
+            assert check_uniqueness(d, dec) == (alpha, w), adjacency

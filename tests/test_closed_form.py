@@ -72,7 +72,6 @@ def test_make_w_alpha_rejects_small_n():
 
 def test_odd_case_n5_values():
     data = make_odd_case(5)
-    assert data.coeffs == (Fraction(9), Fraction(-15))
     assert data.rim_spec == tuple(Fraction(v, 24) for v in (33, 9, -15, 9))
     assert data.coupling_spec == tuple(Fraction(v, 4) for v in (-3, -1, 1, -1))
     assert sum(data.coupling_spec, Fraction(0)) == -1
@@ -161,7 +160,6 @@ def test_make_odd_case_rejects_bad_n():
 
 def test_even_case_n6_values():
     data = make_even_case(6)
-    assert data.coeffs == (Fraction(-3), Fraction(1))
     assert data.rim_spec == tuple(Fraction(v, 2) for v in (7, -3, 1, 1, -3))
     assert sum(data.rim_spec, Fraction(0)) == Fraction(3, 2)
 

@@ -584,6 +584,16 @@ def _differential_cases(rng) -> list[tuple[str, RatMatrix]]:
     big = pseudoinverse(a @ a.transpose())
     cases.append(("pseudoinverse of gram 9 (large entries)", big))
     cases.append(("inverse of general 6 (large entries)", inverse(random_invertible(rng, 6))))
+    # column 2 is twice column 0, so the pass skips a pivot column mid-way
+    wide = _with_rows(random_matrix(rng, 3, 5), lambda i, r: r[:2] + [2 * r[0]] + r[3:])
+    cases.append(("wide rank-deficient, dependent middle column", wide))
+    big_den = [
+        [Fraction(rng.randint(-(1 << 40), 1 << 40), rng.randint(1, 1 << 40)) for _ in range(8)]
+        for _ in range(8)
+    ]
+    cases.append(("8x8 with distinct 40-bit denominators", RatMatrix.from_rows(big_den)))
+    # pivots 1 and then 1*(-1) - 1*1 = -2: the last pivot is negative
+    cases.append(("negative last pivot", RatMatrix.from_rows([[1, 1], [1, -1]])))
     return cases
 
 
@@ -594,6 +604,25 @@ def _bits(m: RatMatrix) -> int:
 def test_differential_cases_reach_large_entries(rng):
     cases = dict(_differential_cases(rng))
     assert _bits(cases["pseudoinverse of gram 9 (large entries)"]) > 150
+
+
+def test_differential_cases_reach_each_elimination_path(rng):
+    cases = dict(_differential_cases(rng))
+    assert rref(cases["wide rank-deficient, dependent middle column"])[1] == (0, 1, 3)
+    big_den = cases["8x8 with distinct 40-bit denominators"]
+    assert len({x.denominator for row in big_den.to_lists() for x in row}) == 64
+    # the pass ends on the pivot -2, and returns q = 2 with the sign in scale
+    m = cases["negative last pivot"]
+    assert exact_core._echelon_ints(exact_core._int_rows(m), m.cols) == ([0, 1], 2, -1)
+
+
+def test_echelon_divides_each_row_by_its_content_first():
+    # [[2, 4], [3, 9]] runs as [[1, 2], [1, 3]]: pivots 1 and 1, and the
+    # contents 2 and 3 go to scale, so det = 6 * 1; without the division
+    # the pivots would be 2 and 6
+    rows = [[2, 4], [3, 9]]
+    assert exact_core._echelon_ints(rows, 2) == ([0, 1], 1, 6)
+    assert rows == [[1, 0], [0, 1]]
 
 
 def test_matmul_matches_reference(rng):
@@ -1084,7 +1113,7 @@ def test_equal_matrices_have_equal_storage(rng):
 #
 # Above the cutoff, factor_symmetric splits M = [[A, B], [B', E]]; its
 # inertia, determinant and pseudoinverse must equal the congruence
-# inertia and the Bareiss determinant of the whole of M, and a
+# inertia and the Gauss-Jordan determinant of the whole of M, and a
 # Moore-Penrose inverse found without any split: the MacDuffee reference
 # on plain Fractions and the one Gauss-Jordan pass of pseudoinverse where
 # those are affordable, and the four Penrose conditions, which have one
@@ -1250,8 +1279,8 @@ def test_symmetric_projection_equals_the_two_sided_projection_and_pseudoinverse(
 # Below the cutoff factor_symmetric is _base_factor plus the symmetric
 # projection.  Its inertia, determinant, generalized inverse and kernel
 # must equal what the single-pass oracles give the same matrix: the
-# congruence inertia without the transform, Bareiss, Gauss-Jordan's
-# inverse, rank and pseudoinverse.
+# congruence inertia without the transform, and the Gauss-Jordan pass's
+# determinant, inverse, rank and pseudoinverse.
 
 
 def _assert_base_factor_matches_independent_routes(m: RatMatrix, label: str) -> None:
@@ -1300,16 +1329,16 @@ def test_base_factor_matches_independent_routes_below_the_cutoff(rng):
         _assert_base_factor_matches_independent_routes(m, label)
 
 
-def test_base_factor_runs_no_bareiss_or_gauss_jordan_pass(monkeypatch):
+def test_base_factor_runs_no_echelon_pass(monkeypatch):
     def refuse(*args):
         raise AssertionError("an elimination pass besides the congruence ran")
 
+    # no rank, determinant or Gauss-Jordan pass runs inside the base factor;
     # the symmetric projection of a singular block inverts the kernel's
     # Gram matrix by Gauss-Jordan, so it runs after the spy is removed
     for m in (helm_distance_block(7), helm_distance_block(8)):
         with monkeypatch.context() as patch:
-            patch.setattr(exact_core, "_bareiss", refuse)
-            patch.setattr(exact_core, "_gauss_jordan", refuse)
+            patch.setattr(exact_core, "_echelon_ints", refuse)
             f = exact_core._base_factor(m)
         assert (f.inertia, f.det) == (inertia(m), determinant(m))
         assert exact_core._project_out_symmetric(f.ginv, f.kernel) == pseudoinverse(m)
