@@ -51,6 +51,7 @@ from .characterization import (
     check_conditions_i_vi,
     check_equiv_formulation,
     check_uniqueness,
+    correction_matrix,
     rank_l_check,
     schur_psd_check,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "circulant_product",
     "closed_form_inverse",
     "closed_form_mp_inverse",
+    "correction_matrix",
     "cycle_signless_laplacian_spec",
     "determinant",
     "helm_distance_block",

@@ -1,22 +1,26 @@
 """When is a Moore-Penrose inverse of the form -L/2 + alpha ww'?
 
 This module packages the machinery around that question for symmetric
-matrices: the certificate for a candidate triple (equiv formulation:
-D w = e/alpha, which also puts e in the range, and the four Penrose
-conditions), constructive uniqueness of the triple, the six block
-conditions that pin down the bordered matrix L for helm distance
-matrices, the kernel projector that closes the certificate, and exact
+matrices: the certificate for a candidate triple and a claimed kernel
+basis (equiv formulation: D w = e/alpha, which also puts e in the
+range, the kernel's matrix-vector products and W = 2 P_K, which
+together prove the four Penrose conditions), the one dense product it
+needs (W = L D + 2I - 2we'), constructive uniqueness of the triple, the
+six block conditions that pin down the bordered matrix L for helm
+distance matrices, the closed-form kernel projector V, and exact
 positive-semidefiniteness / rank checks for L via a Schur complement
 chain with one congruence inertia, and the rank-one modification lemma.
 
 Each identity is checked once: no function runs an oracle whose answer
 another check of the same report already implies.  The Penrose
-conditions are proved only by check_equiv_formulation; they also give
-every fact about the kernel projector V but L D + 2I - 2we' = V.  The
-ranks come from the caller (read off inertias), and rank(X) is not
-recomputed: the report's closed-form check proves X = pinv(D).  Every
-function here holds for both parities: for even n, D is nonsingular,
-pinv(D) = D^-1 and the kernel projector is zero.
+conditions are proved only by check_equiv_formulation, with no product
+of order 2n-1 of its own: its one square product, L D inside W, is built
+once (correction_matrix) and shared with the report's kernel_projector
+check, W = V.  The ranks come from the caller (read off inertias), and
+rank(X) is not recomputed: the report's closed-form check proves
+X = pinv(D).  Every function here holds for both parities: for even n,
+D is nonsingular, pinv(D) = D^-1, the kernel basis is empty and the
+kernel projector is zero.
 
 Every function takes objects built once by the caller (the distance
 matrix, a closed_form.HelmCase, a Decomposition, ranks already
@@ -28,7 +32,7 @@ never by floating-point eigenvalues.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .closed_form import HelmCase
 from .exact_core import (
@@ -39,8 +43,8 @@ from .exact_core import (
     dot,
     inertia,
     ones_vector,
-    penrose_check,
     scale_vector,
+    vec,
 )
 
 
@@ -59,27 +63,87 @@ class SixConditions(NamedTuple):
     s_balance: bool
 
 
-def check_equiv_formulation(d: RatMatrix, dec: Decomposition) -> bool:
-    """Certify dec.candidate as the Moore-Penrose inverse of d.
+def correction_matrix(d: RatMatrix, dec: Decomposition) -> RatMatrix:
+    """W = L D + 2I - 2we', with L and w those of dec.
 
-    Requires d symmetric (ValueError otherwise).  Returns True iff
-    D w = (1/alpha) e and X = dec.candidate passes penrose_check.  The
-    first maps alpha w to e, so it also proves the characterization's
-    hypothesis that the all-ones vector lies in the range of D; a d
-    without e in its range fails it and gets False.  For symmetric D and
-    X the four Penrose conditions say exactly that V = 2(I - X D) is
-    symmetric, D V = 0 and V X = 0.  L D + 2 I = 2 w e' + V needs no test:
-    D w = e/alpha gives X D = -L D/2 + alpha w (D w)' = -L D/2 + w e'.
-    The comparison with the pseudoinverse is the caller's oracle check.
+    The one dense product of the Penrose certificate: D w = e/alpha turns
+    it into 2(I - X D) (check_equiv_formulation), and the report's
+    kernel_projector check compares it with the closed-form V
+    (build_kernel_projector).  The report builds it once for both.
+    """
+    order = d.rows
+    ident_minus_we = RatMatrix.identity(order) - RatMatrix.outer(dec.w, ones_vector(order))
+    return dec.laplacian_like @ d + 2 * ident_minus_we
+
+
+def _twice_projector(kernel: Sequence[Vector], order: int) -> RatMatrix:
+    """2 P_K = 2 K'(K K')^-1 K, K the matrix with the kernel vectors as rows.
+
+    Gram-Schmidt turns the vectors into an orthogonal basis q_1, q_2, ...
+    of their span, so that P_K = sum q_i q_i'/(q_i'q_i) needs no Gram
+    inverse; the zero matrix for no vector.  Raises ValueError for a
+    vector of another length or for linearly dependent vectors.
+    """
+    basis: list[tuple[Vector, Fraction]] = []
+    terms: list[RatMatrix] = []
+    for u in kernel:
+        if len(u) != order:
+            raise ValueError(f"kernel vector of length {len(u)} against order {order}")
+        q = vec(u)
+        for b, norm in basis:
+            c = dot(b, u) / norm
+            q = tuple([x - c * y for x, y in zip(q, b)])
+        norm = dot(q, q)
+        if norm == 0:
+            raise ValueError("kernel vectors are linearly dependent")
+        basis.append((q, norm))
+        terms.append((2 / norm) * RatMatrix.outer(q, q))
+    return sum(terms[1:], terms[0]) if terms else RatMatrix.zeros(order, order)
+
+
+def check_equiv_formulation(
+    d: RatMatrix, dec: Decomposition, kernel: Sequence[Vector], correction: RatMatrix
+) -> bool:
+    """Certify dec.candidate as the Moore-Penrose inverse of d, given a kernel basis.
+
+    kernel holds linearly independent vectors claimed to span ker D (K the
+    matrix with them as rows), and correction is W = L D + 2I - 2we'
+    (correction_matrix).  Requires d symmetric; a d that is not, a
+    decomposition or kernel vector of another order, or dependent kernel
+    vectors raise ValueError.  With X = dec.candidate, returns True iff
+
+        D w = e/alpha,  D u = 0 and X u = 0 for each u in kernel,
+        and W = 2 P_K,  P_K = K'(K K')^-1 K,
+
+    which prove the four Penrose conditions for the symmetric D and X:
+
+    * D w = e/alpha gives X D = -L D/2 + alpha w (D w)' = -L D/2 + w e'
+      = I - W/2;
+    * so W = 2 P_K gives X D = I - P_K, which is symmetric, and so is
+      D X = (X D)';
+    * D K' = 0 gives D X D = D - D K'(K K')^-1 K = D;
+    * X K' = 0 gives X D X = X - K'(K K')^-1 (X K')' = X.
+
+    A K that spans less than ker D fails W = 2 P_K: rank(I - P_K) would
+    exceed rank D >= rank(X D).  D w = e/alpha also proves the
+    characterization's hypothesis that the all-ones vector lies in the
+    range of D; a d without e in its range fails it and gets False.  Past
+    the product inside W, every step is a matrix-vector product or an
+    entrywise comparison.  The comparison with the pseudoinverse is the
+    caller's oracle check.
     """
     if not d.is_symmetric():
         raise ValueError("characterization applies to symmetric matrices")
     order = d.rows
     if len(dec.w) != order:
         raise ValueError(f"decomposition of order {len(dec.w)} against {order}")
+    projector = _twice_projector(kernel, order)
     if d.mul_vector(dec.w) != scale_vector(1 / dec.alpha, ones_vector(order)):
         return False
-    return penrose_check(d, dec.candidate)
+    x = dec.candidate
+    if any(any(d.mul_vector(u)) or any(x.mul_vector(u)) for u in kernel):
+        return False
+    return correction == projector
 
 
 def check_uniqueness(d: RatMatrix, dec: Decomposition) -> tuple[Fraction, Vector]:
@@ -157,7 +221,10 @@ def build_kernel_projector(case: HelmCase) -> RatMatrix:
     passes (D w = e/alpha, and X = -L/2 + alpha ww' is the MP inverse),
     that says V = 2(I - X D), so D V = 0, V is symmetric and V X = 0;
     V e = alpha V D w = 0; X e = alpha w (L e = 0 and e'w = 1) gives
-    V w = 0; and V L = 2 alpha (V w) w' - 2 V X = 0.
+    V w = 0; and V L = 2 alpha (V w) w' - 2 V X = 0.  This V is built
+    from the blocks of L, while equiv_formulation's 2 P_K is built from
+    the closed-form kernel basis (HelmVectors.kernel); both are compared
+    with the same W.
     """
     k = case.n - 1
     rim = 2 * (case.coupling_block + RatMatrix.identity(k))

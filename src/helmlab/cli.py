@@ -27,6 +27,7 @@ from .characterization import (
     check_conditions_i_vi,
     check_equiv_formulation,
     check_uniqueness,
+    correction_matrix,
     rank_l_check,
     schur_psd_check,
 )
@@ -52,9 +53,10 @@ from .graphs import bfs_distance_matrix, build_helm, helm_distance_block
 # Largest n accepted by verify, sweep and eig, so that an oversized n is
 # refused instead of starting a dense run that does not end.  The dense
 # oracles cost about n^3 integer operations; `run_verification(n)` takes
-# 0.7 to 1.1 seconds at n = 129 to 131 on a 2-vCPU Xeon VM (Python 3.11),
-# of which the congruence inertias (of L and of the Schur complement)
-# take 0.2 to 0.4 s and the factorization of D about 0.2 s.
+# 0.5 to 0.8 seconds at n = 129 to 131 on a 2-vCPU Xeon VM (Python 3.11),
+# of which the inertia of L and the Schur chain with its inertia take
+# 0.15 to 0.3 s, the factorization of D 0.15 to 0.2 s and the one product
+# L D 0.07 to 0.11 s.
 MAX_N = 130
 
 
@@ -150,13 +152,17 @@ def run_verification(n: int) -> VerificationReport:
     constructor, the expected values and the closed-form check's name
     depend on parity.  Each per-n object is built once, by a set-up
     step: D; one factorization of D (factor_symmetric) that gives its
-    inertia, determinant and pseudoinverse (D^-1 for even n); w and
-    alpha, the closed-form case, the rim cycle's signless Laplacian S,
-    the Decomposition (and with it X), and the inertia of L.  The ranks
-    of D and L are read off their inertias.  The checks share them
+    inertia, determinant and pseudoinverse (D^-1 for even n); w, alpha
+    and the closed-form kernel basis, the closed-form case, the rim
+    cycle's signless Laplacian S, the Decomposition (and with it X),
+    W = L D + 2I - 2we' (correction_matrix) and the inertia of L.  The
+    ranks of D and L are read off their inertias.  The checks share them
     and rebuild nothing.  Each identity is checked once: the closed-form
     check only compares X with the pseudoinverse, and equiv_formulation
-    proves the Penrose conditions.  kernel_projector, L D + 2I - 2we' = V,
+    proves the Penrose conditions from D w = e/alpha, D u = 0 and X u = 0
+    for the kernel vectors u, and W = 2 P_K, with no dense product of its
+    own: outside the factorization of D and the inertias, L D is the
+    report's one square product of order 2n-1.  kernel_projector, W = V,
     with them gives V = 2(I - X D) and so D V = 0, V L = 0, V w = 0,
     V e = 0 and V symmetric (build_kernel_projector).
 
@@ -237,16 +243,16 @@ def _run_checks(n: int, report: VerificationReport) -> None:
 
     checks.run("six_conditions", chk_six)
 
+    correction = checks.setup("correction_matrix", correction_matrix, d, dec)
+
     def chk_kernel():
-        e = (Fraction(1),) * order
-        correction = lap @ d + 2 * RatMatrix.identity(order) - 2 * RatMatrix.outer(vectors.w, e)
         ok = correction == build_kernel_projector(case)
         return ok, "L D + 2I - 2we' = V, with V = 2(B + I) on the rim"
 
     checks.run("kernel_projector", chk_kernel)
 
     def chk_equiv():
-        ok = check_equiv_formulation(d, dec)
+        ok = check_equiv_formulation(d, dec, vectors.kernel, correction)
         return ok, "witness identities certify -L/2 + alpha ww' as the MP inverse"
 
     checks.run("equiv_formulation", chk_equiv)

@@ -38,18 +38,21 @@ class HelmVectors:
     """The vectors attached to the helm graph of parameter n.
 
     w = (5-n, -e', 2e')/4 and alpha = 4/(3(n-1)), so that D w = e/alpha
-    and e'w = 1.  For odd n, D has a one-dimensional kernel spanned by
-    u = (0, v', 0')' with v alternating +1/-1 around the rim; the report
-    checks it through the kernel projector 2uu'/(n-1)
-    (characterization.build_kernel_projector).
+    and e'w = 1.  kernel is a basis of ker D in closed form: for odd n the
+    one vector u = (0, v', 0')', v alternating +1/-1 around the rim, and
+    for even n, where D is nonsingular, no vector.  The report's
+    equiv_formulation check proves that it spans ker D and certifies
+    -L/2 + alpha ww' as D+ with it
+    (characterization.check_equiv_formulation).
     """
 
     w: Vector
     alpha: Fraction
+    kernel: tuple[Vector, ...]
 
 
 def make_w_alpha(n: int) -> HelmVectors:
-    """Build w = (5-n, -e', 2e')/4 and alpha = 4/(3(n-1))."""
+    """Build w = (5-n, -e', 2e')/4, alpha = 4/(3(n-1)) and the kernel basis."""
     if n < 4:
         raise ValueError(f"helm graphs need n >= 4, got {n}")
     k = n - 1
@@ -59,7 +62,9 @@ def make_w_alpha(n: int) -> HelmVectors:
         + tuple([-quarter] * k)
         + tuple([2 * quarter] * k)
     )
-    return HelmVectors(w, rank_one_scale(n))
+    zero = (Fraction(0),)
+    kernel = () if n % 2 == 0 else (zero + alternating_signs(k) + zero * k,)
+    return HelmVectors(w, rank_one_scale(n), kernel)
 
 
 @dataclass(frozen=True)
@@ -173,9 +178,11 @@ def closed_form_mp_inverse(dec: Decomposition) -> RatMatrix:
 
     Same shape as the even case.  The report's closed_form_mp_inverse
     check compares it with the pseudoinverse from
-    exact_core.factor_symmetric, D's Schur-complement factorization; its
+    exact_core.factor_symmetric, D's Schur-complement factorization.  Its
     four Penrose conditions are proved once, by the equiv_formulation
-    check (characterization.check_equiv_formulation).
+    check (characterization.check_equiv_formulation), from D w = e/alpha,
+    the closed-form kernel u of HelmVectors (D u = 0 and X u = 0) and the
+    one product L D: L D + 2I - 2we' = 2uu'/(u'u).
     """
     n = (len(dec.w) + 1) // 2
     if n % 2 == 0:

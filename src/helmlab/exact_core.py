@@ -27,7 +27,9 @@ matrices have equal storage.  Every operation works on the integers:
   ``(p*row - f*lead) // prev``, exact by Bareiss's theorem (Bareiss 1968,
   Math. Comp. 22); each pivot row ends as the last pivot q times its
   reduced-echelon row, and q, the row contents and the permutation sign
-  give the determinant;
+  give the determinant.  ``rank`` and ``determinant`` read only the
+  pivots and q, so they run the pass forward only, updating the rows
+  below each pivot (the same pivots and q);
 * the inertia is a Sylvester congruence reduction in integers on the
   lower triangle.  Each step takes a pivot block P: the diagonal entry
   of least magnitude with every diagonal pivot uncoupled from it, or a
@@ -508,7 +510,9 @@ def _int_rows(m: RatMatrix) -> list[list[int]]:
     return [list(e[i * c : (i + 1) * c]) for i in range(m.rows)]
 
 
-def _echelon_ints(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+def _echelon_ints(
+    rows: list[list[int]], ncols: int, reduced: bool = True
+) -> tuple[list[int], int, int]:
     """Fraction-free Gauss-Jordan on integer rows, in place, with Bareiss's
     exact division; returns (pivots, q, scale).
 
@@ -523,6 +527,12 @@ def _echelon_ints(rows: list[list[int]], ncols: int) -> tuple[list[int], int, in
     negating all rows; scale is the permutation's sign, negated with q,
     times the row contents, so a square input of full rank has
     determinant scale * q.
+
+    With ``reduced=False`` only the rows below each pivot are updated:
+    Bareiss's forward pass, for callers that read only the pivots, q and
+    scale.  The rows at and below the current pivot row, and so the
+    pivots, q and scale, are the same as in the full pass; the rows
+    above are left in echelon, not reduced echelon, form.
     """
     scale = 1
     for i, row in enumerate(rows):
@@ -542,7 +552,7 @@ def _echelon_ints(rows: list[list[int]], ncols: int) -> tuple[list[int], int, in
             scale = -scale
         lead = rows[r]
         pv = lead[c]
-        for i in range(nrows):
+        for i in range(0 if reduced else r + 1, nrows):
             if i != r:
                 f = rows[i][c]
                 rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], lead)]
@@ -567,18 +577,18 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
 
 def rank(m: RatMatrix) -> int:
     """Dimension of the row space, by exact elimination."""
-    return len(_echelon_ints(_int_rows(m), m.cols)[0])
+    return len(_echelon_ints(_int_rows(m), m.cols, reduced=False)[0])
 
 
 def determinant(m: RatMatrix) -> Fraction:
-    """Exact determinant from the Gauss-Jordan pass (``_echelon_ints``).
+    """Exact determinant from the forward pass of ``_echelon_ints``.
 
     On the integer entries A of m = A/d a full-rank pass gives
     det(A) = scale * q, and det(m) = det(A) / d^n; below full rank it is 0.
     """
     if not m.is_square():
         raise ValueError(f"determinant of {m.rows}x{m.cols} matrix")
-    pivots, q, scale = _echelon_ints(_int_rows(m), m.cols)
+    pivots, q, scale = _echelon_ints(_int_rows(m), m.cols, reduced=False)
     return Fraction(scale * q, m._den ** m.rows) if len(pivots) == m.rows else _ZERO
 
 

@@ -18,6 +18,7 @@ from helmlab import (
     check_equiv_formulation,
     check_uniqueness,
     closed_form_mp_inverse,
+    correction_matrix,
     cycle_signless_laplacian_spec,
     helm_distance_block,
     inertia,
@@ -27,6 +28,7 @@ from helmlab import (
     make_w_alpha,
     materialize,
     null_space_basis,
+    penrose_check,
     pseudoinverse,
     rank,
     rank_l_check,
@@ -35,7 +37,7 @@ from helmlab import (
 )
 from helmlab.closed_form import _helm_case
 from helmlab.exact_core import dot, ones_vector, scale_vector
-from support import bump_l, helm_decomposition
+from support import bump_l, helm_decomposition, random_symmetric
 
 ODD_RANGE = (5, 7, 9, 11, 13)
 EVEN_RANGE = (4, 6, 8, 10, 12)
@@ -50,54 +52,126 @@ def _kernel_vector(n: int) -> tuple[Fraction, ...]:
 # -- equiv formulation ------------------------------------------------------
 
 
+def _certify(d, dec, kernel) -> bool:
+    """check_equiv_formulation with W = L D + 2I - 2we' built from d and dec."""
+    return check_equiv_formulation(d, dec, tuple(kernel), correction_matrix(d, dec))
+
+
 @pytest.mark.parametrize("n", (6, 7))
 def test_equiv_formulation_certifies_the_helm_triple(n):
     d, dec = helm_distance_block(n), helm_decomposition(n)
-    assert check_equiv_formulation(d, dec)
+    assert _certify(d, dec, make_w_alpha(n).kernel)
+    assert penrose_check(d, dec.candidate)
 
 
 def test_equiv_formulation_rejects_perturbed_alpha():
     d, dec = helm_distance_block(7), helm_decomposition(7)
-    wrong = Decomposition(dec.laplacian_like, dec.w, Fraction(1, 4))
-    assert not check_equiv_formulation(d, wrong)
+    wrong = Decomposition(dec.laplacian_like, dec.w, 2 * dec.alpha)
+    assert not _certify(d, wrong, make_w_alpha(7).kernel)
 
 
 @pytest.mark.parametrize("n", (6, 7))
 def test_equiv_formulation_rejects_perturbed_l(n):
-    # the helm w and alpha keep D w = e/alpha, so only the Penrose
-    # conditions on X = -L/2 + alpha ww' can reject the bumped L
+    # the helm w and alpha keep D w = e/alpha, so only the kernel's
+    # products and W = 2 P_K can reject the bumped L
     d, dec = helm_distance_block(n), helm_decomposition(n)
     bumped = Decomposition(bump_l(dec.laplacian_like), dec.w, dec.alpha)
     assert d.mul_vector(bumped.w) == scale_vector(1 / bumped.alpha, ones_vector(d.rows))
-    assert not check_equiv_formulation(d, bumped)
+    assert not _certify(d, bumped, make_w_alpha(n).kernel)
+    assert not penrose_check(d, bumped.candidate)
+
+
+@pytest.mark.parametrize("n", (6, 7))
+def test_equiv_formulation_rejects_an_l_bump_that_keeps_every_vector_identity(n):
+    # b = e_1 - e_3 joins two rim vertices of the same sign in v, so b is
+    # orthogonal to the kernel vector: the bumped X still has X u = 0, and
+    # D w = e/alpha and D u = 0 do not see L, so W = 2 P_K alone rejects
+    d, dec = helm_distance_block(n), helm_decomposition(n)
+    kernel = make_w_alpha(n).kernel
+    b = (0, 1, 0, -1) + (0,) * (d.rows - 4)
+    lap = dec.laplacian_like + Fraction(1, 3) * RatMatrix.outer(b, b)
+    bumped = Decomposition(lap, dec.w, dec.alpha)
+    assert all(not any(bumped.candidate.mul_vector(u)) for u in kernel)
+    assert not _certify(d, bumped, kernel)
+    assert not penrose_check(d, bumped.candidate)
+
+
+def test_equiv_formulation_rejects_an_empty_kernel_for_odd_n():
+    # D w = e/alpha still holds, but W = 2vv'/(n-1) on the rim is not 0
+    d, dec = helm_distance_block(7), helm_decomposition(7)
+    assert not _certify(d, dec, ())
+
+
+def test_equiv_formulation_rejects_a_kernel_vector_with_a_flipped_sign():
+    d, dec = helm_distance_block(7), helm_decomposition(7)
+    u = list(make_w_alpha(7).kernel[0])
+    u[1] = -u[1]
+    assert any(d.mul_vector(u))
+    assert not _certify(d, dec, [tuple(u)])
+
+
+def test_equiv_formulation_rejects_a_spurious_kernel_vector_for_even_n():
+    # D is nonsingular for even n: no nonzero vector passes D u = 0
+    n = 6
+    d, dec = helm_distance_block(n), helm_decomposition(n)
+    assert make_w_alpha(n).kernel == ()
+    assert not _certify(d, dec, [_kernel_vector(n)])
+
+
+def test_equiv_formulation_needs_d_u_zero():
+    # D = I and u = (1, -1, 0)': X = I - uu'/2 = -L/2 + 3 ww' with
+    # w = e/3 passes D w = e/alpha, X u = 0 and W = 2(I - X) = 2 P_K, but
+    # X is not D+ = I; only D u != 0 shows that u is no kernel vector
+    ident = RatMatrix.identity(3)
+    u = (Fraction(1), Fraction(-1), Fraction(0))
+    x = ident - Fraction(1, 2) * RatMatrix.outer(u, u)
+    w = (Fraction(1, 3),) * 3
+    dec = Decomposition(-2 * (x - 3 * RatMatrix.outer(w, w)), w, 3)
+    assert dec.candidate == x
+    assert correction_matrix(ident, dec) == RatMatrix.outer(u, u)
+    assert not any(x.mul_vector(u))
+    assert not _certify(ident, dec, [u])
+    assert not penrose_check(ident, x)
+
+
+@pytest.mark.parametrize("factor", (1, 2, Fraction(-1, 3)))
+def test_equiv_formulation_refuses_dependent_kernel_vectors(factor):
+    d, dec = helm_distance_block(7), helm_decomposition(7)
+    u = make_w_alpha(7).kernel[0]
+    with pytest.raises(ValueError, match="linearly dependent"):
+        _certify(d, dec, [u, scale_vector(factor, u)])
+
+
+def test_equiv_formulation_refuses_a_kernel_vector_of_another_order():
+    d, dec = helm_distance_block(7), helm_decomposition(7)
+    with pytest.raises(ValueError, match="length 11"):
+        _certify(d, dec, [_kernel_vector(6)])
 
 
 @pytest.mark.parametrize("bump", (False, True))
 @pytest.mark.parametrize("n", (6, 7))
 def test_l_d_witness_form_follows_from_d_w(n, bump):
     # D w = e/alpha gives X D = -L D/2 + w e' for every L, so
-    # L D + 2I - 2we' = 2(I - X D) holds whether or not X is the MP inverse
+    # W = L D + 2I - 2we' = 2(I - X D) holds whether or not X is the MP inverse
     d, dec = helm_distance_block(n), helm_decomposition(n)
     lap = bump_l(dec.laplacian_like) if bump else dec.laplacian_like
-    x = Decomposition(lap, dec.w, dec.alpha).candidate
+    dec = Decomposition(lap, dec.w, dec.alpha)
     ident = RatMatrix.identity(d.rows)
-    e = ones_vector(d.rows)
-    assert lap @ d + 2 * ident - 2 * RatMatrix.outer(dec.w, e) == 2 * (ident - x @ d)
+    assert correction_matrix(d, dec) == 2 * (ident - dec.candidate @ d)
 
 
 def test_equiv_formulation_hypothesis_failure():
-    # row sums of 2I - (2/n)J are zero, so the all-ones vector is
-    # orthogonal to the range: D w = e/alpha has no solution, and the
-    # first witness identity fails
+    # row sums of 2I - (2/n)J are zero, so the all-ones vector spans the
+    # kernel and is orthogonal to the range: D w = e/alpha has no
+    # solution, and the first witness identity fails
     n = 5
     toy = 2 * RatMatrix.identity(n) - Fraction(2, n) * RatMatrix.ones(n, n)
-    dec = helm_decomposition(7)
     small = Decomposition(
         RatMatrix.zeros(n, n),
         (Fraction(1),) + (Fraction(0),) * (n - 1),
         Fraction(1),
     )
-    assert check_equiv_formulation(toy, small) is False
+    assert _certify(toy, small, [ones_vector(n)]) is False
 
 
 def test_equiv_formulation_requires_symmetry():
@@ -106,7 +180,102 @@ def test_equiv_formulation_requires_symmetry():
         RatMatrix.zeros(2, 2), (Fraction(1, 2), Fraction(1, 2)), Fraction(1)
     )
     with pytest.raises(ValueError, match="symmetric matrices"):
-        check_equiv_formulation(m, dec)
+        check_equiv_formulation(m, dec, (), RatMatrix.zeros(2, 2))
+
+
+# -- generic singular matrices: the certificate as a theorem ----------------------
+
+
+def _singular_symmetric(rng, e_in_range: bool):
+    """A seeded random symmetric D of order 4..10 with kernel dimension 1..3.
+
+    D = P A P, A random symmetric and P the orthogonal projector onto the
+    complement of random integer directions z, so ker D is their span
+    when rank D = order - nullity (redrawn otherwise).  With e_in_range
+    each z sums to zero, which puts e in range(D) = (ker D)'s complement;
+    otherwise some z has e'z != 0, which puts e outside it.
+    """
+    while True:
+        order, nullity = rng.randint(4, 10), rng.randint(1, 3)
+        rows = []
+        for _ in range(nullity):
+            z = [rng.randint(-3, 3) for _ in range(order)]
+            if e_in_range:
+                z[-1] -= sum(z)
+            rows.append(z)
+        z_mat = RatMatrix.from_rows(rows)
+        if rank(z_mat) < nullity or (not e_in_range and not any(map(sum, rows))):
+            continue
+        z_col = z_mat.transpose()
+        p = RatMatrix.identity(order) - z_col @ inverse(z_mat @ z_col) @ z_mat
+        d = p @ random_symmetric(rng, order) @ p
+        if rank(d) == order - nullity:
+            return d
+
+
+def _triple_of(x: RatMatrix):
+    """(L, w, alpha) read off a symmetric X as check_uniqueness does, or None
+    when e'Xe = 0: alpha = e'Xe, w = Xe/alpha, L = -2(X - alpha ww')."""
+    e = ones_vector(x.rows)
+    image = x.mul_vector(e)
+    alpha = dot(e, image)
+    if alpha == 0:
+        return None
+    w = scale_vector(1 / alpha, image)
+    return Decomposition(-2 * (x - alpha * RatMatrix.outer(w, w)), w, alpha)
+
+
+def _singular_family(rng, e_in_range: bool, count: int):
+    """count (D, Decomposition, null_space_basis(D)) triples of the family."""
+    out = []
+    while len(out) < count:
+        d = _singular_symmetric(rng, e_in_range)
+        dec = _triple_of(pseudoinverse(d))
+        if dec is not None:
+            out.append((d, dec, null_space_basis(d)))
+    return out
+
+
+def test_generic_singular_family_is_certified(rng):
+    family = _singular_family(rng, e_in_range=True, count=40)
+    # the family reaches every kernel dimension, and bases that are not
+    # orthogonal, which the projector must orthogonalize first
+    assert {len(kernel) for _, _, kernel in family} == {1, 2, 3}
+    assert any(
+        dot(kernel[0], kernel[1]) != 0 for _, _, kernel in family if len(kernel) > 1
+    )
+    for d, dec, kernel in family:
+        assert solve(d, ones_vector(d.rows)) is not None
+        assert _certify(d, dec, kernel), d
+        assert penrose_check(d, dec.candidate), d
+        assert check_uniqueness(d, dec) == (dec.alpha, dec.w)
+
+
+def test_generic_singular_family_fails_with_a_kernel_vector_dropped(rng):
+    for d, dec, kernel in _singular_family(rng, e_in_range=True, count=20):
+        dropped = rng.randrange(len(kernel))
+        assert not _certify(d, dec, kernel[:dropped] + kernel[dropped + 1:]), d
+
+
+def test_generic_singular_family_fails_with_a_kernel_term_in_x(rng):
+    # X + uu' for a kernel vector u keeps X D, so D w = e/alpha, D u = 0
+    # and W = 2(I - X D) = 2 P_K all still hold; only X u != 0 rejects it
+    for d, dec, kernel in _singular_family(rng, e_in_range=True, count=20):
+        u = kernel[rng.randrange(len(kernel))]
+        shifted = _triple_of(dec.candidate + RatMatrix.outer(u, u))
+        assert shifted.alpha == dec.alpha and shifted.w == dec.w
+        assert correction_matrix(d, shifted) == correction_matrix(d, dec)
+        assert not _certify(d, shifted, kernel), d
+        assert not penrose_check(d, shifted.candidate), d
+
+
+def test_generic_singular_family_fails_with_e_outside_the_range(rng):
+    # pinv(D) still has the shape -L/2 + alpha ww', but D w = DXe/alpha is
+    # the projection of e/alpha on the range, not e/alpha
+    for d, dec, kernel in _singular_family(rng, e_in_range=False, count=20):
+        assert solve(d, ones_vector(d.rows)) is None
+        assert dec.candidate == pseudoinverse(d)
+        assert not _certify(d, dec, kernel), d
 
 
 # -- uniqueness ---------------------------------------------------------------
@@ -378,6 +547,6 @@ def test_random_trees_satisfy_the_characterization(rng):
             w = tuple(Fraction(2 - len(nbrs), 2) for nbrs in adjacency)
             alpha = Fraction(2, m - 1)
             dec = Decomposition(lap, w, alpha)
-            assert check_equiv_formulation(d, dec), adjacency
+            assert _certify(d, dec, ()), adjacency
             assert dec.candidate == inverse(d) == pseudoinverse(d), adjacency
             assert check_uniqueness(d, dec) == (alpha, w), adjacency

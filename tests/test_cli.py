@@ -191,6 +191,16 @@ def test_crashing_setup_step_gives_failed_report(capsys, monkeypatch):
     assert report["summary"]["rank_L"] is None
 
 
+def test_crash_in_the_shared_l_d_product_skips_the_checks_that_read_it(capsys, monkeypatch):
+    # W = L D + 2I - 2we' is built once, as a set-up step, for both
+    # kernel_projector and equiv_formulation
+    monkeypatch.setattr(cli, "correction_matrix", _boom)
+    code, out, _ = run_main(capsys, "verify", "--n", "7", "--format", "json")
+    assert code == 1
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert names[-3:] == ["closed_form_mp_inverse", "six_conditions", "setup:correction_matrix"]
+
+
 def test_crash_in_the_factorization_of_d_leaves_its_summary_empty(capsys, monkeypatch):
     # one set-up step computes the inertia, determinant and pseudoinverse
     # of D, so a crash there leaves the rank, det and inertia unknown
@@ -323,10 +333,11 @@ def _count_calls(monkeypatch, names, seen=None) -> Counter:
 def test_verify_builds_each_per_n_object_once(monkeypatch):
     # count calls in every helmlab namespace, so no module can rebuild
     # D, w/alpha, the case or the factorization of D behind the report's
-    # back; equiv_formulation is the one Penrose proof and the
-    # pseudoinverse from factor_symmetric the one oracle for both parities;
-    # X = -L/2 + alpha ww' is built once and shared by the closed-form
-    # check, equiv_formulation and uniqueness
+    # back; equiv_formulation is the one Penrose proof, from the
+    # closed-form kernel and the shared L D, and runs no penrose_check;
+    # the pseudoinverse from factor_symmetric is the one oracle for both
+    # parities; X = -L/2 + alpha ww' is built once and shared by the
+    # closed-form check, equiv_formulation and uniqueness
     counted = (
         "helm_distance_block",
         "make_w_alpha",
@@ -354,7 +365,6 @@ def test_verify_builds_each_per_n_object_once(monkeypatch):
             "make_w_alpha": 1,
             case: 1,
             "factor_symmetric": 1,
-            "penrose_check": 1,
             "candidate": 1,
         }
 
@@ -377,27 +387,31 @@ def test_verify_eliminates_once_per_fact(monkeypatch):
     # rank is never called: ranks are read off inertias; D is factored
     # once, and its inertia, determinant and pseudoinverse all come from
     # that one call; L's inertia is shared by rank_L and the PSD check;
-    # the Schur chain inverts nothing; kernel_projector takes one product,
-    # L D, for either parity; the Penrose check of the symmetric D and X
-    # takes three, since XM = (MX)'.  Below the recursion cutoff the
-    # factorization is one congruence pass that carries its row transform,
-    # and takes one product for the generalized inverse F' Omega F; a
-    # singular D then takes 7 thin products and one 1x1 kernel Gram
-    # inverse for the symmetric projection, which a nonsingular D skips.
-    # A congruence step takes one product when it eliminates three or more
-    # pivots, and sweeps one or two: here only L's first step (the hub and
-    # the pendants) does, and neither the Schur complement's inertia nor
-    # D's congruence takes one.  The six block conditions take two
-    # products, B S and (A + B) S, and two more, (B + I) A and (B + I) B,
-    # only for odd n: for even n, B + I is zero
+    # the Schur chain inverts nothing.  The products of a run, for either
+    # parity unless noted:
+    # - W = L D + 2I - 2we', built once and shared by kernel_projector and
+    #   equiv_formulation, which proves the Penrose conditions with
+    #   matrix-vector products only: 1;
+    # - the factorization of D, below the recursion cutoff one congruence
+    #   pass that carries its row transform: F' Omega F, the generalized
+    #   inverse: 1; a singular D adds 7 thin products and one 1x1 kernel
+    #   Gram inverse for the symmetric projection, which a nonsingular D
+    #   skips;
+    # - a congruence step takes one product when it eliminates three or
+    #   more pivots, and sweeps one or two: only L's first step (the hub
+    #   and the pendants) does, and neither the Schur complement's
+    #   inertia nor D's congruence takes one: 1;
+    # - the Schur chain: the border's outer product and B B: 2;
+    # - the six block conditions: B S and (A + B) S: 2, and (B + I) A and
+    #   (B + I) B only for odd n: 2 (for even n, B + I is zero)
     calls = _count_eliminations(monkeypatch)
     # L and the Schur complement
     expected = {"factor_symmetric": 1, "inertia": 2}
     assert cli.run_verification(6).all_passed
-    assert calls == {**expected, "matmul": 10}
+    assert calls == {**expected, "matmul": 7}
     calls.clear()
     assert cli.run_verification(7).all_passed
-    assert calls == {**expected, "inverse": 1, "matmul": 19}
+    assert calls == {**expected, "inverse": 1, "matmul": 16}
 
 
 def test_verify_multiplies_no_zero_matrix(monkeypatch):
@@ -417,16 +431,16 @@ def test_verify_multiplies_no_zero_matrix(monkeypatch):
         assert not zero_operands, (n, zero_operands)
 
 
-@pytest.mark.parametrize("n, products", [(12, 15), (13, 25)])
+@pytest.mark.parametrize("n, products", [(12, 12), (13, 22)])
 def test_verify_factors_d_once_above_the_recursion_cutoff(monkeypatch, n, products):
     # D of order 23 or 25 is split once: 4 products for the generalized
     # inverse, one more for the kernel of a singular D, one F' Omega F
-    # product in each half's congruence, then the projection as below the
-    # cutoff.  No pseudoinverse, determinant or inertia call sees D: the
-    # only order-(2n-1) inertia is L's.  A congruence step takes one
-    # product when it eliminates three or more pivots: L's first step, and
-    # no step of the Schur complement's inertia or of D's halves.  The
-    # block conditions take (B + I) A and (B + I) B for odd n only
+    # product in each half's congruence, then the 7 thin products of the
+    # projection as below the cutoff (singular D only).  No pseudoinverse,
+    # determinant or inertia call sees D: the only order-(2n-1) inertia is
+    # L's.  As below the cutoff, the rest is W's L D, L's first congruence
+    # step, the Schur chain's two, and the block conditions' B S and
+    # (A + B) S, with (B + I) A and (B + I) B for odd n only
     assert 2 * n - 1 > exact_core._SCHUR_CUTOFF
     seen = []
     calls = _count_eliminations(monkeypatch, seen)

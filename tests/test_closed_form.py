@@ -21,6 +21,7 @@ from helmlab import (
     make_odd_case,
     make_w_alpha,
     materialize,
+    null_space_basis,
     penrose_check,
     pseudoinverse,
     rank,
@@ -54,6 +55,17 @@ def test_w_sums_to_one_and_solves_the_system(n):
     d = helm_distance_block(n)
     rhs = scale_vector(Fraction(3 * (n - 1), 4), ones_vector(2 * n - 1))
     assert d.mul_vector(v.w) == rhs
+
+
+@pytest.mark.parametrize("n", range(4, 14))
+def test_closed_form_kernel_spans_the_kernel_of_d(n):
+    # (0, v', 0')' for odd n and no vector for even n: as many vectors as
+    # the eliminated kernel basis, spanning the same row space
+    kernel = make_w_alpha(n).kernel
+    basis = null_space_basis(helm_distance_block(n))
+    assert len(kernel) == len(basis) == n % 2
+    if basis:
+        assert rank(RatMatrix.from_rows(list(kernel) + basis)) == len(basis)
 
 
 def test_alpha_formula_small_cases():

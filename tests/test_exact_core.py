@@ -616,6 +616,21 @@ def test_differential_cases_reach_each_elimination_path(rng):
     assert exact_core._echelon_ints(exact_core._int_rows(m), m.cols) == ([0, 1], 2, -1)
 
 
+def test_forward_pass_keeps_the_pivots_q_and_scale_of_the_full_pass(rng):
+    # rank and determinant run the pass without updating the rows above
+    # each pivot; the rows at and below the pivot row are the same in both
+    # passes, so the pivots, q, scale and the zero rows past the rank are
+    cases = _differential_cases(rng) + [(f"helm D n={n}", helm_distance_block(n)) for n in (7, 8)]
+    for label, m in cases:
+        full, forward = exact_core._int_rows(m), exact_core._int_rows(m)
+        result = exact_core._echelon_ints(forward, m.cols, reduced=False)
+        assert result == exact_core._echelon_ints(full, m.cols), label
+        r = len(result[0])
+        assert forward[r:] == full[r:], label
+        if r:
+            assert forward[r - 1] == full[r - 1], label
+
+
 def test_echelon_divides_each_row_by_its_content_first():
     # [[2, 4], [3, 9]] runs as [[1, 2], [1, 3]]: pivots 1 and 1, and the
     # contents 2 and 3 go to scale, so det = 6 * 1; without the division
