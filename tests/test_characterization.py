@@ -54,7 +54,7 @@ def _kernel_vector(n: int) -> tuple[Fraction, ...]:
 
 def _certify(d, dec, kernel) -> bool:
     """check_equiv_formulation with W = L D + 2I - 2we' built from d and dec."""
-    return check_equiv_formulation(d, dec, tuple(kernel), correction_matrix(d, dec))
+    return check_equiv_formulation(d, dec, kernel, correction_matrix(d, dec))
 
 
 @pytest.mark.parametrize("n", (6, 7))
