@@ -27,7 +27,6 @@ from .exact_core import (
     solve,
 )
 from .circulant import (
-    CirculantSpec,
     alternating_signs,
     circulant_product,
     cycle_signless_laplacian_spec,
@@ -59,7 +58,6 @@ from .characterization import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CirculantSpec",
     "Decomposition",
     "HelmCase",
     "HelmVectors",

@@ -34,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from .circulant import bordered_circulant
 from .closed_form import HelmCase
 from .exact_core import (
     Decomposition,
@@ -222,22 +223,14 @@ def build_kernel_projector(case: HelmCase) -> RatMatrix:
     that says V = 2(I - X D), so D V = 0, V is symmetric and V X = 0;
     V e = alpha V D w = 0; X e = alpha w (L e = 0 and e'w = 1) gives
     V w = 0; and V L = 2 alpha (V w) w' - 2 V X = 0.  This V is built
-    from the blocks of L, while equiv_formulation's 2 P_K is built from
+    from L's coupling spec, while equiv_formulation's 2 P_K is built from
     the closed-form kernel basis (HelmVectors.kernel); both are compared
     with the same W.
     """
-    k = case.n - 1
-    rim = 2 * (case.coupling_block + RatMatrix.identity(k))
-    zeros_row = RatMatrix.zeros(1, k)
-    zeros_col = RatMatrix.zeros(k, 1)
-    zero_blk = RatMatrix.zeros(k, k)
-    return RatMatrix.from_blocks(
-        [
-            [0, zeros_row, zeros_row],
-            [zeros_col, rim, zero_blk],
-            [zeros_col, zero_blk, zero_blk],
-        ]
-    )
+    rim = [2 * x for x in case.coupling_spec]
+    rim[0] += 2
+    zero = (0,) * len(rim)
+    return bordered_circulant(0, (0, 0), (rim, zero, zero))
 
 
 def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:

@@ -20,11 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .circulant import (
-    CirculantSpec,
-    alternating_signs,
-    materialize,
-)
+from .circulant import alternating_signs, bordered_circulant, materialize
 from .exact_core import Decomposition, RatMatrix, Vector
 
 
@@ -91,21 +87,13 @@ class HelmCase:
 
 
 def _helm_case(n: int, rim_spec: Vector, coupling_spec: Vector) -> HelmCase:
-    k = n - 1
-    rim_block = materialize(CirculantSpec(rim_spec))
-    coupling_block = materialize(CirculantSpec(coupling_spec))
-    half_e_row = Fraction(-1, 2) * RatMatrix.ones(1, k)
-    half_e_col = Fraction(-1, 2) * RatMatrix.ones(k, 1)
-    zeros_row = RatMatrix.zeros(1, k)
-    zeros_col = RatMatrix.zeros(k, 1)
-    lap = RatMatrix.from_blocks(
-        [
-            [Fraction(n - 1, 2), half_e_row, zeros_row],
-            [half_e_col, rim_block, coupling_block],
-            [zeros_col, coupling_block, RatMatrix.identity(k)],
-        ]
+    unit = (1,) + (0,) * (n - 2)
+    lap = bordered_circulant(
+        Fraction(n - 1, 2), (Fraction(-1, 2), 0), (rim_spec, coupling_spec, unit)
     )
-    return HelmCase(n, rim_spec, coupling_spec, rim_block, coupling_block, lap)
+    return HelmCase(
+        n, rim_spec, coupling_spec, materialize(rim_spec), materialize(coupling_spec), lap
+    )
 
 
 def make_odd_case(n: int) -> HelmCase:

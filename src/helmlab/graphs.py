@@ -3,7 +3,7 @@
 The helm graph on 2n-1 vertices is a wheel (hub plus an (n-1)-cycle rim)
 with one pendant vertex hanging off each rim vertex.  Vertices are
 ordered hub first, then the rim v_1..v_{n-1}, then the pendants
-u_1..u_{n-1}; every closed-form block below depends on this order.
+u_1..u_{n-1}, the order circulant.bordered_circulant lays out.
 
 Two independent routes to the distance matrix are provided: plain BFS
 from every vertex, and the 3x3 block formula built from the rim distance
@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 
 from .exact_core import RatMatrix
-from .circulant import materialize, rim_distance_spec
+from .circulant import bordered_circulant, rim_distance_spec
 
 
 def build_helm(n: int) -> tuple[tuple[int, ...], ...]:
@@ -87,16 +87,7 @@ def helm_distance_block(n: int) -> RatMatrix:
     """
     if n < 4:
         raise ValueError(f"helm graphs need n >= 4, got {n}")
-    k = n - 1
-    d_rim = materialize(rim_distance_spec(k))
-    j = RatMatrix.ones(k, k)
-    i = RatMatrix.identity(k)
-    e_row = RatMatrix.ones(1, k)
-    e_col = RatMatrix.ones(k, 1)
-    return RatMatrix.from_blocks(
-        [
-            [0, e_row, 2 * e_row],
-            [e_col, d_rim, d_rim + j],
-            [2 * e_col, d_rim + j, d_rim + 2 * (j - i)],
-        ]
-    )
+    d_rim = rim_distance_spec(n - 1)
+    d_far = [x + 2 for x in d_rim]
+    d_far[0] -= 2
+    return bordered_circulant(0, (1, 2), (d_rim, [x + 1 for x in d_rim], d_far))

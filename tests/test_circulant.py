@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helmlab import (
-    CirculantSpec,
     RatMatrix,
     alternating_signs,
     circulant_product,
@@ -21,33 +20,32 @@ from helmlab import (
     rank,
     rim_distance_spec,
 )
+from helmlab.circulant import bordered_circulant
 from support import random_delta_vector, random_fraction
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 
 def specs(max_len: int = 8):
-    return st.lists(small_fractions, min_size=1, max_size=max_len).map(
-        lambda xs: CirculantSpec(tuple(xs))
-    )
+    return st.lists(small_fractions, min_size=1, max_size=max_len).map(tuple)
 
 
 # -- materialize ------------------------------------------------------------
 
 
 def test_materialize_unit_spec_is_identity():
-    spec = CirculantSpec((Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
+    spec = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     assert materialize(spec) == RatMatrix.identity(4)
 
 
 def test_materialize_rejects_empty():
     with pytest.raises(ValueError, match="nonempty"):
-        CirculantSpec(())
+        materialize(())
 
 
 def test_materialize_signless_laplacian_n7():
     spec = cycle_signless_laplacian_spec(6)
-    assert spec.first_row == (2, 1, 0, 0, 0, 1)
+    assert spec == (2, 1, 0, 0, 0, 1)
     s = materialize(spec)
     assert s.row_sums() == tuple([4] * 6)
     assert s.is_symmetric()
@@ -55,7 +53,7 @@ def test_materialize_signless_laplacian_n7():
 
 def test_materialize_rim_distance_spec():
     spec = rim_distance_spec(6)
-    assert spec.first_row == (0, 1, 2, 2, 2, 1)
+    assert spec == (0, 1, 2, 2, 2, 1)
     d = materialize(spec)
     assert max(d.row(0)) == 2
     assert d.is_symmetric()
@@ -66,13 +64,13 @@ def test_materialize_matches_the_entrywise_definition(rng):
     for k in range(1, 10):
         for den in (1, 6):
             first = tuple(random_fraction(rng, max_den=den) for _ in range(k))
-            m = materialize(CirculantSpec(first))
+            m = materialize(first)
             want = RatMatrix(k, k, [first[(j - i) % k] for i in range(k) for j in range(k)])
             assert m == want
 
 
 def test_row_shift_structure():
-    spec = CirculantSpec(tuple(map(Fraction, (5, 6, 7))))
+    spec = tuple(map(Fraction, (5, 6, 7)))
     m = materialize(spec)
     assert m.row(1) == (Fraction(7), Fraction(5), Fraction(6))
     assert m.row(2) == (Fraction(6), Fraction(7), Fraction(5))
@@ -82,14 +80,14 @@ def test_row_shift_structure():
 
 
 def test_product_with_unit_spec_is_identity_map():
-    e1 = CirculantSpec((Fraction(1), Fraction(0), Fraction(0)))
-    b = CirculantSpec(tuple(map(Fraction, (3, -2, 5))))
+    e1 = (Fraction(1), Fraction(0), Fraction(0))
+    b = tuple(map(Fraction, (3, -2, 5)))
     assert circulant_product(e1, b) == b
 
 
 def test_product_length_guard():
-    a = CirculantSpec((Fraction(1),))
-    b = CirculantSpec((Fraction(1), Fraction(2)))
+    a = (Fraction(1),)
+    b = (Fraction(1), Fraction(2))
     with pytest.raises(ValueError, match="specs of length"):
         circulant_product(a, b)
 
@@ -101,8 +99,8 @@ def test_product_length_guard():
     )
 ))
 def test_product_matches_dense_multiplication_and_commutes(pair):
-    a = CirculantSpec(tuple(pair[0]))
-    b = CirculantSpec(tuple(pair[1]))
+    a = tuple(pair[0])
+    b = tuple(pair[1])
     prod = circulant_product(a, b)
     assert materialize(prod) == materialize(a) @ materialize(b)
     assert prod == circulant_product(b, a)
@@ -111,8 +109,8 @@ def test_product_matches_dense_multiplication_and_commutes(pair):
 def test_product_dense_agreement_seeded(rng):
     for _ in range(50):
         k = rng.randint(1, 8)
-        a = CirculantSpec(tuple(random_fraction(rng) for _ in range(k)))
-        b = CirculantSpec(tuple(random_fraction(rng) for _ in range(k)))
+        a = tuple(random_fraction(rng) for _ in range(k))
+        b = tuple(random_fraction(rng) for _ in range(k))
         assert materialize(circulant_product(a, b)) == materialize(a) @ materialize(b)
 
 
@@ -121,26 +119,80 @@ def test_linearity_of_materialize(rng):
     a = tuple(random_fraction(rng) for _ in range(k))
     b = tuple(random_fraction(rng) for _ in range(k))
     c1, c2 = Fraction(3, 2), Fraction(-2, 5)
-    combo = CirculantSpec(tuple(c1 * x + c2 * y for x, y in zip(a, b)))
-    assert materialize(combo) == c1 * materialize(CirculantSpec(a)) + c2 * materialize(
-        CirculantSpec(b)
-    )
+    combo = tuple(c1 * x + c2 * y for x, y in zip(a, b))
+    assert materialize(combo) == c1 * materialize(a) + c2 * materialize(b)
+
+
+# -- bordered block grid ------------------------------------------------------
+
+
+def test_bordered_circulant_matches_the_dense_block_grid(rng):
+    # mixed denominators, and for k >= 3 a q whose circulant is not
+    # symmetric, so that the lower-left block must be Q' and not Q
+    for k in range(1, 13):
+        hub, b1, b2 = (random_fraction(rng, max_den=rng.randint(1, 6)) for _ in range(3))
+        p, q, r = (tuple(random_fraction(rng, max_den=6) for _ in range(k)) for _ in range(3))
+        if k >= 3:
+            q = q[:-1] + (q[1] + 1,)
+            assert not materialize(q).is_symmetric()
+        big_q = materialize(q)
+        e_row, e_col = RatMatrix.ones(1, k), RatMatrix.ones(k, 1)
+        want = RatMatrix.from_blocks(
+            [
+                [hub, b1 * e_row, b2 * e_row],
+                [b1 * e_col, materialize(p), big_q],
+                [b2 * e_col, big_q.transpose(), materialize(r)],
+            ]
+        )
+        assert bordered_circulant(hub, (b1, b2), (p, q, r)) == want
+
+
+@pytest.mark.parametrize(
+    "specs, message",
+    [
+        (((), (), ()), "nonempty"),
+        (((1, 2), (1,), (1, 2)), "specs of length"),
+        (((1, 2), (1, 2), (1, 2, 3)), "specs of length"),
+    ],
+)
+def test_bordered_circulant_rejects_empty_and_unequal_specs(specs, message):
+    with pytest.raises(ValueError, match=message):
+        bordered_circulant(0, (1, 2), specs)
+
+
+def test_product_rejects_empty_specs():
+    with pytest.raises(ValueError, match="nonempty"):
+        circulant_product((), ())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: materialize((1, 0.5)),
+        lambda: circulant_product((1, 2), (Fraction(1, 3), 0.5)),
+        lambda: bordered_circulant(0, (1, 2), ((1, 2), (0.5, 1), (1, 1))),
+        lambda: bordered_circulant(0.0, (1, 2), ((1, 2), (1, 1), (1, 1))),
+    ],
+)
+def test_float_entries_are_refused(build):
+    with pytest.raises(TypeError, match="exact scalar"):
+        build()
 
 
 # -- delta symmetry -----------------------------------------------------------
 
 
 def test_is_delta_examples():
-    assert materialize(CirculantSpec((5, 1, 2, 2, 1))).is_symmetric()
-    assert not materialize(CirculantSpec((5, 1, 2, 3, 1))).is_symmetric()
+    assert materialize((5, 1, 2, 2, 1)).is_symmetric()
+    assert not materialize((5, 1, 2, 3, 1)).is_symmetric()
 
 
 def test_odd_case_rim_spec_is_delta():
-    assert materialize(CirculantSpec(make_odd_case(9).rim_spec)).is_symmetric()
+    assert materialize(make_odd_case(9).rim_spec).is_symmetric()
 
 
 def test_delta_vector_validates():
-    assert not materialize(CirculantSpec((Fraction(1), Fraction(2), Fraction(3)))).is_symmetric()
+    assert not materialize((Fraction(1), Fraction(2), Fraction(3))).is_symmetric()
 
 
 def test_delta_materializations_are_symmetric():
@@ -148,15 +200,15 @@ def test_delta_materializations_are_symmetric():
         make_odd_case(9).rim_spec,
         make_odd_case(9).coupling_spec,
         make_even_case(8).rim_spec,
-        cycle_signless_laplacian_spec(8).first_row,
-        rim_distance_spec(8).first_row,
+        cycle_signless_laplacian_spec(8),
+        rim_distance_spec(8),
     ):
-        assert materialize(CirculantSpec(vec)).is_symmetric()
+        assert materialize(vec).is_symmetric()
 
 
 def test_delta_closure_constant_vector():
-    z = CirculantSpec((Fraction(1),) * 6)
-    g = CirculantSpec(tuple(map(Fraction, (7, -3, 0, 0, 0, -3))))
+    z = (Fraction(1),) * 6
+    g = tuple(map(Fraction, (7, -3, 0, 0, 0, -3)))
     assert materialize(circulant_product(z, g)).is_symmetric()
 
 
@@ -166,23 +218,23 @@ def test_delta_closure_random_pairs(rng):
         z = random_delta_vector(rng, k)
         alpha, beta = random_fraction(rng), random_fraction(rng)
         first = [alpha, beta] + [Fraction(0)] * (k - 3) + [beta]
-        assert materialize(circulant_product(CirculantSpec(z), CirculantSpec(tuple(first)))).is_symmetric()
+        assert materialize(circulant_product(z, tuple(first))).is_symmetric()
 
 
 def test_delta_closure_even_rim_spec_against_s():
     n = 8
     data = make_even_case(n)
     s = cycle_signless_laplacian_spec(n - 1)
-    assert materialize(circulant_product(CirculantSpec(data.rim_spec), s)).is_symmetric()
+    assert materialize(circulant_product(data.rim_spec, s)).is_symmetric()
 
 
 def test_delta_closure_rejects_bad_pattern():
     # the closure needs g's pattern (a, b, 0, ..., 0, b): for this delta z,
     # z'G is g itself, whose tail (2, 3, 0, 2) is not a palindrome
     z = (Fraction(1),) + (Fraction(0),) * 4
-    g = CirculantSpec(tuple(map(Fraction, (1, 2, 3, 0, 2))))
-    assert materialize(CirculantSpec(z)).is_symmetric()
-    assert not materialize(circulant_product(CirculantSpec(z), g)).is_symmetric()
+    g = tuple(map(Fraction, (1, 2, 3, 0, 2)))
+    assert materialize(z).is_symmetric()
+    assert not materialize(circulant_product(z, g)).is_symmetric()
 
 
 # -- spectra -------------------------------------------------------------------
@@ -190,7 +242,7 @@ def test_delta_closure_rejects_bad_pattern():
 
 def test_eigenvalues_of_scalar_spec():
     # a scalar spec is that scalar times I: every eigenvalue is 7/2
-    spec = CirculantSpec((Fraction(7, 2), Fraction(0), Fraction(0)))
+    spec = (Fraction(7, 2), Fraction(0), Fraction(0))
     assert materialize(spec) == Fraction(7, 2) * RatMatrix.identity(3)
 
 
@@ -207,7 +259,7 @@ def test_eigenvalues_of_signless_laplacian_n7():
 
 def test_eigenvalues_of_coupling_spec_n7():
     # B^2 = -B puts the spectrum in {0, -1}; rank(B + I) = 1 leaves one 0
-    b = materialize(CirculantSpec(make_odd_case(7).coupling_spec))
+    b = materialize(make_odd_case(7).coupling_spec)
     assert b @ b == -b
     assert rank(b + RatMatrix.identity(6)) == 1
     assert rank(b) == 5
@@ -219,13 +271,12 @@ def test_eigenvalues_match_dense_eigensolver(spec):
     # even order the alternating vector is f_(k/2), with eigenvalue the
     # spec's alternating sum
     c = materialize(spec)
-    row = spec.first_row
-    k = len(row)
+    k = len(spec)
     e = (Fraction(1),) * k
-    assert c.mul_vector(e) == tuple(sum(row) * x for x in e)
+    assert c.mul_vector(e) == tuple(sum(spec) * x for x in e)
     if k % 2 == 0:
         v = alternating_signs(k)
-        alt = sum(x * sign for x, sign in zip(row, v))
+        alt = sum(x * sign for x, sign in zip(spec, v))
         assert c.mul_vector(v) == tuple(alt * x for x in v)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import helmlab
-from helmlab import Decomposition, RatMatrix, cli, exact_core
+from helmlab import Decomposition, RatMatrix, circulant, cli, exact_core
 
 
 def run_main(capsys, *argv):
@@ -310,13 +310,15 @@ def test_verify_json_matches_the_golden_report(capsys, n):
 
 
 def _count_calls(monkeypatch, names, seen=None) -> Counter:
-    """Count calls to helmlab's names (exact_core's for a name the package
-    root does not export) in every helmlab namespace; append (name, order
-    of the first argument) of each call to seen if given."""
+    """Count calls to helmlab's names (exact_core's or circulant's for a
+    name the package root does not export) in every helmlab namespace;
+    append (name, order of the first argument) of each call to seen if
+    given."""
     calls = Counter()
     modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "helmlab"]
     for name in names:
-        original = getattr(helmlab, name, None) or getattr(exact_core, name)
+        home = next(m for m in (helmlab, exact_core, circulant) if hasattr(m, name))
+        original = getattr(home, name)
 
         def counting(*args, name=name, original=original):
             calls[name] += 1
@@ -337,8 +339,11 @@ def test_verify_builds_each_per_n_object_once(monkeypatch):
     # closed-form kernel and the shared L D, and runs no penrose_check;
     # the pseudoinverse from factor_symmetric is the one oracle for both
     # parities; X = -L/2 + alpha ww' is built once and shared by the
-    # closed-form check, equiv_formulation and uniqueness
+    # closed-form check, equiv_formulation and uniqueness; the bordered
+    # builder lays out D, L and V, and only A, B and S are materialized
     counted = (
+        "bordered_circulant",
+        "materialize",
         "helm_distance_block",
         "make_w_alpha",
         "make_even_case",
@@ -361,6 +366,8 @@ def test_verify_builds_each_per_n_object_once(monkeypatch):
         calls.clear()
         assert cli.run_verification(n).all_passed
         assert calls == {
+            "bordered_circulant": 3,
+            "materialize": 3,
             "helm_distance_block": 1,
             "make_w_alpha": 1,
             case: 1,

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from helmlab import CirculantSpec, RatMatrix, cli
+from helmlab import RatMatrix, cli
 from support import bump_l
 
 
@@ -167,7 +167,7 @@ def _add_nilpotent_to_b(case):
 
 def _bump_s(spec):
     # S + I
-    return CirculantSpec((spec.first_row[0] + 1,) + spec.first_row[1:])
+    return (spec[0] + 1,) + spec[1:]
 
 
 S_IDENTITY = "S = 2I + C, C the rim cycle's adjacency in build_helm(n)"
