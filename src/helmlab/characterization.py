@@ -27,12 +27,21 @@ matrix, a closed_form.HelmCase, a Decomposition, ranks already
 computed) and rebuilds none of them from n.  Everything here is exact;
 positive semidefiniteness in particular is decided by rational inertia,
 never by floating-point eigenvalues.
+
+The rank-one corrections are built on integer entries over one
+denominator, each as one exact_core._rank_update of integer rows: W from
+the rows of L D plus its diagonal, 2 P_K from a fraction-free
+Gram-Schmidt basis of the kernel vectors, and the Schur chain's first
+complement c T - b b' over c.  The certificate's D w = e/alpha, D u = 0
+and X u = 0, and check_uniqueness's X e, are integer sums compared as
+integers, with no Fraction per entry.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .circulant import bordered_circulant
 from .closed_form import HelmCase
@@ -41,11 +50,17 @@ from .exact_core import (
     RatMatrix,
     Vector,
     VerificationError,
-    dot,
+    _common_denominator,
+    _fractions,
+    _from_int_rows,
+    _int_rows,
+    _mat_vec,
+    _orthogonal_rows,
+    _rank_update,
+    _row_sums,
     inertia,
     ones_vector,
     scale_vector,
-    vec,
 )
 
 
@@ -70,36 +85,39 @@ def correction_matrix(d: RatMatrix, dec: Decomposition) -> RatMatrix:
     The one dense product of the Penrose certificate: D w = e/alpha turns
     it into 2(I - X D) (check_equiv_formulation), and the report's
     kernel_projector check compares it with the closed-form V
-    (build_kernel_projector).  The report builds it once for both.
+    (build_kernel_projector).  The report builds it once for both.  With
+    L D = P/p and w = v/c over integers, W = (c P - 2p v e' + 2pc I)/(pc):
+    one rank-one update of P's rows, then the diagonal.
     """
-    order = d.rows
-    ident_minus_we = RatMatrix.identity(order) - RatMatrix.outer(dec.w, ones_vector(order))
-    return dec.laplacian_like @ d + 2 * ident_minus_we
+    ld = dec.laplacian_like @ d
+    c, v = _common_denominator(dec.w)
+    p = ld._den
+    rows = _rank_update(c, _int_rows(ld), [[2 * p * x for x in v]], [[1] * ld.cols])
+    for i, row in enumerate(rows):
+        row[i] += 2 * p * c
+    return _from_int_rows(rows, ld.cols, p * c)
 
 
 def _twice_projector(kernel: Sequence[Vector], order: int) -> RatMatrix:
     """2 P_K = 2 K'(K K')^-1 K, K the matrix with the kernel vectors as rows.
 
-    Gram-Schmidt turns the vectors into an orthogonal basis q_1, q_2, ...
-    of their span, so that P_K = sum q_i q_i'/(q_i'q_i) needs no Gram
-    inverse; the zero matrix for no vector.  Raises ValueError for a
-    vector of another length or for linearly dependent vectors.
+    Fraction-free Gram-Schmidt (``_orthogonal_rows``) turns the vectors'
+    integer numerators into an orthogonal integer basis q_1, q_2, ... of
+    their span, so that 2 P_K = sum 2 q_i q_i'/c_i, c_i = q_i'q_i, needs
+    no Gram inverse: over l = lcm c_i it is one ``_rank_update`` of the
+    zero matrix, and the zero matrix for no vector.  Raises ValueError
+    for a vector of another length or for linearly dependent vectors.
     """
-    basis: list[tuple[Vector, Fraction]] = []
-    terms: list[RatMatrix] = []
     for u in kernel:
         if len(u) != order:
             raise ValueError(f"kernel vector of length {len(u)} against order {order}")
-        q = vec(u)
-        for b, norm in basis:
-            c = dot(b, u) / norm
-            q = tuple([x - c * y for x, y in zip(q, b)])
-        norm = dot(q, q)
-        if norm == 0:
-            raise ValueError("kernel vectors are linearly dependent")
-        basis.append((q, norm))
-        terms.append((2 / norm) * RatMatrix.outer(q, q))
-    return sum(terms[1:], terms[0]) if terms else RatMatrix.zeros(order, order)
+    basis = _orthogonal_rows([_common_denominator(u)[1] for u in kernel])
+    if not basis:
+        return RatMatrix.zeros(order, order)
+    den = math.lcm(*[c for _, c in basis])
+    left = [[-2 * (den // c) * x for x in q] for q, c in basis]
+    rows = _rank_update(1, [[0] * order for _ in range(order)], left, [q for q, _ in basis])
+    return _from_int_rows(rows, order, den)
 
 
 def check_equiv_formulation(
@@ -139,10 +157,13 @@ def check_equiv_formulation(
     if len(dec.w) != order:
         raise ValueError(f"decomposition of order {len(dec.w)} against {order}")
     projector = _twice_projector(kernel, order)
-    if d.mul_vector(dec.w) != scale_vector(1 / dec.alpha, ones_vector(order)):
+    # D w = e/alpha: with D w = s/den and alpha = a/b, every s a = den b
+    sums, den = _mat_vec(d, dec.w)
+    a, b = dec.alpha.numerator, dec.alpha.denominator
+    if any(s * a != den * b for s in sums):
         return False
     x = dec.candidate
-    if any(any(d.mul_vector(u)) or any(x.mul_vector(u)) for u in kernel):
+    if any(any(_mat_vec(d, u)[0]) or any(_mat_vec(x, u)[0]) for u in kernel):
         return False
     return correction == projector
 
@@ -157,13 +178,12 @@ def check_uniqueness(d: RatMatrix, dec: Decomposition) -> tuple[Fraction, Vector
     """
     if len(dec.w) != d.rows:
         raise ValueError(f"decomposition of order {len(dec.w)} against {d.rows}")
-    candidate = dec.candidate
-    e = ones_vector(d.rows)
-    image = candidate.mul_vector(e)
-    alpha = dot(e, image)
-    if alpha == 0:
+    # X e = s/den over integers, so alpha = e'Xe = (e's)/den and w = s/(e's)
+    sums, den = _row_sums(dec.candidate)
+    total = sum(sums)
+    if total == 0:
         raise ValueError("candidate has e'Xe = 0; no scale recoverable")
-    w = scale_vector(1 / alpha, image)
+    alpha, w = Fraction(total, den), _fractions(sums, total)
     if alpha != dec.alpha or w != dec.w:
         raise ValueError("recovered (alpha, w) differ from the stored fields")
     return alpha, w
@@ -233,6 +253,20 @@ def build_kernel_projector(case: HelmCase) -> RatMatrix:
     return bordered_circulant(0, (0, 0), (rim, zero, zero))
 
 
+def _first_complement(lap: RatMatrix) -> Optional[RatMatrix]:
+    """T - b b'/c for a symmetric L = [[c, b'], [b, T]], or None unless c > 0.
+
+    With L = M/m over integers, c = M_00/m and b = M_0/m (the rest of M's
+    first row), so the complement is (M_00 T_M - b_M b_M')/(M_00 m): one
+    rank-one ``_rank_update`` of the trailing rows.
+    """
+    (c, *border), *rows = _int_rows(lap)
+    if c <= 0:
+        return None
+    trailing = _rank_update(c, [row[1:] for row in rows], [border], [border])
+    return _from_int_rows(trailing, lap.cols - 1, c * lap._den)
+
+
 def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
     """Exact positive-semidefiniteness check of a bordered matrix L of case's shape.
 
@@ -257,15 +291,10 @@ def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
         raise ValueError(f"expected order {order}, got {lap.rows}x{lap.cols}")
     if not lap.is_symmetric():
         raise ValueError("PSD check requires a symmetric matrix")
-    corner = lap[0, 0]
-    if corner <= 0:
+    complement_1 = _first_complement(lap)
+    if complement_1 is None:
         return False
     k = n - 1
-    rest = list(range(1, order))
-    border = lap.submatrix(rest, [0])
-    trailing = lap.submatrix(rest, rest)
-    complement_1 = trailing - (1 / corner) * (border @ border.transpose())
-
     rim = case.rim_block - Fraction(1, 2 * (n - 1)) * RatMatrix.ones(k, k)
     coupling = case.coupling_block
     expected_1 = RatMatrix.from_blocks([[rim, coupling], [coupling, RatMatrix.identity(k)]])

@@ -53,10 +53,10 @@ from .graphs import bfs_distance_matrix, build_helm, helm_distance_block
 # Largest n accepted by verify, sweep and eig, so that an oversized n is
 # refused instead of starting a dense run that does not end.  The dense
 # oracles cost about n^3 integer operations; `run_verification(n)` takes
-# 0.5 to 0.8 seconds at n = 129 to 131 on a 2-vCPU Xeon VM (Python 3.11),
+# 0.4 to 0.7 seconds at n = 129 to 131 on a 2-vCPU Xeon VM (Python 3.11),
 # of which the inertia of L and the Schur chain with its inertia take
-# 0.15 to 0.3 s, the factorization of D 0.15 to 0.2 s and the one product
-# L D 0.07 to 0.11 s.
+# 0.2 to 0.25 s, the factorization of D 0.11 to 0.13 s and
+# W = L D + 2I - 2we' 0.06 s, 0.05 s of it the one product L D.
 MAX_N = 130
 
 

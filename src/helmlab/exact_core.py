@@ -30,6 +30,13 @@ matrices have equal storage.  Every operation works on the integers:
   give the determinant.  ``rank`` and ``determinant`` read only the
   pivots and q, so they run the pass forward only, updating the rows
   below each pivot (the same pivots and q);
+* a rank-k correction ``scale * M - U V`` of integer rows is one
+  ``_rank_update``, swept row by row for one or two terms: the
+  congruence's Schur steps, ``Decomposition.candidate``
+  (-L/2 + alpha ww'), the projection inside ``factor_symmetric`` and, in
+  ``characterization``, the certificate's W and 2 P_K and the first
+  Schur complement of L; a matrix-vector product is one integer dot
+  product per row (``_mat_vec``), under the product of the denominators;
 * the inertia is a Sylvester congruence reduction in integers on the
   lower triangle.  Each step takes a pivot block P: the diagonal entry
   of least magnitude with every diagonal pivot uncoupled from it, or a
@@ -89,8 +96,14 @@ singular all the same, the block is factored by the base pass whatever
 its order.  Both rules depend only on the matrix, so the same input
 always takes the same path, and a different path would change only the
 speed: the inertia, the determinant and the pseudoinverse are unique.
-The last is G projected on both sides onto the complement of ker M, in
-one symmetric step (``_project_out_symmetric``).
+The last is G projected on both sides onto the complement of ker M
+(``_project_out_symmetric``): fraction-free Gram-Schmidt makes the
+kernel rows an orthogonal integer basis, and each basis vector q takes
+one rank-one projection I - q q'/(q'q) of both sides, a two-term
+``_rank_update`` with no product and no Gram inverse.  A split's
+generalized inverse [[A^- + Z Y', -Z], [-Z', S^-]], Z = Y S^-, and its
+kernel rows are laid out over one denominator in one pass over the
+blocks' integer rows.
 """
 
 from __future__ import annotations
@@ -101,8 +114,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
-from operator import add, mul
+from itertools import chain, compress, repeat
+from operator import add, itemgetter, mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[Fraction, int]
@@ -424,16 +437,10 @@ class RatMatrix:
         return RatMatrix._from_ints(c, self.rows, self._den, out)
 
     def mul_vector(self, v: Sequence[Scalar]) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError(f"matrix has {self.cols} columns, vector length {len(v)}")
-        dv, vi = _common_denominator(v)
-        e, c = self._ints, self.cols
-        sums = [sum(map(mul, e[i * c : (i + 1) * c], vi)) for i in range(self.rows)]
-        return _fractions(sums, self._den * dv)
+        return _fractions(*_mat_vec(self, v))
 
     def row_sums(self) -> Vector:
-        e, c = self._ints, self.cols
-        return _fractions([sum(e[i * c : (i + 1) * c]) for i in range(self.rows)], self._den)
+        return _fractions(*_row_sums(self))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -488,7 +495,7 @@ class Decomposition:
             raise ValueError("L must be square of the same order as w")
         if not lap.is_symmetric():
             raise ValueError("L must be symmetric")
-        if any(s != 0 for s in lap.row_sums()):
+        if any(_row_sums(lap)[0]):
             raise ValueError("L must have zero row sums")
         if sum(self.w, _ZERO) != 1:
             raise ValueError("w must satisfy e'w = 1")
@@ -497,8 +504,15 @@ class Decomposition:
 
     @cached_property
     def candidate(self) -> RatMatrix:
-        """The matrix -L/2 + alpha * w w' encoded by this (immutable) triple, built once."""
-        return Fraction(-1, 2) * self.laplacian_like + self.alpha * RatMatrix.outer(self.w, self.w)
+        """The matrix -L/2 + alpha * w w' encoded by this (immutable) triple, built once.
+
+        With L = A/d, w = v/c and alpha = a/b over integers, it is
+        (-b c^2 A + 2 d a v v') / (2 d b c^2): one rank-one update of A's rows.
+        """
+        lap, a, b = self.laplacian_like, self.alpha.numerator, self.alpha.denominator
+        c, v = _common_denominator(self.w)
+        rows = _rank_update(-b * c * c, _int_rows(lap), [[-2 * lap._den * a * x for x in v]], [v])
+        return _from_int_rows(rows, lap.cols, 2 * lap._den * b * c * c)
 
 
 # -- elimination helpers --------------------------------------------------
@@ -508,6 +522,49 @@ def _int_rows(m: RatMatrix) -> list[list[int]]:
     """The rows of m's integer entries, as fresh lists (m times its denominator)."""
     e, c = m._ints, m.cols
     return [list(e[i * c : (i + 1) * c]) for i in range(m.rows)]
+
+
+def _from_int_rows(rows: Sequence[Sequence[int]], cols: int, den: int) -> RatMatrix:
+    """The matrix with the integer rows ``rows`` of length cols over den > 0, reduced."""
+    return RatMatrix._from_ints(len(rows), cols, den, list(chain.from_iterable(rows)))
+
+
+def _mat_vec(m: RatMatrix, v: Sequence[Scalar]) -> tuple[list[int], int]:
+    """(ints, den) with m v = ints / den, den > 0, not reduced."""
+    if len(v) != m.cols:
+        raise ValueError(f"matrix has {m.cols} columns, vector length {len(v)}")
+    dv, vi = _common_denominator(v)
+    e, c = m._ints, m.cols
+    return [sum(map(mul, e[i * c : (i + 1) * c], vi)) for i in range(m.rows)], m._den * dv
+
+
+def _row_sums(m: RatMatrix) -> tuple[list[int], int]:
+    """(ints, den) with m e = ints / den, den > 0, not reduced."""
+    e, c = m._ints, m.cols
+    return [sum(e[i * c : (i + 1) * c]) for i in range(m.rows)], m._den
+
+
+def _orthogonal_rows(rows: Iterable[Sequence[int]]) -> list[tuple[list[int], int]]:
+    """Fraction-free Gram-Schmidt: pairs (q, q'q) of primitive integer rows
+    q, pairwise orthogonal, spanning what the integer rows span.
+
+    Each row v becomes c v - (q'v) q against each earlier pair (q, c),
+    which makes it orthogonal to q and keeps it orthogonal to the rows
+    before q, and is then divided by its content.  Raises ValueError when
+    the rows are linearly dependent (a row becomes zero).
+    """
+    basis: list[tuple[list[int], int]] = []
+    for v in rows:
+        for q, c in basis:
+            t = sum(map(mul, q, v))
+            if t:
+                v = [c * x - t * y for x, y in zip(v, q)]
+        content = math.gcd(*v)
+        if not content:
+            raise ValueError("linearly dependent vectors")
+        v = [x // content for x in v]
+        basis.append((v, sum(map(mul, v, v))))
+    return basis
 
 
 def _echelon_ints(
@@ -969,7 +1026,7 @@ def _congruence(m: RatMatrix, carry: bool = False) -> Union[InertiaTriple, "_Fac
         tri,
         _ZERO if kernel else Fraction(det_num, det_den),
         _weighted_gram(n, terms),
-        RatMatrix._from_ints(len(kernel), n, 1, [x for v in kernel for x in v]),
+        _from_int_rows(kernel, n, 1),
     )
 
 
@@ -1030,19 +1087,36 @@ def _schur_split(m: RatMatrix) -> Optional[_Factor]:
     b = m.submatrix(lead, rest)
     y = fa.ginv @ b
     fs = _factor(m.submatrix(rest, rest) - b.transpose() @ y)
+    y_t = y.transpose()
     z = y @ fs.ginv
-    ginv = RatMatrix.from_blocks([[fa.ginv + z @ y.transpose(), -z], [-z.transpose(), fs.ginv]])
-    kernel = fs.kernel
-    if kernel.rows:
-        kernel = RatMatrix.from_blocks([[-(kernel @ y.transpose()), kernel]])
-    else:
-        kernel = RatMatrix.zeros(0, size)
+    zy = z @ y_t
+    # [[A^- + Z Y', -Z], [-Z', S^-]] over one denominator, in one pass over
+    # the integer rows, and the kernel [-K Y', K] likewise
+    den = math.lcm(fa.ginv._den, zy._den, z._den, fs.ginv._den)
+    sa, sy, sz, ss = [den // x._den for x in (fa.ginv, zy, z, fs.ginv)]
+    neg_z = [[-sz * x for x in r] for r in _int_rows(z)]
+    ginv = [
+        [sa * x + sy * t for x, t in zip(g, p)] + r
+        for g, p, r in zip(_int_rows(fa.ginv), _int_rows(zy), neg_z)
+    ] + [[*c, *[ss * x for x in g]] for c, g in zip(zip(*neg_z), _int_rows(fs.ginv))]
+    kernel, kden = [], 1
+    if fs.kernel.rows:
+        ky = fs.kernel @ y_t
+        kden = math.lcm(ky._den, fs.kernel._den)
+        sky, sk = kden // ky._den, kden // fs.kernel._den
+        kernel = [
+            [-sky * x for x in p] + [sk * x for x in r]
+            for p, r in zip(_int_rows(ky), _int_rows(fs.kernel))
+        ]
     if order != list(range(size)):
         back = sorted(range(size), key=order.__getitem__)  # the inverse permutation
-        ginv = ginv.submatrix(back, back)
-        kernel = kernel.submatrix(range(kernel.rows), back)
+        pick = itemgetter(*back)
+        ginv = [pick(ginv[i]) for i in back]
+        kernel = [pick(row) for row in kernel]
     tri = InertiaTriple(*[a + s for a, s in zip(fa.inertia, fs.inertia)])
-    return _Factor(tri, fa.det * fs.det, ginv, kernel)
+    return _Factor(
+        tri, fa.det * fs.det, _from_int_rows(ginv, size, den), _from_int_rows(kernel, size, kden)
+    )
 
 
 def _factor(m: RatMatrix) -> _Factor:
@@ -1057,21 +1131,27 @@ def _project_out_symmetric(g: RatMatrix, n_t: RatMatrix) -> RatMatrix:
     """(I - P) g (I - P) for a symmetric g, P the orthogonal projection
     onto the row space of n_t; equal to ``_project_out(g, n_t, n_t)``.
 
-    With N = n_t, H = g N', C = (N N')^-1, W = H C and T = C (N W),
-    (I - P) g (I - P) = g - P g - g P + P g P = g - U N - (U N)' for
-    U = W - N' T / 2 (g P = W N, P g = (g P)' and P g P = N' T N), so it
-    takes one thin product g N', one k x k Gram inverse and one rank-k
-    update, k the number of rows of n_t.
+    Fraction-free Gram-Schmidt (``_orthogonal_rows``) turns the rows of
+    n_t into an orthogonal integer basis q_1, q_2, ..., so that I - P is
+    the product of the commuting rank-one projections I - q q'/c,
+    c = q'q, applied one at a time.  On g = A/d, with h = A q, s = q'h
+    and v = 2c h - s q,
+
+        (I - q q'/c) g (I - q q'/c) = (2c^2 A - q v' - v q') / (2c^2 d),
+
+    one two-term ``_rank_update`` of A's rows.  It needs no product and
+    no Gram inverse.
     """
     if not n_t.rows:
         return g
-    n = n_t.transpose()
-    h = g @ n
-    c = inverse(n_t @ n)
-    w = h @ c
-    u = w - Fraction(1, 2) * (n @ (c @ (n_t @ w)))
-    un = u @ n_t
-    return g - un - un.transpose()
+    rows, den = _int_rows(g), g._den
+    for q, c in _orthogonal_rows(_int_rows(n_t)):
+        h = [sum(map(mul, row, q)) for row in rows]
+        s = sum(map(mul, q, h))
+        v = [2 * c * x - s * y for x, y in zip(h, q)]
+        rows = _rank_update(2 * c * c, rows, [q, v], [v, q])
+        den *= 2 * c * c
+    return _from_int_rows(rows, g.cols, den)
 
 
 def factor_symmetric(m: RatMatrix) -> tuple[InertiaTriple, Fraction, RatMatrix]:

@@ -35,6 +35,7 @@ from helmlab import (
     schur_psd_check,
     solve,
 )
+from helmlab.characterization import _first_complement, _twice_projector
 from helmlab.closed_form import _helm_case
 from helmlab.exact_core import dot, ones_vector, scale_vector
 from support import bump_l, helm_decomposition, random_symmetric
@@ -276,6 +277,84 @@ def test_generic_singular_family_fails_with_e_outside_the_range(rng):
         assert solve(d, ones_vector(d.rows)) is None
         assert dec.candidate == pseudoinverse(d)
         assert not _certify(d, dec, kernel), d
+
+
+# -- integer builds against plain-Fraction references ------------------------------
+
+
+def _ref_candidate(dec):
+    """-L/2 + alpha ww', entry by entry in Fractions."""
+    w, alpha = dec.w, dec.alpha
+    return [
+        [-x / 2 + alpha * wi * wj for x, wj in zip(row, w)]
+        for row, wi in zip(dec.laplacian_like.to_lists(), w)
+    ]
+
+
+def _ref_correction(d, dec):
+    """L D + 2I - 2we', entry by entry in Fractions."""
+    cols = list(zip(*d.to_lists()))
+    return [
+        [dot(row, col) + 2 * (i == j) - 2 * dec.w[i] for j, col in enumerate(cols)]
+        for i, row in enumerate(dec.laplacian_like.to_lists())
+    ]
+
+
+def _ref_twice_projector(kernel, order):
+    """2 K'(K K')^-1 K, the Gram inverse by Gauss-Jordan in Fractions."""
+    k = len(kernel)
+    rows = [
+        [dot(u, v) for v in kernel] + [Fraction(i == j) for j in range(k)]
+        for i, u in enumerate(kernel)
+    ]
+    for c in range(k):
+        p = next(r for r in range(c, k) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(k):
+            if r != c:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    inv = [row[k:] for row in rows]
+    return [
+        [
+            2 * sum(kernel[s][i] * inv[s][t] * kernel[t][j] for s in range(k) for t in range(k))
+            for j in range(order)
+        ]
+        for i in range(order)
+    ]
+
+
+def _ref_first_complement(m):
+    """T - b b'/c for m = [[c, *], [b, T]], in Fractions."""
+    rows = m.to_lists()
+    c, border = rows[0][0], [row[0] for row in rows[1:]]
+    return [[x - bi * bj / c for x, bj in zip(row[1:], border)] for row, bi in zip(rows[1:], border)]
+
+
+def _assert_integer_builds_match(d, dec, kernel):
+    assert dec.candidate.to_lists() == _ref_candidate(dec)
+    assert correction_matrix(d, dec).to_lists() == _ref_correction(d, dec)
+    assert _twice_projector(kernel, d.rows).to_lists() == _ref_twice_projector(kernel, d.rows)
+    for m in (d, -d, dec.laplacian_like, -dec.laplacian_like):
+        if m[0, 0] > 0:
+            assert _first_complement(m).to_lists() == _ref_first_complement(m)
+        else:
+            assert _first_complement(m) is None
+
+
+@pytest.mark.parametrize("n", range(4, 14))
+def test_integer_builds_match_fraction_references_on_helm(n):
+    d, dec = helm_distance_block(n), helm_decomposition(n)
+    _assert_integer_builds_match(d, dec, make_w_alpha(n).kernel)
+
+
+def test_integer_builds_match_fraction_references_on_the_generic_family(rng):
+    # kernel dimensions 1-3 with bases that are not orthogonal, so the
+    # projector's Gram-Schmidt step does work
+    family = _singular_family(rng, e_in_range=True, count=40)
+    assert {len(kernel) for _, _, kernel in family} == {1, 2, 3}
+    for d, dec, kernel in family:
+        _assert_integer_builds_match(d, dec, kernel)
 
 
 # -- uniqueness ---------------------------------------------------------------

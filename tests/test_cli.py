@@ -394,31 +394,31 @@ def test_verify_eliminates_once_per_fact(monkeypatch):
     # rank is never called: ranks are read off inertias; D is factored
     # once, and its inertia, determinant and pseudoinverse all come from
     # that one call; L's inertia is shared by rank_L and the PSD check;
-    # the Schur chain inverts nothing.  The products of a run, for either
-    # parity unless noted:
-    # - W = L D + 2I - 2we', built once and shared by kernel_projector and
-    #   equiv_formulation, which proves the Penrose conditions with
-    #   matrix-vector products only: 1;
+    # nothing is inverted.  Every rank-one correction (X, W, 2 P_K, the
+    # projection of a singular D's generalized inverse, the Schur chain's
+    # first complement) is a row sweep and every matrix-vector identity an
+    # integer sum, so the products of a run, for either parity unless
+    # noted, are:
+    # - L D inside W = L D + 2I - 2we', built once and shared by
+    #   kernel_projector and equiv_formulation: 1;
     # - the factorization of D, below the recursion cutoff one congruence
     #   pass that carries its row transform: F' Omega F, the generalized
-    #   inverse: 1; a singular D adds 7 thin products and one 1x1 kernel
-    #   Gram inverse for the symmetric projection, which a nonsingular D
-    #   skips;
+    #   inverse: 1;
     # - a congruence step takes one product when it eliminates three or
     #   more pivots, and sweeps one or two: only L's first step (the hub
     #   and the pendants) does, and neither the Schur complement's
     #   inertia nor D's congruence takes one: 1;
-    # - the Schur chain: the border's outer product and B B: 2;
+    # - the Schur chain's second complement, B B: 1;
     # - the six block conditions: B S and (A + B) S: 2, and (B + I) A and
     #   (B + I) B only for odd n: 2 (for even n, B + I is zero)
     calls = _count_eliminations(monkeypatch)
     # L and the Schur complement
     expected = {"factor_symmetric": 1, "inertia": 2}
     assert cli.run_verification(6).all_passed
-    assert calls == {**expected, "matmul": 7}
+    assert calls == {**expected, "matmul": 6}
     calls.clear()
     assert cli.run_verification(7).all_passed
-    assert calls == {**expected, "inverse": 1, "matmul": 16}
+    assert calls == {**expected, "matmul": 8}
 
 
 def test_verify_multiplies_no_zero_matrix(monkeypatch):
@@ -438,23 +438,23 @@ def test_verify_multiplies_no_zero_matrix(monkeypatch):
         assert not zero_operands, (n, zero_operands)
 
 
-@pytest.mark.parametrize("n, products", [(12, 12), (13, 22)])
+@pytest.mark.parametrize("n, products", [(12, 11), (13, 14)])
 def test_verify_factors_d_once_above_the_recursion_cutoff(monkeypatch, n, products):
-    # D of order 23 or 25 is split once: 4 products for the generalized
-    # inverse, one more for the kernel of a singular D, one F' Omega F
-    # product in each half's congruence, then the 7 thin products of the
-    # projection as below the cutoff (singular D only).  No pseudoinverse,
-    # determinant or inertia call sees D: the only order-(2n-1) inertia is
-    # L's.  As below the cutoff, the rest is W's L D, L's first congruence
-    # step, the Schur chain's two, and the block conditions' B S and
-    # (A + B) S, with (B + I) A and (B + I) B for odd n only
+    # D of order 23 or 25 is split once: Y = A^- B, B' Y, Z = Y S^- and
+    # Z Y' for the generalized inverse, K Y' for the kernel of a singular
+    # D, and one F' Omega F product in each half's congruence; the
+    # projection onto the kernel's complement is a row sweep.  No
+    # pseudoinverse, determinant or inertia call sees D: the only
+    # order-(2n-1) inertia is L's, and nothing is inverted.  As below the
+    # cutoff, the rest is W's L D, L's first congruence step, the Schur
+    # chain's B B, and the block conditions' B S and (A + B) S, with
+    # (B + I) A and (B + I) B for odd n only
     assert 2 * n - 1 > exact_core._SCHUR_CUTOFF
     seen = []
     calls = _count_eliminations(monkeypatch, seen)
     assert cli.run_verification(n).all_passed
-    odd = {"inverse": 1} if n % 2 else {}
-    assert calls == {"factor_symmetric": 1, "inertia": 2, "matmul": products, **odd}
-    assert [call for call in seen if call[0] != "inverse"] == [
+    assert calls == {"factor_symmetric": 1, "inertia": 2, "matmul": products}
+    assert seen == [
         ("factor_symmetric", 2 * n - 1),
         ("inertia", 2 * n - 1),
         ("inertia", n - 1),

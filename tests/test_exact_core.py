@@ -1344,19 +1344,32 @@ def test_base_factor_matches_independent_routes_below_the_cutoff(rng):
         _assert_base_factor_matches_independent_routes(m, label)
 
 
-def test_base_factor_runs_no_echelon_pass(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("an elimination pass besides the congruence ran")
+def _refuse_echelon(*args):
+    raise AssertionError("an elimination pass besides the congruence ran")
 
-    # no rank, determinant or Gauss-Jordan pass runs inside the base factor;
-    # the symmetric projection of a singular block inverts the kernel's
-    # Gram matrix by Gauss-Jordan, so it runs after the spy is removed
+
+def test_base_factor_runs_no_echelon_pass(monkeypatch):
+    # no rank, determinant or Gauss-Jordan pass runs inside the base factor,
+    # nor in the symmetric projection of a singular block, which inverts no
+    # Gram matrix
     for m in (helm_distance_block(7), helm_distance_block(8)):
         with monkeypatch.context() as patch:
-            patch.setattr(exact_core, "_echelon_ints", refuse)
+            patch.setattr(exact_core, "_echelon_ints", _refuse_echelon)
             f = exact_core._base_factor(m)
+            projected = exact_core._project_out_symmetric(f.ginv, f.kernel)
         assert (f.inertia, f.det) == (inertia(m), determinant(m))
-        assert exact_core._project_out_symmetric(f.ginv, f.kernel) == pseudoinverse(m)
+        assert projected == pseudoinverse(m)
+
+
+@pytest.mark.parametrize("n", (7, 8, 13, 21))
+def test_factor_symmetric_of_helm_d_runs_no_echelon_pass(monkeypatch, n):
+    # both sides of the recursion cutoff, both parities: the split, the
+    # base passes and the projection eliminate only by congruence
+    m = helm_distance_block(n)
+    with monkeypatch.context() as patch:
+        patch.setattr(exact_core, "_echelon_ints", _refuse_echelon)
+        tri, det, pinv = exact_core.factor_symmetric(m)
+    assert (tri, det, pinv) == (inertia(m), determinant(m), pseudoinverse(m))
 
 
 _CONGRUENCE_CASES = _KERNEL_PATHS + [(f"helm D n={n}", helm_distance_block(n)) for n in range(4, 9)]
