@@ -33,7 +33,7 @@ matrices have equal storage.  Every operation works on the integers:
 * a rank-k correction ``scale * M - U V`` of integer rows is one
   ``_rank_update``, swept row by row for one or two terms: the
   congruence's Schur steps, ``Decomposition.candidate``
-  (-L/2 + alpha ww'), the projection inside ``factor_symmetric`` and, in
+  (-L/2 + alpha ww'), the projection of both pseudoinverse routes and, in
   ``characterization``, the certificate's W and 2 P_K and the first
   Schur complement of L; a matrix-vector product is one integer dot
   product per row (``_mat_vec``), under the product of the denominators;
@@ -54,13 +54,18 @@ and they equal the ones plain ``Fraction`` arithmetic gives.
 
 The pseudoinverse is pinv(m) = pinv(m) m G m pinv(m) = (I - P_N) G (I - P_Q)
 for any generalized inverse G of m (m G m = m), with P_N and P_Q the
-orthogonal projections onto ker m and ker m'.  One Gauss-Jordan pass on
-[A | d I] gives G, N and Q: its reduced echelon form R = E m gives
-G = S E (S puts row t at the t-th pivot row, and R S R = R).  The
-inertia's 2x2 pivots [[0, b], [b, 0]] take the same step as its blocks
-of 1x1 pivots, with K = sgn(b) times the swap.  All stay purely
-rational and independent of any closed-form expression they are used
-to check.
+orthogonal projections onto ker m and ker m'.  ``pseudoinverse`` takes G
+and bases of N and Q from one Gauss-Jordan pass on [A | d I]: its
+reduced echelon form R = E m gives G = S E (S puts row t at the t-th
+pivot row, and R S R = R); ``factor_symmetric`` takes G and N = Q from
+its factorization.  Both project G the same way (``_project_out``):
+fraction-free Gram-Schmidt makes the bases of N and Q orthogonal
+integer rows, and each basis vector p takes one rank-one projection
+I - p p'/(p'p) of its side, a one-term ``_rank_update`` with no product
+and no Gram inverse.  The inertia's 2x2 pivots [[0, b], [b, 0]] take
+the same step as its blocks of 1x1 pivots, with K = sgn(b) times the
+swap.  All stay purely rational and independent of any closed-form
+expression they are used to check.
 
 ``factor_symmetric`` gives the inertia, determinant and pseudoinverse
 of a symmetric matrix together.  Above a small order (``_SCHUR_CUTOFF``)
@@ -97,13 +102,10 @@ its order.  Both rules depend only on the matrix, so the same input
 always takes the same path, and a different path would change only the
 speed: the inertia, the determinant and the pseudoinverse are unique.
 The last is G projected on both sides onto the complement of ker M
-(``_project_out_symmetric``): fraction-free Gram-Schmidt makes the
-kernel rows an orthogonal integer basis, and each basis vector q takes
-one rank-one projection I - q q'/(q'q) of both sides, a two-term
-``_rank_update`` with no product and no Gram inverse.  A split's
-generalized inverse [[A^- + Z Y', -Z], [-Z', S^-]], Z = Y S^-, and its
-kernel rows are laid out over one denominator in one pass over the
-blocks' integer rows.
+(N = Q = ker M) by the same ``_project_out`` as ``pseudoinverse``.  A
+split's generalized inverse [[A^- + Z Y', -Z], [-Z', S^-]], Z = Y S^-,
+and its kernel rows are laid out over one denominator in one pass over
+the blocks' integer rows.
 """
 
 from __future__ import annotations
@@ -707,7 +709,7 @@ def null_space_basis(m: RatMatrix) -> list[Vector]:
 
 def _gauss_jordan(m: RatMatrix) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
     """(G, N, Q) from one Gauss-Jordan pass: G a generalized inverse of m,
-    and the rows of N and Q primitive integer bases of ker m and ker m'.
+    and the rows of N and Q integer bases of ker m and ker m'.
 
     The fraction-free pass runs on the integer rows of [A | d I], m = A/d,
     searching A's columns only for pivots.  The right block records the
@@ -728,36 +730,40 @@ def _gauss_jordan(m: RatMatrix) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
         tail[i] = m._den
         row.extend(tail)
     pivots, q, _ = _echelon_ints(work, cols)
-    r = len(pivots)
     # row t of work over q is row t of [R | E]
     g_ints = [0] * (cols * rows)
     for t, c in enumerate(pivots):
         g_ints[c * rows : (c + 1) * rows] = work[t][cols:]
     g = RatMatrix._from_ints(cols, rows, q, g_ints)
-    kernel, cokernel = _kernel_rows(work, pivots, q, cols), [row[cols:] for row in work[r:]]
-    # each basis row over its own content keeps the entries small
-    n_t, q_t = [
-        RatMatrix._from_ints(len(b), w, 1, [x // c for v in b for c in [math.gcd(*v)] for x in v])
-        for b, w in ((kernel, cols), (cokernel, rows))
-    ]
-    return g, n_t, q_t
+    n_t = _from_int_rows(_kernel_rows(work, pivots, q, cols), cols, 1)
+    return g, n_t, _from_int_rows([row[cols:] for row in work[len(pivots) :]], rows, 1)
 
 
 def _project_out(g: RatMatrix, n_t: RatMatrix, q: RatMatrix) -> RatMatrix:
     """(I - P_N) g (I - P_Q), P_N and P_Q the orthogonal projections onto
-    the row spaces of n_t and q.
+    the row spaces of n_t and q; g itself when both have no rows.
 
-    Each projection P = B' (B B')^-1 B is applied as thin products with
-    one k x k Gram inverse, k the number of rows of B, and is skipped
-    when k = 0.
+    Fraction-free Gram-Schmidt (``_orthogonal_rows``) turns the rows of
+    n_t and of q into orthogonal integer bases, so that I - P_N and
+    I - P_Q are products of the commuting rank-one projections
+    I - p p'/c, c = p'p, applied one at a time.  On g = A/d each is one
+    one-term ``_rank_update`` of A's rows,
+
+        (I - p p'/c) g = (c A - p (p'A)) / (c d),
+        g (I - p p'/c) = (c A - (A p) p') / (c d),
+
+    with no product and no Gram inverse.
     """
-    if n_t.rows:
-        n = n_t.transpose()
-        g = g - n @ (inverse(n_t @ n) @ (n_t @ g))
-    if q.rows:
-        q_col = q.transpose()
-        g = g - (g @ q_col) @ inverse(q @ q_col) @ q
-    return g
+    if not (n_t.rows or q.rows):
+        return g
+    rows, den = _int_rows(g), g._den
+    for p, c in _orthogonal_rows(_int_rows(n_t)):
+        rows = _rank_update(c, rows, [p], [[sum(map(mul, p, col)) for col in zip(*rows)]])
+        den *= c
+    for p, c in _orthogonal_rows(_int_rows(q)):
+        rows = _rank_update(c, rows, [[sum(map(mul, row, p)) for row in rows]], [p])
+        den *= c
+    return _from_int_rows(rows, g.cols, den)
 
 
 def pseudoinverse(m: RatMatrix) -> RatMatrix:
@@ -769,7 +775,9 @@ def pseudoinverse(m: RatMatrix) -> RatMatrix:
 
     since pinv(m) m and m pinv(m) are the orthogonal projections onto the
     complements of N = ker m and Q = ker m'.  G, N and Q come from one
-    Gauss-Jordan pass (``_gauss_jordan``), for every shape and order.
+    Gauss-Jordan pass (``_gauss_jordan``), for every shape and order, and
+    the projections are rank-one updates (``_project_out``), with no
+    product and no inverse.
     """
     return _project_out(*_gauss_jordan(m))
 
@@ -1127,37 +1135,12 @@ def _factor(m: RatMatrix) -> _Factor:
     return _base_factor(m)
 
 
-def _project_out_symmetric(g: RatMatrix, n_t: RatMatrix) -> RatMatrix:
-    """(I - P) g (I - P) for a symmetric g, P the orthogonal projection
-    onto the row space of n_t; equal to ``_project_out(g, n_t, n_t)``.
-
-    Fraction-free Gram-Schmidt (``_orthogonal_rows``) turns the rows of
-    n_t into an orthogonal integer basis q_1, q_2, ..., so that I - P is
-    the product of the commuting rank-one projections I - q q'/c,
-    c = q'q, applied one at a time.  On g = A/d, with h = A q, s = q'h
-    and v = 2c h - s q,
-
-        (I - q q'/c) g (I - q q'/c) = (2c^2 A - q v' - v q') / (2c^2 d),
-
-    one two-term ``_rank_update`` of A's rows.  It needs no product and
-    no Gram inverse.
-    """
-    if not n_t.rows:
-        return g
-    rows, den = _int_rows(g), g._den
-    for q, c in _orthogonal_rows(_int_rows(n_t)):
-        h = [sum(map(mul, row, q)) for row in rows]
-        s = sum(map(mul, q, h))
-        v = [2 * c * x - s * y for x, y in zip(h, q)]
-        rows = _rank_update(2 * c * c, rows, [q, v], [v, q])
-        den *= 2 * c * c
-    return _from_int_rows(rows, g.cols, den)
-
-
 def factor_symmetric(m: RatMatrix) -> tuple[InertiaTriple, Fraction, RatMatrix]:
     """(inertia, determinant, Moore-Penrose inverse) of a symmetric m, from
-    one factorization (see the module docstring)."""
+    one factorization (see the module docstring): the factor's symmetric
+    generalized inverse projected on both sides off its kernel by
+    ``_project_out``, as in ``pseudoinverse``."""
     if not m.is_symmetric():
         raise ValueError("factor_symmetric requires a symmetric matrix")
     f = _factor(m)
-    return f.inertia, f.det, _project_out_symmetric(f.ginv, f.kernel)
+    return f.inertia, f.det, _project_out(f.ginv, f.kernel, f.kernel)

@@ -15,8 +15,12 @@ from helmlab import RatMatrix
 DEFAULT_SEED = 20250801
 
 
+def env_seed() -> int:
+    return int(os.environ.get("HELMLAB_SEED", DEFAULT_SEED))
+
+
 def make_rng() -> random.Random:
-    return random.Random(int(os.environ.get("HELMLAB_SEED", DEFAULT_SEED)))
+    return random.Random(env_seed())
 
 
 def random_fraction(rng: random.Random, span: int = 9, max_den: int = 6) -> Fraction:

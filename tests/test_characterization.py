@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from helmlab import (
     Decomposition,
@@ -38,7 +40,7 @@ from helmlab import (
 from helmlab.characterization import _first_complement, _twice_projector
 from helmlab.closed_form import _helm_case
 from helmlab.exact_core import dot, ones_vector, scale_vector
-from support import bump_l, helm_decomposition, random_symmetric
+from support import bump_l, env_seed, helm_decomposition, random_symmetric
 
 ODD_RANGE = (5, 7, 9, 11, 13)
 EVEN_RANGE = (4, 6, 8, 10, 12)
@@ -609,23 +611,28 @@ def _prufer_tree(code: list[int], m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(row)) for row in nbrs)
 
 
-def test_random_trees_satisfy_the_characterization(rng):
+@st.composite
+def _prufer_codes(draw) -> tuple[int, list[int]]:
+    m = draw(st.integers(2, 14))
+    return m, draw(st.lists(st.integers(0, m - 1), min_size=m - 2, max_size=m - 2))
+
+
+@seed(env_seed())
+@settings(max_examples=200, deadline=None)
+@given(_prufer_codes())
+def test_random_trees_satisfy_the_characterization(tree):
     # Graham and Lovasz (1978): a tree on m vertices has
     # D^-1 = -L/2 + tau tau'/(2(m-1)), tau = 2 - deg, L its Laplacian;
     # as a triple, w = tau/2 and alpha = 2/(m-1)
-    for m in range(2, 15):
-        for _ in range(5):
-            adjacency = _prufer_tree([rng.randrange(m) for _ in range(m - 2)], m)
-            d = bfs_distance_matrix(adjacency)
-            lap = RatMatrix.from_rows(
-                [
-                    [len(nbrs) if i == j else -int(j in nbrs) for j in range(m)]
-                    for i, nbrs in enumerate(adjacency)
-                ]
-            )
-            w = tuple(Fraction(2 - len(nbrs), 2) for nbrs in adjacency)
-            alpha = Fraction(2, m - 1)
-            dec = Decomposition(lap, w, alpha)
-            assert _certify(d, dec, ()), adjacency
-            assert dec.candidate == inverse(d) == pseudoinverse(d), adjacency
-            assert check_uniqueness(d, dec) == (alpha, w), adjacency
+    m, code = tree
+    adjacency = _prufer_tree(code, m)
+    d = bfs_distance_matrix(adjacency)
+    lap = RatMatrix.from_rows(
+        [[len(nbrs) if i == j else -int(j in nbrs) for j in range(m)] for i, nbrs in enumerate(adjacency)]
+    )
+    w = tuple(Fraction(2 - len(nbrs), 2) for nbrs in adjacency)
+    alpha = Fraction(2, m - 1)
+    dec = Decomposition(lap, w, alpha)
+    assert _certify(d, dec, ()), adjacency
+    assert dec.candidate == inverse(d) == pseudoinverse(d), adjacency
+    assert check_uniqueness(d, dec) == (alpha, w), adjacency

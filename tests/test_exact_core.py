@@ -129,8 +129,9 @@ def test_pseudoinverse_of_singular_helm_matrix_has_closed_form():
 
 
 def test_pseudoinverse_eliminates_its_argument_once(monkeypatch):
-    # one pass over [A | dI] of order 13; past it only the two 1x1 kernel
-    # Grams of D and D' are inverted, and rref is not called
+    # one pass over [A | dI] of order 13 and nothing else: the projections
+    # off the kernels of D and D' are rank-one updates, so no Gram matrix
+    # is inverted, and neither inverse, rref nor a product is called
     shapes = []
     echelon = exact_core._echelon_ints
 
@@ -138,13 +139,18 @@ def test_pseudoinverse_eliminates_its_argument_once(monkeypatch):
         shapes.append((len(rows), ncols))
         return echelon(rows, ncols)
 
-    def no_rref(m):
-        raise AssertionError("rref called")
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"{name} called")
+
+        return call
 
     monkeypatch.setattr(exact_core, "_echelon_ints", counting)
-    monkeypatch.setattr(exact_core, "rref", no_rref)
+    monkeypatch.setattr(exact_core, "rref", refuse("rref"))
+    monkeypatch.setattr(exact_core, "inverse", refuse("inverse"))
+    monkeypatch.setattr(RatMatrix, "__matmul__", refuse("matmul"))
     pseudoinverse(helm_distance_block(7))
-    assert shapes == [(13, 13), (1, 1), (1, 1)]
+    assert shapes == [(13, 13)]
 
 
 def test_penrose_check_examples():
@@ -861,6 +867,38 @@ def test_pseudoinverse_matches_the_factorization_route(rng):
         assert pseudoinverse(m).to_lists() == _ref_macduffee(m), label
 
 
+def _basis_rows(vectors: list, width: int) -> RatMatrix:
+    return RatMatrix(len(vectors), width, [x for v in vectors for x in v])
+
+
+def test_two_sided_projection_of_any_generalized_inverse_is_the_pseudoinverse(rng):
+    # G' = G + (I - G m) Y + Z (I - m G) is a generalized inverse of m for
+    # any Y and Z (m G' m = m), and not the Gauss-Jordan pass's; projected
+    # off N = ker m on the left and Q = ker m' on the right, with both
+    # bases from null_space_basis, it must be MacDuffee's pseudoinverse.
+    # Non-square shapes have dim N != dim Q, and most kernels are at least
+    # two-dimensional, so the bases need Gram-Schmidt
+    shapes = [(6, 6, 3), (7, 7, 5), (4, 4, 1), (5, 8, 2), (9, 4, 2), (3, 7, 0), (8, 3, 1)]
+    shapes += [(m, n, rng.randint(1, min(m, n) - 1)) for m, n in [(6, 9), (10, 5), (7, 7), (5, 5)]]
+    dims = set()
+    for rows, cols, r in shapes:
+        label = f"{rows}x{cols} of rank {r}"
+        m = random_matrix(rng, rows, r) @ random_matrix(rng, r, cols)
+        g = exact_core._gauss_jordan(m)[0]
+        y, z = random_matrix(rng, cols, rows), random_matrix(rng, cols, rows)
+        g = g + (RatMatrix.identity(cols) - g @ m) @ y + z @ (RatMatrix.identity(rows) - m @ g)
+        assert m @ g @ m == m, label
+        n_t = _basis_rows(null_space_basis(m), cols)
+        q = _basis_rows(null_space_basis(m.transpose()), rows)
+        assert (n_t.rows, q.rows) == (cols - r, rows - r), label
+        dims.add((n_t.rows, q.rows))
+        assert exact_core._project_out(g, n_t, q).to_lists() == _ref_macduffee(m), label
+    assert any(a != b for a, b in dims) and any(min(a, b) >= 2 for a, b in dims)
+    # no kernel on either side: the projection is g itself, not a copy
+    g = random_invertible(rng, 5)
+    assert exact_core._project_out(g, RatMatrix(0, 5, []), RatMatrix(0, 5, [])) is g
+
+
 def test_inertia_matches_reference(rng):
     symmetric = [(label, m) for label, m in _differential_cases(rng) if m.is_symmetric()]
     assert any(label.startswith("zero-diagonal") for label, _ in symmetric)
@@ -1269,13 +1307,17 @@ def _symmetric_singular_cases(rng) -> list[tuple[str, RatMatrix]]:
     return cases
 
 
-def test_symmetric_projection_equals_the_two_sided_projection_and_pseudoinverse(rng):
+def test_two_sided_projection_of_any_symmetric_generalized_inverse_is_the_pseudoinverse(rng):
     # the symmetric generalized inverse may be any one: the congruence's
     # F' Omega F, the recursion's, or either plus N' Z N for a symmetric Z
-    # (M N' = 0, so it stays a symmetric generalized inverse)
+    # (M N' = 0, so it stays a symmetric generalized inverse); the
+    # projection must give the Gauss-Jordan pass's pseudoinverse and, up to
+    # order 14, MacDuffee's on plain Fractions
     dims = set()
     for label, m in _symmetric_singular_cases(rng):
         want = pseudoinverse(m)
+        if m.rows <= 14:
+            assert want.to_lists() == _ref_macduffee(m), label
         kernel_dim = m.rows - rank(m)
         dims.add(kernel_dim)
         for f in (exact_core._base_factor(m), exact_core._factor(m)):
@@ -1283,15 +1325,13 @@ def test_symmetric_projection_equals_the_two_sided_projection_and_pseudoinverse(
             z = random_symmetric(rng, kernel_dim)
             for g in (f.ginv, f.ginv + f.kernel.transpose() @ z @ f.kernel):
                 assert g.is_symmetric() and m @ g @ m == m, label
-                got = exact_core._project_out_symmetric(g, f.kernel)
-                assert got == exact_core._project_out(g, f.kernel, f.kernel), label
-                assert got == want, label
+                assert exact_core._project_out(g, f.kernel, f.kernel) == want, label
     assert dims == set(range(1, 11))
 
 
 # -- the base factor: one congruence pass that carries its row transform -------
 #
-# Below the cutoff factor_symmetric is _base_factor plus the symmetric
+# Below the cutoff factor_symmetric is _base_factor plus the two-sided
 # projection.  Its inertia, determinant, generalized inverse and kernel
 # must equal what the single-pass oracles give the same matrix: the
 # congruence inertia without the transform, and the Gauss-Jordan pass's
@@ -1309,7 +1349,7 @@ def _assert_base_factor_matches_independent_routes(m: RatMatrix, label: str) -> 
         assert (f.kernel @ m).is_zero(), label
     else:
         assert f.ginv == inverse(m), label
-    pinv = exact_core._project_out_symmetric(f.ginv, f.kernel)
+    pinv = exact_core._project_out(f.ginv, f.kernel, f.kernel)
     assert pinv == pseudoinverse(m), label
     assert exact_core.factor_symmetric(m) == (f.inertia, f.det, pinv), label
 
@@ -1350,13 +1390,13 @@ def _refuse_echelon(*args):
 
 def test_base_factor_runs_no_echelon_pass(monkeypatch):
     # no rank, determinant or Gauss-Jordan pass runs inside the base factor,
-    # nor in the symmetric projection of a singular block, which inverts no
+    # nor in the two-sided projection of a singular block, which inverts no
     # Gram matrix
     for m in (helm_distance_block(7), helm_distance_block(8)):
         with monkeypatch.context() as patch:
             patch.setattr(exact_core, "_echelon_ints", _refuse_echelon)
             f = exact_core._base_factor(m)
-            projected = exact_core._project_out_symmetric(f.ginv, f.kernel)
+            projected = exact_core._project_out(f.ginv, f.kernel, f.kernel)
         assert (f.inertia, f.det) == (inertia(m), determinant(m))
         assert projected == pseudoinverse(m)
 
