@@ -4,7 +4,7 @@ This module packages the machinery around that question for symmetric
 matrices: the certificate for a candidate triple and a claimed kernel
 basis (equiv formulation: D w = e/alpha, which also puts e in the
 range, the kernel's matrix-vector products and W = 2 P_K, which
-together prove the four Penrose conditions), the one dense product it
+together prove the four Penrose conditions), the one square product it
 needs (W = L D + 2I - 2we'), constructive uniqueness of the triple, the
 six block conditions that pin down the bordered matrix L for helm
 distance matrices, the closed-form kernel projector V, and exact
@@ -28,22 +28,35 @@ computed) and rebuilds none of them from n.  Everything here is exact;
 positive semidefiniteness in particular is decided by rational inertia,
 never by floating-point eigenvalues.
 
+The circulant block identities are proved on specs.  L D, the six
+conditions and the Schur chain lift their dense operands
+(circulant.lift) to circulants and bordered elements, only after an
+entrywise comparison proves each equal to its form, and run the same
+operator code (+, -, scalar *, @, ==, is_zero) on the result: a product
+of two circulants of order k is one packed cyclic convolution, a single
+big-int product of two k-slot ints, where the dense packed product takes
+k^2 multiply-adds of k-slot ints.  Operands that do not lift,
+such as a perturbed L or D that has lost the bordered shape, stay dense
+and take the same code as dense products; the Schur chain alone needs
+the bordered shape of L, and fails an L without it.  Nothing selects a
+route but lift's exact structure test.
+
 The rank-one corrections are built on integer entries over one
 denominator, each as one exact_core._rank_update of integer rows: W from
-the rows of L D plus its diagonal, 2 P_K from a fraction-free
-Gram-Schmidt basis of the kernel vectors, and the Schur chain's first
-complement c T - b b' over c.  The certificate's D w = e/alpha, D u = 0
-and X u = 0, and check_uniqueness's X e, are integer sums compared as
-integers, with no Fraction per entry.
+the rows of L D plus its diagonal, and 2 P_K from a fraction-free
+Gram-Schmidt basis of the kernel vectors.  The certificate's
+D w = e/alpha, D u = 0 and X u = 0, check_uniqueness's X e and the six
+conditions' row sums are integer sums compared as integers, with no
+Fraction per entry.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
-from .circulant import bordered_circulant
+from .circulant import Bordered, Circulant, bordered_circulant, lift
 from .closed_form import HelmCase
 from .exact_core import (
     Decomposition,
@@ -59,8 +72,6 @@ from .exact_core import (
     _rank_update,
     _row_sums,
     inertia,
-    ones_vector,
-    scale_vector,
 )
 
 
@@ -82,14 +93,20 @@ class SixConditions(NamedTuple):
 def correction_matrix(d: RatMatrix, dec: Decomposition) -> RatMatrix:
     """W = L D + 2I - 2we', with L and w those of dec.
 
-    The one dense product of the Penrose certificate: D w = e/alpha turns
+    The one square product of the Penrose certificate: D w = e/alpha turns
     it into 2(I - X D) (check_equiv_formulation), and the report's
     kernel_projector check compares it with the closed-form V
-    (build_kernel_projector).  The report builds it once for both.  With
-    L D = P/p and w = v/c over integers, W = (c P - 2p v e' + 2pc I)/(pc):
-    one rank-one update of P's rows, then the diagonal.
+    (build_kernel_projector).  The report builds it once for both.  L D
+    is taken on specs when L and D lift (circulant.lift: for a helm, both
+    are bordered elements) and densified once, else as a dense product.
+    With L D = P/p and w = v/c over integers,
+    W = (c P - 2p v e' + 2pc I)/(pc): one rank-one update of P's rows,
+    then the diagonal.
     """
-    ld = dec.laplacian_like @ d
+    lap, dist = lift(dec.laplacian_like, d)
+    ld = lap @ dist
+    if not isinstance(ld, RatMatrix):
+        ld = ld.dense()
     c, v = _common_denominator(dec.w)
     p = ld._den
     rows = _rank_update(c, _int_rows(ld), [[2 * p * x for x in v]], [[1] * ld.cols])
@@ -218,17 +235,18 @@ def check_conditions_i_vi(
         and a_mat.rows == b_mat.rows == s_mat.rows
     ):
         raise ValueError("A, B, S must be square of equal order")
-    k = a_mat.rows
-    e = ones_vector(k)
-    b_plus_i = b_mat + RatMatrix.identity(k)
-    # for even n, B = -I: B + I is zero, and so are its products
+    # with row sums s/den over integers, A e = (3/2) e reads 2s = 3 den
+    a_sums, a_den = _row_sums(a_mat)
+    b_sums, b_den = _row_sums(b_mat)
+    # circulant blocks are multiplied on their specs; (B + I) X = B X + X
+    a, b, s = lift(a_mat, b_mat, s_mat)
     return SixConditions(
-        a_row_sum=a_mat.mul_vector(e) == scale_vector(Fraction(3, 2), e),
-        b_row_sum=b_mat.mul_vector(e) == scale_vector(Fraction(-1), e),
-        b_absorbs_s=b_mat @ s_mat == -s_mat,
-        a_annihilated=b_plus_i.is_zero() or (b_plus_i @ a_mat).is_zero(),
-        b_annihilated=b_plus_i.is_zero() or (b_plus_i @ b_mat).is_zero(),
-        s_balance=((a_mat + b_mat) @ s_mat + 2 * b_mat).is_zero(),
+        a_row_sum=all(2 * x == 3 * a_den for x in a_sums),
+        b_row_sum=all(x == -b_den for x in b_sums),
+        b_absorbs_s=b @ s == -s,
+        a_annihilated=(b @ a + a).is_zero(),
+        b_annihilated=(b @ b + b).is_zero(),
+        s_balance=((a + b) @ s + 2 * b).is_zero(),
     )
 
 
@@ -253,37 +271,28 @@ def build_kernel_projector(case: HelmCase) -> RatMatrix:
     return bordered_circulant(0, (0, 0), (rim, zero, zero))
 
 
-def _first_complement(lap: RatMatrix) -> Optional[RatMatrix]:
-    """T - b b'/c for a symmetric L = [[c, b'], [b, T]], or None unless c > 0.
-
-    With L = M/m over integers, c = M_00/m and b = M_0/m (the rest of M's
-    first row), so the complement is (M_00 T_M - b_M b_M')/(M_00 m): one
-    rank-one ``_rank_update`` of the trailing rows.
-    """
-    (c, *border), *rows = _int_rows(lap)
-    if c <= 0:
-        return None
-    trailing = _rank_update(c, [row[1:] for row in rows], [border], [border])
-    return _from_int_rows(trailing, lap.cols - 1, c * lap._den)
-
-
 def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
     """Exact positive-semidefiniteness check of a bordered matrix L of case's shape.
 
-    Eliminating the (1,1) scalar, which must be positive, must leave
-    exactly
+    L must lift (circulant.lift) to a bordered element [[c, b'], [b, T]]
+    with a positive corner c, and eliminating c must leave exactly
 
         [ A - J/(2(n-1))   B ]
         [ B                I ]
 
-    with A, B the case's rim and coupling blocks.  Its identity block
-    needs no inverse, so eliminating it leaves A - J/(2(n-1)) - B^2,
-    which must equal A + B - J/(2(n-1)) exactly (this encodes
-    B^2 = -B).  By Haynsworth's inertia additivity the first complement
-    has the identity's inertia plus the second's, and L has the corner's
-    plus the first complement's, so the one inertia of the second
-    complement decides: L is PSD iff it has no negative inertia.
-    Returns that conjunction.
+    with A, B the case's rim and coupling blocks, read from the dense
+    case.rim_block and case.coupling_block.  L's first complement
+    T - b b'/c keeps the circulant blocks: with b = (b1 e, b2 e), block
+    (i, j) is T_ij - (b_i b_j/c) J.  Its identity block needs no inverse,
+    so eliminating it leaves A - J/(2(n-1)) - B^2, which must equal
+    A + B - J/(2(n-1)) exactly (this encodes B^2 = -B).  By Haynsworth's
+    inertia additivity the first complement has the identity's inertia
+    plus the second's, and L has the corner's plus the first
+    complement's, so the one inertia of the second complement decides: L
+    is PSD iff it has no negative inertia.  Returns that conjunction.  The
+    chain is taken on the bordered shape only: an L that does not lift to
+    a bordered element, or A and B that do not lift to circulants, fail
+    it.
     """
     n = case.n
     order = 2 * n - 1
@@ -291,19 +300,25 @@ def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
         raise ValueError(f"expected order {order}, got {lap.rows}x{lap.cols}")
     if not lap.is_symmetric():
         raise ValueError("PSD check requires a symmetric matrix")
-    complement_1 = _first_complement(lap)
-    if complement_1 is None:
+    l, a, b = lift(lap, case.rim_block, case.coupling_block)
+    if not (isinstance(l, Bordered) and isinstance(a, Circulant)):
+        return False
+    corner = l.hub
+    if corner <= 0:
         return False
     k = n - 1
-    rim = case.rim_block - Fraction(1, 2 * (n - 1)) * RatMatrix.ones(k, k)
-    coupling = case.coupling_block
-    expected_1 = RatMatrix.from_blocks([[rim, coupling], [coupling, RatMatrix.identity(k)]])
-    if complement_1 != expected_1:
+    ones = Circulant((1,) * k)
+    rim = a - Fraction(1, 2 * k) * ones
+    complement_1 = [
+        [block - (ci * rj / corner) * ones for block, rj in zip(row, l.rows)]
+        for row, ci in zip(l.blocks, l.cols)
+    ]
+    if complement_1 != [[rim, b], [b, Circulant((1,) + (0,) * (k - 1))]]:
         return False
-    complement_2 = rim - coupling @ coupling
-    if complement_2 != rim + coupling:
+    # the second complement, rim - B B, must be rim + B
+    if b @ b != -b:
         return False
-    return inertia(complement_2).i_minus == 0
+    return inertia((rim + b).dense()).i_minus == 0
 
 
 def rank_l_check(rank_d: int, rank_l: int) -> int:

@@ -1,30 +1,61 @@
-"""Circulant matrices and delta-symmetric vectors.
+"""Circulant matrices, bordered circulant elements and their exact algebra.
 
 A circulant matrix is determined by its first row, its spec: a plain
 sequence of ints and Fractions.  Every later row is the cyclic
 right-shift of the previous one.  Products of circulants are again
-circulant, and the product spec is the first row times the other
-matrix.  Circulants of one order share the Fourier eigenvectors, which
-is how ``helmlab eig`` reads the rim blocks' spectra off exact block
-identities (characterization.check_conditions_i_vi).
+circulant, and the product spec is the cyclic convolution of the two
+specs: entry j is sum_i a_i b_((j - i) mod k).  Circulants of one order
+share the Fourier eigenvectors, which is how ``helmlab eig`` reads the
+rim blocks' spectra off exact block identities
+(characterization.check_conditions_i_vi).
+
+The convolution is one big-int product (Kronecker substitution, as in
+RatMatrix.__matmul__; D. Harvey, J. Symbolic Comput. 44, 2009): each
+integer spec is packed into one Python int with one signed slot per
+entry, the product's 2k-1 slots hold the linear convolution, and
+folding slot j + k onto slot j makes it cyclic.  circulant_product is
+that kernel on specs.
+
+D, L and the kernel projector V of a helm graph share one bordered shape
+in the vertex order (hub, rim, pendants); bordered_circulant lays it out.
+Two exact types carry the algebra of these shapes on specs instead of
+dense matrices: Circulant, a k x k circulant, and Bordered, an element
+of order 2k+1 made of a hub scalar, row and column border scalars and a
+2x2 grid of circulants.  Both have +, -, scalar *, @, ==, is_zero and a
+dense() that reuses the materialize and bordered_circulant layouts; a
+product of two bordered elements is eight circulant products and O(k)
+scalar terms.  lift(*matrices) turns dense matrices into these forms
+only after comparing every entry with the form read off the matrix, so
+the dense matrices stay the single source of truth: a matrix that is
+not exactly of a form keeps every argument of the call dense.
 
 A spec is delta-symmetric (z_i = z_{k+2-i} for i = 2..k, 1-based, with
 k its length and z_1 free) exactly when its circulant is symmetric; such
 specs are closed under circulant_product.
 
-D, L and the kernel projector V of a helm graph share one bordered shape
-in the vertex order (hub, rim, pendants); bordered_circulant lays it out.
-It also hosts the two special circulants D is built from: the signless
-Laplacian of the rim cycle, spec (2,1,0,...,0,1), and the rim distance
-circulant, spec (0,1,2,...,2,1).
+The module also hosts the two special circulants D is built from: the
+signless Laplacian of the rim cycle, spec (2,1,0,...,0,1), and the rim
+distance circulant, spec (0,1,2,...,2,1).
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Union
 
-from .exact_core import RatMatrix, Scalar, Vector, _common_denominator, _fractions, frac
+from .exact_core import (
+    _SLOT_CODES,
+    RatMatrix,
+    Scalar,
+    Vector,
+    _common_denominator,
+    _fractions,
+    _pack_slots,
+    _unpack_slots,
+    frac,
+)
 
 
 def _length(*specs: Sequence[Scalar]) -> int:
@@ -37,10 +68,66 @@ def _length(*specs: Sequence[Scalar]) -> int:
     return k
 
 
-def _rotations(row: list[int]) -> list[list[int]]:
+def _rotations(row: Sequence[int]) -> list[Sequence[int]]:
     """Rows of the circulant with first row row: row i is its right-shift by i."""
     k = len(row)
-    return [row[k - i :] + row[: k - i] for i in range(k)]
+    twice = row + row
+    return [twice[k - i : 2 * k - i] for i in range(k)]
+
+
+def _circulant_ints(row: Sequence[int]) -> list[int]:
+    """Row-major entries of the circulant with first row row."""
+    return [x for r in _rotations(row) for x in r]
+
+
+def _bordered_ints(
+    hub: int, rows: Sequence[int], cols: Sequence[int], specs: Sequence[Sequence[int]]
+) -> list[int]:
+    """Row-major entries of [[hub, r1 e', r2 e'], [c1 e, P, Q], [c2 e, R, T]].
+
+    rows is (r1, r2), cols (c1, c2) and specs the first rows of P, Q, R, T.
+    """
+    (r1, r2), (c1, c2), (p, q, r, t) = rows, cols, specs
+    k = len(p)
+    out = [hub] + [r1] * k + [r2] * k
+    for border, left, right in ((c1, p, q), (c2, r, t)):
+        for a, b in zip(_rotations(left), _rotations(right)):
+            out.append(border)
+            out += a
+            out += b
+    return out
+
+
+def _convolution_sum(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[int]:
+    """The sum over (a, b) in pairs of the cyclic convolutions
+    c_j = sum_i a_i b_((j - i) mod k), for integer specs of one length k.
+
+    Every entry of the operands and of the summed linear convolutions
+    p_t = sum_(i+l=t) a_i b_l has absolute value at most
+    bound = (number of pairs) k max|a| max|b| (both maxima floored at 1),
+    so each fits a signed slot of a whole number of bytes wider than
+    bound: the narrowest signed C array type, else the fewest bytes.
+    Each spec x becomes the int X = sum x_i 2^(wi), read from its slots'
+    two's-complement bytes as ``(x ^ bias) - bias`` with bias holding
+    2^(w-1) in every slot; the sum of the products A B holds p_0..p_(2k-2)
+    in its slots, and ``(P + bias) ^ bias`` gives back their bytes.  The
+    fold c_j = p_j + p_(j+k) makes the convolution cyclic.
+    """
+    k = len(pairs[0][0])
+    top_a = max([max(map(abs, a)) for a, _ in pairs] + [1])
+    top_b = max([max(map(abs, b)) for _, b in pairs] + [1])
+    need = (len(pairs) * k * top_a * top_b).bit_length() // 8 + 1  # and a sign bit
+    size = min([s for s in _SLOT_CODES if s >= need], default=need)
+    order = sys.byteorder
+    bias = int.from_bytes((1 << (8 * size - 1)).to_bytes(size, order) * (2 * k - 1), order)
+    low = bias & ((1 << (8 * size * k)) - 1)  # the bias of k slots
+
+    def packed(x: Sequence[int]) -> int:
+        return (int.from_bytes(_pack_slots(x, size), order) ^ low) - low
+
+    total = sum([packed(a) * packed(b) for a, b in pairs])
+    p = _unpack_slots(((total + bias) ^ bias).to_bytes(size * (2 * k - 1), order), size)
+    return [x + y for x, y in zip(p, p[k:])] + p[k - 1 : k]
 
 
 def materialize(spec: Sequence[Scalar]) -> RatMatrix:
@@ -52,21 +139,19 @@ def materialize(spec: Sequence[Scalar]) -> RatMatrix:
     """
     k = _length(spec)
     den, row = _common_denominator(spec)
-    return RatMatrix._from_ints(k, k, den, [x for r in _rotations(row) for x in r])
+    return RatMatrix._from_ints(k, k, den, _circulant_ints(row))
 
 
 def circulant_product(a: Sequence[Scalar], b: Sequence[Scalar]) -> Vector:
     """Spec of the product: first row of A times the matrix B.
 
     Circulants of equal order commute, so this is also the spec of B A.
-    Raises like materialize, and ValueError for specs of unequal length.
+    It is the packed cyclic convolution of the two integer specs, under
+    the product of their denominators (Circulant's @).  Raises like
+    materialize, and ValueError for specs of unequal length.
     """
-    k = _length(a, b)
-    da, ai = _common_denominator(a)
-    db, bi = _common_denominator(b)
-    # entry j of a' B = sum_i a_i * B[i][j] with B[i][j] = b[(j - i) mod k]
-    out = [sum([ai[i] * bi[(j - i) % k] for i in range(k)]) for j in range(k)]
-    return _fractions(out, da * db)
+    _length(a, b)
+    return (Circulant(a) @ Circulant(b)).spec
 
 
 def bordered_circulant(
@@ -86,12 +171,247 @@ def bordered_circulant(
     den, ints = _common_denominator([hub, b1, b2, *p, *q, *r])
     h, b1, b2 = ints[:3]
     p, q, r = ints[3 : 3 + k], ints[3 + k : 3 + 2 * k], ints[3 + 2 * k :]
-    out = [h] + [b1] * k + [b2] * k
     # Q' is the circulant whose spec is q with its tail reversed
-    for border, left, right in ((b1, p, q), (b2, q[:1] + q[:0:-1], r)):
-        for a, b in zip(_rotations(left), _rotations(right)):
-            out += [border, *a, *b]
+    out = _bordered_ints(h, (b1, b2), (b1, b2), (p, q, q[:1] + q[:0:-1], r))
     return RatMatrix._from_ints(2 * k + 1, 2 * k + 1, den, out)
+
+
+# -- the exact algebra on specs ----------------------------------------------
+
+
+class _Packed:
+    """Integer entries ``_ints`` over one positive denominator ``_den``.
+
+    Kept canonical like RatMatrix (``gcd(_den, *_ints) == 1``), so equal
+    values have equal storage.  The linear operations act entrywise on
+    the integers, under the lcm of the denominators; operands of +, -
+    and @ must have the same type and order.
+    """
+
+    __slots__ = ("_den", "_ints")
+
+    @classmethod
+    def _from_ints(cls, den: int, ints: Sequence[int]):
+        """The element ints / den (den > 0), reduced."""
+        g = math.gcd(den, *ints)
+        if g > 1:
+            den //= g
+            ints = [x // g for x in ints]
+        x = object.__new__(cls)
+        x._den = den
+        x._ints = tuple(ints)
+        return x
+
+    def _require_like(self, other: "_Packed") -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"{type(self).__name__} with {type(other).__name__}")
+        if len(other._ints) != len(self._ints):
+            raise ValueError(f"{type(self).__name__}s of order {self.order} and {other.order}")
+
+    def _combine(self, other: "_Packed", sign: int):
+        """self + sign * other."""
+        self._require_like(other)
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, sign * (den // other._den)
+        return self._from_ints(den, [a * x + b * y for x, y in zip(self._ints, other._ints)])
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._from_ints(self._den, [-x for x in self._ints])
+
+    def __mul__(self, c: Scalar):
+        cf = frac(c)
+        p = cf.numerator
+        return self._from_ints(self._den * cf.denominator, [p * x for x in self._ints])
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._den == other._den and self._ints == other._ints
+
+    def is_zero(self) -> bool:
+        return not any(self._ints)
+
+
+class Circulant(_Packed):
+    """A k x k circulant, kept as its integer spec over one denominator.
+
+    ``Circulant(spec)`` takes a nonempty sequence of ints and Fractions.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, spec: Sequence[Scalar]):
+        _length(spec)
+        return cls._from_ints(*_common_denominator(spec))
+
+    @property
+    def order(self) -> int:
+        return len(self._ints)
+
+    @property
+    def spec(self) -> Vector:
+        return _fractions(self._ints, self._den)
+
+    def dense(self) -> RatMatrix:
+        k = len(self._ints)
+        return RatMatrix._from_ints(k, k, self._den, _circulant_ints(self._ints))
+
+    def __matmul__(self, other: "Circulant") -> "Circulant":
+        self._require_like(other)
+        product = _convolution_sum([(self._ints, other._ints)])
+        return self._from_ints(self._den * other._den, product)
+
+    def __repr__(self) -> str:
+        return f"Circulant({list(self.spec)})"
+
+
+class Bordered(_Packed):
+    """[[h, r1 e', r2 e'], [c1 e, P, Q], [c2 e, R, T]], of order 2k+1.
+
+    The shape of bordered_circulant with the two borders apart and the
+    lower-left block free: a hub h, a row border (r1, r2), a column border
+    (c1, c2) and a grid ((P, Q), (R, T)) of k x k circulants.  Stored as
+    the integers (h, r1, r2, c1, c2, p, q, r, t) over one denominator,
+    p..t the specs.  ``Bordered(hub, rows, cols, blocks)`` takes the
+    scalars and a grid of Circulants of one order.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        hub: Scalar,
+        rows: tuple[Scalar, Scalar],
+        cols: tuple[Scalar, Scalar],
+        blocks: tuple[tuple[Circulant, Circulant], tuple[Circulant, Circulant]],
+    ):
+        (p, q), (r, t) = blocks
+        _length(p._ints, q._ints, r._ints, t._ints)
+        return cls._from_ints(
+            *_common_denominator([hub, *rows, *cols, *p.spec, *q.spec, *r.spec, *t.spec])
+        )
+
+    @property
+    def order(self) -> int:
+        return (len(self._ints) - 5) // 2 + 1
+
+    @property
+    def hub(self) -> Fraction:
+        return Fraction(self._ints[0], self._den)
+
+    @property
+    def rows(self) -> Vector:
+        return _fractions(self._ints[1:3], self._den)
+
+    @property
+    def cols(self) -> Vector:
+        return _fractions(self._ints[3:5], self._den)
+
+    def _specs(self) -> list[tuple[int, ...]]:
+        """The integer specs of P, Q, R, T over the element's denominator."""
+        e, k = self._ints, (len(self._ints) - 5) // 4
+        return [e[5 + i * k : 5 + (i + 1) * k] for i in range(4)]
+
+    @property
+    def blocks(self) -> tuple[tuple[Circulant, Circulant], tuple[Circulant, Circulant]]:
+        p, q, r, t = [Circulant._from_ints(self._den, s) for s in self._specs()]
+        return ((p, q), (r, t))
+
+    def dense(self) -> RatMatrix:
+        e, n = self._ints, self.order
+        ints = _bordered_ints(e[0], e[1:3], e[3:5], self._specs())
+        return RatMatrix._from_ints(n, n, self._den, ints)
+
+    def __matmul__(self, other: "Bordered") -> "Bordered":
+        """[[h, r'], [c, M]] [[g, s'], [d, N]] by blocks, M and N 2x2 grids.
+
+        With e'C = sigma(C) e' for a circulant C, sigma the sum of its
+        spec, and e'e = k: the hub is h g + k r'd, the row border
+        h s + sigma(M)'r, the column border g c + sigma(M) d, and the
+        blocks M N + c s' J: block (i, j) is one packed sum of the two
+        products M_i0 N_0j + M_i1 N_1j, eight circulant products in all,
+        plus c_i s_j in every entry.
+        """
+        self._require_like(other)
+        (h, *r), (g, *s) = self._ints[:3], other._ints[:3]
+        c, d = self._ints[3:5], other._ints[3:5]
+        m, n = self._specs(), other._specs()
+        k = len(m[0])
+        sm, sn = list(map(sum, m)), list(map(sum, n))
+        out = [h * g + k * (r[0] * d[0] + r[1] * d[1])]
+        out += [h * s[j] + r[0] * sn[j] + r[1] * sn[2 + j] for j in (0, 1)]
+        out += [c[i] * g + sm[2 * i] * d[0] + sm[2 * i + 1] * d[1] for i in (0, 1)]
+        for i in (0, 1):
+            for j in (0, 1):
+                shift = c[i] * s[j]
+                product = _convolution_sum([(m[2 * i], n[j]), (m[2 * i + 1], n[2 + j])])
+                out += [x + shift for x in product]
+        return self._from_ints(self._den * other._den, out)
+
+    def __repr__(self) -> str:
+        return f"Bordered(hub={self.hub}, rows={self.rows}, cols={self.cols}, blocks={self.blocks})"
+
+
+def _circulant_form(m: RatMatrix) -> Union[Circulant, None]:
+    """m as a Circulant when m equals the circulant of its first row, else None."""
+    k, e = m.rows, m._ints
+    twice = e[:k] * 2
+    for i in range(1, k):
+        if e[i * k : (i + 1) * k] != twice[k - i : 2 * k - i]:
+            return None
+    return Circulant._from_ints(m._den, e[:k])
+
+
+def _bordered_form(m: RatMatrix) -> Union[Bordered, None]:
+    """m as a Bordered element when m, of odd order 2k+1 >= 3, equals the
+    element read off its first row and column and the first row of each
+    block, else None."""
+    n, e = m.rows, m._ints
+    if n < 3 or n % 2 == 0:
+        return None
+    k = (n - 1) // 2
+    top, low = n + 1, (k + 1) * n + 1  # first entries of P and of R
+    rows, cols = (e[1], e[k + 1]), (e[n], e[(k + 1) * n])
+    specs = [e[top : top + k], e[top + k : top + 2 * k], e[low : low + k], e[low + k : low + 2 * k]]
+    if tuple(_bordered_ints(e[0], rows, cols, specs)) != e:
+        return None
+    return Bordered._from_ints(m._den, [e[0], *rows, *cols, *[x for s in specs for x in s]])
+
+
+def lift(*matrices: RatMatrix) -> tuple:
+    """The Circulant or Bordered forms of matrices, or matrices unchanged.
+
+    Each square matrix is compared entry by entry with the form read off
+    it, in O(order^2) integer comparisons.  The arguments of one order
+    all become Circulants if every one of them is a circulant, else all
+    become Bordered elements if every one of them is one, so that any two
+    of one order can be added and multiplied.  If some order has neither,
+    or an argument is not square, every argument comes back unchanged:
+    the caller then runs the same operator code on the dense matrices.
+    """
+    by_order: dict[int, list[RatMatrix]] = {}
+    for m in matrices:
+        if not m.is_square() or not m.rows:
+            return matrices
+        by_order.setdefault(m.rows, []).append(m)
+    forms = {}
+    for group in by_order.values():
+        for read in (_circulant_form, _bordered_form):
+            lifted = [read(m) for m in group]
+            if None not in lifted:
+                forms.update(zip(map(id, group), lifted))
+                break
+        else:
+            return matrices
+    return tuple([forms[id(m)] for m in matrices])
 
 
 # -- named specs used throughout the package -------------------------------

@@ -53,10 +53,13 @@ from .graphs import bfs_distance_matrix, build_helm, helm_distance_block
 # Largest n accepted by verify, sweep and eig, so that an oversized n is
 # refused instead of starting a dense run that does not end.  The dense
 # oracles cost about n^3 integer operations; `run_verification(n)` takes
-# 0.4 to 0.7 seconds at n = 129 to 131 on a 2-vCPU Xeon VM (Python 3.11),
-# of which the inertia of L and the Schur chain with its inertia take
-# 0.2 to 0.25 s, the factorization of D 0.11 to 0.13 s and
-# W = L D + 2I - 2we' 0.06 s, 0.05 s of it the one product L D.
+# 0.4 to 0.65 seconds at n = 129 to 131 on a 2-vCPU Xeon VM (Python 3.11),
+# of which the inertia of L takes 0.07 to 0.17 s, the Schur chain 0.05 to
+# 0.15 s (nearly all of it the inertia of A + B - J/(2(n-1))) and the
+# factorization of D 0.13 to 0.19 s.  The circulant block identities run
+# on specs: W = L D + 2I - 2we' takes 0.02 s, about 5 ms of it L D
+# (lifting L and D, the product and densifying it), and the six block
+# conditions 2 ms.
 MAX_N = 130
 
 
@@ -161,8 +164,9 @@ def run_verification(n: int) -> VerificationReport:
     check only compares X with the pseudoinverse, and equiv_formulation
     proves the Penrose conditions from D w = e/alpha, D u = 0 and X u = 0
     for the kernel vectors u, and W = 2 P_K, with no dense product of its
-    own: outside the factorization of D and the inertias, L D is the
-    report's one square product of order 2n-1.  kernel_projector, W = V,
+    own: outside the factorization of D and the inertias, L D, taken on
+    the bordered specs of L and D, is the report's one square product of
+    order 2n-1.  kernel_projector, W = V,
     with them gives V = 2(I - X D) and so D V = 0, V L = 0, V w = 0,
     V e = 0 and V symmetric (build_kernel_projector).
 

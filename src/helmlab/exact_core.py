@@ -34,9 +34,9 @@ matrices have equal storage.  Every operation works on the integers:
   ``_rank_update``, swept row by row for one or two terms: the
   congruence's Schur steps, ``Decomposition.candidate``
   (-L/2 + alpha ww'), the projection of both pseudoinverse routes and, in
-  ``characterization``, the certificate's W and 2 P_K and the first
-  Schur complement of L; a matrix-vector product is one integer dot
-  product per row (``_mat_vec``), under the product of the denominators;
+  ``characterization``, the certificate's W and 2 P_K; a matrix-vector
+  product is one integer dot product per row (``_mat_vec``), under the
+  product of the denominators;
 * the inertia is a Sylvester congruence reduction in integers on the
   lower triangle.  Each step takes a pivot block P: the diagonal entry
   of least magnitude with every diagonal pivot uncoupled from it, or a

@@ -37,10 +37,16 @@ from helmlab import (
     schur_psd_check,
     solve,
 )
-from helmlab.characterization import _first_complement, _twice_projector
+from helmlab.characterization import _twice_projector
 from helmlab.closed_form import _helm_case
 from helmlab.exact_core import dot, ones_vector, scale_vector
-from support import bump_l, env_seed, helm_decomposition, random_symmetric
+from support import (
+    bump_l,
+    env_seed,
+    helm_decomposition,
+    random_delta_vector,
+    random_symmetric,
+)
 
 ODD_RANGE = (5, 7, 9, 11, 13)
 EVEN_RANGE = (4, 6, 8, 10, 12)
@@ -326,28 +332,52 @@ def _ref_twice_projector(kernel, order):
     ]
 
 
-def _ref_first_complement(m):
-    """T - b b'/c for m = [[c, *], [b, T]], in Fractions."""
+def _ref_schur_chain(m, case):
+    """schur_psd_check's chain on dense Fractions: c > 0, T - b b'/c equal to
+    [[A - J/(2k), B], [B, I]] for m = [[c, b'], [b, T]], B B = -B, and no
+    negative inertia of A + B - J/(2k)."""
     rows = m.to_lists()
     c, border = rows[0][0], [row[0] for row in rows[1:]]
-    return [[x - bi * bj / c for x, bj in zip(row[1:], border)] for row, bi in zip(rows[1:], border)]
+    if c <= 0:
+        return False
+    first = [
+        [x - bi * bj / c for x, bj in zip(row[1:], border)]
+        for row, bi in zip(rows[1:], border)
+    ]
+    k = case.n - 1
+    b = case.coupling_block.to_lists()
+    rim = [[x - Fraction(1, 2 * k) for x in row] for row in case.rim_block.to_lists()]
+    ident = [[Fraction(i == j) for j in range(k)] for i in range(k)]
+    if first != [r + s for r, s in zip(rim, b)] + [r + s for r, s in zip(b, ident)]:
+        return False
+    if any(dot(row, col) != -x for row in b for col, x in zip(zip(*b), row)):
+        return False
+    second = [[x + y for x, y in zip(r, s)] for r, s in zip(rim, b)]
+    return inertia(RatMatrix.from_rows(second)).i_minus == 0
 
 
 def _assert_integer_builds_match(d, dec, kernel):
     assert dec.candidate.to_lists() == _ref_candidate(dec)
     assert correction_matrix(d, dec).to_lists() == _ref_correction(d, dec)
     assert _twice_projector(kernel, d.rows).to_lists() == _ref_twice_projector(kernel, d.rows)
-    for m in (d, -d, dec.laplacian_like, -dec.laplacian_like):
-        if m[0, 0] > 0:
-            assert _first_complement(m).to_lists() == _ref_first_complement(m)
-        else:
-            assert _first_complement(m) is None
 
 
 @pytest.mark.parametrize("n", range(4, 14))
 def test_integer_builds_match_fraction_references_on_helm(n):
     d, dec = helm_distance_block(n), helm_decomposition(n)
     _assert_integer_builds_match(d, dec, make_w_alpha(n).kernel)
+    # the Schur chain on specs against its dense Fraction reference: the
+    # helm L, the negated L (corner < 0) and an L whose rim spec is
+    # shifted by 3 (consistent complements, a negative inertia)
+    case = make_even_case(n) if n % 2 == 0 else make_odd_case(n)
+    lowered = _helm_case(n, (case.rim_spec[0] - 3,) + case.rim_spec[1:], case.coupling_spec)
+    for lap, c in (
+        (case.laplacian_like, case),
+        (-case.laplacian_like, case),
+        (lowered.laplacian_like, lowered),
+    ):
+        assert schur_psd_check(lap, c) == _ref_schur_chain(lap, c)
+    assert schur_psd_check(case.laplacian_like, case)
 
 
 def test_integer_builds_match_fraction_references_on_the_generic_family(rng):
@@ -357,6 +387,30 @@ def test_integer_builds_match_fraction_references_on_the_generic_family(rng):
     assert {len(kernel) for _, _, kernel in family} == {1, 2, 3}
     for d, dec, kernel in family:
         _assert_integer_builds_match(d, dec, kernel)
+
+
+def test_schur_chain_on_specs_matches_the_fraction_reference(rng):
+    # seeded cases of the helm shape: the true rim spec or one moved by a
+    # random delta-symmetric spec, and the true coupling spec (B B = -B)
+    # or a random delta-symmetric one.  Each L is checked against its own
+    # case and the other one, and bumped off the bordered shape
+    verdicts = []
+    for _ in range(25):
+        n = rng.randint(4, 12)
+        true = make_even_case(n) if n % 2 == 0 else make_odd_case(n)
+        shift = random_delta_vector(rng, n - 1)
+        coupling = true.coupling_spec if rng.random() < 0.75 else random_delta_vector(rng, n - 1)
+        cases = [
+            _helm_case(n, true.rim_spec, coupling),
+            _helm_case(n, tuple([x + y for x, y in zip(true.rim_spec, shift)]), coupling),
+        ]
+        for lap in [c.laplacian_like for c in cases]:
+            for m in (lap, bump_l(lap)):
+                for case in cases:
+                    verdict = schur_psd_check(m, case)
+                    assert verdict == _ref_schur_chain(m, case)
+                    verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 # -- uniqueness ---------------------------------------------------------------

@@ -20,7 +20,7 @@ from helmlab import (
     rank,
     rim_distance_spec,
 )
-from helmlab.circulant import bordered_circulant
+from helmlab.circulant import Bordered, Circulant, bordered_circulant, lift
 from support import random_delta_vector, random_fraction
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -177,6 +177,185 @@ def test_product_rejects_empty_specs():
 def test_float_entries_are_refused(build):
     with pytest.raises(TypeError, match="exact scalar"):
         build()
+
+
+# -- packed convolution -------------------------------------------------------
+
+
+def _ref_cyclic(a, b):
+    """sum_i a_i b_((j - i) mod k), term by term."""
+    k = len(a)
+    return tuple(sum(a[i] * b[(j - i) % k] for i in range(k)) for j in range(k))
+
+
+@pytest.mark.parametrize("bits", (6, 30, 62, 63, 64, 100, 200))
+def test_packed_product_across_slot_widths_with_negative_entries(rng, bits):
+    # entries up to 2^bits in absolute value, both signs: the slots run
+    # from one byte to far wider than the 64-bit C type, and every slot
+    # of a spec that is all -2^bits must borrow correctly
+    for k in (1, 2, 3, 7, 12):
+        top = 1 << bits
+        a = tuple(rng.randint(-top, top) for _ in range(k))
+        b = tuple(Fraction(rng.randint(-top, top), rng.randint(1, 7)) for _ in range(k))
+        assert circulant_product(a, b) == _ref_cyclic(a, b)
+        extreme = (-top,) * k
+        assert circulant_product(extreme, extreme) == (k * top * top,) * k
+        assert circulant_product(extreme, (top,) + (0,) * (k - 1)) == (-top * top,) * k
+
+
+def test_packed_product_is_not_symmetric_in_the_fold():
+    # a non-symmetric pair: the fold must add slot j + k onto slot j, so
+    # the spec of a shift by one right-shifts the other spec
+    shift = (0, 1, 0, 0)
+    assert circulant_product(shift, (1, 2, 3, 4)) == (4, 1, 2, 3)
+    assert circulant_product((1, 2, 3, 4), (5, -6, 7, 8)) == _ref_cyclic((1, 2, 3, 4), (5, -6, 7, 8))
+
+
+# -- the spec algebra: Circulant and Bordered ---------------------------------
+
+
+def _random_circulant(rng, k):
+    return Circulant([random_fraction(rng) for _ in range(k)])
+
+
+def _random_bordered(rng, k):
+    # unequal row and column borders and four unrelated, non-symmetric blocks
+    return Bordered(
+        random_fraction(rng),
+        (random_fraction(rng), random_fraction(rng)),
+        (random_fraction(rng), random_fraction(rng)),
+        tuple(tuple(_random_circulant(rng, k) for _ in range(2)) for _ in range(2)),
+    )
+
+
+def _assert_algebra_matches_dense(x, y):
+    dx, dy = x.dense(), y.dense()
+    c = Fraction(-3, 7)
+    assert (x @ y).dense() == dx @ dy
+    assert (y @ x).dense() == dy @ dx
+    assert (x + y).dense() == dx + dy
+    assert (x - y).dense() == dx - dy
+    assert (-x).dense() == -dx
+    assert (c * x).dense() == c * dx
+    assert (x * 2).dense() == dx * 2
+    assert (x == y) == (dx == dy)
+    assert x == x * 1 and x - x == 0 * x
+    assert (x - x).is_zero() and (x - x).dense().is_zero()
+    assert x.is_zero() == dx.is_zero()
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_circulant_algebra_matches_dense_ratmatrix(rng, k):
+    for _ in range(4):
+        x, y = _random_circulant(rng, k), _random_circulant(rng, k)
+        assert x.dense() == materialize(x.spec)
+        _assert_algebra_matches_dense(x, y)
+        assert (x @ y).spec == circulant_product(x.spec, y.spec)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_bordered_algebra_matches_dense_ratmatrix(rng, k):
+    for _ in range(4):
+        x, y = _random_bordered(rng, k), _random_bordered(rng, k)
+        assert x.dense().rows == x.order == 2 * k + 1
+        _assert_algebra_matches_dense(x, y)
+    # zero borders and hub, or zero blocks: each term of the product alone
+    zeros = ((Circulant((0,) * k),) * 2,) * 2
+    only_blocks = Bordered(0, (0, 0), (0, 0), _random_bordered(rng, k).blocks)
+    only_borders = Bordered(random_fraction(rng), (1, -2), (Fraction(1, 3), 5), zeros)
+    for x in (only_blocks, only_borders):
+        for y in (only_blocks, only_borders):
+            _assert_algebra_matches_dense(x, y)
+
+
+def test_bordered_circulant_and_bordered_share_the_layout(rng):
+    for k in range(1, 8):
+        hub, b1, b2 = (random_fraction(rng) for _ in range(3))
+        p, q, r = (tuple(random_fraction(rng) for _ in range(k)) for _ in range(3))
+        blocks = ((Circulant(p), Circulant(q)), (Circulant(q[:1] + q[:0:-1]), Circulant(r)))
+        x = Bordered(hub, (b1, b2), (b1, b2), blocks)
+        assert x.dense() == bordered_circulant(hub, (b1, b2), (p, q, r))
+        assert (x.hub, x.rows, x.cols, x.blocks) == (hub, (b1, b2), (b1, b2), blocks)
+
+
+def test_mixed_operands_are_refused():
+    x, y = Circulant((1, 2)), Circulant((1, 2, 3))
+    with pytest.raises(ValueError, match="order"):
+        x @ y
+    with pytest.raises(ValueError, match="order"):
+        x + y
+    b = Bordered(1, (0, 0), (0, 0), ((x, x), (x, x)))
+    with pytest.raises(TypeError):
+        b @ x
+    with pytest.raises(TypeError):
+        x + b
+    assert x != b and x != x.dense()
+    with pytest.raises(ValueError, match="nonempty"):
+        Circulant(())
+    with pytest.raises(ValueError, match="specs of length"):
+        Bordered(1, (0, 0), (0, 0), ((x, x), (x, y)))
+    with pytest.raises(TypeError, match="exact scalar"):
+        Circulant((1, 0.5))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_lift_round_trips(rng, k):
+    x, y = _random_circulant(rng, k), _random_circulant(rng, k)
+    assert lift(x.dense(), y.dense()) == (x, y)
+    b, c = _random_bordered(rng, k), _random_bordered(rng, k)
+    assert lift(b.dense(), c.dense()) == (b, c)
+    # mixed orders: each order takes its own form
+    assert lift(b.dense(), x.dense(), c.dense()) == (b, x, c)
+
+
+def _with_entry_changed(m, i, j):
+    rows = m.to_lists()
+    rows[i][j] += 1
+    return RatMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_lift_refuses_a_matrix_with_one_entry_changed(rng, k):
+    b = _random_bordered(rng, k)
+    m = b.dense()
+    # the hub is one free entry: a changed hub is read as the new hub
+    unit_hub = Bordered(1, (0, 0), (0, 0), ((Circulant((0,) * k),) * 2,) * 2)
+    assert lift(_with_entry_changed(m, 0, 0)) == (b + unit_hub,)
+    # any entry of either border, or of any of the four blocks, breaks the form
+    places = {
+        "row border 1": (0, rng.randint(1, k)),
+        "row border 2": (0, rng.randint(k + 1, 2 * k)),
+        "column border 1": (rng.randint(1, k), 0),
+        "column border 2": (rng.randint(k + 1, 2 * k), 0),
+    }
+    for bi in (0, 1):
+        for bj in (0, 1):
+            i, j = 1 + bi * k + rng.randrange(k), 1 + bj * k + rng.randrange(k)
+            places[f"block {bi}{bj}"] = (i, j)
+    c = _random_circulant(rng, 2 * k + 1).dense()
+    for label, (i, j) in places.items():
+        changed = _with_entry_changed(m, i, j)
+        for args in ((changed,), (changed, m), (m, c, changed)):
+            out = lift(*args)
+            assert all(o is a for o, a in zip(out, args)), label
+    # a circulant of even order (so no bordered element) with one entry
+    # changed, and a non-square matrix, keep every argument dense
+    x = _random_circulant(rng, 2 * k).dense()
+    args = (x, _with_entry_changed(x, rng.randrange(2 * k), rng.randrange(2 * k)))
+    assert all(o is a for o, a in zip(lift(*args), args))
+    args = (x, RatMatrix.zeros(k, k + 1))
+    assert all(o is a for o, a in zip(lift(*args), args))
+
+
+def test_lift_prefers_circulants_for_a_whole_order():
+    # the identity of order 3 is a circulant and a bordered element; with a
+    # bordered-only matrix of its order, both lift as bordered elements
+    ident = RatMatrix.identity(3)
+    assert lift(ident) == (Circulant((1, 0, 0)),)
+    other = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    lifted = lift(ident, other)
+    assert [type(x) for x in lifted] == [Bordered, Bordered]
+    assert [x.dense() for x in lifted] == [ident, other]
 
 
 # -- delta symmetry -----------------------------------------------------------

@@ -395,35 +395,32 @@ def test_verify_eliminates_once_per_fact(monkeypatch):
     # once, and its inertia, determinant and pseudoinverse all come from
     # that one call; L's inertia is shared by rank_L and the PSD check;
     # nothing is inverted.  Every rank-one correction (X, W, 2 P_K, the
-    # projection of a singular D's generalized inverse, the Schur chain's
-    # first complement) is a row sweep and every matrix-vector identity an
-    # integer sum, so the products of a run, for either parity unless
-    # noted, are:
-    # - L D inside W = L D + 2I - 2we', built once and shared by
-    #   kernel_projector and equiv_formulation: 1;
+    # projection of a singular D's generalized inverse) is a row sweep,
+    # every matrix-vector identity an integer sum, and every circulant
+    # block identity a product of specs: L D inside W, the Schur chain and
+    # the six block conditions lift their operands (circulant.lift) and
+    # take no dense product.  So the products of a run, for either
+    # parity, are:
     # - the factorization of D, below the recursion cutoff one congruence
     #   pass that carries its row transform: F' Omega F, the generalized
     #   inverse: 1;
     # - a congruence step takes one product when it eliminates three or
     #   more pivots, and sweeps one or two: only L's first step (the hub
     #   and the pendants) does, and neither the Schur complement's
-    #   inertia nor D's congruence takes one: 1;
-    # - the Schur chain's second complement, B B: 1;
-    # - the six block conditions: B S and (A + B) S: 2, and (B + I) A and
-    #   (B + I) B only for odd n: 2 (for even n, B + I is zero)
+    #   inertia nor D's congruence takes one: 1
     calls = _count_eliminations(monkeypatch)
     # L and the Schur complement
     expected = {"factor_symmetric": 1, "inertia": 2}
     assert cli.run_verification(6).all_passed
-    assert calls == {**expected, "matmul": 6}
+    assert calls == {**expected, "matmul": 2}
     calls.clear()
     assert cli.run_verification(7).all_passed
-    assert calls == {**expected, "matmul": 8}
+    assert calls == {**expected, "matmul": 2}
 
 
 def test_verify_multiplies_no_zero_matrix(monkeypatch):
-    # for even n, B = -I makes B + I zero; the block conditions read (iv)
-    # and (v) off that instead of taking (B + I) A and (B + I) B
+    # for even n, B = -I makes B + I zero; the block conditions take
+    # (B + I) A as B A + A on specs, and no dense product sees a zero operand
     zero_operands = []
     matmul = RatMatrix.__matmul__
 
@@ -438,7 +435,7 @@ def test_verify_multiplies_no_zero_matrix(monkeypatch):
         assert not zero_operands, (n, zero_operands)
 
 
-@pytest.mark.parametrize("n, products", [(12, 11), (13, 14)])
+@pytest.mark.parametrize("n, products", [(12, 7), (13, 8)])
 def test_verify_factors_d_once_above_the_recursion_cutoff(monkeypatch, n, products):
     # D of order 23 or 25 is split once: Y = A^- B, B' Y, Z = Y S^- and
     # Z Y' for the generalized inverse, K Y' for the kernel of a singular
@@ -446,9 +443,8 @@ def test_verify_factors_d_once_above_the_recursion_cutoff(monkeypatch, n, produc
     # projection onto the kernel's complement is a row sweep.  No
     # pseudoinverse, determinant or inertia call sees D: the only
     # order-(2n-1) inertia is L's, and nothing is inverted.  As below the
-    # cutoff, the rest is W's L D, L's first congruence step, the Schur
-    # chain's B B, and the block conditions' B S and (A + B) S, with
-    # (B + I) A and (B + I) B for odd n only
+    # cutoff, the rest is L's first congruence step; W's L D, the Schur
+    # chain and the block conditions multiply specs
     assert 2 * n - 1 > exact_core._SCHUR_CUTOFF
     seen = []
     calls = _count_eliminations(monkeypatch, seen)

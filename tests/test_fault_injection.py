@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from helmlab import RatMatrix, cli
+from helmlab.circulant import Bordered, Circulant, bordered_circulant, lift
 from support import bump_l
 
 
@@ -54,12 +55,34 @@ def _bump_d(d):
     return RatMatrix.from_rows(rows)
 
 
+def _rim_laplacian_in_l(case):
+    # L's rim spec plus (2, -1, 0, ..., 0, -1)/3, a third of the rim cycle's
+    # Laplacian: L stays symmetric with zero row sums and keeps its
+    # bordered shape, so it lifts; A itself is unchanged
+    k = case.n - 1
+    zero = (0,) * k
+    cycle = (2, -1) + zero[3:] + (-1,)
+    added = Fraction(1, 3) * bordered_circulant(0, (0, 0), (cycle, zero, zero))
+    return dataclasses.replace(case, laplacian_like=case.laplacian_like + added)
+
+
+def _pendant_two_from_its_rim(d):
+    # the pendant-to-own-rim distance q_0 of D's rim-pendant block becomes
+    # 2 instead of 1, in both off-diagonal blocks: D keeps its bordered
+    # shape, so it lifts
+    k = (d.rows - 1) // 2
+    zero = (0,) * k
+    return d + bordered_circulant(0, (0, 0), (zero, (1,) + zero[1:], zero))
+
+
 PERTURBATIONS = {
     "L": (("make_even_case", "make_odd_case"), _bump_l),
     "A": (("make_even_case", "make_odd_case"), _bump_a),
     "w": (("make_w_alpha",), _shift_w),
     "alpha": (("make_w_alpha",), _double_alpha),
     "D": (("helm_distance_block",), _bump_d),
+    "L rim spec": (("make_even_case", "make_odd_case"), _rim_laplacian_in_l),
+    "D q_0": (("helm_distance_block",), _pendant_two_from_its_rim),
 }
 
 EXPECTED_FAILURES = {
@@ -95,6 +118,54 @@ EXPECTED_FAILURES = {
         "equiv_formulation",
     },
     ("D", 7): {
+        "distance_block_vs_bfs",
+        "determinant",
+        "rank",
+        "inertia",
+        "closed_form_mp_inverse",
+        "kernel_projector",
+        "equiv_formulation",
+        "rank_of_l",
+    },
+    # the added M = diag(0, C_L/3, 0), C_L the cycle Laplacian, is PSD with
+    # L e = M e = 0: X changes, X e = alpha w does not, and M D has the rim
+    # rows C_L (D_r, D_r)/3, nonzero (D_r the rim distance circulant, with
+    # eigenvalue -2 - 2cos(2 pi j/k) on mode j and C_L 2 - 2cos(2 pi j/k)),
+    # so W changes.  The first Schur complement gets C_L/3 in its rim
+    # block.  L + M is PSD, so its kernel is the intersection of ker L and
+    # ker M: e for even n, as before, while for odd n L's kernel vector
+    # (0, v', 0')' is not in ker M (C_L v = 4v), so rank(L) rises by one.  The six conditions
+    # read A, which is unchanged
+    ("L rim spec", 6): {
+        "closed_form_inverse",
+        "kernel_projector",
+        "equiv_formulation",
+        "psd_via_schur",
+    },
+    ("L rim spec", 7): {
+        "closed_form_mp_inverse",
+        "kernel_projector",
+        "equiv_formulation",
+        "psd_via_schur",
+        "rank_of_l",
+    },
+    # on a rim Fourier mode j != 0 the hub decouples and D acts on (rim,
+    # pendant) as [[d, d], [d, d - 2]], d = -2 - 2cos(2 pi j/k) the rim
+    # distance eigenvalue; q_0 = 2 adds 1 off the diagonal, so the
+    # determinant -2d becomes -4d - 1.  For n = 6 every such d is below
+    # -1/4: both eigenvalues stay negative, and D stays nonsingular with
+    # the same inertia.  For n = 7 the kernel mode j = 3 (d = 0) gets
+    # determinant -1, so its zero eigenvalue turns positive: inertia
+    # (2, 11, 0), rank 13 = rank(L) + 2.  D w gains (0, e/2, -e/4) and L D
+    # gains L's off-diagonal blocks; X, L and A do not see D
+    ("D q_0", 6): {
+        "distance_block_vs_bfs",
+        "determinant",
+        "closed_form_inverse",
+        "kernel_projector",
+        "equiv_formulation",
+    },
+    ("D q_0", 7): {
         "distance_block_vs_bfs",
         "determinant",
         "rank",
@@ -165,6 +236,16 @@ def _add_nilpotent_to_b(case):
     return _replace_b(case, case.coupling_block + RatMatrix.outer(x, (1,) * k))
 
 
+def _add_circulant_to_b(case):
+    # B + G, G the circulant of (0, 1, 2, 1, 0, 1, 2, 1)/4 at n = 9: its
+    # eigenvalue sum_m g_m r^(jm) is +2 on e (j = 0), -1 on modes 2 and 6
+    # and 0 elsewhere, v's mode 4 included.  So the trace (g_0 = 0) and
+    # B v = 0 are unchanged, and B + G has the eigenvalue 1 on e and -2 on
+    # modes 2 and 6: (B + I) B = 0 fails, and B S = -S with it, as s_0 = 4
+    g = (0, 1, 2, 1, 0, 1, 2, 1)
+    return _replace_b(case, case.coupling_block + Fraction(1, 4) * cli.materialize(g))
+
+
 def _bump_s(spec):
     # S + I
     return (spec[0] + 1,) + spec[1:]
@@ -178,6 +259,7 @@ EIG_PERTURBATIONS = {
     "B+J": ("make_odd_case", _add_j_to_b),
     "B kernel": ("make_odd_case", _move_b_kernel_to_e),
     "B+xe'": ("make_odd_case", _add_nilpotent_to_b),
+    "B+G": ("make_odd_case", _add_circulant_to_b),
     "S": ("cycle_signless_laplacian_spec", _bump_s),
 }
 
@@ -191,6 +273,8 @@ EIG_FAILURES = {
     ("B kernel", "A"): {"B v = 0"} | A_CONDITIONS,
     ("B+xe'", "B"): {"(B + I) B = 0"},
     ("B+xe'", "A"): {"(B + I) B = 0"} | A_CONDITIONS,
+    ("B+G", "B"): {"(B + I) B = 0"},
+    ("B+G", "A"): {"(B + I) B = 0"} | A_CONDITIONS,
     ("S", "S"): {S_IDENTITY},
     ("S", "A"): {S_IDENTITY} | A_CONDITIONS,
 }
@@ -209,3 +293,37 @@ def test_perturbed_block_fails_exactly_its_spectrum_identities(
     assert failed == EIG_FAILURES[block, matrix]
     assert code == (1 if failed else 0)
     assert lines[-1] == ("result: FAILED" if failed else "result: OK")
+
+
+# Which route the perturbed ingredients take through the circulant block
+# identities: a perturbation that keeps the circulant or bordered shape
+# lifts (circulant.lift) and is checked on specs; one that breaks it keeps
+# the dense matrices.  Both routes must turn exactly the checks above red.
+SPEC_ROUTE = {
+    "L": False,
+    "D": False,
+    "B+xe'": False,
+    "A": True,
+    "L rim spec": True,
+    "D q_0": True,
+    "B+J": True,
+    "B kernel": True,
+    "B+G": True,
+    "S": True,
+}
+
+
+def _perturbed_operands(name, n):
+    if name == "S":
+        return (cli.materialize(_bump_s(cli.cycle_signless_laplacian_spec(n - 1))),)
+    if name in ("D", "D q_0"):
+        return (PERTURBATIONS[name][1](cli.helm_distance_block(n)),)
+    perturb = PERTURBATIONS[name][1] if name in PERTURBATIONS else EIG_PERTURBATIONS[name][1]
+    case = perturb(cli.make_odd_case(n))
+    return (case.laplacian_like, case.rim_block, case.coupling_block)
+
+
+@pytest.mark.parametrize("name, lifts", sorted(SPEC_ROUTE.items()))
+def test_perturbations_take_the_route_their_shape_allows(name, lifts):
+    kinds = {type(m) for m in lift(*_perturbed_operands(name, 9))}
+    assert kinds <= ({Bordered, Circulant} if lifts else {RatMatrix})
