@@ -9,25 +9,27 @@ share the Fourier eigenvectors, which is how ``helmlab eig`` reads the
 rim blocks' spectra off exact block identities
 (characterization.check_conditions_i_vi).
 
-The convolution is one big-int product (Kronecker substitution, as in
-RatMatrix.__matmul__; D. Harvey, J. Symbolic Comput. 44, 2009): each
-integer spec is packed into one Python int with one signed slot per
-entry, the product's 2k-1 slots hold the linear convolution, and
-folding slot j + k onto slot j makes it cyclic.  circulant_product is
-that kernel on specs.
+The convolution is one big-int product, packed by exact_core's
+``_kronecker``, the Kronecker substitution of RatMatrix.__matmul__
+(D. Harvey, J. Symbolic Comput. 44, 2009): each integer spec is one
+Python int with one signed slot per entry, the product's 2k-1 slots
+hold the linear convolution, and folding slot j + k onto slot j makes it
+cyclic.  circulant_product is that kernel on specs.
 
 D, L and the kernel projector V of a helm graph share one bordered shape
 in the vertex order (hub, rim, pendants); bordered_circulant lays it out.
 Two exact types carry the algebra of these shapes on specs instead of
 dense matrices: Circulant, a k x k circulant, and Bordered, an element
 of order 2k+1 made of a hub scalar, row and column border scalars and a
-2x2 grid of circulants.  Both have +, -, scalar *, @, ==, is_zero and a
-dense() that reuses the materialize and bordered_circulant layouts; a
-product of two bordered elements is eight circulant products and O(k)
-scalar terms.  lift(*matrices) turns dense matrices into these forms
-only after comparing every entry with the form read off the matrix, so
-the dense matrices stay the single source of truth: a matrix that is
-not exactly of a form keeps every argument of the call dense.
+2x2 grid of circulants.  Both keep their integers in RatMatrix's store
+(exact_core's ``_IntStore``), which gives them +, -, scalar *, ==, hash
+and is_zero, canonical like a RatMatrix; each adds @ and a dense() that
+reuses the materialize and bordered_circulant layouts.  A product of two
+bordered elements is eight circulant products and O(k) scalar terms.
+lift(*matrices) turns dense matrices into these forms only after
+comparing every entry with the form read off the matrix, so the dense
+matrices stay the single source of truth: a matrix that is not exactly
+of a form keeps every argument of the call dense.
 
 A spec is delta-symmetric (z_i = z_{k+2-i} for i = 2..k, 1-based, with
 k its length and z_1 free) exactly when its circulant is symmetric; such
@@ -40,20 +42,19 @@ distance circulant, spec (0,1,2,...,2,1).
 
 from __future__ import annotations
 
-import math
-import sys
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 from typing import Sequence, Union
 
 from .exact_core import (
-    _SLOT_CODES,
     RatMatrix,
     Scalar,
     Vector,
     _common_denominator,
     _fractions,
-    _pack_slots,
-    _unpack_slots,
+    _IntStore,
+    _kronecker,
     frac,
 )
 
@@ -105,28 +106,17 @@ def _convolution_sum(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> li
     Every entry of the operands and of the summed linear convolutions
     p_t = sum_(i+l=t) a_i b_l has absolute value at most
     bound = (number of pairs) k max|a| max|b| (both maxima floored at 1),
-    so each fits a signed slot of a whole number of bytes wider than
-    bound: the narrowest signed C array type, else the fewest bytes.
-    Each spec x becomes the int X = sum x_i 2^(wi), read from its slots'
-    two's-complement bytes as ``(x ^ bias) - bias`` with bias holding
-    2^(w-1) in every slot; the sum of the products A B holds p_0..p_(2k-2)
-    in its slots, and ``(P + bias) ^ bias`` gives back their bytes.  The
-    fold c_j = p_j + p_(j+k) makes the convolution cyclic.
+    so ``_kronecker(bound)`` packs each spec into one int with one slot
+    per entry; the sum of the products of the packed pairs holds
+    p_0..p_(2k-2) in its slots, and the fold c_j = p_j + p_(j+k) makes the
+    convolution cyclic.
     """
     k = len(pairs[0][0])
     top_a = max([max(map(abs, a)) for a, _ in pairs] + [1])
     top_b = max([max(map(abs, b)) for _, b in pairs] + [1])
-    need = (len(pairs) * k * top_a * top_b).bit_length() // 8 + 1  # and a sign bit
-    size = min([s for s in _SLOT_CODES if s >= need], default=need)
-    order = sys.byteorder
-    bias = int.from_bytes((1 << (8 * size - 1)).to_bytes(size, order) * (2 * k - 1), order)
-    low = bias & ((1 << (8 * size * k)) - 1)  # the bias of k slots
-
-    def packed(x: Sequence[int]) -> int:
-        return (int.from_bytes(_pack_slots(x, size), order) ^ low) - low
-
-    total = sum([packed(a) * packed(b) for a, b in pairs])
-    p = _unpack_slots(((total + bias) ^ bias).to_bytes(size * (2 * k - 1), order), size)
+    pack, unpack = _kronecker(len(pairs) * k * top_a * top_b)
+    packed = pack(list(chain.from_iterable(chain.from_iterable(pairs))), k)  # a, b, a, b, ...
+    p = unpack([sum(map(mul, packed[::2], packed[1::2]))], 2 * k - 1)
     return [x + y for x, y in zip(p, p[k:])] + p[k - 1 : k]
 
 
@@ -179,68 +169,7 @@ def bordered_circulant(
 # -- the exact algebra on specs ----------------------------------------------
 
 
-class _Packed:
-    """Integer entries ``_ints`` over one positive denominator ``_den``.
-
-    Kept canonical like RatMatrix (``gcd(_den, *_ints) == 1``), so equal
-    values have equal storage.  The linear operations act entrywise on
-    the integers, under the lcm of the denominators; operands of +, -
-    and @ must have the same type and order.
-    """
-
-    __slots__ = ("_den", "_ints")
-
-    @classmethod
-    def _from_ints(cls, den: int, ints: Sequence[int]):
-        """The element ints / den (den > 0), reduced."""
-        g = math.gcd(den, *ints)
-        if g > 1:
-            den //= g
-            ints = [x // g for x in ints]
-        x = object.__new__(cls)
-        x._den = den
-        x._ints = tuple(ints)
-        return x
-
-    def _require_like(self, other: "_Packed") -> None:
-        if type(other) is not type(self):
-            raise TypeError(f"{type(self).__name__} with {type(other).__name__}")
-        if len(other._ints) != len(self._ints):
-            raise ValueError(f"{type(self).__name__}s of order {self.order} and {other.order}")
-
-    def _combine(self, other: "_Packed", sign: int):
-        """self + sign * other."""
-        self._require_like(other)
-        den = math.lcm(self._den, other._den)
-        a, b = den // self._den, sign * (den // other._den)
-        return self._from_ints(den, [a * x + b * y for x, y in zip(self._ints, other._ints)])
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __neg__(self):
-        return self._from_ints(self._den, [-x for x in self._ints])
-
-    def __mul__(self, c: Scalar):
-        cf = frac(c)
-        p = cf.numerator
-        return self._from_ints(self._den * cf.denominator, [p * x for x in self._ints])
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._den == other._den and self._ints == other._ints
-
-    def is_zero(self) -> bool:
-        return not any(self._ints)
-
-
-class Circulant(_Packed):
+class Circulant(_IntStore):
     """A k x k circulant, kept as its integer spec over one denominator.
 
     ``Circulant(spec)`` takes a nonempty sequence of ints and Fractions.
@@ -250,7 +179,7 @@ class Circulant(_Packed):
 
     def __new__(cls, spec: Sequence[Scalar]):
         _length(spec)
-        return cls._from_ints(*_common_denominator(spec))
+        return cls._reduced(*_common_denominator(spec))
 
     @property
     def order(self) -> int:
@@ -265,15 +194,16 @@ class Circulant(_Packed):
         return RatMatrix._from_ints(k, k, self._den, _circulant_ints(self._ints))
 
     def __matmul__(self, other: "Circulant") -> "Circulant":
-        self._require_like(other)
+        if not self._is_like(other):
+            return NotImplemented
         product = _convolution_sum([(self._ints, other._ints)])
-        return self._from_ints(self._den * other._den, product)
+        return self._reduced(self._den * other._den, product)
 
     def __repr__(self) -> str:
         return f"Circulant({list(self.spec)})"
 
 
-class Bordered(_Packed):
+class Bordered(_IntStore):
     """[[h, r1 e', r2 e'], [c1 e, P, Q], [c2 e, R, T]], of order 2k+1.
 
     The shape of bordered_circulant with the two borders apart and the
@@ -295,7 +225,7 @@ class Bordered(_Packed):
     ):
         (p, q), (r, t) = blocks
         _length(p._ints, q._ints, r._ints, t._ints)
-        return cls._from_ints(
+        return cls._reduced(
             *_common_denominator([hub, *rows, *cols, *p.spec, *q.spec, *r.spec, *t.spec])
         )
 
@@ -322,7 +252,7 @@ class Bordered(_Packed):
 
     @property
     def blocks(self) -> tuple[tuple[Circulant, Circulant], tuple[Circulant, Circulant]]:
-        p, q, r, t = [Circulant._from_ints(self._den, s) for s in self._specs()]
+        p, q, r, t = [Circulant._reduced(self._den, s) for s in self._specs()]
         return ((p, q), (r, t))
 
     def dense(self) -> RatMatrix:
@@ -340,7 +270,8 @@ class Bordered(_Packed):
         products M_i0 N_0j + M_i1 N_1j, eight circulant products in all,
         plus c_i s_j in every entry.
         """
-        self._require_like(other)
+        if not self._is_like(other):
+            return NotImplemented
         (h, *r), (g, *s) = self._ints[:3], other._ints[:3]
         c, d = self._ints[3:5], other._ints[3:5]
         m, n = self._specs(), other._specs()
@@ -354,7 +285,7 @@ class Bordered(_Packed):
                 shift = c[i] * s[j]
                 product = _convolution_sum([(m[2 * i], n[j]), (m[2 * i + 1], n[2 + j])])
                 out += [x + shift for x in product]
-        return self._from_ints(self._den * other._den, out)
+        return self._reduced(self._den * other._den, out)
 
     def __repr__(self) -> str:
         return f"Bordered(hub={self.hub}, rows={self.rows}, cols={self.cols}, blocks={self.blocks})"
@@ -367,7 +298,7 @@ def _circulant_form(m: RatMatrix) -> Union[Circulant, None]:
     for i in range(1, k):
         if e[i * k : (i + 1) * k] != twice[k - i : 2 * k - i]:
             return None
-    return Circulant._from_ints(m._den, e[:k])
+    return Circulant._reduced(m._den, e[:k])
 
 
 def _bordered_form(m: RatMatrix) -> Union[Bordered, None]:
@@ -383,7 +314,7 @@ def _bordered_form(m: RatMatrix) -> Union[Bordered, None]:
     specs = [e[top : top + k], e[top + k : top + 2 * k], e[low : low + k], e[low + k : low + 2 * k]]
     if tuple(_bordered_ints(e[0], rows, cols, specs)) != e:
         return None
-    return Bordered._from_ints(m._den, [e[0], *rows, *cols, *[x for s in specs for x in s]])
+    return Bordered._reduced(m._den, [e[0], *rows, *cols, *[x for s in specs for x in s]])
 
 
 def lift(*matrices: RatMatrix) -> tuple:

@@ -6,22 +6,22 @@ closed-form identity in this package is verified.  There is no floating
 point and no tolerance anywhere in this module: equality of matrices
 means entrywise equality of reduced fractions.
 
-``RatMatrix`` stores one positive common denominator and row-major
-integer entries, kept canonical (the denominator and the entries have
-no common factor, and the zero matrix has denominator 1), so equal
+``RatMatrix`` keeps its entries, row-major, in the package's one integer
+store (``_IntStore``, which ``circulant.Circulant`` and
+``circulant.Bordered`` share): one positive denominator and integers
+with no common factor, so the zero matrix has denominator 1 and equal
 matrices have equal storage.  Every operation works on the integers:
 
-* ``+`` and ``-`` bring both operands to the lcm of their denominators,
-  a scalar multiplies the entries by its numerator and the denominator
-  by its denominator;
+* the store's ``+`` and ``-`` bring both operands to the lcm of their
+  denominators, and a scalar multiplies the integers by its numerator
+  and the denominator by its denominator;
 * matmul is a Kronecker-packed integer product under the product of the
   two denominators (Kronecker substitution; see D. Harvey, J. Symbolic
   Comput. 44, 2009): each row of B becomes one Python int with one
-  fixed-width slot per entry, the width taken from the bound
-  ``k * max|a| * max|b|`` on the entries of the product plus a sign bit,
-  so a row of the product costs one big-int multiply-add per nonzero
-  entry of that row of A and one unpack.  Slots of up to 64 bits are
-  read by ``array.frombytes``, wider ones by slicing the bytes;
+  fixed-width slot per entry, so a row of the product costs one big-int
+  multiply-add per nonzero entry of that row of A.  ``_kronecker``, which
+  the circulant convolution uses too, picks the slot width from a bound
+  on the entries and packs and unpacks the slots;
 * one fraction-free Gauss-Jordan pass serves every general oracle: each
   row is divided once by its content, then a row update is
   ``(p*row - f*lead) // prev``, exact by Bareiss's theorem (Bareiss 1968,
@@ -193,39 +193,150 @@ def _fractions(ints: Sequence[int], den: int) -> Vector:
     return tuple([Fraction(x, den) for x in ints])
 
 
-# Slot sizes in bytes that a signed C integer array type reads directly.
+# Slot sizes in bytes that a signed C integer array type reads directly,
+# and for each byte count up to the widest of them the narrowest such size.
 _SLOT_CODES = {array(code).itemsize: code for code in "bhilq"}
+_SLOT_SIZES = {need: min([s for s in _SLOT_CODES if s >= need]) for need in range(1, max(_SLOT_CODES) + 1)}
 
 
-def _pack_slots(ints: Sequence[int], size: int) -> bytes:
-    """ints as consecutive size-byte two's-complement slots, in native byte order."""
-    code = _SLOT_CODES.get(size)
-    if code:
-        return array(code, ints).tobytes()
-    return b"".join([x.to_bytes(size, sys.byteorder, signed=True) for x in ints])
+def _kronecker(bound: int):
+    """(pack, unpack): Kronecker substitution for ints of absolute value at most bound.
+
+    A slot holds w bits, w a whole number of bytes that fits bound and a
+    sign bit: the narrowest signed C array type that is wide enough, else
+    the fewest bytes.  ``pack(ints, count)`` turns each run of count ints
+    x_0, x_1, ... into the int ``sum x_t 2^(wt)``; ``unpack(values, count)``
+    gives back the count slots of each such int, as one flat list.  A sum
+    of products of packed ints is a packed int of the summed products, as
+    long as every slot of it stays within bound.
+
+    Both conversions run in C, in O(width).  With ``bias`` the constant
+    that holds ``2^(w-1)`` in every slot, ``(x + bias) ^ bias`` turns a
+    packed int x into its slots' two's-complement bytes (the biased slots
+    are nonnegative, so nothing carries), and ``(y ^ bias) - bias`` turns
+    such bytes y back into a packed int.  Slot bytes go through ``array``
+    when a C type has width w, and through one ``int.to_bytes`` or
+    ``int.from_bytes`` per slot otherwise.
+    """
+    need = (bound.bit_length() + 8) // 8  # bytes for the bound and a sign bit
+    size = _SLOT_SIZES.get(need, need)
+    code, order = _SLOT_CODES.get(size), sys.byteorder  # array is native-order, so these are too
+    slot_bias = (1 << (8 * size - 1)).to_bytes(size, order)
+
+    def pack(ints: Sequence[int], count: int) -> list[int]:
+        if code:
+            buf = array(code, ints).tobytes()
+        else:
+            buf = b"".join([x.to_bytes(size, order, signed=True) for x in ints])
+        width, bias = size * count, int.from_bytes(slot_bias * count, order)
+        if not width:
+            return []
+        return [(int.from_bytes(buf[t : t + width], order) ^ bias) - bias for t in range(0, len(buf), width)]
+
+    def unpack(values: Sequence[int], count: int) -> list[int]:
+        width, bias = size * count, int.from_bytes(slot_bias * count, order)
+        buf = b"".join([((x + bias) ^ bias).to_bytes(width, order) for x in values])
+        if code:
+            slots = array(code)
+            slots.frombytes(buf)
+            return slots.tolist()
+        return [int.from_bytes(buf[t : t + size], order, signed=True) for t in range(0, len(buf), size)]
+
+    return pack, unpack
 
 
-def _unpack_slots(buf: bytes, size: int) -> list[int]:
-    """The inverse of ``_pack_slots``."""
-    code = _SLOT_CODES.get(size)
-    if code:
-        slots = array(code)
-        slots.frombytes(buf)
-        return slots.tolist()
-    return [
-        int.from_bytes(buf[t : t + size], sys.byteorder, signed=True)
-        for t in range(0, len(buf), size)
-    ]
+class _IntStore:
+    """Integers ``_ints`` over one positive denominator ``_den``.
+
+    Kept canonical, ``gcd(_den, *_ints) == 1`` (so zero has ``_den == 1``),
+    so equal values have equal storage, and ``==`` and ``hash`` read the
+    storage, the type and ``_shape()``.  A subclass says what the integers
+    are: RatMatrix holds every entry, ``circulant.Circulant`` and
+    ``circulant.Bordered`` the specs and scalars their entries repeat.
+    The store keeps no shape (Bordered's ``rows`` and ``cols`` are its
+    borders): RatMatrix adds its own ``rows`` and ``cols`` and overrides
+    ``_shape`` and ``_like``.
+    ``+``, ``-``, negation and scalar ``*`` act entrywise on the integers,
+    under the lcm of the denominators; an operand of another type is
+    NotImplemented (so Python raises TypeError), one of another shape a
+    ValueError.
+    """
+
+    __slots__ = ("_den", "_ints")
+
+    @classmethod
+    def _reduced(cls, den: int, ints: Sequence[int]):
+        """The element ints / den (den > 0), reduced to canonical form."""
+        g = math.gcd(den, *ints)
+        if g > 1:
+            den //= g
+            ints = [x // g for x in ints]
+        x = object.__new__(cls)
+        x._den = den
+        x._ints = tuple(ints)
+        return x
+
+    def _shape(self):
+        """What besides the storage tells two elements of a type apart: by
+        default the number of integers, which fixes a structured element's
+        order."""
+        return len(self._ints)
+
+    # ints / den as an element of self's type and shape, reduced
+    _like = _reduced
+
+    def _is_like(self, other: object) -> bool:
+        """Whether other has self's type; ValueError if it has another shape."""
+        if type(other) is not type(self):
+            return False
+        if other._shape() != self._shape():
+            raise ValueError(f"operands of unequal order or shape: {self!r} and {other!r}")
+        return True
+
+    def _combine(self, other: object, sign: int):
+        """self + sign * other, under the lcm of the two denominators."""
+        if not self._is_like(other):
+            return NotImplemented
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, sign * (den // other._den)
+        return self._like(den, [a * x + b * y for x, y in zip(self._ints, other._ints)])
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._like(self._den, [-x for x in self._ints])
+
+    def __mul__(self, c: Scalar):
+        cf = frac(c)
+        p = cf.numerator
+        return self._like(self._den * cf.denominator, [p * x for x in self._ints])
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._den == other._den and self._ints == other._ints and self._shape() == other._shape()
+
+    def __hash__(self) -> int:
+        return hash((self._shape(), self._den, self._ints))
+
+    def is_zero(self) -> bool:
+        return not any(self._ints)
 
 
-class RatMatrix:
+class RatMatrix(_IntStore):
     """Immutable dense rational matrix: integer entries over one denominator.
 
     Row-major ``_ints`` and a positive ``_den`` with
     ``gcd(_den, *_ints) == 1``; the matrix is ``_ints / _den``.
     """
 
-    __slots__ = ("rows", "cols", "_den", "_ints")
+    __slots__ = ("rows", "cols")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]):
         if rows < 0 or cols < 0:
@@ -242,17 +353,17 @@ class RatMatrix:
 
     @classmethod
     def _from_ints(cls, rows: int, cols: int, den: int, ints: list[int]) -> "RatMatrix":
-        """The matrix ints / den (den > 0), reduced to canonical form."""
-        g = math.gcd(den, *ints)
-        if g > 1:
-            den //= g
-            ints = [x // g for x in ints]
-        m = object.__new__(cls)
+        """The rows x cols matrix ints / den (den > 0), reduced to canonical form."""
+        m = cls._reduced(den, ints)
         m.rows = rows
         m.cols = cols
-        m._den = den
-        m._ints = tuple(ints)
         return m
+
+    def _shape(self) -> tuple[int, int]:
+        return self.rows, self.cols
+
+    def _like(self, den: int, ints: Sequence[int]) -> "RatMatrix":
+        return self._from_ints(self.rows, self.cols, den, ints)
 
     # -- constructors ---------------------------------------------------
 
@@ -348,66 +459,18 @@ class RatMatrix:
 
     # -- algebra ----------------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self._den == other._den
-            and self._ints == other._ints
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._den, self._ints))
-
-    def _combine(self, other: "RatMatrix", sign: int) -> "RatMatrix":
-        """self + sign * other, under the lcm of the two denominators."""
-        self._require_same_shape(other)
-        den = math.lcm(self._den, other._den)
-        a, b = den // self._den, sign * (den // other._den)
-        return RatMatrix._from_ints(
-            self.rows, self.cols, den, [a * x + b * y for x, y in zip(self._ints, other._ints)]
-        )
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix._from_ints(self.rows, self.cols, self._den, [-x for x in self._ints])
-
-    def __mul__(self, c: Scalar) -> "RatMatrix":
-        cf = frac(c)
-        p = cf.numerator
-        return RatMatrix._from_ints(
-            self.rows, self.cols, self._den * cf.denominator, [p * x for x in self._ints]
-        )
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         """Kronecker-packed integer product under the product of the denominators.
 
         Every entry of the integer product has absolute value at most
-        ``bound = k * max|a| * max|b|`` (k the inner dimension), so it fits
-        a w-bit two's-complement slot for any w > ``bound.bit_length()``.
-        w is a whole number of bytes: the narrowest signed C array type
-        that is wide enough (8 to 64 bits, enough for every helm product),
-        else the fewest bytes.  Row j of B becomes one int
-        ``P_j = sum_t b_jt 2^(wt)``, row i of the product is the single int
-        ``sum(a_ij * P_j for nonzero a_ij)``, and its slots are the entries.
-
-        Both conversions run in C, in O(width) per row.  With ``bias`` the
-        constant that holds ``2^(w-1)`` in every slot, ``(x + bias) ^ bias``
-        turns a packed row x into its slots' two's-complement bytes (the
-        biased slots are nonnegative, so nothing carries), and
-        ``(y ^ bias) - bias`` turns such bytes y back into a packed row.
-        Slot bytes go through ``array`` when a C type has that width, and
-        through one ``int.to_bytes``/``from_bytes`` per entry otherwise.
+        ``bound = k * max|a| * max|b|`` (k the inner dimension), and so does
+        every entry of B.  Row j of B becomes one int
+        ``P_j = sum_t b_jt 2^(wt)`` (``_kronecker``), row i of the product
+        is the single int ``sum(a_ij * P_j for nonzero a_ij)``, and its
+        slots are the entries.
         """
+        if type(other) is not RatMatrix:
+            return NotImplemented
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
@@ -415,21 +478,13 @@ class RatMatrix:
         a, n, k, m = self._ints, self.rows, self.cols, other.cols
         # max(., 1): the bound must also cover B's entries, which share its slots
         bound = k * max(max(map(abs, a), default=0), 1) * max(map(abs, other._ints), default=0)
-        need = (bound.bit_length() + 8) // 8  # bytes for the bound and a sign bit
-        size = min([s for s in _SLOT_CODES if s >= need], default=need)
-        order, width = sys.byteorder, size * m  # array is native-order, so these are too
-        bias = int.from_bytes((1 << (8 * size - 1)).to_bytes(size, order) * m, order)
-        b_bytes = _pack_slots(other._ints, size)
-        packed = [
-            (int.from_bytes(b_bytes[j * width : (j + 1) * width], order) ^ bias) - bias
-            for j in range(k)
-        ]
-        out = []
+        pack, unpack = _kronecker(bound)
+        packed = pack(other._ints, m)
+        totals = []
         for i in range(n):
             row = a[i * k : (i + 1) * k]
-            total = sum(map(mul, compress(row, row), compress(packed, row)))
-            out.append(((total + bias) ^ bias).to_bytes(width, order))
-        return RatMatrix._from_ints(n, m, self._den * other._den, _unpack_slots(b"".join(out), size))
+            totals.append(sum(map(mul, compress(row, row), compress(packed, row))))
+        return RatMatrix._from_ints(n, m, self._den * other._den, unpack(totals, m))
 
     def transpose(self) -> "RatMatrix":
         e, c = self._ints, self.cols
@@ -453,19 +508,10 @@ class RatMatrix:
         e, n = self._ints, self.rows
         return all(e[i * n : (i + 1) * n] == e[i::n] for i in range(n))
 
-    def is_zero(self) -> bool:
-        return not any(self._ints)
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(min(self.rows, 6)))
         tail = " ..." if self.rows > 6 else ""
         return f"RatMatrix({self.rows}x{self.cols}: {body}{tail})"
-
-    def _require_same_shape(self, other: "RatMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(
-                f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
 
 
 class InertiaTriple(NamedTuple):

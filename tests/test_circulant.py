@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -188,7 +190,13 @@ def _ref_cyclic(a, b):
     return tuple(sum(a[i] * b[(j - i) % k] for i in range(k)) for j in range(k))
 
 
-@pytest.mark.parametrize("bits", (6, 30, 62, 63, 64, 100, 200))
+# the bits below put the bound 2^(bits-1) at the top of each slot width
+# (7, 15, 31, 63, 71: 1, 2, 4 and 8 bytes, the C array types, and 9
+# bytes, which no C type has) and one bit past it (8, 16, 32, 64, 72),
+# where entries at -2^(w-1) and 2^(w-1), w the bits of the narrower
+# width, need the next width; the matmul's tests in test_exact_core.py
+# run the same bounds
+@pytest.mark.parametrize("bits", (6, 7, 8, 15, 16, 30, 31, 32, 62, 63, 64, 71, 72, 100, 200))
 def test_packed_product_across_slot_widths_with_negative_entries(rng, bits):
     # entries up to 2^bits in absolute value, both signs: the slots run
     # from one byte to far wider than the 64-bit C type, and every slot
@@ -201,6 +209,15 @@ def test_packed_product_across_slot_widths_with_negative_entries(rng, bits):
         extreme = (-top,) * k
         assert circulant_product(extreme, extreme) == (k * top * top,) * k
         assert circulant_product(extreme, (top,) + (0,) * (k - 1)) == (-top * top,) * k
+    # the bound exactly: bound = 2^(bits-1) = edge, reached by the specs'
+    # own entries (k = 1) and by the middle slot of the linear convolution
+    # (k = 2), with both signs
+    edge = 1 << (bits - 1)
+    half = edge // 2
+    for sign in (1, -1):
+        assert circulant_product((1,), (sign * edge,)) == (sign * edge,)
+        assert circulant_product((sign,), (-edge,)) == (-sign * edge,)
+        assert circulant_product((1, sign), (half, sign * half)) == (2 * half, sign * 2 * half)
 
 
 def test_packed_product_is_not_symmetric_in_the_fold():
@@ -228,16 +245,35 @@ def _random_bordered(rng, k):
     )
 
 
+def _assert_canonical(*elements):
+    # the shared store: a positive denominator with no factor in common
+    # with the integers, and denominator 1 for zero
+    for z in elements:
+        assert z._den > 0 and math.gcd(z._den, *z._ints) == 1, z
+        if z.is_zero():
+            assert z._den == 1, z
+
+
 def _assert_algebra_matches_dense(x, y):
     dx, dy = x.dense(), y.dense()
-    c = Fraction(-3, 7)
-    assert (x @ y).dense() == dx @ dy
-    assert (y @ x).dense() == dy @ dx
-    assert (x + y).dense() == dx + dy
-    assert (x - y).dense() == dx - dy
-    assert (-x).dense() == -dx
-    assert (c * x).dense() == c * dx
-    assert (x * 2).dense() == dx * 2
+    _assert_canonical(x, y, dx, dy)
+    c, d = Fraction(-3, 7), Fraction(-5, 2)
+    results = [
+        (x @ y, dx @ dy),
+        (y @ x, dy @ dx),
+        (x + y, dx + dy),
+        (x - y, dx - dy),
+        (-x, -dx),
+        (c * x, c * dx),
+        (y * d, dy * d),
+        (x * 2, dx * 2),
+        (x * 0, dx * 0),
+        (0 * y, 0 * dy),
+        (x - x, dx - dx),
+    ]
+    for got, want in results:
+        assert got.dense() == want
+        _assert_canonical(got, want, got.dense())
     assert (x == y) == (dx == dy)
     assert x == x * 1 and x - x == 0 * x
     assert (x - x).is_zero() and (x - x).dense().is_zero()
@@ -290,12 +326,41 @@ def test_mixed_operands_are_refused():
     with pytest.raises(TypeError):
         x + b
     assert x != b and x != x.dense()
+    # a dense matrix on either side of a structured element of its order
+    for element in (x, b):
+        for left, right in ((element.dense(), element), (element, element.dense())):
+            for op in (operator.add, operator.sub, operator.matmul):
+                with pytest.raises(TypeError):
+                    op(left, right)
+            assert left != right and not left == right
     with pytest.raises(ValueError, match="nonempty"):
         Circulant(())
     with pytest.raises(ValueError, match="specs of length"):
         Bordered(1, (0, 0), (0, 0), ((x, x), (x, y)))
     with pytest.raises(TypeError, match="exact scalar"):
         Circulant((1, 0.5))
+
+
+def test_equal_elements_hash_equal_and_work_as_set_members(rng):
+    # equal values built from different but equal specs or by different
+    # operations have one storage, so one hash
+    for k in (1, 2, 5):
+        spec = [random_fraction(rng) for _ in range(k)]
+        builds = [
+            Circulant(spec),
+            Circulant(tuple(v.numerator if v.denominator == 1 else v for v in spec)),
+            Circulant([6 * v for v in spec]) * Fraction(1, 6),
+            -(-Circulant(spec)),
+            lift(materialize(spec))[0],
+        ]
+        assert len({hash(z) for z in builds}) == 1
+        assert len(set(builds)) == 1
+        x = _random_bordered(rng, k)
+        same = [(x + x) * Fraction(1, 2), -(-x), lift(x.dense())[0]]
+        assert all(z == x and hash(z) == hash(x) for z in same)
+        assert len({x, *same}) == 1
+        assert len({builds[0], builds[0].dense(), x, x.dense()}) == 4
+    assert hash(Circulant((1, 2, 3))) == hash(Circulant((Fraction(1), 2, Fraction(6, 2))))
 
 
 @pytest.mark.parametrize("k", range(1, 13))

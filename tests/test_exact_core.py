@@ -675,10 +675,14 @@ def _assert_matmul(a: RatMatrix, b: RatMatrix, label: str = "") -> RatMatrix:
     return got
 
 
-@pytest.mark.parametrize("bits", [7, 8, 9, 15, 16, 31, 32, 33, 63, 64, 65, 72, 450])
+@pytest.mark.parametrize("bits", [7, 8, 9, 15, 16, 31, 32, 33, 63, 64, 65, 71, 72, 450])
 def test_matmul_reaches_the_bound_exactly(bits):
     # bound = 2 * 2^(bits-2) * 1 = 2^(bits-1), so bound.bit_length() == bits
     # and a slot needs bits + 1 bits; up to 63 the array path unpacks.
+    # 7, 15, 31, 63 and 71 put the bound at the top of 1, 2, 4, 8 and 9
+    # bytes (the last has no C type); 8, 16, 32, 64 and 72 put entries at
+    # -2^(w-1) and 2^(w-1), w the bits of those widths, which need the next
+    # width (test_slot_width_is_the_narrowest_that_fits pins the widths)
     top = 1 << (bits - 2)
     a = RatMatrix.from_rows([[top, top], [-top, -top], [top, -top], [-top, top]])
     b = RatMatrix.from_rows([[-1, 1, 0, 1, -1], [-1, 1, 1, -1, -1]])
@@ -705,6 +709,18 @@ def test_matmul_negative_entries_in_every_slot(rng, bits):
     )
     _assert_matmul(a, checkerboard, f"{bits} bits, checkerboard signs")
     _assert_matmul(-a, -checkerboard, f"{bits} bits, both negated")
+
+
+@pytest.mark.parametrize(
+    "bits, size",
+    [(7, 1), (8, 2), (15, 2), (16, 4), (31, 4), (32, 8), (63, 8), (64, 9), (71, 9), (72, 10)],
+)
+def test_slot_width_is_the_narrowest_that_fits(bits, size):
+    # the bound 2^(bits-1) and a sign bit take `size` bytes: with slots of
+    # that width, the int 2^(8 size) is exactly slot 1 of a packed pair
+    pack, unpack = exact_core._kronecker(1 << (bits - 1))
+    assert unpack([1 << (8 * size)], 2) == [0, 1]
+    assert unpack(pack([-(1 << (bits - 1)), 1 << (bits - 1)], 2), 2) == [-(1 << (bits - 1)), 1 << (bits - 1)]
 
 
 def test_matmul_zero_rows_columns_and_operands(rng):
