@@ -28,18 +28,18 @@ computed) and rebuilds none of them from n.  Everything here is exact;
 positive semidefiniteness in particular is decided by rational inertia,
 never by floating-point eigenvalues.
 
-The circulant block identities are proved on specs.  L D, the six
-conditions and the Schur chain lift their dense operands
-(circulant.lift) to circulants and bordered elements, only after an
-entrywise comparison proves each equal to its form, and run the same
-operator code (+, -, scalar *, @, ==, is_zero) on the result: a product
-of two circulants of order k is one packed cyclic convolution, a single
-big-int product of two k-slot ints, where the dense packed product takes
-k^2 multiply-adds of k-slot ints.  Operands that do not lift,
-such as a perturbed L or D that has lost the bordered shape, stay dense
-and take the same code as dense products; the Schur chain alone needs
-the bordered shape of L, and fails an L without it.  Nothing selects a
-route but lift's exact structure test.
+The circulant block identities are proved on specs.  Each check names
+the form it lifts its operands to (circulant.lift): bordered elements
+for L and D, circulants for A, B and S.  lift returns the elements only
+after an entrywise comparison proves each matrix equal to its element,
+and the check runs the same operator code (+, -, scalar *, @, ==,
+is_zero) on them: a product of two circulants of order k is one packed
+cyclic convolution, a single big-int product of two k-slot ints, where
+the dense packed product takes k^2 multiply-adds of k-slot ints.
+Operands that do not lift, such as a perturbed L or D that has lost the
+bordered shape, stay dense and take the same code as dense products;
+the Schur chain alone needs the forms, and fails operands without them.
+Nothing selects a route but the form a check names and lift's test.
 
 The rank-one corrections are built on integer entries over one
 denominator, each as one exact_core._rank_update of integer rows: W from
@@ -97,16 +97,18 @@ def correction_matrix(d: RatMatrix, dec: Decomposition) -> RatMatrix:
     it into 2(I - X D) (check_equiv_formulation), and the report's
     kernel_projector check compares it with the closed-form V
     (build_kernel_projector).  The report builds it once for both.  L D
-    is taken on specs when L and D lift (circulant.lift: for a helm, both
-    are bordered elements) and densified once, else as a dense product.
+    is taken on specs when L and D lift to bordered elements (for a helm
+    they do) and densified once, else as a dense product.
     With L D = P/p and w = v/c over integers,
     W = (c P - 2p v e' + 2pc I)/(pc): one rank-one update of P's rows,
     then the diagonal.
     """
-    lap, dist = lift(dec.laplacian_like, d)
-    ld = lap @ dist
-    if not isinstance(ld, RatMatrix):
-        ld = ld.dense()
+    lifted = lift(Bordered, dec.laplacian_like, d)
+    if lifted:
+        lap, dist = lifted
+        ld = (lap @ dist).dense()
+    else:
+        ld = dec.laplacian_like @ d
     c, v = _common_denominator(dec.w)
     p = ld._den
     rows = _rank_update(c, _int_rows(ld), [[2 * p * x for x in v]], [[1] * ld.cols])
@@ -239,7 +241,7 @@ def check_conditions_i_vi(
     a_sums, a_den = _row_sums(a_mat)
     b_sums, b_den = _row_sums(b_mat)
     # circulant blocks are multiplied on their specs; (B + I) X = B X + X
-    a, b, s = lift(a_mat, b_mat, s_mat)
+    a, b, s = lift(Circulant, a_mat, b_mat, s_mat) or (a_mat, b_mat, s_mat)
     return SixConditions(
         a_row_sum=all(2 * x == 3 * a_den for x in a_sums),
         b_row_sum=all(x == -b_den for x in b_sums),
@@ -275,7 +277,8 @@ def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
     """Exact positive-semidefiniteness check of a bordered matrix L of case's shape.
 
     L must lift (circulant.lift) to a bordered element [[c, b'], [b, T]]
-    with a positive corner c, and eliminating c must leave exactly
+    with a positive corner c, A and B must lift to circulants, and
+    eliminating c must leave exactly
 
         [ A - J/(2(n-1))   B ]
         [ B                I ]
@@ -290,9 +293,8 @@ def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
     plus the second's, and L has the corner's plus the first
     complement's, so the one inertia of the second complement decides: L
     is PSD iff it has no negative inertia.  Returns that conjunction.  The
-    chain is taken on the bordered shape only: an L that does not lift to
-    a bordered element, or A and B that do not lift to circulants, fail
-    it.
+    chain is taken on the forms only: an L that does not lift to a
+    bordered element, or A and B that do not lift to circulants, fail it.
     """
     n = case.n
     order = 2 * n - 1
@@ -300,9 +302,11 @@ def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
         raise ValueError(f"expected order {order}, got {lap.rows}x{lap.cols}")
     if not lap.is_symmetric():
         raise ValueError("PSD check requires a symmetric matrix")
-    l, a, b = lift(lap, case.rim_block, case.coupling_block)
-    if not (isinstance(l, Bordered) and isinstance(a, Circulant)):
+    lifted = lift(Bordered, lap)
+    blocks = lift(Circulant, case.rim_block, case.coupling_block)
+    if not (lifted and blocks):
         return False
+    (l,), (a, b) = lifted, blocks
     corner = l.hub
     if corner <= 0:
         return False

@@ -23,13 +23,14 @@ dense matrices: Circulant, a k x k circulant, and Bordered, an element
 of order 2k+1 made of a hub scalar, row and column border scalars and a
 2x2 grid of circulants.  Both keep their integers in RatMatrix's store
 (exact_core's ``_IntStore``), which gives them +, -, scalar *, ==, hash
-and is_zero, canonical like a RatMatrix; each adds @ and a dense() that
-reuses the materialize and bordered_circulant layouts.  A product of two
-bordered elements is eight circulant products and O(k) scalar terms.
-lift(*matrices) turns dense matrices into these forms only after
-comparing every entry with the form read off the matrix, so the dense
-matrices stay the single source of truth: a matrix that is not exactly
-of a form keeps every argument of the call dense.
+and is_zero, canonical like a RatMatrix; each adds @ and a dense():
+Circulant's is materialize, Bordered's reuses the bordered_circulant
+layout.  A product of two bordered elements is eight circulant products
+and O(k) scalar terms.  lift(form, *matrices) turns dense matrices into
+the form its caller names, only after comparing every entry with the
+element read off the matrix, so the dense matrices stay the single
+source of truth: if one matrix is not exactly of the form, lift returns
+None and the caller keeps the dense matrices.
 
 A spec is delta-symmetric (z_i = z_{k+2-i} for i = 2..k, 1-based, with
 k its length and z_1 free) exactly when its circulant is symmetric; such
@@ -76,11 +77,6 @@ def _rotations(row: Sequence[int]) -> list[Sequence[int]]:
     return [twice[k - i : 2 * k - i] for i in range(k)]
 
 
-def _circulant_ints(row: Sequence[int]) -> list[int]:
-    """Row-major entries of the circulant with first row row."""
-    return [x for r in _rotations(row) for x in r]
-
-
 def _bordered_ints(
     hub: int, rows: Sequence[int], cols: Sequence[int], specs: Sequence[Sequence[int]]
 ) -> list[int]:
@@ -123,13 +119,12 @@ def _convolution_sum(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> li
 def materialize(spec: Sequence[Scalar]) -> RatMatrix:
     """Dense circulant matrix: row i is the right-shift of the spec by i.
 
-    The spec is brought to one common denominator once, and the rows are
-    rotations of its integer numerators.  An empty spec raises
-    ValueError, an entry that is neither an int nor a Fraction TypeError.
+    Circulant(spec).dense(): the spec is brought to one common
+    denominator once, and the rows are rotations of its integer
+    numerators.  An empty spec raises ValueError, an entry that is neither
+    an int nor a Fraction TypeError.
     """
-    k = _length(spec)
-    den, row = _common_denominator(spec)
-    return RatMatrix._from_ints(k, k, den, _circulant_ints(row))
+    return Circulant(spec).dense()
 
 
 def circulant_product(a: Sequence[Scalar], b: Sequence[Scalar]) -> Vector:
@@ -182,16 +177,13 @@ class Circulant(_IntStore):
         return cls._reduced(*_common_denominator(spec))
 
     @property
-    def order(self) -> int:
-        return len(self._ints)
-
-    @property
     def spec(self) -> Vector:
         return _fractions(self._ints, self._den)
 
     def dense(self) -> RatMatrix:
         k = len(self._ints)
-        return RatMatrix._from_ints(k, k, self._den, _circulant_ints(self._ints))
+        ints = [x for r in _rotations(self._ints) for x in r]
+        return RatMatrix._from_ints(k, k, self._den, ints)
 
     def __matmul__(self, other: "Circulant") -> "Circulant":
         if not self._is_like(other):
@@ -317,32 +309,18 @@ def _bordered_form(m: RatMatrix) -> Union[Bordered, None]:
     return Bordered._reduced(m._den, [e[0], *rows, *cols, *[x for s in specs for x in s]])
 
 
-def lift(*matrices: RatMatrix) -> tuple:
-    """The Circulant or Bordered forms of matrices, or matrices unchanged.
+def lift(form: type, *matrices: RatMatrix) -> Union[list, None]:
+    """The matrices as elements of form (Circulant or Bordered), or None.
 
-    Each square matrix is compared entry by entry with the form read off
-    it, in O(order^2) integer comparisons.  The arguments of one order
-    all become Circulants if every one of them is a circulant, else all
-    become Bordered elements if every one of them is one, so that any two
-    of one order can be added and multiplied.  If some order has neither,
-    or an argument is not square, every argument comes back unchanged:
-    the caller then runs the same operator code on the dense matrices.
+    Each matrix is compared entry by entry with the element of form read
+    off it, in O(order^2) integer comparisons.  The elements come back
+    only when every matrix is square, nonempty and equal to its element;
+    otherwise lift returns None, and the caller runs the same operator
+    code on the dense matrices.
     """
-    by_order: dict[int, list[RatMatrix]] = {}
-    for m in matrices:
-        if not m.is_square() or not m.rows:
-            return matrices
-        by_order.setdefault(m.rows, []).append(m)
-    forms = {}
-    for group in by_order.values():
-        for read in (_circulant_form, _bordered_form):
-            lifted = [read(m) for m in group]
-            if None not in lifted:
-                forms.update(zip(map(id, group), lifted))
-                break
-        else:
-            return matrices
-    return tuple([forms[id(m)] for m in matrices])
+    read = {Circulant: _circulant_form, Bordered: _bordered_form}[form]
+    lifted = [read(m) if m.is_square() and m.rows else None for m in matrices]
+    return None if any(x is None for x in lifted) else lifted
 
 
 # -- named specs used throughout the package -------------------------------

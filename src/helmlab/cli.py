@@ -14,6 +14,7 @@ serialized as exact "p/q" strings in JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -92,9 +93,12 @@ class _Checks(list):
             passed, detail = False, _raised(exc)
         self.append(CheckResult(name, passed, detail))
 
-    def setup(self, step: str, fn, *args):
+    @contextlib.contextmanager
+    def setup(self, step: str):
+        """A set-up step: a raise inside the with block, in the step or in
+        reading the values it returned, fails the step and ends the run."""
         try:
-            return fn(*args)
+            yield
         except Exception as exc:  # a crashed set-up step is a failed check
             self.append(CheckResult(f"setup:{step}", False, _raised(exc)))
             raise _SetupFailed(step) from exc
@@ -171,7 +175,8 @@ def run_verification(n: int) -> VerificationReport:
     V e = 0 and V symmetric (build_kernel_projector).
 
     A check that raises is recorded as failed with the exception text.
-    A set-up step that raises is recorded as a failed check named
+    A set-up step that raises, or whose value cannot be read as the
+    report needs it, is recorded as a failed check named
     ``setup:<step>``; the checks after it are not run, and the summary
     values not yet computed are None.  For every n >= 4 the report is
     produced; n < 4 raises ValueError.
@@ -195,11 +200,13 @@ def _run_checks(n: int, report: VerificationReport) -> None:
     k = n - 1
     checks = report.checks
 
-    d = checks.setup("helm_distance_block", helm_distance_block, n)
-    inertia_val, det_val, pinv = checks.setup("factor_symmetric", factor_symmetric, d)
-    report.inertia_triple, report.det = inertia_val, det_val
-    # Sylvester's law of inertia: the rank is the number of nonzero signs
-    report.rank_d = rank_val = inertia_val.i_plus + inertia_val.i_minus
+    with checks.setup("helm_distance_block"):
+        d = helm_distance_block(n)
+    with checks.setup("factor_symmetric"):
+        inertia_val, det_val, pinv = factor_symmetric(d)
+        # Sylvester's law of inertia: the rank is the number of nonzero signs
+        rank_val = inertia_val.i_plus + inertia_val.i_minus
+    report.inertia_triple, report.det, report.rank_d = inertia_val, det_val, rank_val
 
     def chk_block():
         ok = d == bfs_distance_matrix(build_helm(n))
@@ -224,14 +231,16 @@ def _run_checks(n: int, report: VerificationReport) -> None:
     checks.run("rank", chk_rank)
     checks.run("inertia", chk_inertia)
 
-    vectors = checks.setup("make_w_alpha", make_w_alpha, n)
-    if even:
-        case = checks.setup("make_even_case", make_even_case, n)
-    else:
-        case = checks.setup("make_odd_case", make_odd_case, n)
-    lap = case.laplacian_like
-    s_mat = checks.setup("materialize", lambda: materialize(cycle_signless_laplacian_spec(k)))
-    dec = checks.setup("decomposition", Decomposition, lap, vectors.w, vectors.alpha)
+    with checks.setup("make_w_alpha"):
+        vectors = make_w_alpha(n)
+        w, alpha = vectors.w, vectors.alpha
+    with checks.setup("make_even_case" if even else "make_odd_case"):
+        case = (make_even_case if even else make_odd_case)(n)
+        lap = case.laplacian_like
+    with checks.setup("materialize"):
+        s_mat = materialize(cycle_signless_laplacian_spec(k))
+    with checks.setup("decomposition"):
+        dec = Decomposition(lap, w, alpha)
     closed_form = closed_form_inverse if even else closed_form_mp_inverse
 
     def chk_closed():
@@ -247,7 +256,8 @@ def _run_checks(n: int, report: VerificationReport) -> None:
 
     checks.run("six_conditions", chk_six)
 
-    correction = checks.setup("correction_matrix", correction_matrix, d, dec)
+    with checks.setup("correction_matrix"):
+        correction = correction_matrix(d, dec)
 
     def chk_kernel():
         ok = correction == build_kernel_projector(case)
@@ -271,8 +281,10 @@ def _run_checks(n: int, report: VerificationReport) -> None:
 
     checks.run("uniqueness", chk_unique)
 
-    inertia_l = checks.setup("inertia_L", inertia, lap)
-    report.rank_l = rank_l = inertia_l.i_plus + inertia_l.i_minus
+    with checks.setup("inertia_L"):
+        inertia_l = inertia(lap)
+        rank_l = inertia_l.i_plus + inertia_l.i_minus
+    report.rank_l = rank_l
 
     def chk_psd():
         ok = inertia_l.i_minus == 0 and schur_psd_check(lap, case)
@@ -358,17 +370,22 @@ def _cmd_eig(args: argparse.Namespace) -> int:
     }[name]
     checks, claims = _Checks(), []
     try:
-        s_mat = checks.setup("materialize", lambda: materialize(cycle_signless_laplacian_spec(k)))
+        with checks.setup("materialize"):
+            s_mat = materialize(cycle_signless_laplacian_spec(k))
         if name != "B":
-            rim = checks.setup("build_helm", build_helm, n)[1:n]
-            adjacency = (int(j + 1 in rim[i]) for i in range(k) for j in range(k))
-            cycle = checks.setup("rim_cycle", RatMatrix, k, k, adjacency)
+            with checks.setup("build_helm"):
+                rim = build_helm(n)[1:n]
+            with checks.setup("rim_cycle"):
+                adjacency = (int(j + 1 in rim[i]) for i in range(k) for j in range(k))
+                cycle = RatMatrix(k, k, adjacency)
             claims.append(("S = 2I + C, C the rim cycle's adjacency in build_helm(n)",
                            lambda: s_mat == 2 * RatMatrix.identity(k) + cycle))
         if name != "S":
-            case = checks.setup("make_odd_case", make_odd_case, n)
-            a_mat, b_mat = case.rim_block, case.coupling_block
-            conditions = checks.setup("six_conditions", check_conditions_i_vi, a_mat, b_mat, s_mat)
+            with checks.setup("make_odd_case"):
+                case = make_odd_case(n)
+                a_mat, b_mat = case.rim_block, case.coupling_block
+            with checks.setup("six_conditions"):
+                conditions = check_conditions_i_vi(a_mat, b_mat, s_mat)
             v = alternating_signs(k)
             claims += [
                 ("(B + I) B = 0", lambda: conditions.b_annihilated),

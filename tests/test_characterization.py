@@ -37,7 +37,8 @@ from helmlab import (
     schur_psd_check,
     solve,
 )
-from helmlab.characterization import _twice_projector
+from helmlab.characterization import SixConditions, _twice_projector
+from helmlab.circulant import Circulant, lift
 from helmlab.closed_form import _helm_case
 from helmlab.exact_core import dot, ones_vector, scale_vector
 from support import (
@@ -45,6 +46,7 @@ from support import (
     env_seed,
     helm_decomposition,
     random_delta_vector,
+    random_fraction,
     random_symmetric,
 )
 
@@ -484,6 +486,107 @@ def test_six_conditions_shape_guard():
         check_conditions_i_vi(
             RatMatrix.identity(3), RatMatrix.identity(4), RatMatrix.identity(3)
         )
+
+
+def _ref_six_conditions(a_mat, b_mat, s_mat):
+    """The six block conditions, entry by entry in Fractions."""
+    a, b, s = a_mat.to_lists(), b_mat.to_lists(), s_mat.to_lists()
+    k = len(a)
+
+    def mul(x, y):
+        return [[dot(row, col) for col in zip(*y)] for row in x]
+
+    def add(x, y, c=1):
+        return [[p + c * q for p, q in zip(r, t)] for r, t in zip(x, y)]
+
+    zero = [[0] * k for _ in range(k)]
+    b_plus_i = add(b, [[Fraction(i == j) for j in range(k)] for i in range(k)])
+    return SixConditions(
+        a_row_sum=all(sum(row) == Fraction(3, 2) for row in a),
+        b_row_sum=all(sum(row) == -1 for row in b),
+        b_absorbs_s=mul(b, s) == add(zero, s, -1),
+        a_annihilated=mul(b_plus_i, a) == zero,
+        b_annihilated=mul(b_plus_i, b) == zero,
+        s_balance=add(mul(add(a, b), s), b, 2) == zero,
+    )
+
+
+def _circulant_triples(rng):
+    """Seeded spec triples (A, B, S): random ones for k = 1..12, the same with
+    the row sums of A and B set to 3/2 and -1, with B = -I, and the helm
+    triples of n = 4..13 as they are and with one spec moved by a random
+    delta-symmetric spec."""
+    triples = []
+    for k in range(1, 13):
+        a, b, s = ([random_fraction(rng) for _ in range(k)] for _ in range(3))
+        triples.append((a, b, s))
+        a = [a[0] + Fraction(3, 2) - sum(a)] + a[1:]
+        b = [b[0] - 1 - sum(b)] + b[1:]
+        triples += [(a, b, s), (a, [-1] + [0] * (k - 1), s)]
+    for n in range(4, 14):
+        case = make_even_case(n) if n % 2 == 0 else make_odd_case(n)
+        helm = (case.rim_spec, case.coupling_spec, cycle_signless_laplacian_spec(n - 1))
+        triples.append(helm)
+        for i in range(3):
+            moved = list(helm)
+            moved[i] = [x + y for x, y in zip(helm[i], random_delta_vector(rng, n - 1))]
+            triples.append(tuple(moved))
+    return [tuple(materialize(spec) for spec in t) for t in triples]
+
+
+def _with_one_entry_changed(rng, triple):
+    """triple with one entry off the first row of one matrix raised by 1."""
+    out = list(triple)
+    i = rng.randrange(3)
+    rows = out[i].to_lists()
+    rows[rng.randrange(1, len(rows))][rng.randrange(len(rows))] += 1
+    out[i] = RatMatrix.from_rows(rows)
+    return tuple(out)
+
+
+def _swap_first_two_indices(triple):
+    """P M P' for each M of triple, P the transposition of indices 0 and 1:
+    every condition is invariant under it, the circulant shape mostly not."""
+    out = []
+    for m in triple:
+        rows = m.to_lists()
+        rows[0], rows[1] = rows[1], rows[0]
+        out.append(RatMatrix.from_rows([[r[1], r[0]] + r[2:] for r in rows]))
+    return tuple(out)
+
+
+def _odd_helm_triples_with_b_plus_xv(rng):
+    """(A, B + x v', S) for odd n = 5..13, x random and v alternating: B S = -S
+    and (B + I) A = 0 still hold (S v = A v = 0), while S B and A B change,
+    so B no longer commutes with S or A."""
+    triples = []
+    for n in range(5, 14, 2):
+        case, k = make_odd_case(n), n - 1
+        x = [random_fraction(rng) for _ in range(k)]
+        b = case.coupling_block + RatMatrix.outer(x, alternating_signs(k))
+        triples.append((case.rim_block, b, materialize(cycle_signless_laplacian_spec(k))))
+    return triples
+
+
+def test_six_conditions_match_the_fraction_reference_on_both_routes(rng):
+    # the circulant triples take the spec route.  The same triples with one
+    # entry changed, those that P M P' takes off the circulant shape, and
+    # helm triples with a non-circulant B that keeps two conditions take
+    # the dense route.  On each route every condition holds somewhere and
+    # fails somewhere
+    triples = _circulant_triples(rng)
+    dense = [_with_one_entry_changed(rng, t) for t in triples if t[0].rows > 1]
+    swapped = [_swap_first_two_indices(t) for t in triples if t[0].rows > 1]
+    dense += [t for t in swapped if lift(Circulant, *t) is None]
+    dense += _odd_helm_triples_with_b_plus_xv(rng)
+    for route, spec_route in ((triples, True), (dense, False)):
+        seen = set()
+        for t in route:
+            assert (lift(Circulant, *t) is not None) == spec_route
+            got = check_conditions_i_vi(*t)
+            assert got._asdict() == _ref_six_conditions(*t)._asdict()
+            seen |= set(got._asdict().items())
+        assert seen == {(f, v) for f in SixConditions._fields for v in (True, False)}
 
 
 # -- kernel projector --------------------------------------------------------------

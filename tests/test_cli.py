@@ -239,6 +239,38 @@ def test_crash_in_eig_gives_failed_result(capsys, monkeypatch, matrix, patched, 
     assert out.splitlines()[-1].strip() == "result: FAILED"
 
 
+# Set-up steps that return a malformed value instead of raising: the report
+# reads the value inside the step, so the step fails, and no traceback
+# escapes.
+@pytest.mark.parametrize(
+    "patched, value, error",
+    [
+        ("make_odd_case", None, "AttributeError"),
+        ("factor_symmetric", (1, 2), "ValueError"),
+        ("make_w_alpha", object(), "AttributeError"),
+    ],
+)
+def test_malformed_setup_value_gives_failed_report(capsys, monkeypatch, patched, value, error):
+    monkeypatch.setattr(cli, patched, lambda arg: value)
+    code, out, err = run_main(capsys, "verify", "--n", "7", "--format", "json")
+    assert code == 1 and err == ""
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks if not c["pass"]] == [f"setup:{patched}"]
+    assert checks[-1]["name"] == f"setup:{patched}"
+    assert checks[-1]["detail"].startswith(f"raised {error}: ")
+
+
+@pytest.mark.parametrize("matrix, patched", [("S", "build_helm"), ("A", "build_helm"), ("B", "make_odd_case")])
+def test_malformed_setup_value_in_eig_gives_failed_result(capsys, monkeypatch, matrix, patched):
+    monkeypatch.setattr(cli, patched, lambda n: None)
+    code, out, err = run_main(capsys, "eig", "--matrix", matrix, "--n", "9")
+    assert code == 1 and err == ""
+    lines = _identity_lines(out)
+    assert lines[-1].startswith(f"[FAIL] setup:{patched}: raised ")
+    assert all(line.startswith("[PASS]") for line in lines[:-1])
+    assert out.splitlines()[-1].strip() == "result: FAILED"
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
 

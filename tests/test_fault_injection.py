@@ -296,9 +296,11 @@ def test_perturbed_block_fails_exactly_its_spectrum_identities(
 
 
 # Which route the perturbed ingredients take through the circulant block
-# identities: a perturbation that keeps the circulant or bordered shape
-# lifts (circulant.lift) and is checked on specs; one that breaks it keeps
-# the dense matrices.  Both routes must turn exactly the checks above red.
+# identities: each check lifts its operands to the form it names
+# (circulant.lift), L and D to bordered elements and A, B and S to
+# circulants.  A perturbation that keeps that form lifts and is checked on
+# specs; one that breaks it keeps the dense matrices.  Both routes must
+# turn exactly the checks above red.
 SPEC_ROUTE = {
     "L": False,
     "D": False,
@@ -312,18 +314,25 @@ SPEC_ROUTE = {
     "S": True,
 }
 
+CASE_FORMS = (("laplacian_like", Bordered), ("rim_block", Circulant), ("coupling_block", Circulant))
+
 
 def _perturbed_operands(name, n):
+    """(form, matrix) for each perturbed ingredient, with the form its checks lift it to."""
     if name == "S":
-        return (cli.materialize(_bump_s(cli.cycle_signless_laplacian_spec(n - 1))),)
+        return [(Circulant, cli.materialize(_bump_s(cli.cycle_signless_laplacian_spec(n - 1))))]
     if name in ("D", "D q_0"):
-        return (PERTURBATIONS[name][1](cli.helm_distance_block(n)),)
+        return [(Bordered, PERTURBATIONS[name][1](cli.helm_distance_block(n)))]
     perturb = PERTURBATIONS[name][1] if name in PERTURBATIONS else EIG_PERTURBATIONS[name][1]
-    case = perturb(cli.make_odd_case(n))
-    return (case.laplacian_like, case.rim_block, case.coupling_block)
+    base = cli.make_odd_case(n)
+    case = perturb(base)
+    return [(form, getattr(case, f)) for f, form in CASE_FORMS if getattr(case, f) != getattr(base, f)]
 
 
 @pytest.mark.parametrize("name, lifts", sorted(SPEC_ROUTE.items()))
 def test_perturbations_take_the_route_their_shape_allows(name, lifts):
-    kinds = {type(m) for m in lift(*_perturbed_operands(name, 9))}
-    assert kinds <= ({Bordered, Circulant} if lifts else {RatMatrix})
+    [(form, m)] = _perturbed_operands(name, 9)  # each perturbation changes one ingredient
+    lifted = lift(form, m)
+    assert (lifted is not None) == lifts
+    if lifts:
+        assert lifted[0].dense() == m
