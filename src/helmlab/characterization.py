@@ -28,26 +28,27 @@ computed) and rebuilds none of them from n.  Everything here is exact;
 positive semidefiniteness in particular is decided by rational inertia,
 never by floating-point eigenvalues.
 
-The circulant block identities are proved on specs.  Each check names
-the form it lifts its operands to (circulant.lift): bordered elements
-for L and D, circulants for A, B and S.  lift returns the elements only
-after an entrywise comparison proves each matrix equal to its element,
-and the check runs the same operator code (+, -, scalar *, @, ==,
-is_zero) on them: a product of two circulants of order k is one packed
-cyclic convolution, a single big-int product of two k-slot ints, where
-the dense packed product takes k^2 multiply-adds of k-slot ints.
-Operands that do not lift, such as a perturbed L or D that has lost the
-bordered shape, stay dense and take the same code as dense products;
-the Schur chain alone needs the forms, and fails operands without them.
-Nothing selects a route but the form a check names and lift's test.
+The circulant block identities are proved on specs.  The rim and
+coupling blocks A and B are held as circulants (closed_form.HelmCase),
+and so is S, so the six conditions take them as they are and refuse any
+other type.  L and D stay dense, since the oracles read them, and the
+two checks that multiply them lift them to bordered elements
+(circulant.lift), which returns the elements only after an entrywise
+comparison proves each matrix equal to its element.  The checks run the
+same operator code (+, -, scalar *, @, ==, is_zero) on the elements: a
+product of two circulants of order k is one packed cyclic convolution,
+a single big-int product of two k-slot ints, where the dense packed
+product takes k^2 multiply-adds of k-slot ints.  An L or D that does
+not lift, such as one perturbed off the bordered shape, stays dense in
+L D; the Schur chain needs the form, and fails an L without it.
 
 The rank-one corrections are built on integer entries over one
 denominator, each as one exact_core._rank_update of integer rows: W from
 the rows of L D plus its diagonal, and 2 P_K from a fraction-free
 Gram-Schmidt basis of the kernel vectors.  The certificate's
 D w = e/alpha, D u = 0 and X u = 0, check_uniqueness's X e and the six
-conditions' row sums are integer sums compared as integers, with no
-Fraction per entry.
+conditions' row sums (spec sums) are integer sums compared as integers,
+with no Fraction per entry.
 """
 
 from __future__ import annotations
@@ -208,13 +209,14 @@ def check_uniqueness(d: RatMatrix, dec: Decomposition) -> tuple[Fraction, Vector
     return alpha, w
 
 
-def check_conditions_i_vi(
-    a_mat: RatMatrix, b_mat: RatMatrix, s_mat: RatMatrix
-) -> SixConditions:
-    """Evaluate the six exact block conditions on (A, B, S).
+def check_conditions_i_vi(a: Circulant, b: Circulant, s: Circulant) -> SixConditions:
+    """Evaluate the six exact block conditions on the circulants (A, B, S).
 
     A and B are the rim and coupling blocks of the bordered matrix
-    (B = -I in the even case), S the rim cycle's signless Laplacian.
+    (B = -I in the even case), S the rim cycle's signless Laplacian, each
+    a circulant.Circulant: the conditions are spec identities, and the
+    spectra below hold only for circulants.  Any other type raises
+    TypeError, circulants of unequal orders ValueError.
 
     For odd n, conditions (iii), (v) and (vi) and four more identities
     fix the three spectra exactly; ``helmlab eig`` checks each one.  Let
@@ -230,21 +232,13 @@ def check_conditions_i_vi(
        -2 b_j: a_j = 1 + 2/s_j = 1 + 1/(2cos^2(pi j/k)) for j != k/2,
        which is 3/2 at j = 0.  A v = 0 gives a_(k/2) = 0.
     """
-    if not (
-        a_mat.is_square()
-        and b_mat.is_square()
-        and s_mat.is_square()
-        and a_mat.rows == b_mat.rows == s_mat.rows
-    ):
-        raise ValueError("A, B, S must be square of equal order")
-    # with row sums s/den over integers, A e = (3/2) e reads 2s = 3 den
-    a_sums, a_den = _row_sums(a_mat)
-    b_sums, b_den = _row_sums(b_mat)
-    # circulant blocks are multiplied on their specs; (B + I) X = B X + X
-    a, b, s = lift(Circulant, a_mat, b_mat, s_mat) or (a_mat, b_mat, s_mat)
+    if not all(type(m) is Circulant for m in (a, b, s)):
+        raise TypeError("A, B and S must be Circulants")
+    # a circulant's row sums are its spec sum: with spec ints over den,
+    # A e = (3/2) e reads 2 sum = 3 den; (B + I) X = B X + X
     return SixConditions(
-        a_row_sum=all(2 * x == 3 * a_den for x in a_sums),
-        b_row_sum=all(x == -b_den for x in b_sums),
+        a_row_sum=2 * sum(a._ints) == 3 * a._den,
+        b_row_sum=sum(b._ints) == -b._den,
         b_absorbs_s=b @ s == -s,
         a_annihilated=(b @ a + a).is_zero(),
         b_annihilated=(b @ b + b).is_zero(),
@@ -267,7 +261,7 @@ def build_kernel_projector(case: HelmCase) -> RatMatrix:
     the closed-form kernel basis (HelmVectors.kernel); both are compared
     with the same W.
     """
-    rim = [2 * x for x in case.coupling_spec]
+    rim = [2 * x for x in case.coupling_block.spec]
     rim[0] += 2
     zero = (0,) * len(rim)
     return bordered_circulant(0, (0, 0), (rim, zero, zero))
@@ -277,16 +271,14 @@ def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
     """Exact positive-semidefiniteness check of a bordered matrix L of case's shape.
 
     L must lift (circulant.lift) to a bordered element [[c, b'], [b, T]]
-    with a positive corner c, A and B must lift to circulants, and
-    eliminating c must leave exactly
+    with a positive corner c, and eliminating c must leave exactly
 
         [ A - J/(2(n-1))   B ]
         [ B                I ]
 
-    with A, B the case's rim and coupling blocks, read from the dense
-    case.rim_block and case.coupling_block.  L's first complement
-    T - b b'/c keeps the circulant blocks: with b = (b1 e, b2 e), block
-    (i, j) is T_ij - (b_i b_j/c) J.  Its identity block needs no inverse,
+    with A, B the case's circulant rim and coupling blocks.  L's first
+    complement T - b b'/c keeps the circulant blocks: with b = (b1 e,
+    b2 e), block (i, j) is T_ij - (b_i b_j/c) J.  Its identity block needs no inverse,
     so eliminating it leaves A - J/(2(n-1)) - B^2, which must equal
     A + B - J/(2(n-1)) exactly (this encodes B^2 = -B).  By Haynsworth's
     inertia additivity the first complement has the identity's inertia
@@ -294,7 +286,7 @@ def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
     complement's, so the one inertia of the second complement decides: L
     is PSD iff it has no negative inertia.  Returns that conjunction.  The
     chain is taken on the forms only: an L that does not lift to a
-    bordered element, or A and B that do not lift to circulants, fail it.
+    bordered element fails it.
     """
     n = case.n
     order = 2 * n - 1
@@ -303,10 +295,9 @@ def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
     if not lap.is_symmetric():
         raise ValueError("PSD check requires a symmetric matrix")
     lifted = lift(Bordered, lap)
-    blocks = lift(Circulant, case.rim_block, case.coupling_block)
-    if not (lifted and blocks):
+    if not lifted:
         return False
-    (l,), (a, b) = lifted, blocks
+    (l,), a, b = lifted, case.rim_block, case.coupling_block
     corner = l.hub
     if corner <= 0:
         return False

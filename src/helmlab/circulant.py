@@ -26,11 +26,14 @@ of order 2k+1 made of a hub scalar, row and column border scalars and a
 and is_zero, canonical like a RatMatrix; each adds @ and a dense():
 Circulant's is materialize, Bordered's reuses the bordered_circulant
 layout.  A product of two bordered elements is eight circulant products
-and O(k) scalar terms.  lift(form, *matrices) turns dense matrices into
-the form its caller names, only after comparing every entry with the
-element read off the matrix, so the dense matrices stay the single
+and O(k) scalar terms.  The rim blocks A, B and S exist only as
+Circulants (closed_form.HelmCase), while L and D stay dense, since the
+dense oracles read them.  lift(form, *matrices) turns dense matrices
+into the form its caller names, only after comparing every entry with
+the element read off the matrix, so the dense matrices stay the single
 source of truth: if one matrix is not exactly of the form, lift returns
-None and the caller keeps the dense matrices.
+None and the caller keeps the dense matrices.  The report lifts only L
+and D, to Bordered.
 
 A spec is delta-symmetric (z_i = z_{k+2-i} for i = 2..k, 1-based, with
 k its length and z_1 free) exactly when its circulant is symmetric; such

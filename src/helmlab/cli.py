@@ -32,7 +32,7 @@ from .characterization import (
     rank_l_check,
     schur_psd_check,
 )
-from .circulant import alternating_signs, cycle_signless_laplacian_spec, materialize
+from .circulant import Circulant, alternating_signs, cycle_signless_laplacian_spec
 from .closed_form import (
     closed_form_inverse,
     closed_form_mp_inverse,
@@ -53,14 +53,9 @@ from .graphs import bfs_distance_matrix, build_helm, helm_distance_block
 
 # Largest n accepted by verify, sweep and eig, so that an oversized n is
 # refused instead of starting a dense run that does not end.  The dense
-# oracles cost about n^3 integer operations; `run_verification(n)` takes
-# 0.4 to 0.65 seconds at n = 129 to 131 on a 2-vCPU Xeon VM (Python 3.11),
-# of which the inertia of L takes 0.07 to 0.17 s, the Schur chain 0.05 to
-# 0.15 s (nearly all of it the inertia of A + B - J/(2(n-1))) and the
-# factorization of D 0.13 to 0.19 s.  The circulant block identities run
-# on specs: W = L D + 2I - 2we' takes 0.02 s, about 5 ms of it L D
-# (lifting L and D, the product and densifying it), and the six block
-# conditions 2 ms.
+# oracles (the factorization of D, the inertias of L and of the Schur
+# chain's complement) cost about n^3 integer operations; README states
+# the time of a run at this n.
 MAX_N = 130
 
 
@@ -161,7 +156,8 @@ def run_verification(n: int) -> VerificationReport:
     step: D; one factorization of D (factor_symmetric) that gives its
     inertia, determinant and pseudoinverse (D^-1 for even n); w, alpha
     and the closed-form kernel basis, the closed-form case, the rim
-    cycle's signless Laplacian S, the Decomposition (and with it X),
+    cycle's signless Laplacian S (a Circulant, like the case's A and B:
+    no circulant block is made dense), the Decomposition (and with it X),
     W = L D + 2I - 2we' (correction_matrix) and the inertia of L.  The
     ranks of D and L are read off their inertias.  The checks share them
     and rebuild nothing.  Each identity is checked once: the closed-form
@@ -237,8 +233,9 @@ def _run_checks(n: int, report: VerificationReport) -> None:
     with checks.setup("make_even_case" if even else "make_odd_case"):
         case = (make_even_case if even else make_odd_case)(n)
         lap = case.laplacian_like
+    # S stays a Circulant; the step keeps the name that failure reports print
     with checks.setup("materialize"):
-        s_mat = materialize(cycle_signless_laplacian_spec(k))
+        s = Circulant(cycle_signless_laplacian_spec(k))
     with checks.setup("decomposition"):
         dec = Decomposition(lap, w, alpha)
     closed_form = closed_form_inverse if even else closed_form_mp_inverse
@@ -250,7 +247,7 @@ def _run_checks(n: int, report: VerificationReport) -> None:
     checks.run("closed_form_inverse" if even else "closed_form_mp_inverse", chk_closed)
 
     def chk_six():
-        conditions = check_conditions_i_vi(case.rim_block, case.coupling_block, s_mat)
+        conditions = check_conditions_i_vi(case.rim_block, case.coupling_block, s)
         held = sum(1 for b in conditions if b)
         return all(conditions), f"{held}/6 block conditions hold"
 
@@ -371,7 +368,7 @@ def _cmd_eig(args: argparse.Namespace) -> int:
     checks, claims = _Checks(), []
     try:
         with checks.setup("materialize"):
-            s_mat = materialize(cycle_signless_laplacian_spec(k))
+            s = Circulant(cycle_signless_laplacian_spec(k))
         if name != "B":
             with checks.setup("build_helm"):
                 rim = build_helm(n)[1:n]
@@ -379,24 +376,24 @@ def _cmd_eig(args: argparse.Namespace) -> int:
                 adjacency = (int(j + 1 in rim[i]) for i in range(k) for j in range(k))
                 cycle = RatMatrix(k, k, adjacency)
             claims.append(("S = 2I + C, C the rim cycle's adjacency in build_helm(n)",
-                           lambda: s_mat == 2 * RatMatrix.identity(k) + cycle))
+                           lambda: s.dense() == 2 * RatMatrix.identity(k) + cycle))
         if name != "S":
             with checks.setup("make_odd_case"):
                 case = make_odd_case(n)
-                a_mat, b_mat = case.rim_block, case.coupling_block
+                a, b = case.rim_block, case.coupling_block
             with checks.setup("six_conditions"):
-                conditions = check_conditions_i_vi(a_mat, b_mat, s_mat)
+                conditions = check_conditions_i_vi(a, b, s)
             v = alternating_signs(k)
             claims += [
                 ("(B + I) B = 0", lambda: conditions.b_annihilated),
-                ("trace B = 2 - n", lambda: sum(b_mat[i, i] for i in range(k)) == 2 - n),
-                ("B v = 0", lambda: not any(b_mat.mul_vector(v))),
+                ("trace B = 2 - n", lambda: k * b.spec[0] == 2 - n),
+                ("B v = 0", lambda: not any(b.dense().mul_vector(v))),
             ]
             if name == "A":
                 claims += [
                     ("B S = -S", lambda: conditions.b_absorbs_s),
                     ("(A + B) S + 2B = 0", lambda: conditions.s_balance),
-                    ("A v = 0", lambda: not any(a_mat.mul_vector(v))),
+                    ("A v = 0", lambda: not any(a.dense().mul_vector(v))),
                 ]
         for identity, holds in claims:
             checks.run(identity, lambda: (holds(), ""))

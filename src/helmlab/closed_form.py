@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .circulant import alternating_signs, bordered_circulant, materialize
+from .circulant import Circulant, alternating_signs, bordered_circulant
 from .exact_core import Decomposition, RatMatrix, Vector
 
 
@@ -67,9 +67,9 @@ def make_w_alpha(n: int) -> HelmVectors:
 class HelmCase:
     """Ingredients of the closed form for one n, either parity.
 
-    rim_spec and coupling_spec (both delta-symmetric) define the
-    circulant blocks rim_block A and coupling_block B; laplacian_like is
-    the bordered order-(2n-1) matrix
+    rim_block A and coupling_block B are circulants of order n - 1, kept
+    as elements (circulant.Circulant) whose delta-symmetric specs are
+    their first rows; laplacian_like is the bordered order-(2n-1) matrix
 
         [ (n-1)/2   -e'/2      0 ]
         [ -e/2      A          B ]
@@ -79,10 +79,8 @@ class HelmCase:
     """
 
     n: int
-    rim_spec: Vector
-    coupling_spec: Vector
-    rim_block: RatMatrix
-    coupling_block: RatMatrix
+    rim_block: Circulant
+    coupling_block: Circulant
     laplacian_like: RatMatrix
 
 
@@ -91,9 +89,7 @@ def _helm_case(n: int, rim_spec: Vector, coupling_spec: Vector) -> HelmCase:
     lap = bordered_circulant(
         Fraction(n - 1, 2), (Fraction(-1, 2), 0), (rim_spec, coupling_spec, unit)
     )
-    return HelmCase(
-        n, rim_spec, coupling_spec, materialize(rim_spec), materialize(coupling_spec), lap
-    )
+    return HelmCase(n, Circulant(rim_spec), Circulant(coupling_spec), lap)
 
 
 def make_odd_case(n: int) -> HelmCase:

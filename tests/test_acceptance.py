@@ -38,6 +38,7 @@ from helmlab import (
     rank_l_check,
     schur_psd_check,
 )
+from helmlab.circulant import Circulant
 from support import (
     helm_decomposition,
     make_rng,
@@ -116,8 +117,9 @@ def test_criterion_6_characterization_suite():
             d = helm_distance_block(n)
             vectors = make_w_alpha(n)
             case = make_even_case(n) if even else make_odd_case(n)
-            coupling = -RatMatrix.identity(k) if even else case.coupling_block
-            s = materialize(cycle_signless_laplacian_spec(k))
+            unit = Circulant((1,) + (0,) * (k - 1))
+            coupling = -unit if even else case.coupling_block
+            s = Circulant(cycle_signless_laplacian_spec(k))
             assert all(check_conditions_i_vi(case.rim_block, coupling, s))
 
             projector = build_kernel_projector(case)
@@ -159,7 +161,7 @@ def test_criterion_8_spectra():
                     assert cli.main(["eig", "--matrix", name, "--n", str(n)]) == 0
         for n in ODD_NS:
             k = n - 1
-            b = make_odd_case(n).coupling_block
+            b = make_odd_case(n).coupling_block.dense()
             assert b @ b == -b
             assert rank(b) == n - 2
             shifted = b - Fraction(1, 2 * (n - 1)) * RatMatrix.ones(k, k)

@@ -28,7 +28,6 @@ from helmlab import (
     make_even_case,
     make_odd_case,
     make_w_alpha,
-    materialize,
     null_space_basis,
     penrose_check,
     pseudoinverse,
@@ -38,7 +37,7 @@ from helmlab import (
     solve,
 )
 from helmlab.characterization import SixConditions, _twice_projector
-from helmlab.circulant import Circulant, lift
+from helmlab.circulant import Circulant
 from helmlab.closed_form import _helm_case
 from helmlab.exact_core import dot, ones_vector, scale_vector
 from support import (
@@ -347,8 +346,8 @@ def _ref_schur_chain(m, case):
         for row, bi in zip(rows[1:], border)
     ]
     k = case.n - 1
-    b = case.coupling_block.to_lists()
-    rim = [[x - Fraction(1, 2 * k) for x in row] for row in case.rim_block.to_lists()]
+    b = case.coupling_block.dense().to_lists()
+    rim = [[x - Fraction(1, 2 * k) for x in row] for row in case.rim_block.dense().to_lists()]
     ident = [[Fraction(i == j) for j in range(k)] for i in range(k)]
     if first != [r + s for r, s in zip(rim, b)] + [r + s for r, s in zip(b, ident)]:
         return False
@@ -372,7 +371,8 @@ def test_integer_builds_match_fraction_references_on_helm(n):
     # helm L, the negated L (corner < 0) and an L whose rim spec is
     # shifted by 3 (consistent complements, a negative inertia)
     case = make_even_case(n) if n % 2 == 0 else make_odd_case(n)
-    lowered = _helm_case(n, (case.rim_spec[0] - 3,) + case.rim_spec[1:], case.coupling_spec)
+    rim = case.rim_block.spec
+    lowered = _helm_case(n, (rim[0] - 3,) + rim[1:], case.coupling_block.spec)
     for lap, c in (
         (case.laplacian_like, case),
         (-case.laplacian_like, case),
@@ -401,10 +401,11 @@ def test_schur_chain_on_specs_matches_the_fraction_reference(rng):
         n = rng.randint(4, 12)
         true = make_even_case(n) if n % 2 == 0 else make_odd_case(n)
         shift = random_delta_vector(rng, n - 1)
-        coupling = true.coupling_spec if rng.random() < 0.75 else random_delta_vector(rng, n - 1)
+        rim = true.rim_block.spec
+        coupling = true.coupling_block.spec if rng.random() < 0.75 else random_delta_vector(rng, n - 1)
         cases = [
-            _helm_case(n, true.rim_spec, coupling),
-            _helm_case(n, tuple([x + y for x, y in zip(true.rim_spec, shift)]), coupling),
+            _helm_case(n, rim, coupling),
+            _helm_case(n, tuple([x + y for x, y in zip(rim, shift)]), coupling),
         ]
         for lap in [c.laplacian_like for c in cases]:
             for m in (lap, bump_l(lap)):
@@ -455,9 +456,14 @@ def test_no_other_alpha_admits_a_normalized_solution(n):
 # -- six conditions -------------------------------------------------------------
 
 
+def _unit(k: int) -> Circulant:
+    """The identity of order k as a circulant."""
+    return Circulant((1,) + (0,) * (k - 1))
+
+
 def test_six_conditions_odd_n9():
     data = make_odd_case(9)
-    s = materialize(cycle_signless_laplacian_spec(8))
+    s = Circulant(cycle_signless_laplacian_spec(8))
     report = check_conditions_i_vi(data.rim_block, data.coupling_block, s)
     assert all(report)
 
@@ -465,27 +471,37 @@ def test_six_conditions_odd_n9():
 def test_six_conditions_even_n8_with_negative_identity():
     data = make_even_case(8)
     k = 7
-    s = materialize(cycle_signless_laplacian_spec(k))
-    report = check_conditions_i_vi(data.rim_block, -RatMatrix.identity(k), s)
+    s = Circulant(cycle_signless_laplacian_spec(k))
+    report = check_conditions_i_vi(data.rim_block, -_unit(k), s)
     assert all(report)
 
 
 def test_six_conditions_detect_perturbation():
     data = make_odd_case(7)
-    s = materialize(cycle_signless_laplacian_spec(6))
-    perturbed = data.rim_block + RatMatrix.from_blocks(
-        [[1, RatMatrix.zeros(1, 5)], [RatMatrix.zeros(5, 1), RatMatrix.zeros(5, 5)]]
-    )
-    report = check_conditions_i_vi(perturbed, data.coupling_block, s)
+    s = Circulant(cycle_signless_laplacian_spec(6))
+    report = check_conditions_i_vi(data.rim_block + _unit(6), data.coupling_block, s)
     assert not report.s_balance
     assert not all(report)
 
 
 def test_six_conditions_shape_guard():
-    with pytest.raises(ValueError, match="square of equal order"):
-        check_conditions_i_vi(
-            RatMatrix.identity(3), RatMatrix.identity(4), RatMatrix.identity(3)
-        )
+    with pytest.raises(ValueError, match="unequal order"):
+        check_conditions_i_vi(_unit(3), _unit(4), _unit(3))
+
+
+def test_six_conditions_refuse_a_dense_block():
+    # the spectra that eig reads off the conditions hold only for
+    # circulants, so a dense matrix is refused, even a circulant one
+    case = make_odd_case(7)
+    triple = (case.rim_block, case.coupling_block, Circulant(cycle_signless_laplacian_spec(6)))
+    assert all(check_conditions_i_vi(*triple))
+    for i in range(3):
+        dense = list(triple)
+        dense[i] = dense[i].dense()
+        with pytest.raises(TypeError, match="Circulants"):
+            check_conditions_i_vi(*dense)
+    with pytest.raises(TypeError, match="Circulants"):
+        check_conditions_i_vi(*[m.dense() for m in triple])
 
 
 def _ref_six_conditions(a_mat, b_mat, s_mat):
@@ -525,68 +541,29 @@ def _circulant_triples(rng):
         triples += [(a, b, s), (a, [-1] + [0] * (k - 1), s)]
     for n in range(4, 14):
         case = make_even_case(n) if n % 2 == 0 else make_odd_case(n)
-        helm = (case.rim_spec, case.coupling_spec, cycle_signless_laplacian_spec(n - 1))
+        helm = (case.rim_block.spec, case.coupling_block.spec, cycle_signless_laplacian_spec(n - 1))
         triples.append(helm)
         for i in range(3):
             moved = list(helm)
             moved[i] = [x + y for x, y in zip(helm[i], random_delta_vector(rng, n - 1))]
             triples.append(tuple(moved))
-    return [tuple(materialize(spec) for spec in t) for t in triples]
-
-
-def _with_one_entry_changed(rng, triple):
-    """triple with one entry off the first row of one matrix raised by 1."""
-    out = list(triple)
-    i = rng.randrange(3)
-    rows = out[i].to_lists()
-    rows[rng.randrange(1, len(rows))][rng.randrange(len(rows))] += 1
-    out[i] = RatMatrix.from_rows(rows)
-    return tuple(out)
-
-
-def _swap_first_two_indices(triple):
-    """P M P' for each M of triple, P the transposition of indices 0 and 1:
-    every condition is invariant under it, the circulant shape mostly not."""
-    out = []
-    for m in triple:
-        rows = m.to_lists()
-        rows[0], rows[1] = rows[1], rows[0]
-        out.append(RatMatrix.from_rows([[r[1], r[0]] + r[2:] for r in rows]))
-    return tuple(out)
-
-
-def _odd_helm_triples_with_b_plus_xv(rng):
-    """(A, B + x v', S) for odd n = 5..13, x random and v alternating: B S = -S
-    and (B + I) A = 0 still hold (S v = A v = 0), while S B and A B change,
-    so B no longer commutes with S or A."""
-    triples = []
-    for n in range(5, 14, 2):
-        case, k = make_odd_case(n), n - 1
-        x = [random_fraction(rng) for _ in range(k)]
-        b = case.coupling_block + RatMatrix.outer(x, alternating_signs(k))
-        triples.append((case.rim_block, b, materialize(cycle_signless_laplacian_spec(k))))
-    return triples
+    return [tuple(Circulant(spec) for spec in t) for t in triples]
 
 
 def test_six_conditions_match_the_fraction_reference_on_both_routes(rng):
-    # the circulant triples take the spec route.  The same triples with one
-    # entry changed, those that P M P' takes off the circulant shape, and
-    # helm triples with a non-circulant B that keeps two conditions take
-    # the dense route.  On each route every condition holds somewhere and
-    # fails somewhere
+    # the circulant triples take the spec route, and every condition holds
+    # on one of them and fails on another.  The dense route is gone: their
+    # dense copies are refused
     triples = _circulant_triples(rng)
-    dense = [_with_one_entry_changed(rng, t) for t in triples if t[0].rows > 1]
-    swapped = [_swap_first_two_indices(t) for t in triples if t[0].rows > 1]
-    dense += [t for t in swapped if lift(Circulant, *t) is None]
-    dense += _odd_helm_triples_with_b_plus_xv(rng)
-    for route, spec_route in ((triples, True), (dense, False)):
-        seen = set()
-        for t in route:
-            assert (lift(Circulant, *t) is not None) == spec_route
-            got = check_conditions_i_vi(*t)
-            assert got._asdict() == _ref_six_conditions(*t)._asdict()
-            seen |= set(got._asdict().items())
-        assert seen == {(f, v) for f in SixConditions._fields for v in (True, False)}
+    seen = set()
+    for t in triples:
+        dense = [m.dense() for m in t]
+        got = check_conditions_i_vi(*t)
+        assert got._asdict() == _ref_six_conditions(*dense)._asdict()
+        seen |= set(got._asdict().items())
+        with pytest.raises(TypeError):
+            check_conditions_i_vi(*dense)
+    assert seen == {(f, v) for f in SixConditions._fields for v in (True, False)}
 
 
 # -- kernel projector --------------------------------------------------------------
@@ -597,7 +574,7 @@ def test_kernel_projector_rim_block_has_rank_one():
     rim = projector.submatrix(range(1, 5), range(1, 5))
     assert rank(rim) == 1
     data = make_odd_case(5)
-    assert rim == 2 * (data.coupling_block + RatMatrix.identity(4))
+    assert rim == (2 * (data.coupling_block + _unit(4))).dense()
 
 
 @pytest.mark.parametrize("n", ODD_RANGE)
@@ -669,11 +646,11 @@ def test_solution_set_is_a_kernel_line(n):
 def test_shifted_coupling_block_annihilating_polynomial(n):
     k = n - 1
     data = make_odd_case(n)
-    m = data.coupling_block - Fraction(1, 2 * (n - 1)) * RatMatrix.ones(k, k)
-    ident = RatMatrix.identity(k)
-    assert all(x == 0 for x in m.mul_vector(alternating_signs(k)))
+    m = data.coupling_block - Fraction(1, 2 * (n - 1)) * Circulant((1,) * k)
+    ident = _unit(k)
+    assert all(x == 0 for x in m.dense().mul_vector(alternating_signs(k)))
     assert (m @ (m + ident) @ (m + Fraction(3, 2) * ident)).is_zero()
-    assert rank(m) == n - 2
+    assert rank(m.dense()) == n - 2
 
 
 # -- PSD and rank of L -------------------------------------------------------------------
@@ -706,8 +683,8 @@ def test_schur_psd_check_rejects_an_indefinite_but_consistent_l(n):
     # complements still have their expected form; only the inertia of
     # A + B - J/(2(n-1)), now with a negative eigenvalue, can say no
     c = make_odd_case(n)
-    rim_spec = (c.rim_spec[0] - 3,) + c.rim_spec[1:]
-    case = _helm_case(n, rim_spec, c.coupling_spec)
+    rim_spec = (c.rim_block.spec[0] - 3,) + c.rim_block.spec[1:]
+    case = _helm_case(n, rim_spec, c.coupling_block.spec)
     assert inertia(case.laplacian_like).i_minus > 0
     assert not schur_psd_check(case.laplacian_like, case)
 

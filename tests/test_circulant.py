@@ -438,7 +438,7 @@ def test_is_delta_examples():
 
 
 def test_odd_case_rim_spec_is_delta():
-    assert materialize(make_odd_case(9).rim_spec).is_symmetric()
+    assert make_odd_case(9).rim_block.dense().is_symmetric()
 
 
 def test_delta_vector_validates():
@@ -447,9 +447,9 @@ def test_delta_vector_validates():
 
 def test_delta_materializations_are_symmetric():
     for vec in (
-        make_odd_case(9).rim_spec,
-        make_odd_case(9).coupling_spec,
-        make_even_case(8).rim_spec,
+        make_odd_case(9).rim_block.spec,
+        make_odd_case(9).coupling_block.spec,
+        make_even_case(8).rim_block.spec,
         cycle_signless_laplacian_spec(8),
         rim_distance_spec(8),
     ):
@@ -475,7 +475,7 @@ def test_delta_closure_even_rim_spec_against_s():
     n = 8
     data = make_even_case(n)
     s = cycle_signless_laplacian_spec(n - 1)
-    assert materialize(circulant_product(data.rim_spec, s)).is_symmetric()
+    assert materialize(circulant_product(data.rim_block.spec, s)).is_symmetric()
 
 
 def test_delta_closure_rejects_bad_pattern():
@@ -509,7 +509,7 @@ def test_eigenvalues_of_signless_laplacian_n7():
 
 def test_eigenvalues_of_coupling_spec_n7():
     # B^2 = -B puts the spectrum in {0, -1}; rank(B + I) = 1 leaves one 0
-    b = materialize(make_odd_case(7).coupling_spec)
+    b = make_odd_case(7).coupling_block.dense()
     assert b @ b == -b
     assert rank(b + RatMatrix.identity(6)) == 1
     assert rank(b) == 5

@@ -26,6 +26,7 @@ from helmlab import (
     rank,
     rank_one_scale,
 )
+from helmlab.circulant import Circulant
 from helmlab.exact_core import dot, ones_vector, scale_vector
 from support import helm_decomposition
 
@@ -83,29 +84,30 @@ def test_make_w_alpha_rejects_small_n():
 
 def test_odd_case_n5_values():
     data = make_odd_case(5)
-    assert data.rim_spec == tuple(Fraction(v, 24) for v in (33, 9, -15, 9))
-    assert data.coupling_spec == tuple(Fraction(v, 4) for v in (-3, -1, 1, -1))
-    assert sum(data.coupling_spec, Fraction(0)) == -1
+    assert data.rim_block.spec == tuple(Fraction(v, 24) for v in (33, 9, -15, 9))
+    assert data.coupling_block.spec == tuple(Fraction(v, 4) for v in (-3, -1, 1, -1))
+    assert sum(data.coupling_block.spec, Fraction(0)) == -1
 
 
 @pytest.mark.parametrize("n", (5, 7, 9, 11, 13, 15))
 def test_rim_spec_sums_to_three_halves(n):
-    assert sum(make_odd_case(n).rim_spec, Fraction(0)) == Fraction(3, 2)
+    assert sum(make_odd_case(n).rim_block.spec, Fraction(0)) == Fraction(3, 2)
 
 
 @pytest.mark.parametrize("n", (5, 7, 9, 11, 13, 15))
 def test_row_sums_of_odd_blocks(n):
+    # A J = (3/2) J and B J = -J, J the all-ones circulant, say A e = (3/2) e and B e = -e
     data = make_odd_case(n)
-    e = ones_vector(n - 1)
-    assert data.rim_block.mul_vector(e) == scale_vector(Fraction(3, 2), e)
-    assert data.coupling_block.mul_vector(e) == scale_vector(Fraction(-1), e)
+    ones = Circulant((1,) * (n - 1))
+    assert data.rim_block @ ones == Fraction(3, 2) * ones
+    assert data.coupling_block @ ones == -ones
 
 
 def test_coupling_spec_tail_alternates():
     data = make_odd_case(11)
     n = 11
-    assert data.coupling_spec[0] == Fraction(2 - n, n - 1)
-    tail = data.coupling_spec[1:]
+    assert data.coupling_block.spec[0] == Fraction(2 - n, n - 1)
+    tail = data.coupling_block.spec[1:]
     assert tail == tuple(Fraction((-1) ** i, n - 1) for i in range(1, n - 1))
     assert tail[-1] == Fraction(-1, n - 1)
 
@@ -129,8 +131,8 @@ def test_alternating_sum_identities(m):
 def test_rim_spec_orthogonal_to_alternating_vector(n):
     data = make_odd_case(n)
     v = alternating_signs(n - 1)
-    assert dot(data.rim_spec, v) == 0
-    assert all(x == 0 for x in data.rim_block.mul_vector(v))
+    assert dot(data.rim_block.spec, v) == 0
+    assert all(x == 0 for x in data.rim_block.dense().mul_vector(v))
 
 
 @pytest.mark.parametrize("n", ODD_RANGE)
@@ -139,8 +141,8 @@ def test_coupling_block_algebra(n):
     b = data.coupling_block
     k = n - 1
     assert b @ b == -b
-    assert rank(b) == n - 2
-    assert all(x == 0 for x in b.mul_vector(alternating_signs(k)))
+    assert rank(b.dense()) == n - 2
+    assert all(x == 0 for x in b.dense().mul_vector(alternating_signs(k)))
 
 
 @pytest.mark.parametrize("n", ODD_RANGE)
@@ -148,13 +150,12 @@ def test_block_identities_with_signless_laplacian(n):
     data = make_odd_case(n)
     a, b = data.rim_block, data.coupling_block
     k = n - 1
-    s = materialize(cycle_signless_laplacian_spec(k))
-    ident = RatMatrix.identity(k)
-    zero = RatMatrix.zeros(k, k)
+    s = Circulant(cycle_signless_laplacian_spec(k))
+    ident = Circulant((1,) + (0,) * (k - 1))
     assert b @ s == -s
-    assert (b + ident) @ a == zero
-    assert (b + ident) @ b == zero
-    assert (a + b) @ s + 2 * b == zero
+    assert ((b + ident) @ a).is_zero()
+    assert ((b + ident) @ b).is_zero()
+    assert ((a + b) @ s + 2 * b).is_zero()
     # combining the last two pairs: (A - I) S = -2 B
     assert (a - ident) @ s == -2 * b
 
@@ -171,14 +172,14 @@ def test_make_odd_case_rejects_bad_n():
 
 def test_even_case_n6_values():
     data = make_even_case(6)
-    assert data.rim_spec == tuple(Fraction(v, 2) for v in (7, -3, 1, 1, -3))
-    assert sum(data.rim_spec, Fraction(0)) == Fraction(3, 2)
+    assert data.rim_block.spec == tuple(Fraction(v, 2) for v in (7, -3, 1, 1, -3))
+    assert sum(data.rim_block.spec, Fraction(0)) == Fraction(3, 2)
 
 
 def test_even_rim_spec_times_s_n6():
     data = make_even_case(6)
     s = materialize(cycle_signless_laplacian_spec(5))
-    product = tuple(dot(data.rim_spec, s.column(j)) for j in range(5))
+    product = tuple(dot(data.rim_block.spec, s.column(j)) for j in range(5))
     assert product == (4, 1, 0, 0, 1)
 
 
@@ -186,11 +187,11 @@ def test_even_rim_spec_times_s_n6():
 def test_even_rim_spec_times_s_is_s_plus_two_e1(n):
     data = make_even_case(n)
     s_spec = cycle_signless_laplacian_spec(n - 1)
-    product = circulant_product(data.rim_spec, s_spec)
+    product = circulant_product(data.rim_block.spec, s_spec)
     expected = (s_spec[0] + 2,) + s_spec[1:]
     assert product == expected
     # same fact as a dense identity: (A - I) S = 2 I
-    a = data.rim_block
+    a = data.rim_block.dense()
     k = n - 1
     s = materialize(s_spec)
     assert (a - RatMatrix.identity(k)) @ s == 2 * RatMatrix.identity(k)
@@ -306,13 +307,13 @@ def _expected_rim_signless(n: int) -> tuple[Fraction, ...]:
 
 
 def test_rim_signless_product_n7_value():
-    x, s = make_odd_case(7).rim_spec, cycle_signless_laplacian_spec(6)
+    x, s = make_odd_case(7).rim_block.spec, cycle_signless_laplacian_spec(6)
     assert circulant_product(x, s) == tuple(Fraction(v, 6) for v in (22, 8, -2, 2, -2, 8))
 
 
 @pytest.mark.parametrize("n", ODD_RANGE)
 def test_rim_signless_product_pattern_and_delta(n):
-    x, s = make_odd_case(n).rim_spec, cycle_signless_laplacian_spec(n - 1)
+    x, s = make_odd_case(n).rim_block.spec, cycle_signless_laplacian_spec(n - 1)
     row = circulant_product(x, s)
     assert row == _expected_rim_signless(n)
     assert materialize(row).is_symmetric()
@@ -322,6 +323,6 @@ def test_rim_signless_product_pattern_and_delta(n):
 def test_rim_signless_product_balances_coupling(n):
     data = make_odd_case(n)
     s_spec = cycle_signless_laplacian_spec(n - 1)
-    row = circulant_product(data.rim_spec, s_spec)
-    combined = tuple(r + 2 * y for r, y in zip(row, data.coupling_spec))
+    row = circulant_product(data.rim_block.spec, s_spec)
+    combined = tuple(r + 2 * y for r, y in zip(row, data.coupling_block.spec))
     assert combined == s_spec

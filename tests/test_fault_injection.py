@@ -21,6 +21,14 @@ from helmlab.circulant import Bordered, Circulant, bordered_circulant, lift
 from support import bump_l
 
 
+def _unit(k):
+    return Circulant((1,) + (0,) * (k - 1))
+
+
+def _ones(k):
+    return Circulant((1,) * k)
+
+
 def _bump_l(case):
     return dataclasses.replace(case, laplacian_like=bump_l(case.laplacian_like))
 
@@ -28,10 +36,7 @@ def _bump_l(case):
 def _bump_a(case):
     # change only the rim block A; L, and so every check built on L, keeps
     # the true blocks, and only the checks that read A itself see it
-    k = case.n - 1
-    return dataclasses.replace(
-        case, rim_block=case.rim_block + Fraction(1, 3) * RatMatrix.identity(k)
-    )
+    return dataclasses.replace(case, rim_block=case.rim_block + Fraction(1, 3) * _unit(case.n - 1))
 
 
 def _shift_w(vectors):
@@ -220,20 +225,22 @@ def _add_j_to_b(case):
     # B + J/(n-1) keeps (B + I) B = 0 and B v = 0: it moves the eigenvalue
     # on e from -1 to 0, which only the trace sees
     k = case.n - 1
-    return _replace_b(case, case.coupling_block + Fraction(1, k) * RatMatrix.ones(k, k))
+    return _replace_b(case, case.coupling_block + Fraction(1, k) * _ones(k))
 
 
 def _move_b_kernel_to_e(case):
     # J/(n-1) - I has B's spectrum with the zero on e instead of v
     k = case.n - 1
-    return _replace_b(case, Fraction(1, k) * RatMatrix.ones(k, k) - RatMatrix.identity(k))
+    return _replace_b(case, Fraction(1, k) * _ones(k) - _unit(k))
 
 
 def _add_nilpotent_to_b(case):
-    # x e' with x = e_1 - e_3 squares to 0, has trace 0 and kills v
+    # x e' with x = e_1 - e_3 squares to 0, has trace 0 and kills v; it
+    # is no circulant, so B + x e' is a dense matrix, which the six
+    # conditions refuse before any identity is checked
     k = case.n - 1
     x = (1, 0, -1) + (0,) * (k - 3)
-    return _replace_b(case, case.coupling_block + RatMatrix.outer(x, (1,) * k))
+    return _replace_b(case, case.coupling_block.dense() + RatMatrix.outer(x, (1,) * k))
 
 
 def _add_circulant_to_b(case):
@@ -243,7 +250,7 @@ def _add_circulant_to_b(case):
     # B v = 0 are unchanged, and B + G has the eigenvalue 1 on e and -2 on
     # modes 2 and 6: (B + I) B = 0 fails, and B S = -S with it, as s_0 = 4
     g = (0, 1, 2, 1, 0, 1, 2, 1)
-    return _replace_b(case, case.coupling_block + Fraction(1, 4) * cli.materialize(g))
+    return _replace_b(case, case.coupling_block + Fraction(1, 4) * Circulant(g))
 
 
 def _bump_s(spec):
@@ -253,6 +260,7 @@ def _bump_s(spec):
 
 S_IDENTITY = "S = 2I + C, C the rim cycle's adjacency in build_helm(n)"
 A_CONDITIONS = {"B S = -S", "(A + B) S + 2B = 0"}
+B_REFUSED = {"setup:six_conditions: raised TypeError: A, B and S must be Circulants"}
 
 EIG_PERTURBATIONS = {
     "A": ("make_odd_case", _bump_a),
@@ -271,8 +279,8 @@ EIG_FAILURES = {
     ("B+J", "A"): {"trace B = 2 - n"} | A_CONDITIONS,
     ("B kernel", "B"): {"B v = 0"},
     ("B kernel", "A"): {"B v = 0"} | A_CONDITIONS,
-    ("B+xe'", "B"): {"(B + I) B = 0"},
-    ("B+xe'", "A"): {"(B + I) B = 0"} | A_CONDITIONS,
+    ("B+xe'", "B"): B_REFUSED,
+    ("B+xe'", "A"): B_REFUSED,
     ("B+G", "B"): {"(B + I) B = 0"},
     ("B+G", "A"): {"(B + I) B = 0"} | A_CONDITIONS,
     ("S", "S"): {S_IDENTITY},
@@ -296,11 +304,13 @@ def test_perturbed_block_fails_exactly_its_spectrum_identities(
 
 
 # Which route the perturbed ingredients take through the circulant block
-# identities: each check lifts its operands to the form it names
-# (circulant.lift), L and D to bordered elements and A, B and S to
-# circulants.  A perturbation that keeps that form lifts and is checked on
-# specs; one that breaks it keeps the dense matrices.  Both routes must
-# turn exactly the checks above red.
+# identities.  A, B and S are held as circulants: a perturbation that keeps
+# that form is checked on specs, and one that breaks it (B + xe') is a
+# dense matrix, which the six conditions refuse.  L and D are dense, and
+# the checks that multiply them lift them to bordered elements
+# (circulant.lift): a perturbation that keeps that form lifts and is
+# checked on specs, one that breaks it stays dense.  Both routes must turn
+# exactly the checks above red.
 SPEC_ROUTE = {
     "L": False,
     "D": False,
@@ -318,9 +328,9 @@ CASE_FORMS = (("laplacian_like", Bordered), ("rim_block", Circulant), ("coupling
 
 
 def _perturbed_operands(name, n):
-    """(form, matrix) for each perturbed ingredient, with the form its checks lift it to."""
+    """(form, value) for each perturbed ingredient, with the form its checks need."""
     if name == "S":
-        return [(Circulant, cli.materialize(_bump_s(cli.cycle_signless_laplacian_spec(n - 1))))]
+        return [(Circulant, Circulant(_bump_s(cli.cycle_signless_laplacian_spec(n - 1))))]
     if name in ("D", "D q_0"):
         return [(Bordered, PERTURBATIONS[name][1](cli.helm_distance_block(n)))]
     perturb = PERTURBATIONS[name][1] if name in PERTURBATIONS else EIG_PERTURBATIONS[name][1]
@@ -332,6 +342,9 @@ def _perturbed_operands(name, n):
 @pytest.mark.parametrize("name, lifts", sorted(SPEC_ROUTE.items()))
 def test_perturbations_take_the_route_their_shape_allows(name, lifts):
     [(form, m)] = _perturbed_operands(name, 9)  # each perturbation changes one ingredient
+    if form is Circulant:
+        assert isinstance(m, Circulant) == lifts
+        return
     lifted = lift(form, m)
     assert (lifted is not None) == lifts
     if lifts:
