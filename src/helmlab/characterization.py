@@ -57,7 +57,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .circulant import Bordered, Circulant, bordered_circulant, lift
+from .circulant import Circulant, bordered_circulant, lift
 from .closed_form import HelmCase
 from .exact_core import (
     Decomposition,
@@ -104,7 +104,7 @@ def correction_matrix(d: RatMatrix, dec: Decomposition) -> RatMatrix:
     W = (c P - 2p v e' + 2pc I)/(pc): one rank-one update of P's rows,
     then the diagonal.
     """
-    lifted = lift(Bordered, dec.laplacian_like, d)
+    lifted = lift(dec.laplacian_like, d)
     if lifted:
         lap, dist = lifted
         ld = (lap @ dist).dense()
@@ -294,7 +294,7 @@ def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
         raise ValueError(f"expected order {order}, got {lap.rows}x{lap.cols}")
     if not lap.is_symmetric():
         raise ValueError("PSD check requires a symmetric matrix")
-    lifted = lift(Bordered, lap)
+    lifted = lift(lap)
     if not lifted:
         return False
     (l,), a, b = lifted, case.rim_block, case.coupling_block

@@ -28,12 +28,11 @@ Circulant's is materialize, Bordered's reuses the bordered_circulant
 layout.  A product of two bordered elements is eight circulant products
 and O(k) scalar terms.  The rim blocks A, B and S exist only as
 Circulants (closed_form.HelmCase), while L and D stay dense, since the
-dense oracles read them.  lift(form, *matrices) turns dense matrices
-into the form its caller names, only after comparing every entry with
-the element read off the matrix, so the dense matrices stay the single
-source of truth: if one matrix is not exactly of the form, lift returns
-None and the caller keeps the dense matrices.  The report lifts only L
-and D, to Bordered.
+dense oracles read them.  lift(*matrices) turns dense matrices into
+Bordered elements, only after comparing every entry with the element
+read off the matrix, so the dense matrices stay the single source of
+truth: if one matrix is not exactly of the form, lift returns None and
+the caller keeps the dense matrices.  The report lifts only L and D.
 
 A spec is delta-symmetric (z_i = z_{k+2-i} for i = 2..k, 1-based, with
 k its length and z_1 free) exactly when its circulant is symmetric; such
@@ -286,22 +285,12 @@ class Bordered(_IntStore):
         return f"Bordered(hub={self.hub}, rows={self.rows}, cols={self.cols}, blocks={self.blocks})"
 
 
-def _circulant_form(m: RatMatrix) -> Union[Circulant, None]:
-    """m as a Circulant when m equals the circulant of its first row, else None."""
-    k, e = m.rows, m._ints
-    twice = e[:k] * 2
-    for i in range(1, k):
-        if e[i * k : (i + 1) * k] != twice[k - i : 2 * k - i]:
-            return None
-    return Circulant._reduced(m._den, e[:k])
-
-
 def _bordered_form(m: RatMatrix) -> Union[Bordered, None]:
-    """m as a Bordered element when m, of odd order 2k+1 >= 3, equals the
-    element read off its first row and column and the first row of each
-    block, else None."""
+    """m as a Bordered element when m, square of odd order 2k+1 >= 3,
+    equals the element read off its first row and column and the first
+    row of each block, else None."""
     n, e = m.rows, m._ints
-    if n < 3 or n % 2 == 0:
+    if m.cols != n or n < 3 or n % 2 == 0:
         return None
     k = (n - 1) // 2
     top, low = n + 1, (k + 1) * n + 1  # first entries of P and of R
@@ -312,17 +301,16 @@ def _bordered_form(m: RatMatrix) -> Union[Bordered, None]:
     return Bordered._reduced(m._den, [e[0], *rows, *cols, *[x for s in specs for x in s]])
 
 
-def lift(form: type, *matrices: RatMatrix) -> Union[list, None]:
-    """The matrices as elements of form (Circulant or Bordered), or None.
+def lift(*matrices: RatMatrix) -> Union[list[Bordered], None]:
+    """The matrices as Bordered elements, or None.
 
-    Each matrix is compared entry by entry with the element of form read
-    off it, in O(order^2) integer comparisons.  The elements come back
-    only when every matrix is square, nonempty and equal to its element;
-    otherwise lift returns None, and the caller runs the same operator
-    code on the dense matrices.
+    Each matrix is compared entry by entry with the element read off it,
+    in O(order^2) integer comparisons.  The elements come back only when
+    every matrix is square, of odd order at least 3 and equal to its
+    element; otherwise lift returns None, and the caller runs the same
+    operator code on the dense matrices.
     """
-    read = {Circulant: _circulant_form, Bordered: _bordered_form}[form]
-    lifted = [read(m) if m.is_square() and m.rows else None for m in matrices]
+    lifted = [_bordered_form(m) for m in matrices]
     return None if any(x is None for x in lifted) else lifted
 
 

@@ -86,26 +86,27 @@ S = E - B' Y:
 A and S are factored the same way, and blocks at or below the cutoff by
 one congruence pass that applies each row operation to a transform E
 too (symmetric 1x1 and 2x2 pivots, after Bunch and Kaufman, Math.
-Comp. 31, 1977): a step leaves l E_Q - U K F for the rows of E, F the
-block's own rows, by the same update as the triangle.  E M E' is then
-block diagonal: its pivots give the inertia and, as E is unit lower
-triangular in pivot order, the determinant; the rows of E that leave as
-zero rows span the kernel; and G = F' Omega F, F the pivots' rows of E
-and Omega the inverses of the pivot blocks, is a symmetric generalized
-inverse.  The indices are split in one order: those with a nonzero
-diagonal entry first, then the other indices of nonzero rows, then those
-of zero rows, each group ascending.  A principal block holding a zero
-row is singular, so zero rows never lead; the kernel of an odd helm D
-shows up as such a row in every trailing Schur complement.  If A is
-singular all the same, the block is factored by the base pass whatever
-its order.  Both rules depend only on the matrix, so the same input
-always takes the same path, and a different path would change only the
-speed: the inertia, the determinant and the pseudoinverse are unique.
-The last is G projected on both sides onto the complement of ker M
-(N = Q = ker M) by the same ``_project_out`` as ``pseudoinverse``.  A
-split's generalized inverse [[A^- + Z Y', -Z], [-Z', S^-]], Z = Y S^-,
-and its kernel rows are laid out over one denominator in one pass over
-the blocks' integer rows.
+Comp. 31, 1977).  E's rows are plain full-length integer rows over one
+common scale that start as the rows of I, and a step leaves
+l E_Q - U K F for them, F the block's own rows, by the same update as
+the triangle.  E M E' is then block diagonal: its pivots give the
+inertia and, as E is unit lower triangular in pivot order, the
+determinant; the rows of E that leave as zero rows span the kernel; and
+G = F' Omega F, F the pivots' rows of E and Omega the inverses of the
+pivot blocks, is a symmetric generalized inverse.  The indices are split
+in one order: those with a nonzero diagonal entry first, then the other
+indices of nonzero rows, then those of zero rows, each group ascending.
+A principal block holding a zero row is singular, so zero rows never
+lead; the kernel of an odd helm D shows up as such a row in every
+trailing Schur complement.  If A is singular all the same, the block is
+factored by the base pass whatever its order.  Both rules depend only on
+the matrix, so the same input always takes the same path, and a
+different path would change only the speed: the inertia, the
+determinant and the pseudoinverse are unique.  The last is G projected
+on both sides onto the complement of ker M (N = Q = ker M) by the same
+``_project_out`` as ``pseudoinverse``.  A split's generalized inverse
+[[A^- + Z Y', -Z], [-Z', S^-]], Z = Y S^-, and its kernel rows are laid
+out over one denominator in one pass over the blocks' integer rows.
 """
 
 from __future__ import annotations
@@ -117,14 +118,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[Fraction, int]
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class VerificationError(RuntimeError):
@@ -148,21 +148,6 @@ def frac(value: Scalar) -> Fraction:
 
 def vec(values: Iterable[Scalar]) -> Vector:
     return tuple([frac(v) for v in values])
-
-
-def ones_vector(length: int) -> Vector:
-    return (_ONE,) * length
-
-
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError(f"dot of lengths {len(u)} and {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), _ZERO)
-
-
-def scale_vector(c: Scalar, v: Sequence[Fraction]) -> Vector:
-    cf = frac(c)
-    return tuple([cf * x for x in v])
 
 
 # -- integer representation ---------------------------------------------------
@@ -963,15 +948,14 @@ def _congruence(m: RatMatrix, carry: bool = False) -> Union[InertiaTriple, "_Fac
 
     ``carry`` applies every row operation, with the same multipliers, to
     the rows of a transform E that starts as I, so E M E' is block
-    diagonal: the pivot blocks and a zero block.  In pivot order E is unit
-    lower triangular, so a remaining row of E has entry 1 at its own index
-    and is kept as its entries on the eliminated indices (``done``, in
-    elimination order) times one common integer scale ``se``.  The block's
-    rows F of E are then E_P padded with se I on its own indices, and E_Q,
-    padded with zeros there, becomes l E_Q - U K F: the same update.  The
-    kept triangle is the complement times nw/dw.  Each is divided by its
-    own content after each step, and the scales are two integer ratios,
-    not ``Fraction``s.  Then:
+    diagonal: the pivot blocks and a zero block.  E's remaining rows are
+    plain integer rows of full length, E times one common scale ``se``,
+    like the right block of ``_gauss_jordan``'s [A | d I].  A step's rows
+    F of E are its pivots' rows, the other rows E_Q become l E_Q - U K F
+    (the same update as the triangle), and the step's terms of G below
+    are taken with its pivots.  The kept triangle is the complement times
+    nw/dw.  Each is divided by its own content after each step, and the
+    scales are two integer ratios, not ``Fraction``s.  Then:
 
     * det M is the product of the pivots, or 0 with a kernel;
     * the rows of E that leave as zero rows (dropped before a 2x2 step or
@@ -985,20 +969,12 @@ def _congruence(m: RatMatrix, carry: bool = False) -> Union[InertiaTriple, "_Fac
     w = [list(e[i * n : i * n + i + 1]) for i in range(n)]
     i_zero, all_pivots = 0, []
     if carry:
-        # E's remaining rows er on ``done``, their indices idx, each step's
-        # (F, swap, K's entries, nw, l dw se^2), the kernel rows in full
-        # length, and det = det_num / det_den
-        er: list[list[int]] = [[] for _ in range(n)]
-        idx, done, factors, kernel = list(range(n)), [], [], []
+        # E's remaining rows er (the rows of I to start), the Gram terms
+        # (f, g, a, b) of G = sum (a/b) f' g, the kernel rows, and
+        # det = det_num / det_den
+        er = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+        terms, kernel = [], []
         se, nw, dw, det_num, det_den = 1, m._den, 1, 1, 1
-
-        def full(row: list[int], own: Optional[int] = None) -> list[int]:
-            v = [0] * n
-            for i, x in zip(done, row):
-                v[i] = x
-            if own is not None:
-                v[own] = se
-            return v
 
     def column(q: int) -> list[int]:
         return w[q] + [row[q] for row in w[q + 1 :]]
@@ -1029,7 +1005,7 @@ def _congruence(m: RatMatrix, carry: bool = False) -> Union[InertiaTriple, "_Fac
                 break
             i_zero += p
             if carry:
-                kernel += [full(row, own) for row, own in zip(er[:p], idx[:p])]
+                kernel += er[:p]
             q = next(i for i in range(p + 1, len(w)) if w[i][p])
             b = w[q][p]
             block, cols, dropped = [p, q], [column(p), column(q)], range(p)
@@ -1043,16 +1019,15 @@ def _congruence(m: RatMatrix, carry: bool = False) -> Union[InertiaTriple, "_Fac
         w = _rank_update(scale, map(compress, compress(w, keep), repeat(keep)), uk, u)
         all_pivots += pivots
         if carry:
-            nb, pad = len(block), [0] * len(block)
-            f = [er[q] + pad[:c] + [se] + pad[c + 1 :] for c, q in enumerate(block)]
+            f = [er[q] for q in block]
             # the true block is P dw/nw and F's rows are E's over se, so
-            # Omega = (K / l) nw/dw over se^2
-            factors.append((f, swap, ks, nw, scale * dw * se * se))
-            det_num *= math.prod(pivots) * dw**nb
-            det_den *= nw**nb
-            done += [idx[q] for q in block]
-            er = _rank_update(scale, map(add, compress(er, keep), repeat(pad)), uk, f)
-            idx = list(compress(idx, keep))
+            # Omega = (K / l) nw/dw over se^2; row c of F meets row c, or
+            # its partner's
+            om = scale * dw * se * se
+            terms += [(r, g, k * nw, om) for r, g, k in zip(f, f[::-1] if swap else f, ks)]
+            det_num *= math.prod(pivots) * dw ** len(block)
+            det_den *= nw ** len(block)
+            er = _rank_update(scale, compress(er, keep), uk, f)
         content = _content(w)
         if content > 1:
             w = [[x // content for x in row] for row in w]
@@ -1069,13 +1044,7 @@ def _congruence(m: RatMatrix, carry: bool = False) -> Union[InertiaTriple, "_Fac
     tri = InertiaTriple(i_plus, len(all_pivots) - i_plus, i_zero + len(w))
     if not carry:
         return tri
-    kernel += [full(row, own) for row, own in zip(er, idx)]
-    kernel = [[x // c for x in v] for v in kernel for c in [math.gcd(*v)]]
-    # each block's row c of F against row c, or against its partner's
-    terms = []
-    for f, swap, ks, a, b in factors:
-        f = [full(row) for row in f]
-        terms += [(r, g, k * a, b) for r, g, k in zip(f, f[::-1] if swap else f, ks)]
+    kernel = [[x // c for x in v] for v in kernel + er for c in [math.gcd(*v)]]
     return _Factor(
         tri,
         _ZERO if kernel else Fraction(det_num, det_den),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, seed, settings
@@ -39,7 +40,6 @@ from helmlab import (
 from helmlab.characterization import SixConditions, _twice_projector
 from helmlab.circulant import Circulant
 from helmlab.closed_form import _helm_case
-from helmlab.exact_core import dot, ones_vector, scale_vector
 from support import (
     bump_l,
     env_seed,
@@ -86,7 +86,7 @@ def test_equiv_formulation_rejects_perturbed_l(n):
     # products and W = 2 P_K can reject the bumped L
     d, dec = helm_distance_block(n), helm_decomposition(n)
     bumped = Decomposition(bump_l(dec.laplacian_like), dec.w, dec.alpha)
-    assert d.mul_vector(bumped.w) == scale_vector(1 / bumped.alpha, ones_vector(d.rows))
+    assert d.mul_vector(bumped.w) == (1 / bumped.alpha,) * d.rows
     assert not _certify(d, bumped, make_w_alpha(n).kernel)
     assert not penrose_check(d, bumped.candidate)
 
@@ -149,7 +149,7 @@ def test_equiv_formulation_refuses_dependent_kernel_vectors(factor):
     d, dec = helm_distance_block(7), helm_decomposition(7)
     u = make_w_alpha(7).kernel[0]
     with pytest.raises(ValueError, match="linearly dependent"):
-        _certify(d, dec, [u, scale_vector(factor, u)])
+        _certify(d, dec, [u, tuple([factor * x for x in u])])
 
 
 def test_equiv_formulation_refuses_a_kernel_vector_of_another_order():
@@ -181,7 +181,7 @@ def test_equiv_formulation_hypothesis_failure():
         (Fraction(1),) + (Fraction(0),) * (n - 1),
         Fraction(1),
     )
-    assert _certify(toy, small, [ones_vector(n)]) is False
+    assert _certify(toy, small, [(Fraction(1),) * n]) is False
 
 
 def test_equiv_formulation_requires_symmetry():
@@ -226,12 +226,11 @@ def _singular_symmetric(rng, e_in_range: bool):
 def _triple_of(x: RatMatrix):
     """(L, w, alpha) read off a symmetric X as check_uniqueness does, or None
     when e'Xe = 0: alpha = e'Xe, w = Xe/alpha, L = -2(X - alpha ww')."""
-    e = ones_vector(x.rows)
-    image = x.mul_vector(e)
-    alpha = dot(e, image)
+    image = x.mul_vector((Fraction(1),) * x.rows)
+    alpha = sum(image)
     if alpha == 0:
         return None
-    w = scale_vector(1 / alpha, image)
+    w = tuple([v / alpha for v in image])
     return Decomposition(-2 * (x - alpha * RatMatrix.outer(w, w)), w, alpha)
 
 
@@ -252,10 +251,10 @@ def test_generic_singular_family_is_certified(rng):
     # orthogonal, which the projector must orthogonalize first
     assert {len(kernel) for _, _, kernel in family} == {1, 2, 3}
     assert any(
-        dot(kernel[0], kernel[1]) != 0 for _, _, kernel in family if len(kernel) > 1
+        sum(map(mul, kernel[0], kernel[1])) != 0 for _, _, kernel in family if len(kernel) > 1
     )
     for d, dec, kernel in family:
-        assert solve(d, ones_vector(d.rows)) is not None
+        assert solve(d, (Fraction(1),) * d.rows) is not None
         assert _certify(d, dec, kernel), d
         assert penrose_check(d, dec.candidate), d
         assert check_uniqueness(d, dec) == (dec.alpha, dec.w)
@@ -283,7 +282,7 @@ def test_generic_singular_family_fails_with_e_outside_the_range(rng):
     # pinv(D) still has the shape -L/2 + alpha ww', but D w = DXe/alpha is
     # the projection of e/alpha on the range, not e/alpha
     for d, dec, kernel in _singular_family(rng, e_in_range=False, count=20):
-        assert solve(d, ones_vector(d.rows)) is None
+        assert solve(d, (Fraction(1),) * d.rows) is None
         assert dec.candidate == pseudoinverse(d)
         assert not _certify(d, dec, kernel), d
 
@@ -304,7 +303,7 @@ def _ref_correction(d, dec):
     """L D + 2I - 2we', entry by entry in Fractions."""
     cols = list(zip(*d.to_lists()))
     return [
-        [dot(row, col) + 2 * (i == j) - 2 * dec.w[i] for j, col in enumerate(cols)]
+        [sum(map(mul, row, col)) + 2 * (i == j) - 2 * dec.w[i] for j, col in enumerate(cols)]
         for i, row in enumerate(dec.laplacian_like.to_lists())
     ]
 
@@ -313,7 +312,7 @@ def _ref_twice_projector(kernel, order):
     """2 K'(K K')^-1 K, the Gram inverse by Gauss-Jordan in Fractions."""
     k = len(kernel)
     rows = [
-        [dot(u, v) for v in kernel] + [Fraction(i == j) for j in range(k)]
+        [sum(map(mul, u, v)) for v in kernel] + [Fraction(i == j) for j in range(k)]
         for i, u in enumerate(kernel)
     ]
     for c in range(k):
@@ -351,7 +350,7 @@ def _ref_schur_chain(m, case):
     ident = [[Fraction(i == j) for j in range(k)] for i in range(k)]
     if first != [r + s for r, s in zip(rim, b)] + [r + s for r, s in zip(b, ident)]:
         return False
-    if any(dot(row, col) != -x for row in b for col, x in zip(zip(*b), row)):
+    if any(sum(map(mul, row, col)) != -x for row in b for col, x in zip(zip(*b), row)):
         return False
     second = [[x + y for x, y in zip(r, s)] for r, s in zip(rim, b)]
     return inertia(RatMatrix.from_rows(second)).i_minus == 0
@@ -443,14 +442,13 @@ def test_no_other_alpha_admits_a_normalized_solution(n):
     # for any scale c != 4/(3(n-1)), solutions x of D x = (1/c) e exist
     # but never satisfy e'x = 1, so the scale in the formula is forced
     d = helm_distance_block(n)
-    e = ones_vector(2 * n - 1)
     for wrong in (Fraction(1, 4), Fraction(1), Fraction(7, 5)):
-        x = solve(d, scale_vector(1 / wrong, e))
+        x = solve(d, (1 / wrong,) * d.rows)
         assert x is not None
-        assert dot(e, x) != 1
+        assert sum(x) != 1
         if n % 2 == 1:
             kernel = null_space_basis(d)[0]
-            assert dot(e, kernel) == 0  # kernel shifts cannot fix e'x
+            assert sum(kernel) == 0  # kernel shifts cannot fix e'x
 
 
 # -- six conditions -------------------------------------------------------------
@@ -509,8 +507,8 @@ def _ref_six_conditions(a_mat, b_mat, s_mat):
     a, b, s = a_mat.to_lists(), b_mat.to_lists(), s_mat.to_lists()
     k = len(a)
 
-    def mul(x, y):
-        return [[dot(row, col) for col in zip(*y)] for row in x]
+    def times(x, y):
+        return [[sum(map(mul, row, col)) for col in zip(*y)] for row in x]
 
     def add(x, y, c=1):
         return [[p + c * q for p, q in zip(r, t)] for r, t in zip(x, y)]
@@ -520,10 +518,10 @@ def _ref_six_conditions(a_mat, b_mat, s_mat):
     return SixConditions(
         a_row_sum=all(sum(row) == Fraction(3, 2) for row in a),
         b_row_sum=all(sum(row) == -1 for row in b),
-        b_absorbs_s=mul(b, s) == add(zero, s, -1),
-        a_annihilated=mul(b_plus_i, a) == zero,
-        b_annihilated=mul(b_plus_i, b) == zero,
-        s_balance=add(mul(add(a, b), s), b, 2) == zero,
+        b_absorbs_s=times(b, s) == add(zero, s, -1),
+        a_annihilated=times(b_plus_i, a) == zero,
+        b_annihilated=times(b_plus_i, b) == zero,
+        s_balance=add(times(add(a, b), s), b, 2) == zero,
     )
 
 
@@ -585,12 +583,12 @@ def test_kernel_projector_identities(n):
     d = helm_distance_block(n)
     vectors = make_w_alpha(n)
     assert projector.is_symmetric()
-    assert all(x == 0 for x in projector.mul_vector(ones_vector(order)))
+    assert all(x == 0 for x in projector.mul_vector((Fraction(1),) * order))
     assert (d @ projector).is_zero()
     assert (projector @ data.laplacian_like).is_zero()
     assert all(x == 0 for x in projector.mul_vector(vectors.w))
     # the correction identity: L D + 2I - 2 w e' = V
-    two_we = 2 * RatMatrix.outer(vectors.w, ones_vector(order))
+    two_we = 2 * RatMatrix.outer(vectors.w, (Fraction(1),) * order)
     assert data.laplacian_like @ d + 2 * RatMatrix.identity(order) - two_we == projector
 
 
@@ -601,7 +599,7 @@ def test_even_correction_vanishes(n):
     data = make_even_case(n)
     vectors = make_w_alpha(n)
     order = 2 * n - 1
-    two_we = 2 * RatMatrix.outer(vectors.w, ones_vector(order))
+    two_we = 2 * RatMatrix.outer(vectors.w, (Fraction(1),) * order)
     assert data.laplacian_like @ d + 2 * RatMatrix.identity(order) == two_we
 
 
@@ -625,13 +623,12 @@ def test_mp_inverse_shares_the_kernel(n):
 def test_solution_set_is_a_kernel_line(n):
     d = helm_distance_block(n)
     vectors = make_w_alpha(n)
-    e = ones_vector(2 * n - 1)
-    rhs = scale_vector(Fraction(3 * (n - 1), 4), e)
+    rhs = (Fraction(3 * (n - 1), 4),) * (2 * n - 1)
     z0 = _kernel_vector(n)
     for t in (Fraction(-2), Fraction(1), Fraction(3, 2)):
         shifted = tuple([a + t * z for a, z in zip(vectors.w, z0)])
         assert d.mul_vector(shifted) == rhs
-        assert dot(e, shifted) == 1
+        assert sum(shifted) == 1
     # only the t = 0 member lies in the range of D
     assert solve(d, vectors.w) is not None
     for t in (Fraction(1), Fraction(-1), Fraction(3, 2)):

@@ -351,12 +351,11 @@ def test_equal_elements_hash_equal_and_work_as_set_members(rng):
             Circulant(tuple(v.numerator if v.denominator == 1 else v for v in spec)),
             Circulant([6 * v for v in spec]) * Fraction(1, 6),
             -(-Circulant(spec)),
-            lift(Circulant, materialize(spec))[0],
         ]
         assert len({hash(z) for z in builds}) == 1
         assert len(set(builds)) == 1
         x = _random_bordered(rng, k)
-        same = [(x + x) * Fraction(1, 2), -(-x), lift(Bordered, x.dense())[0]]
+        same = [(x + x) * Fraction(1, 2), -(-x), lift(x.dense())[0]]
         assert all(z == x and hash(z) == hash(x) for z in same)
         assert len({x, *same}) == 1
         assert len({builds[0], builds[0].dense(), x, x.dense()}) == 4
@@ -365,14 +364,11 @@ def test_equal_elements_hash_equal_and_work_as_set_members(rng):
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_lift_round_trips(rng, k):
-    x, y = _random_circulant(rng, k), _random_circulant(rng, k)
-    assert lift(Circulant, x.dense(), y.dense()) == [x, y]
     b, c = _random_bordered(rng, k), _random_bordered(rng, k)
-    assert lift(Bordered, b.dense(), c.dense()) == [b, c]
+    assert lift(b.dense(), c.dense()) == [b, c]
     # one call may mix orders: each matrix is read on its own
-    z, e = _random_circulant(rng, 2 * k + 1), _random_bordered(rng, k + 1)
-    assert lift(Circulant, x.dense(), z.dense(), y.dense()) == [x, z, y]
-    assert lift(Bordered, b.dense(), e.dense()) == [b, e]
+    e = _random_bordered(rng, k + 1)
+    assert lift(b.dense(), e.dense()) == [b, e]
 
 
 def _with_entry_changed(m, i, j):
@@ -387,7 +383,7 @@ def test_lift_refuses_a_matrix_with_one_entry_changed(rng, k):
     m = b.dense()
     # the hub is one free entry: a changed hub is read as the new hub
     unit_hub = Bordered(1, (0, 0), (0, 0), ((Circulant((0,) * k),) * 2,) * 2)
-    assert lift(Bordered, _with_entry_changed(m, 0, 0)) == [b + unit_hub]
+    assert lift(_with_entry_changed(m, 0, 0)) == [b + unit_hub]
     # any entry of either border, or of any of the four blocks, breaks the form
     places = {
         "row border 1": (0, rng.randint(1, k)),
@@ -402,31 +398,24 @@ def test_lift_refuses_a_matrix_with_one_entry_changed(rng, k):
     for label, (i, j) in places.items():
         changed = _with_entry_changed(m, i, j)
         for args in ((changed,), (changed, m), (m, changed)):
-            assert lift(Bordered, *args) is None, label
-    # a circulant with one entry changed, and a non-square or empty matrix,
-    # lift to neither form, alone or beside a matrix that lifts
-    x = _random_circulant(rng, 2 * k).dense()
-    assert lift(Circulant, x, _with_entry_changed(x, rng.randrange(2 * k), rng.randrange(2 * k))) is None
-    for form, good in ((Circulant, x), (Bordered, m)):
-        assert lift(form, good) is not None
-        for bad in (RatMatrix.zeros(k, k + 1), RatMatrix.zeros(0, 0)):
-            assert lift(form, bad) is None and lift(form, good, bad) is None
+            assert lift(*args) is None, label
+    # a non-square or empty matrix does not lift, alone or beside a matrix
+    # that lifts
+    assert lift(m) is not None
+    for bad in (RatMatrix.zeros(k, k + 1), RatMatrix.zeros(0, 0)):
+        assert lift(bad) is None and lift(m, bad) is None
 
 
-def test_lift_takes_the_form_it_is_asked_for():
-    # the identity of order 3 is both a circulant and a bordered element
+def test_lift_reads_the_bordered_form_of_odd_orders_only():
+    # every matrix of order 3 is a bordered element, circulant or not
     ident = RatMatrix.identity(3)
     one, zero = Circulant((1,)), Circulant((0,))
-    assert lift(Circulant, ident) == [Circulant((1, 0, 0))]
-    assert lift(Bordered, ident) == [Bordered(1, (0, 0), (0, 0), ((one, zero), (zero, one)))]
-    # a bordered element that is no circulant, and a circulant of even
-    # order, which no bordered element has, lift only to their own form
+    assert lift(ident) == [Bordered(1, (0, 0), (0, 0), ((one, zero), (zero, one)))]
     other = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-    assert [x.dense() for x in lift(Bordered, ident, other)] == [ident, other]
-    assert lift(Circulant, ident, other) is None
+    assert [x.dense() for x in lift(ident, other)] == [ident, other]
+    # a circulant of even order has no bordered form
     even = materialize((1, 2, 3, 4))
-    assert lift(Circulant, even) == [Circulant((1, 2, 3, 4))]
-    assert lift(Bordered, even) is None and lift(Bordered, ident, even) is None
+    assert lift(even) is None and lift(ident, even) is None
 
 
 # -- delta symmetry -----------------------------------------------------------

@@ -438,10 +438,10 @@ def test_verify_eliminates_once_per_fact(monkeypatch):
     # nothing is inverted.  Every rank-one correction (X, W, 2 P_K, the
     # projection of a singular D's generalized inverse) is a row sweep,
     # every matrix-vector identity an integer sum, and every circulant
-    # block identity a product of specs: L D inside W, the Schur chain and
-    # the six block conditions lift their operands (circulant.lift) and
-    # take no dense product.  So the products of a run, for either
-    # parity, are:
+    # block identity a product of specs: L D inside W and the Schur chain
+    # lift L and D (circulant.lift), the six block conditions take the
+    # case's circulants, and none takes a dense product.  So the products
+    # of a run, for either parity, are:
     # - the factorization of D, below the recursion cutoff one congruence
     #   pass that carries its row transform: F' Omega F, the generalized
     #   inverse: 1;

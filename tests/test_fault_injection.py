@@ -345,7 +345,7 @@ def test_perturbations_take_the_route_their_shape_allows(name, lifts):
     if form is Circulant:
         assert isinstance(m, Circulant) == lifts
         return
-    lifted = lift(form, m)
+    lifted = lift(m)
     assert (lifted is not None) == lifts
     if lifts:
         assert lifted[0].dense() == m
