@@ -32,9 +32,9 @@ The circulant block identities are proved on specs.  The rim and
 coupling blocks A and B are held as circulants (closed_form.HelmCase),
 and so is S, so the six conditions take them as they are and refuse any
 other type.  L and D stay dense, since the oracles read them, and the
-two checks that multiply them lift them to bordered elements
-(circulant.lift), which returns the elements only after an entrywise
-comparison proves each matrix equal to its element.  The checks run the
+two checks that multiply them lift each to a bordered element
+(circulant.lift(m)), which returns the element read off m only when its
+dense() equals m entry by entry.  The checks run the
 same operator code (+, -, scalar *, @, ==, is_zero) on the elements: a
 product of two circulants of order k is one packed cyclic convolution,
 a single big-int product of two k-slot ints, where the dense packed
@@ -98,18 +98,18 @@ def correction_matrix(d: RatMatrix, dec: Decomposition) -> RatMatrix:
     it into 2(I - X D) (check_equiv_formulation), and the report's
     kernel_projector check compares it with the closed-form V
     (build_kernel_projector).  The report builds it once for both.  L D
-    is taken on specs when L and D lift to bordered elements (for a helm
-    they do) and densified once, else as a dense product.
+    is taken on specs when lift(L) and lift(D) both return bordered
+    elements (for a helm they do) and densified once, else as a dense
+    product.
     With L D = P/p and w = v/c over integers,
     W = (c P - 2p v e' + 2pc I)/(pc): one rank-one update of P's rows,
     then the diagonal.
     """
-    lifted = lift(dec.laplacian_like, d)
-    if lifted:
-        lap, dist = lifted
-        ld = (lap @ dist).dense()
-    else:
+    lap, dist = lift(dec.laplacian_like), lift(d)
+    if lap is None or dist is None:
         ld = dec.laplacian_like @ d
+    else:
+        ld = (lap @ dist).dense()
     c, v = _common_denominator(dec.w)
     p = ld._den
     rows = _rank_update(c, _int_rows(ld), [[2 * p * x for x in v]], [[1] * ld.cols])
@@ -270,8 +270,9 @@ def build_kernel_projector(case: HelmCase) -> RatMatrix:
 def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
     """Exact positive-semidefiniteness check of a bordered matrix L of case's shape.
 
-    L must lift (circulant.lift) to a bordered element [[c, b'], [b, T]]
-    with a positive corner c, and eliminating c must leave exactly
+    lift(L) (circulant.lift) must return a bordered element
+    [[c, b'], [b, T]] with a positive corner c, and eliminating c must
+    leave exactly
 
         [ A - J/(2(n-1))   B ]
         [ B                I ]
@@ -285,8 +286,8 @@ def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
     plus the second's, and L has the corner's plus the first
     complement's, so the one inertia of the second complement decides: L
     is PSD iff it has no negative inertia.  Returns that conjunction.  The
-    chain is taken on the forms only: an L that does not lift to a
-    bordered element fails it.
+    chain is taken on the forms only: an L for which lift returns None
+    fails it.
     """
     n = case.n
     order = 2 * n - 1
@@ -294,10 +295,9 @@ def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
         raise ValueError(f"expected order {order}, got {lap.rows}x{lap.cols}")
     if not lap.is_symmetric():
         raise ValueError("PSD check requires a symmetric matrix")
-    lifted = lift(lap)
-    if not lifted:
+    l, a, b = lift(lap), case.rim_block, case.coupling_block
+    if l is None:
         return False
-    (l,), a, b = lifted, case.rim_block, case.coupling_block
     corner = l.hub
     if corner <= 0:
         return False

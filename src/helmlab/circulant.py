@@ -17,22 +17,25 @@ hold the linear convolution, and folding slot j + k onto slot j makes it
 cyclic.  circulant_product is that kernel on specs.
 
 D, L and the kernel projector V of a helm graph share one bordered shape
-in the vertex order (hub, rim, pendants); bordered_circulant lays it out.
-Two exact types carry the algebra of these shapes on specs instead of
-dense matrices: Circulant, a k x k circulant, and Bordered, an element
-of order 2k+1 made of a hub scalar, row and column border scalars and a
-2x2 grid of circulants.  Both keep their integers in RatMatrix's store
-(exact_core's ``_IntStore``), which gives them +, -, scalar *, ==, hash
-and is_zero, canonical like a RatMatrix; each adds @ and a dense():
-Circulant's is materialize, Bordered's reuses the bordered_circulant
-layout.  A product of two bordered elements is eight circulant products
-and O(k) scalar terms.  The rim blocks A, B and S exist only as
-Circulants (closed_form.HelmCase), while L and D stay dense, since the
-dense oracles read them.  lift(*matrices) turns dense matrices into
-Bordered elements, only after comparing every entry with the element
-read off the matrix, so the dense matrices stay the single source of
-truth: if one matrix is not exactly of the form, lift returns None and
-the caller keeps the dense matrices.  The report lifts only L and D.
+in the vertex order (hub, rim, pendants).  Two exact types carry the
+algebra of these shapes on specs instead of dense matrices: Circulant, a
+k x k circulant, and Bordered, an element of order 2k+1 made of a hub
+scalar, row and column border scalars and a 2x2 grid of circulants.
+Bordered(hub, rows, cols, specs) takes the four specs of the grid the
+way Circulant(spec) takes one, and Bordered.dense() is the one layout
+of the shape: bordered_circulant builds the symmetric element and
+returns its dense().  Both types keep their integers in RatMatrix's
+store (exact_core's ``_IntStore``), which gives them +, -, scalar *, ==,
+hash and is_zero, canonical like a RatMatrix; each adds @ and a dense(),
+Circulant's being materialize.  A product of two bordered elements is
+eight circulant products and O(k) scalar terms.  The rim blocks A, B and
+S exist only as Circulants (closed_form.HelmCase), while L and D stay
+dense, since the dense oracles read them.  lift(m) is the one reader: it
+reads the element off m's first row, first column and the first row of
+each block, and returns it only when the element's dense() equals m, so
+the dense matrix stays the single source of truth: a matrix that is not
+exactly of the form gives None, and the caller keeps it dense.  The
+report lifts only L and D.
 
 A spec is delta-symmetric (z_i = z_{k+2-i} for i = 2..k, 1-based, with
 k its length and z_1 free) exactly when its circulant is symmetric; such
@@ -72,29 +75,14 @@ def _length(*specs: Sequence[Scalar]) -> int:
     return k
 
 
-def _rotations(row: Sequence[int]) -> list[Sequence[int]]:
-    """Rows of the circulant with first row row: row i is its right-shift by i."""
+def _rotations(row: Sequence[int]) -> list[list[int]]:
+    """Rows of the circulant with first row row: row i is its right-shift by i.
+
+    Lists even for a tuple row: CPython keeps freed short tuples on free
+    lists, which would hold every rotation after the caller copies it."""
     k = len(row)
-    twice = row + row
+    twice = [*row, *row]
     return [twice[k - i : 2 * k - i] for i in range(k)]
-
-
-def _bordered_ints(
-    hub: int, rows: Sequence[int], cols: Sequence[int], specs: Sequence[Sequence[int]]
-) -> list[int]:
-    """Row-major entries of [[hub, r1 e', r2 e'], [c1 e, P, Q], [c2 e, R, T]].
-
-    rows is (r1, r2), cols (c1, c2) and specs the first rows of P, Q, R, T.
-    """
-    (r1, r2), (c1, c2), (p, q, r, t) = rows, cols, specs
-    k = len(p)
-    out = [hub] + [r1] * k + [r2] * k
-    for border, left, right in ((c1, p, q), (c2, r, t)):
-        for a, b in zip(_rotations(left), _rotations(right)):
-            out.append(border)
-            out += a
-            out += b
-    return out
 
 
 def _convolution_sum(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[int]:
@@ -149,18 +137,12 @@ def bordered_circulant(
     """The order-(2k+1) matrix [[hub, b1 e', b2 e'], [b1 e, P, Q], [b2 e, Q', R]].
 
     borders is (b1, b2), and P, Q, R are the circulants of the three specs
-    (p, q, r) of length k.  Every entry is brought to one common
-    denominator once, and the rim rows are materialize's rotations.
-    Raises like circulant_product.
+    (p, q, r) of length k: the dense form of the symmetric Bordered
+    element with both borders (b1, b2).  Raises like circulant_product.
     """
-    (b1, b2), (p, q, r) = borders, specs
-    k = _length(p, q, r)
-    den, ints = _common_denominator([hub, b1, b2, *p, *q, *r])
-    h, b1, b2 = ints[:3]
-    p, q, r = ints[3 : 3 + k], ints[3 + k : 3 + 2 * k], ints[3 + 2 * k :]
+    p, q, r = specs
     # Q' is the circulant whose spec is q with its tail reversed
-    out = _bordered_ints(h, (b1, b2), (b1, b2), (p, q, q[:1] + q[:0:-1], r))
-    return RatMatrix._from_ints(2 * k + 1, 2 * k + 1, den, out)
+    return Bordered(hub, borders, borders, (p, q, q[:1] + q[:0:-1], r)).dense()
 
 
 # -- the exact algebra on specs ----------------------------------------------
@@ -204,8 +186,9 @@ class Bordered(_IntStore):
     lower-left block free: a hub h, a row border (r1, r2), a column border
     (c1, c2) and a grid ((P, Q), (R, T)) of k x k circulants.  Stored as
     the integers (h, r1, r2, c1, c2, p, q, r, t) over one denominator,
-    p..t the specs.  ``Bordered(hub, rows, cols, blocks)`` takes the
-    scalars and a grid of Circulants of one order.
+    p..t the specs.  ``Bordered(hub, rows, cols, specs)`` takes the
+    scalars and the four specs (p, q, r, t) of one length, the way
+    ``Circulant(spec)`` takes one.
     """
 
     __slots__ = ()
@@ -215,13 +198,11 @@ class Bordered(_IntStore):
         hub: Scalar,
         rows: tuple[Scalar, Scalar],
         cols: tuple[Scalar, Scalar],
-        blocks: tuple[tuple[Circulant, Circulant], tuple[Circulant, Circulant]],
+        specs: tuple[Sequence[Scalar], Sequence[Scalar], Sequence[Scalar], Sequence[Scalar]],
     ):
-        (p, q), (r, t) = blocks
-        _length(p._ints, q._ints, r._ints, t._ints)
-        return cls._reduced(
-            *_common_denominator([hub, *rows, *cols, *p.spec, *q.spec, *r.spec, *t.spec])
-        )
+        (r1, r2), (c1, c2), (p, q, r, t) = rows, cols, specs
+        _length(p, q, r, t)
+        return cls._reduced(*_common_denominator([hub, r1, r2, c1, c2, *p, *q, *r, *t]))
 
     @property
     def order(self) -> int:
@@ -250,9 +231,18 @@ class Bordered(_IntStore):
         return ((p, q), (r, t))
 
     def dense(self) -> RatMatrix:
+        """The matrix, row-major: the hub and the row border, then each rim
+        row, a column border scalar followed by the rotations of two specs."""
         e, n = self._ints, self.order
-        ints = _bordered_ints(e[0], e[1:3], e[3:5], self._specs())
-        return RatMatrix._from_ints(n, n, self._den, ints)
+        p, q, r, t = self._specs()
+        k = len(p)
+        out = [e[0]] + [e[1]] * k + [e[2]] * k
+        for border, left, right in ((e[3], p, q), (e[4], r, t)):
+            for a, b in zip(_rotations(left), _rotations(right)):
+                out.append(border)
+                out += a
+                out += b
+        return RatMatrix._from_ints(n, n, self._den, out)
 
     def __matmul__(self, other: "Bordered") -> "Bordered":
         """[[h, r'], [c, M]] [[g, s'], [d, N]] by blocks, M and N 2x2 grids.
@@ -285,33 +275,23 @@ class Bordered(_IntStore):
         return f"Bordered(hub={self.hub}, rows={self.rows}, cols={self.cols}, blocks={self.blocks})"
 
 
-def _bordered_form(m: RatMatrix) -> Union[Bordered, None]:
-    """m as a Bordered element when m, square of odd order 2k+1 >= 3,
-    equals the element read off its first row and column and the first
-    row of each block, else None."""
+def lift(m: RatMatrix) -> Union[Bordered, None]:
+    """m as a Bordered element, or None.
+
+    The element is read off m's first row and column and the first row of
+    each block, and comes back only when its dense() equals m, an
+    O(order^2) comparison of integers; a matrix that is not square of
+    odd order at least 3, or not exactly of the form, gives None, and
+    the caller runs the same operator code on the dense matrix.
+    """
     n, e = m.rows, m._ints
     if m.cols != n or n < 3 or n % 2 == 0:
         return None
     k = (n - 1) // 2
     top, low = n + 1, (k + 1) * n + 1  # first entries of P and of R
-    rows, cols = (e[1], e[k + 1]), (e[n], e[(k + 1) * n])
-    specs = [e[top : top + k], e[top + k : top + 2 * k], e[low : low + k], e[low + k : low + 2 * k]]
-    if tuple(_bordered_ints(e[0], rows, cols, specs)) != e:
-        return None
-    return Bordered._reduced(m._den, [e[0], *rows, *cols, *[x for s in specs for x in s]])
-
-
-def lift(*matrices: RatMatrix) -> Union[list[Bordered], None]:
-    """The matrices as Bordered elements, or None.
-
-    Each matrix is compared entry by entry with the element read off it,
-    in O(order^2) integer comparisons.  The elements come back only when
-    every matrix is square, of odd order at least 3 and equal to its
-    element; otherwise lift returns None, and the caller runs the same
-    operator code on the dense matrices.
-    """
-    lifted = [_bordered_form(m) for m in matrices]
-    return None if any(x is None for x in lifted) else lifted
+    scalars = [e[0], e[1], e[k + 1], e[n], e[(k + 1) * n]]
+    element = Bordered._reduced(m._den, scalars + [*e[top : top + 2 * k], *e[low : low + 2 * k]])
+    return element if element.dense() == m else None
 
 
 # -- named specs used throughout the package -------------------------------

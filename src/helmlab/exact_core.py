@@ -251,8 +251,9 @@ class _IntStore:
 
     @classmethod
     def _reduced(cls, den: int, ints: Sequence[int]):
-        """The element ints / den (den > 0), reduced to canonical form."""
-        g = math.gcd(den, *ints)
+        """The element ints / den (den > 0), reduced to canonical form
+        (already canonical over den = 1)."""
+        g = math.gcd(den, *ints) if den > 1 else 1
         if g > 1:
             den //= g
             ints = [x // g for x in ints]
@@ -928,7 +929,7 @@ def _rank_update(
 
 def _congruence(m: RatMatrix, carry: bool = False) -> Union[InertiaTriple, "_Factor"]:
     """The inertia of the symmetric m; see ``inertia``.  With ``carry``,
-    the factor of m (``_base_factor``) from the same pivots.
+    the factor of m (``_Factor``) from the same pivots.
 
     The block is kept as its lower triangle: row i holds a_ij for j <= i,
     so it ends at the diagonal and meets the columns from their start.
@@ -1071,12 +1072,6 @@ class _Factor(NamedTuple):
     kernel: RatMatrix  # its rows are a basis of the kernel
 
 
-def _base_factor(m: RatMatrix) -> _Factor:
-    """The factor of m from one congruence pass that carries its row
-    transform (``_congruence``)."""
-    return _congruence(m, carry=True)
-
-
 def _weighted_gram(n: int, terms: list[tuple[list[int], list[int], int, int]]) -> RatMatrix:
     """sum (a/b) f' g over the terms (f, g, a, b), b > 0, of integer rows of
     length n, as one packed product F' (Omega G)."""
@@ -1147,7 +1142,7 @@ def _factor(m: RatMatrix) -> _Factor:
         f = _schur_split(m)
         if f is not None:
             return f
-    return _base_factor(m)
+    return _congruence(m, carry=True)
 
 
 def factor_symmetric(m: RatMatrix) -> tuple[InertiaTriple, Fraction, RatMatrix]:

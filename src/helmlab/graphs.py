@@ -3,7 +3,7 @@
 The helm graph on 2n-1 vertices is a wheel (hub plus an (n-1)-cycle rim)
 with one pendant vertex hanging off each rim vertex.  Vertices are
 ordered hub first, then the rim v_1..v_{n-1}, then the pendants
-u_1..u_{n-1}, the order circulant.bordered_circulant lays out.
+u_1..u_{n-1}, the order of circulant.Bordered.dense().
 
 Two independent routes to the distance matrix are provided: plain BFS
 from every vertex, and the 3x3 block formula built from the rim distance

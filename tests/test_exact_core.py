@@ -1234,21 +1234,23 @@ def test_factor_symmetric_requires_symmetry():
 
 def _spy_on_splits(monkeypatch) -> tuple[list, list]:
     """Record (matrix order, split succeeded) for every Schur split, and
-    the matrix order of every block the base passes factor."""
+    the matrix order of every block the base passes factor (the
+    congruence calls that carry the row transform)."""
     tries, base_orders = [], []
-    split, base = exact_core._schur_split, exact_core._base_factor
+    split, congruence = exact_core._schur_split, exact_core._congruence
 
     def spying_split(m):
         f = split(m)
         tries.append((m.rows, f is not None))
         return f
 
-    def spying_base(m):
-        base_orders.append(m.rows)
-        return base(m)
+    def spying_congruence(m, carry=False):
+        if carry:
+            base_orders.append(m.rows)
+        return congruence(m, carry)
 
     monkeypatch.setattr(exact_core, "_schur_split", spying_split)
-    monkeypatch.setattr(exact_core, "_base_factor", spying_base)
+    monkeypatch.setattr(exact_core, "_congruence", spying_congruence)
     return tries, base_orders
 
 
@@ -1336,7 +1338,7 @@ def test_two_sided_projection_of_any_symmetric_generalized_inverse_is_the_pseudo
             assert want.to_lists() == _ref_macduffee(m), label
         kernel_dim = m.rows - rank(m)
         dims.add(kernel_dim)
-        for f in (exact_core._base_factor(m), exact_core._factor(m)):
+        for f in (exact_core._congruence(m, carry=True), exact_core._factor(m)):
             assert f.kernel.rows == kernel_dim, label
             z = random_symmetric(rng, kernel_dim)
             for g in (f.ginv, f.ginv + f.kernel.transpose() @ z @ f.kernel):
@@ -1347,16 +1349,16 @@ def test_two_sided_projection_of_any_symmetric_generalized_inverse_is_the_pseudo
 
 # -- the base factor: one congruence pass that carries its row transform -------
 #
-# Below the cutoff factor_symmetric is _base_factor plus the two-sided
-# projection.  Its inertia, determinant, generalized inverse and kernel
-# must equal what the single-pass oracles give the same matrix: the
+# Below the cutoff factor_symmetric is _congruence(m, carry=True) plus the
+# two-sided projection.  Its inertia, determinant, generalized inverse and
+# kernel must equal what the single-pass oracles give the same matrix: the
 # congruence inertia without the transform, and the Gauss-Jordan pass's
 # determinant, inverse, rank and pseudoinverse.
 
 
 def _assert_base_factor_matches_independent_routes(m: RatMatrix, label: str) -> None:
     assert m.rows <= exact_core._SCHUR_CUTOFF, label
-    f = exact_core._base_factor(m)
+    f = exact_core._congruence(m, carry=True)
     assert f.inertia == inertia(m), label
     assert f.det == determinant(m), label
     assert f.kernel.rows == m.rows - rank(m), label
@@ -1411,7 +1413,7 @@ def test_base_factor_runs_no_echelon_pass(monkeypatch):
     for m in (helm_distance_block(7), helm_distance_block(8)):
         with monkeypatch.context() as patch:
             patch.setattr(exact_core, "_echelon_ints", _refuse_echelon)
-            f = exact_core._base_factor(m)
+            f = exact_core._congruence(m, carry=True)
             projected = exact_core._project_out(f.ginv, f.kernel, f.kernel)
         assert (f.inertia, f.det) == (inertia(m), determinant(m))
         assert projected == pseudoinverse(m)
@@ -1457,7 +1459,7 @@ def test_congruence_multiplies_no_empty_matrices(label, m, monkeypatch):
     monkeypatch.setattr(RatMatrix, "__matmul__", spying_matmul)
     monkeypatch.setattr(exact_core, "_weighted_gram", marking_gram)
     inertia(m)
-    exact_core._base_factor(m)
+    exact_core._congruence(m, carry=True)
     assert all(all(shape[:3]) for shape in shapes), shapes
     steps = [shape for shape in shapes if not shape[4]]
     assert all(inner >= 3 and not zero for _, inner, _, zero, _ in steps), steps

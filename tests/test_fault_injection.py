@@ -348,4 +348,4 @@ def test_perturbations_take_the_route_their_shape_allows(name, lifts):
     lifted = lift(m)
     assert (lifted is not None) == lifts
     if lifts:
-        assert lifted[0].dense() == m
+        assert lifted.dense() == m
