@@ -61,7 +61,6 @@ from .exact_core import (
     _fractions,
     _IntStore,
     _kronecker,
-    frac,
 )
 
 
@@ -297,26 +296,26 @@ def lift(m: RatMatrix) -> Union[Bordered, None]:
 # -- named specs used throughout the package -------------------------------
 
 
-def cycle_signless_laplacian_spec(order: int) -> Vector:
-    """Spec (2, 1, 0, ..., 0, 1): twice the identity plus the cycle adjacency."""
+def cycle_signless_laplacian_spec(order: int) -> tuple[int, ...]:
+    """Integer spec (2, 1, 0, ..., 0, 1): twice the identity plus the cycle adjacency."""
     if order < 2:
         raise ValueError(f"cycle needs order >= 2, got {order}")
-    row = [frac(0)] * order
-    row[0] = frac(2)
+    row = [0] * order
+    row[0] = 2
     row[1] += 1
     row[order - 1] += 1
     return tuple(row)
 
 
-def rim_distance_spec(order: int) -> Vector:
-    """Spec (0, 1, 2, ..., 2, 1): pairwise distances around a wheel rim,
-    where any two non-adjacent rim vertices are 2 apart via the hub."""
+def rim_distance_spec(order: int) -> tuple[int, ...]:
+    """Integer spec (0, 1, 2, ..., 2, 1): pairwise distances around a wheel
+    rim, where any two non-adjacent rim vertices are 2 apart via the hub."""
     if order < 2:
         raise ValueError(f"rim needs order >= 2, got {order}")
-    row = [frac(2)] * order
-    row[0] = frac(0)
-    row[1] = frac(1)
-    row[order - 1] = frac(1)
+    row = [2] * order
+    row[0] = 0
+    row[1] = 1
+    row[order - 1] = 1
     return tuple(row)
 
 

@@ -48,9 +48,9 @@ matrices have equal storage.  Every operation works on the integers:
   kernel can carry its row transform, which turns it into a
   factorization (see below).
 
-``Fraction`` values are made only where entries are read (indexing,
-rows, columns, ``to_lists`` and the vectors the matrix methods return),
-and they equal the ones plain ``Fraction`` arithmetic gives.
+``Fraction`` values are made only where entries are read: indexing,
+``row``, ``to_lists``, ``mul_vector`` and the vectors the oracles return.
+They equal the ones plain ``Fraction`` arithmetic gives.
 
 The pseudoinverse is pinv(m) = pinv(m) m G m pinv(m) = (I - P_N) G (I - P_Q)
 for any generalized inverse G of m (m G m = m), with P_N and P_Q the
@@ -371,47 +371,6 @@ class RatMatrix(_IntStore):
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
         return cls._from_ints(rows, cols, 1, [0] * (rows * cols))
 
-    @classmethod
-    def ones(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls._from_ints(rows, cols, 1, [1] * (rows * cols))
-
-    @classmethod
-    def diagonal(cls, values: Sequence[Scalar]) -> "RatMatrix":
-        n = len(values)
-        den, diag = _common_denominator(values)
-        ints = [0] * (n * n)
-        ints[:: n + 1] = diag
-        return cls._from_ints(n, n, den, ints)
-
-    @classmethod
-    def outer(cls, u: Sequence[Scalar], v: Sequence[Scalar]) -> "RatMatrix":
-        du, ui = _common_denominator(u)
-        dv, vi = _common_denominator(v)
-        return cls._from_ints(len(ui), len(vi), du * dv, [a * b for a in ui for b in vi])
-
-    @classmethod
-    def from_blocks(cls, grid: Sequence[Sequence[Union["RatMatrix", Scalar]]]) -> "RatMatrix":
-        """Assemble a block matrix; scalar grid cells act as 1x1 blocks."""
-        norm = [[b if isinstance(b, RatMatrix) else cls(1, 1, [b]) for b in row] for row in grid]
-        if not norm or not all(norm):
-            raise ValueError("empty block grid or row")
-        row_heights = [row[0].rows for row in norm]
-        col_widths = [b.cols for b in norm[0]]
-        for i, row in enumerate(norm):
-            if len(row) != len(col_widths):
-                raise ValueError("ragged block grid")
-            for j, b in enumerate(row):
-                if b.rows != row_heights[i] or b.cols != col_widths[j]:
-                    raise ValueError(f"block ({i},{j}) is {b.rows}x{b.cols}")
-        den = math.lcm(*[b._den for row in norm for b in row])
-        out: list[int] = []
-        for row, height in zip(norm, row_heights):
-            scaled = [[x * (den // b._den) for x in b._ints] for b in row]
-            for r in range(height):
-                for b, ints in zip(row, scaled):
-                    out.extend(ints[r * b.cols : (r + 1) * b.cols])
-        return cls._from_ints(sum(row_heights), sum(col_widths), den, out)
-
     # -- access ----------------------------------------------------------
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
@@ -424,11 +383,6 @@ class RatMatrix(_IntStore):
         if not 0 <= i < self.rows:
             raise IndexError(i)
         return _fractions(self._ints[i * self.cols : (i + 1) * self.cols], self._den)
-
-    def column(self, j: int) -> Vector:
-        if not 0 <= j < self.cols:
-            raise IndexError(j)
-        return _fractions(self._ints[j :: self.cols], self._den)
 
     def to_lists(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -481,9 +435,6 @@ class RatMatrix(_IntStore):
 
     def mul_vector(self, v: Sequence[Scalar]) -> Vector:
         return _fractions(*_mat_vec(self, v))
-
-    def row_sums(self) -> Vector:
-        return _fractions(*_row_sums(self))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -977,7 +928,7 @@ def _congruence(m: RatMatrix, carry: bool = False) -> Union[InertiaTriple, "_Fac
         terms, kernel = [], []
         se, nw, dw, det_num, det_den = 1, m._den, 1, 1, 1
 
-    def column(q: int) -> list[int]:
+    def full_column(q: int) -> list[int]:
         return w[q] + [row[q] for row in w[q + 1 :]]
 
     while w:
@@ -986,13 +937,13 @@ def _congruence(m: RatMatrix, carry: bool = False) -> Union[InertiaTriple, "_Fac
             p = diag.index(min(filter(None, diag)))
             # p, then greedily each index uncoupled from p (a zero in p's
             # column) and from every pivot already taken, by (|a_jj|, j)
-            block, cols, dropped = [p], [column(p)], []
+            block, cols, dropped = [p], [full_column(p)], []
             if 0 in cols[0]:
                 candidates = [(diag[j], j) for j, x in enumerate(cols[0]) if not x and diag[j]]
                 for _, j in sorted(candidates):
                     if not any([w[max(j, q)][min(j, q)] for q in block[1:]]):
                         block.append(j)
-                        cols.append(column(j))
+                        cols.append(full_column(j))
             pivots = [w[q][-1] for q in block]
             # d_q divides l, so l // d_q is sgn(d_q) l/|d_q| exactly
             scale = math.lcm(*pivots)
@@ -1009,7 +960,7 @@ def _congruence(m: RatMatrix, carry: bool = False) -> Union[InertiaTriple, "_Fac
                 kernel += er[:p]
             q = next(i for i in range(p + 1, len(w)) if w[i][p])
             b = w[q][p]
-            block, cols, dropped = [p, q], [column(p), column(q)], range(p)
+            block, cols, dropped = [p, q], [full_column(p), full_column(q)], range(p)
             pivots, scale, swap = [b, -b], abs(b), True
             ks = [b // scale] * 2
         keep = [True] * len(w)

@@ -74,4 +74,21 @@ def bump_l(lap: RatMatrix) -> RatMatrix:
     still accepts it.
     """
     u = (Fraction(0), Fraction(1), Fraction(-1)) + (Fraction(0),) * (lap.rows - 3)
-    return lap + Fraction(1, 3) * RatMatrix.outer(u, u)
+    return lap + Fraction(1, 3) * outer(u, u)
+
+
+def outer(u, v) -> RatMatrix:
+    """The matrix u v' of two vectors of scalars."""
+    return RatMatrix.from_rows([[x * y for y in v] for x in u])
+
+
+def from_blocks(grid) -> RatMatrix:
+    """The block matrix of a grid of RatMatrix blocks and scalars (1x1
+    blocks), laid out row by row in plain Fractions: a layout that shares
+    no code with the package's integer store."""
+    rows = []
+    for band in grid:
+        blocks = [b.to_lists() if isinstance(b, RatMatrix) else [[Fraction(b)]] for b in band]
+        assert len({len(b) for b in blocks}) == 1, "blocks of one band differ in height"
+        rows += [sum(parts, []) for parts in zip(*blocks)]
+    return RatMatrix.from_rows(rows)

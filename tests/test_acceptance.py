@@ -164,7 +164,7 @@ def test_criterion_8_spectra():
             b = make_odd_case(n).coupling_block.dense()
             assert b @ b == -b
             assert rank(b) == n - 2
-            shifted = b - Fraction(1, 2 * (n - 1)) * RatMatrix.ones(k, k)
+            shifted = b - Fraction(1, 2 * (n - 1)) * RatMatrix.from_rows([[1] * k] * k)
             ident = RatMatrix.identity(k)
             poly = shifted @ (shifted + ident) @ (shifted + Fraction(3, 2) * ident)
             assert poly.is_zero()

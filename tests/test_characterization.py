@@ -44,6 +44,7 @@ from support import (
     bump_l,
     env_seed,
     helm_decomposition,
+    outer,
     random_delta_vector,
     random_fraction,
     random_symmetric,
@@ -99,7 +100,7 @@ def test_equiv_formulation_rejects_an_l_bump_that_keeps_every_vector_identity(n)
     d, dec = helm_distance_block(n), helm_decomposition(n)
     kernel = make_w_alpha(n).kernel
     b = (0, 1, 0, -1) + (0,) * (d.rows - 4)
-    lap = dec.laplacian_like + Fraction(1, 3) * RatMatrix.outer(b, b)
+    lap = dec.laplacian_like + Fraction(1, 3) * outer(b, b)
     bumped = Decomposition(lap, dec.w, dec.alpha)
     assert all(not any(bumped.candidate.mul_vector(u)) for u in kernel)
     assert not _certify(d, bumped, kernel)
@@ -134,11 +135,11 @@ def test_equiv_formulation_needs_d_u_zero():
     # X is not D+ = I; only D u != 0 shows that u is no kernel vector
     ident = RatMatrix.identity(3)
     u = (Fraction(1), Fraction(-1), Fraction(0))
-    x = ident - Fraction(1, 2) * RatMatrix.outer(u, u)
+    x = ident - Fraction(1, 2) * outer(u, u)
     w = (Fraction(1, 3),) * 3
-    dec = Decomposition(-2 * (x - 3 * RatMatrix.outer(w, w)), w, 3)
+    dec = Decomposition(-2 * (x - 3 * outer(w, w)), w, 3)
     assert dec.candidate == x
-    assert correction_matrix(ident, dec) == RatMatrix.outer(u, u)
+    assert correction_matrix(ident, dec) == outer(u, u)
     assert not any(x.mul_vector(u))
     assert not _certify(ident, dec, [u])
     assert not penrose_check(ident, x)
@@ -175,7 +176,7 @@ def test_equiv_formulation_hypothesis_failure():
     # kernel and is orthogonal to the range: D w = e/alpha has no
     # solution, and the first witness identity fails
     n = 5
-    toy = 2 * RatMatrix.identity(n) - Fraction(2, n) * RatMatrix.ones(n, n)
+    toy = 2 * RatMatrix.identity(n) - Fraction(2, n) * RatMatrix.from_rows([[1] * n] * n)
     small = Decomposition(
         RatMatrix.zeros(n, n),
         (Fraction(1),) + (Fraction(0),) * (n - 1),
@@ -231,7 +232,7 @@ def _triple_of(x: RatMatrix):
     if alpha == 0:
         return None
     w = tuple([v / alpha for v in image])
-    return Decomposition(-2 * (x - alpha * RatMatrix.outer(w, w)), w, alpha)
+    return Decomposition(-2 * (x - alpha * outer(w, w)), w, alpha)
 
 
 def _singular_family(rng, e_in_range: bool, count: int):
@@ -271,7 +272,7 @@ def test_generic_singular_family_fails_with_a_kernel_term_in_x(rng):
     # and W = 2(I - X D) = 2 P_K all still hold; only X u != 0 rejects it
     for d, dec, kernel in _singular_family(rng, e_in_range=True, count=20):
         u = kernel[rng.randrange(len(kernel))]
-        shifted = _triple_of(dec.candidate + RatMatrix.outer(u, u))
+        shifted = _triple_of(dec.candidate + outer(u, u))
         assert shifted.alpha == dec.alpha and shifted.w == dec.w
         assert correction_matrix(d, shifted) == correction_matrix(d, dec)
         assert not _certify(d, shifted, kernel), d
@@ -588,7 +589,7 @@ def test_kernel_projector_identities(n):
     assert (projector @ data.laplacian_like).is_zero()
     assert all(x == 0 for x in projector.mul_vector(vectors.w))
     # the correction identity: L D + 2I - 2 w e' = V
-    two_we = 2 * RatMatrix.outer(vectors.w, (Fraction(1),) * order)
+    two_we = 2 * outer(vectors.w, (Fraction(1),) * order)
     assert data.laplacian_like @ d + 2 * RatMatrix.identity(order) - two_we == projector
 
 
@@ -599,7 +600,7 @@ def test_even_correction_vanishes(n):
     data = make_even_case(n)
     vectors = make_w_alpha(n)
     order = 2 * n - 1
-    two_we = 2 * RatMatrix.outer(vectors.w, (Fraction(1),) * order)
+    two_we = 2 * outer(vectors.w, (Fraction(1),) * order)
     assert data.laplacian_like @ d + 2 * RatMatrix.identity(order) == two_we
 
 
@@ -713,9 +714,7 @@ def test_rank_l_check_rejects_ranks_that_do_not_fit():
 def test_rank_gap_between_l_and_the_mp_inverse(n):
     data = make_odd_case(n)
     vectors = make_w_alpha(n)
-    candidate = Fraction(-1, 2) * data.laplacian_like + vectors.alpha * RatMatrix.outer(
-        vectors.w, vectors.w
-    )
+    candidate = Fraction(-1, 2) * data.laplacian_like + vectors.alpha * outer(vectors.w, vectors.w)
     assert rank(candidate) - rank(data.laplacian_like) == 1
     # the rank-one lemma behind the gap: w is outside the range of L
     assert solve(data.laplacian_like, vectors.w) is None

@@ -28,7 +28,7 @@ from helmlab import (
     rank_one_scale,
 )
 from helmlab.circulant import Circulant
-from support import helm_decomposition
+from support import helm_decomposition, outer
 
 ODD_RANGE = (5, 7, 9, 11, 13)
 EVEN_RANGE = (4, 6, 8, 10, 12)
@@ -179,7 +179,7 @@ def test_even_case_n6_values():
 def test_even_rim_spec_times_s_n6():
     data = make_even_case(6)
     s = materialize(cycle_signless_laplacian_spec(5))
-    product = tuple(sum(map(mul, data.rim_block.spec, s.column(j))) for j in range(5))
+    product = tuple(sum(map(mul, data.rim_block.spec, s.transpose().row(j))) for j in range(5))
     assert product == (4, 1, 0, 0, 1)
 
 
@@ -200,7 +200,7 @@ def test_even_rim_spec_times_s_is_s_plus_two_e1(n):
 @pytest.mark.parametrize("n", EVEN_RANGE)
 def test_even_laplacian_like_has_zero_row_sums(n):
     data = make_even_case(n)
-    assert all(x == 0 for x in data.laplacian_like.row_sums())
+    assert not any(data.laplacian_like.mul_vector((1,) * (2 * n - 1)))
     assert data.laplacian_like.is_symmetric()
 
 
@@ -219,7 +219,7 @@ def test_odd_laplacian_like_structure(n):
     lap = make_odd_case(n).laplacian_like
     assert lap.rows == 2 * n - 1
     assert lap.is_symmetric()
-    assert all(x == 0 for x in lap.row_sums())
+    assert not any(lap.mul_vector((1,) * lap.cols))
     assert lap[0, 0] == Fraction(n - 1, 2)
     assert lap[0, 1] == Fraction(-1, 2)
     assert lap[0, n] == 0
@@ -245,8 +245,8 @@ def test_closed_form_inverse_laplacian_part_has_zero_row_sums():
     n = 8
     x = closed_form_inverse(helm_decomposition(n))
     vectors = make_w_alpha(n)
-    lap_part = -2 * (x - vectors.alpha * RatMatrix.outer(vectors.w, vectors.w))
-    assert all(s == 0 for s in lap_part.row_sums())
+    lap_part = -2 * (x - vectors.alpha * outer(vectors.w, vectors.w))
+    assert not any(lap_part.mul_vector((1,) * lap_part.cols))
 
 
 def test_closed_form_inverse_rejects_odd():

@@ -30,7 +30,14 @@ from helmlab import (
 )
 from helmlab import exact_core
 from helmlab.exact_core import rref
-from support import random_fraction, random_invertible, random_matrix, random_symmetric
+from support import (
+    from_blocks,
+    outer,
+    random_fraction,
+    random_invertible,
+    random_matrix,
+    random_symmetric,
+)
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -58,7 +65,7 @@ def symmetric_matrices(draw, max_order: int = 5):
 
 def test_rank_identity_and_ones():
     assert rank(RatMatrix.identity(3)) == 3
-    assert rank(RatMatrix.ones(4, 4)) == 1
+    assert rank(RatMatrix.from_rows([[1] * 4] * 4)) == 1
 
 
 def test_rank_of_odd_helm_distance_matrix():
@@ -92,9 +99,9 @@ def test_inverse_of_even_helm_distance_matrix():
 
 def test_inverse_rejects_singular_and_non_square():
     with pytest.raises(ValueError, match="singular"):
-        inverse(RatMatrix.ones(3, 3))
+        inverse(RatMatrix.from_rows([[1] * 3] * 3))
     with pytest.raises(ValueError, match="inverse of 2x3"):
-        inverse(RatMatrix.ones(2, 3))
+        inverse(RatMatrix.from_rows([[1] * 3] * 2))
 
 
 def test_solve_consistent_and_inconsistent():
@@ -122,9 +129,7 @@ def test_pseudoinverse_of_singular_helm_matrix_has_closed_form():
     data = make_odd_case(n)
     vectors = make_w_alpha(n)
     assert vectors.alpha == Fraction(1, 3)
-    formula = Fraction(-1, 2) * data.laplacian_like + vectors.alpha * RatMatrix.outer(
-        vectors.w, vectors.w
-    )
+    formula = Fraction(-1, 2) * data.laplacian_like + vectors.alpha * outer(vectors.w, vectors.w)
     assert pseudoinverse(helm_distance_block(n)) == formula
 
 
@@ -161,8 +166,9 @@ def test_penrose_check_examples():
 
 
 def test_penrose_check_rejects_bad_shape():
+    ones = RatMatrix.from_rows([[1] * 3] * 2)
     with pytest.raises(ValueError, match="candidate must be 3x2"):
-        penrose_check(RatMatrix.ones(2, 3), RatMatrix.ones(2, 3))
+        penrose_check(ones, ones)
 
 
 def test_penrose_check_rejects_a_candidate_failing_only_the_fourth_condition():
@@ -213,7 +219,7 @@ def test_pseudoinverse_is_involution_on_symmetric(m):
 
 
 def test_inertia_diagonal_example():
-    assert inertia(RatMatrix.diagonal([1, -2, 0])) == InertiaTriple(1, 1, 1)
+    assert inertia(RatMatrix.from_rows([[1, 0, 0], [0, -2, 0], [0, 0, 0]])) == InertiaTriple(1, 1, 1)
 
 
 def test_inertia_of_helm_distance_matrices():
@@ -261,7 +267,7 @@ def _inertia_by_sign_variations(m: RatMatrix) -> InertiaTriple:
 
 
 def test_sign_variation_oracle_on_diagonal_case():
-    m = RatMatrix.diagonal([1, -2, 0])
+    m = RatMatrix.from_rows([[1, 0, 0], [0, -2, 0], [0, 0, 0]])
     assert _inertia_by_sign_variations(m) == InertiaTriple(1, 1, 1)
 
 
@@ -381,23 +387,17 @@ def test_decomposition_rejects_nonzero_row_sums():
 
 
 def test_from_blocks_assembles_in_order():
-    a = RatMatrix.from_blocks([[1, RatMatrix.ones(1, 2)], [RatMatrix.zeros(2, 1), RatMatrix.identity(2)]])
+    # the tests' block layout, the reference for the bordered shape, read
+    # against a literal
+    e_row = RatMatrix.from_rows([[1, 1]])
+    a = from_blocks([[1, e_row], [RatMatrix.zeros(2, 1), RatMatrix.identity(2)]])
     assert a == RatMatrix.from_rows([[1, 1, 1], [0, 1, 0], [0, 0, 1]])
 
 
 @pytest.mark.parametrize(
     "build, message",
-    [
-        (lambda: RatMatrix.from_blocks([]), "empty block grid or row"),
-        (lambda: RatMatrix.from_blocks([[]]), "empty block grid or row"),
-        (lambda: RatMatrix.from_blocks([[1], []]), "empty block grid or row"),
-        (lambda: RatMatrix.from_blocks([[1, 2], [3]]), "ragged block grid"),
-        (lambda: RatMatrix.from_blocks([[1, RatMatrix.zeros(2, 1)]]), r"block \(0,1\) is 2x1"),
-        (lambda: RatMatrix.from_blocks([[1], [RatMatrix.zeros(1, 2)]]), r"block \(1,0\) is 1x2"),
-        (lambda: RatMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
-    ],
-    ids=["empty grid", "empty row", "empty later row", "ragged grid", "block height", "block width",
-         "ragged rows"],
+    [(lambda: RatMatrix.from_rows([[1, 2], [3]]), "ragged rows")],
+    ids=["ragged rows"],
 )
 def test_malformed_grids_raise_value_error(build, message):
     with pytest.raises(ValueError, match=message):
@@ -407,16 +407,10 @@ def test_malformed_grids_raise_value_error(build, message):
 def test_row_and_column_reject_out_of_range_indices():
     m = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert m.row(1) == (Fraction(4), Fraction(5), Fraction(6))
-    assert m.column(2) == (Fraction(3), Fraction(6))
     for bad in (-1, 2):
         with pytest.raises(IndexError):
             m.row(bad)
-    for bad in (-1, 3):
-        with pytest.raises(IndexError):
-            m.column(bad)
     square = RatMatrix.from_rows([[1, 2], [3, 4]])
-    with pytest.raises(IndexError):
-        square.column(2)
     with pytest.raises(IndexError):
         square.row(2)
 
@@ -452,14 +446,16 @@ def test_common_denominator_of_plain_ints_and_of_other_scalars():
 
 
 def test_matmul_shape_guard():
+    ones = RatMatrix.from_rows([[1] * 3] * 2)
     with pytest.raises(ValueError, match="cannot multiply 2x3 by 2x3"):
-        RatMatrix.ones(2, 3) @ RatMatrix.ones(2, 3)
+        ones @ ones
 
 
 def test_outer_and_row_sums():
-    m = RatMatrix.outer((1, 2), (3, 4))
+    # the tests' outer-product builder, and row sums as a product with e
+    m = outer((1, 2), (3, 4))
     assert m == RatMatrix.from_rows([[3, 4], [6, 8]])
-    assert m.row_sums() == (Fraction(7), Fraction(14))
+    assert m.mul_vector((1, 1)) == (Fraction(7), Fraction(14))
 
 
 # -- differential tests: integer kernel vs plain Fraction reference ------------
@@ -584,7 +580,7 @@ def _differential_cases(rng) -> list[tuple[str, RatMatrix]]:
         )
     block = random_matrix(rng, 3, 3)
     cases.append(
-        ("hyperbolic blocks", RatMatrix.from_blocks([[RatMatrix.zeros(3, 3), block], [block.transpose(), RatMatrix.zeros(3, 3)]]))
+        ("hyperbolic blocks", from_blocks([[RatMatrix.zeros(3, 3), block], [block.transpose(), RatMatrix.zeros(3, 3)]]))
     )
     a = random_matrix(rng, 9, 7)
     big = pseudoinverse(a @ a.transpose())
@@ -994,7 +990,10 @@ _KERNEL_PATHS = [
         RatMatrix.from_rows([[1, 0, 0, 1], [0, 2, 3, 1], [0, 3, 3, 1], [1, 1, 1, 5]]),
     ),
     # every nonzero index is one block, and the zero indices are left
-    ("diagonal with zeros", RatMatrix.diagonal([0, 3, Fraction(-1, 2), 0, 2, -5])),
+    (
+        "diagonal with zeros",
+        RatMatrix.from_rows([[x if i == j else 0 for j in range(6)] for i, x in enumerate([0, 3, Fraction(-1, 2), 0, 2, -5])]),
+    ),
     # the first block is the hub and the pendants
     ("helm L n=5", make_odd_case(5).laplacian_like),
     ("helm L n=6", make_even_case(6).laplacian_like),
@@ -1108,7 +1107,6 @@ def test_elementwise_ops_match_reference(rng):
         for got, want in results:
             assert got.to_lists() == want, label
             _assert_canonical(got, label)
-        assert m.row_sums() == tuple(sum(r, Fraction(0)) for r in a), label
         assert m.is_zero() == all(x == 0 for r in a for x in r), label
         assert (m - m).is_zero() and (m - m) == RatMatrix.zeros(m.rows, m.cols), label
         ref_symmetric = m.is_square() and all(
@@ -1118,7 +1116,7 @@ def test_elementwise_ops_match_reference(rng):
         if m.is_square() and m.rows > 1:
             sym = m + m.transpose()
             assert sym.is_symmetric(), label
-            bumped = sym + RatMatrix.outer([1] + [0] * (m.rows - 1), [0, 1] + [0] * (m.rows - 2))
+            bumped = sym + outer([1] + [0] * (m.rows - 1), [0, 1] + [0] * (m.rows - 2))
             assert not bumped.is_symmetric(), label
         v = _mixed(rng, m.cols, big)
         want_v = tuple(sum((x * y for x, y in zip(r, v)), Fraction(0)) for r in a)
@@ -1126,30 +1124,13 @@ def test_elementwise_ops_match_reference(rng):
 
 
 def test_outer_blocks_and_submatrix_match_reference(rng):
-    cases = _differential_cases(rng)
-    big = dict(cases)["pseudoinverse of gram 9 (large entries)"]
-    for label, m in cases:
+    for label, m in _differential_cases(rng):
         a = m.to_lists()
-        u, v = _mixed(rng, m.rows, big), _mixed(rng, m.cols, big)
-        outer = RatMatrix.outer(u, v)
-        assert outer.to_lists() == [[x * y for y in v] for x in u], label
-        _assert_canonical(outer, label)
-
-        right = _partner(rng, RatMatrix.zeros(m.rows, 1), big)
-        bottom = _partner(rng, RatMatrix.zeros(1, m.cols), big)
-        corner = Fraction(-5, 12)
-        blocks = RatMatrix.from_blocks([[m, right], [bottom, corner]])
-        want = [r + list(right.row(i)) for i, r in enumerate(a)] + [list(bottom.row(0)) + [corner]]
-        assert blocks.to_lists() == want, label
-        _assert_canonical(blocks, label)
-
         row_idx = [i for i in range(m.rows) if rng.random() < 0.6][::-1]
         col_idx = [j for j in range(m.cols) if rng.random() < 0.6] + list(range(min(m.cols, 2)))
         sub = m.submatrix(row_idx, col_idx)
         assert sub.to_lists() == [[a[i][j] for j in col_idx] for i in row_idx], label
         _assert_canonical(sub, label)
-    scalars_only = RatMatrix.from_blocks([[1, Fraction(1, 2)], [Fraction(-2, 3), 0]])
-    assert scalars_only.to_lists() == [[1, Fraction(1, 2)], [Fraction(-2, 3), 0]]
 
 
 def test_equal_matrices_have_equal_storage(rng):
@@ -1266,13 +1247,13 @@ def test_singular_leading_block_falls_back_to_the_base_passes_after_one_try(rng,
     b, c = random_matrix(rng, 13, 13, max_den=1), random_matrix(rng, 13, 13, max_den=1)
     zero = RatMatrix.zeros(13, 13)
     e = c @ c.transpose() + RatMatrix.identity(13)
-    split_first = RatMatrix.from_blocks([[zero, b], [b.transpose(), e]])
+    split_first = from_blocks([[zero, b], [b.transpose(), e]])
     _assert_matches_independent_routes(split_first, "split first", macduffee=True)
     assert tries == [(26, True)]
     assert base_orders == [13, 13]
     tries.clear()
     base_orders.clear()
-    fallback = RatMatrix.from_blocks([[zero, b], [b.transpose(), zero]])
+    fallback = from_blocks([[zero, b], [b.transpose(), zero]])
     _assert_matches_independent_routes(fallback, "fallback", macduffee=True)
     assert tries == [(26, False)]
     assert base_orders == [13, 26]
@@ -1285,7 +1266,7 @@ def test_zero_rows_never_lead_a_split(rng, monkeypatch):
     tries, base_orders = _spy_on_splits(monkeypatch)
     core = _zero_diagonal(rng, 20)
     pad = RatMatrix.zeros(4, 20)
-    m = RatMatrix.from_blocks([[RatMatrix.zeros(4, 4), pad], [pad.transpose(), core]])
+    m = from_blocks([[RatMatrix.zeros(4, 4), pad], [pad.transpose(), core]])
     _assert_matches_independent_routes(m, "zero rows first", macduffee=False)
     assert tries == [(24, True)]
     assert max(base_orders) <= exact_core._SCHUR_CUTOFF
@@ -1313,10 +1294,10 @@ def _symmetric_singular_cases(rng) -> list[tuple[str, RatMatrix]]:
         # [[0, B], [B', 0]] with B of rank r has a kernel of dimension 2 (half - r)
         b = random_matrix(rng, half, r) @ random_matrix(rng, r, half)
         zero = RatMatrix.zeros(half, half)
-        m = RatMatrix.from_blocks([[zero, b], [b.transpose(), zero]])
+        m = from_blocks([[zero, b], [b.transpose(), zero]])
         cases.append((f"zero-diagonal {2 * half} of rank {2 * r}", m))
     pad = RatMatrix.zeros(7, 3)
-    m = RatMatrix.from_blocks([[_zero_diagonal(rng, 7), pad], [pad.transpose(), RatMatrix.zeros(3, 3)]])
+    m = from_blocks([[_zero_diagonal(rng, 7), pad], [pad.transpose(), RatMatrix.zeros(3, 3)]])
     cases.append(("zero-diagonal 10 with 3 zero rows", m))
     for order in (1, 4, 10):
         cases.append((f"zero {order}", RatMatrix.zeros(order, order)))
@@ -1383,7 +1364,7 @@ def _below_cutoff_cases(rng) -> list[tuple[str, RatMatrix]]:
         # zero rows first: the 2x2 step drops them as kernel rows
         pad = RatMatrix.zeros(lead, order - lead)
         core = _zero_diagonal(rng, order - lead)
-        m = RatMatrix.from_blocks([[RatMatrix.zeros(lead, lead), pad], [pad.transpose(), core]])
+        m = from_blocks([[RatMatrix.zeros(lead, lead), pad], [pad.transpose(), core]])
         cases.append((f"zero-diagonal {order} behind {lead} zero rows", m))
     for order in range(1, 17):
         cases.append((f"random symmetric {order}", random_symmetric(rng, order)))

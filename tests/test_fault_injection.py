@@ -18,7 +18,7 @@ import pytest
 
 from helmlab import RatMatrix, cli
 from helmlab.circulant import Bordered, Circulant, bordered_circulant, lift
-from support import bump_l
+from support import bump_l, outer
 
 
 def _unit(k):
@@ -240,7 +240,7 @@ def _add_nilpotent_to_b(case):
     # conditions refuse before any identity is checked
     k = case.n - 1
     x = (1, 0, -1) + (0,) * (k - 3)
-    return _replace_b(case, case.coupling_block.dense() + RatMatrix.outer(x, (1,) * k))
+    return _replace_b(case, case.coupling_block.dense() + outer(x, (1,) * k))
 
 
 def _add_circulant_to_b(case):
