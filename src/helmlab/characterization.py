@@ -9,7 +9,8 @@ needs (W = L D + 2I - 2we'), constructive uniqueness of the triple, the
 six block conditions that pin down the bordered matrix L for helm
 distance matrices, the closed-form kernel projector V, and exact
 positive-semidefiniteness / rank checks for L via a Schur complement
-chain with one congruence inertia, and the rank-one modification lemma.
+chain decided by the trace-form inertia of one symmetric circulant
+(cyclotomic.circulant_inertia), and the rank-one modification lemma.
 
 Each identity is checked once: no function runs an oracle whose answer
 another check of the same report already implies.  The Penrose
@@ -26,15 +27,17 @@ Every function takes objects built once by the caller (the distance
 matrix, a closed_form.HelmCase, a Decomposition, ranks already
 computed) and rebuilds none of them from n.  Everything here is exact;
 positive semidefiniteness in particular is decided by rational inertia,
-never by floating-point eigenvalues.
+never by floating-point eigenvalues: the signs of a circulant's
+eigenvalues come from small rational trace forms, not from cosines.
 
 The circulant block identities are proved on specs.  The rim and
 coupling blocks A and B are held as circulants (closed_form.HelmCase),
 and so is S, so the six conditions take them as they are and refuse any
 other type.  L and D stay dense, since the oracles read them, and the
-two checks that multiply them lift each to a bordered element
-(circulant.lift(m)), which returns the element read off m only when its
-dense() equals m entry by entry.  The checks run the
+checks that multiply them take bordered elements: correction_matrix
+lifts each (circulant.lift(m), which returns the element read off m only
+when its dense() equals m entry by entry), and the Schur chain takes L's
+element, which the report lifts once for L's inertia.  The checks run the
 same operator code (+, -, scalar *, @, ==, is_zero) on the elements: a
 product of two circulants of order k is one packed cyclic convolution,
 a single big-int product of two k-slot ints, where the dense packed
@@ -55,10 +58,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .circulant import Circulant, bordered_circulant, lift
+from .circulant import Bordered, Circulant, bordered_circulant, lift
 from .closed_form import HelmCase
+from .cyclotomic import circulant_inertia, symmetric_blocks
 from .exact_core import (
     Decomposition,
     RatMatrix,
@@ -72,7 +76,6 @@ from .exact_core import (
     _orthogonal_rows,
     _rank_update,
     _row_sums,
-    inertia,
 )
 
 
@@ -267,12 +270,13 @@ def build_kernel_projector(case: HelmCase) -> RatMatrix:
     return bordered_circulant(0, (0, 0), (rim, zero, zero))
 
 
-def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
+def schur_psd_check(lap: Optional[Bordered], case: HelmCase) -> bool:
     """Exact positive-semidefiniteness check of a bordered matrix L of case's shape.
 
-    lift(L) (circulant.lift) must return a bordered element
-    [[c, b'], [b, T]] with a positive corner c, and eliminating c must
-    leave exactly
+    lap is L's bordered element, lift(L) (circulant.lift), of order 2n-1;
+    another order raises ValueError.  It must be symmetric with symmetric
+    blocks (cyclotomic.symmetric_blocks), [[c, b'], [b, T]] with a
+    positive corner c, and eliminating c must leave exactly
 
         [ A - J/(2(n-1))   B ]
         [ B                I ]
@@ -284,36 +288,34 @@ def schur_psd_check(lap: RatMatrix, case: HelmCase) -> bool:
     A + B - J/(2(n-1)) exactly (this encodes B^2 = -B).  By Haynsworth's
     inertia additivity the first complement has the identity's inertia
     plus the second's, and L has the corner's plus the first
-    complement's, so the one inertia of the second complement decides: L
-    is PSD iff it has no negative inertia.  Returns that conjunction.  The
-    chain is taken on the forms only: an L for which lift returns None
-    fails it.
+    complement's, so the one inertia of the second complement, a
+    symmetric circulant, decides: L is PSD iff it has no negative
+    inertia.  That inertia is read off the circulant's cyclotomic trace
+    forms (cyclotomic.circulant_inertia), with no dense matrix.  Returns
+    that conjunction.  The chain is taken on the forms only: an L that
+    does not lift (lap is None) or has a non-symmetric block fails it.
     """
     n = case.n
-    order = 2 * n - 1
-    if lap.rows != order or lap.cols != order:
-        raise ValueError(f"expected order {order}, got {lap.rows}x{lap.cols}")
-    if not lap.is_symmetric():
-        raise ValueError("PSD check requires a symmetric matrix")
-    l, a, b = lift(lap), case.rim_block, case.coupling_block
-    if l is None:
+    if lap is None:
         return False
-    corner = l.hub
-    if corner <= 0:
+    if lap.order != 2 * n - 1:
+        raise ValueError(f"expected order {2 * n - 1}, got {lap.order}")
+    corner, a, b = lap.hub, case.rim_block, case.coupling_block
+    if not symmetric_blocks(lap) or corner <= 0:
         return False
     k = n - 1
     ones = Circulant((1,) * k)
     rim = a - Fraction(1, 2 * k) * ones
     complement_1 = [
-        [block - (ci * rj / corner) * ones for block, rj in zip(row, l.rows)]
-        for row, ci in zip(l.blocks, l.cols)
+        [block - (ci * rj / corner) * ones for block, rj in zip(row, lap.rows)]
+        for row, ci in zip(lap.blocks, lap.cols)
     ]
     if complement_1 != [[rim, b], [b, Circulant((1,) + (0,) * (k - 1))]]:
         return False
     # the second complement, rim - B B, must be rim + B
     if b @ b != -b:
         return False
-    return inertia((rim + b).dense()).i_minus == 0
+    return circulant_inertia(rim + b).i_minus == 0
 
 
 def rank_l_check(rank_d: int, rank_l: int) -> int:

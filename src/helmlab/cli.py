@@ -32,7 +32,7 @@ from .characterization import (
     rank_l_check,
     schur_psd_check,
 )
-from .circulant import Circulant, alternating_signs, cycle_signless_laplacian_spec
+from .circulant import Circulant, alternating_signs, cycle_signless_laplacian_spec, lift
 from .closed_form import (
     closed_form_inverse,
     closed_form_mp_inverse,
@@ -41,6 +41,7 @@ from .closed_form import (
     make_w_alpha,
     rank_one_scale,
 )
+from .cyclotomic import bordered_inertia, symmetric_blocks
 from .exact_core import (
     Decomposition,
     InertiaTriple,
@@ -53,9 +54,10 @@ from .graphs import bfs_distance_matrix, build_helm, helm_distance_block
 
 # Largest n accepted by verify, sweep and eig, so that an oversized n is
 # refused instead of starting a dense run that does not end.  The dense
-# oracles (the factorization of D, the inertias of L and of the Schur
-# chain's complement) cost about n^3 integer operations; README states
-# the time of a run at this n.
+# oracle, the factorization of D, costs about n^3 integer operations; the
+# inertias of L and of the Schur chain's complement are read off
+# cyclotomic trace forms of order at most n - 1.  README states the time
+# of a run at this n.
 MAX_N = 130
 
 
@@ -278,13 +280,17 @@ def _run_checks(n: int, report: VerificationReport) -> None:
 
     checks.run("uniqueness", chk_unique)
 
+    # L's bordered element, lifted once for its inertia and the Schur
+    # chain; an L that does not lift, or whose blocks are not all
+    # symmetric, takes the dense congruence
     with checks.setup("inertia_L"):
-        inertia_l = inertia(lap)
+        form = lift(lap)
+        inertia_l = bordered_inertia(form) if form is not None and symmetric_blocks(form) else inertia(lap)
         rank_l = inertia_l.i_plus + inertia_l.i_minus
     report.rank_l = rank_l
 
     def chk_psd():
-        ok = inertia_l.i_minus == 0 and schur_psd_check(lap, case)
+        ok = inertia_l.i_minus == 0 and schur_psd_check(form, case)
         return ok, f"inertia(L) = {tuple(inertia_l)}; Schur chain verified"
 
     def chk_rank_l():

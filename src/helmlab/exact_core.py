@@ -820,12 +820,13 @@ def inertia(m: RatMatrix) -> InertiaTriple:
     depends only on the matrix, so the same input always takes the same
     path.
 
-    On helm L the first block's complement is the Schur chain's C, so
-    this and ``schur_psd_check``'s inertia run the same kernel on the
-    same matrix, reached two ways: from L's entries and from the
-    closed-form blocks.  The tests' plain-``Fraction`` congruence and
-    characteristic-polynomial sign count stay the kernel's independent
-    checks.
+    The report calls this only for an L that does not lift to a
+    bordered element with symmetric blocks.  A helm L, and the Schur
+    chain's C, take their inertias from cyclotomic trace forms
+    (``cyclotomic``), whose small forms go to this same kernel, so the
+    package keeps one congruence; the tests compare the two routes.  The
+    tests' plain-``Fraction`` congruence and characteristic-polynomial
+    sign count stay the kernel's independent checks.
     """
     if not m.is_symmetric():
         raise ValueError("inertia requires a symmetric matrix")

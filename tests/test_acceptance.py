@@ -38,7 +38,7 @@ from helmlab import (
     rank_l_check,
     schur_psd_check,
 )
-from helmlab.circulant import Circulant
+from helmlab.circulant import Circulant, lift
 from support import (
     helm_decomposition,
     make_rng,
@@ -104,7 +104,7 @@ def test_criterion_5_l_is_psd_of_rank_2n_minus_3():
             case = make_odd_case(n)
             lap = case.laplacian_like
             assert inertia(lap) == InertiaTriple(2 * n - 3, 0, 2)
-            assert schur_psd_check(lap, case)
+            assert schur_psd_check(lift(lap), case)
             d = helm_distance_block(n)
             assert rank_l_check(rank(d), rank(lap)) == 2 * n - 3
 

@@ -38,7 +38,7 @@ from helmlab import (
     solve,
 )
 from helmlab.characterization import SixConditions, _twice_projector
-from helmlab.circulant import Circulant
+from helmlab.circulant import Circulant, lift
 from helmlab.closed_form import _helm_case
 from support import (
     bump_l,
@@ -378,8 +378,8 @@ def test_integer_builds_match_fraction_references_on_helm(n):
         (-case.laplacian_like, case),
         (lowered.laplacian_like, lowered),
     ):
-        assert schur_psd_check(lap, c) == _ref_schur_chain(lap, c)
-    assert schur_psd_check(case.laplacian_like, case)
+        assert schur_psd_check(lift(lap), c) == _ref_schur_chain(lap, c)
+    assert schur_psd_check(lift(case.laplacian_like), case)
 
 
 def test_integer_builds_match_fraction_references_on_the_generic_family(rng):
@@ -410,7 +410,7 @@ def test_schur_chain_on_specs_matches_the_fraction_reference(rng):
         for lap in [c.laplacian_like for c in cases]:
             for m in (lap, bump_l(lap)):
                 for case in cases:
-                    verdict = schur_psd_check(m, case)
+                    verdict = schur_psd_check(lift(m), case)
                     assert verdict == _ref_schur_chain(m, case)
                     verdicts.append(verdict)
     assert True in verdicts and False in verdicts
@@ -657,7 +657,7 @@ def test_shifted_coupling_block_annihilating_polynomial(n):
 @pytest.mark.parametrize("n", (5, 7, 9))
 def test_schur_psd_check_accepts_the_real_l(n):
     case = make_odd_case(n)
-    assert schur_psd_check(case.laplacian_like, case)
+    assert schur_psd_check(lift(case.laplacian_like), case)
 
 
 @pytest.mark.parametrize("n", ODD_RANGE)
@@ -672,7 +672,7 @@ def test_schur_psd_check_rejects_negated_corner():
     lap = case.laplacian_like
     rows = lap.to_lists()
     rows[0][0] = -rows[0][0]
-    assert not schur_psd_check(RatMatrix.from_rows(rows), case)
+    assert not schur_psd_check(lift(RatMatrix.from_rows(rows)), case)
 
 
 @pytest.mark.parametrize("n", (5, 7, 9))
@@ -684,12 +684,12 @@ def test_schur_psd_check_rejects_an_indefinite_but_consistent_l(n):
     rim_spec = (c.rim_block.spec[0] - 3,) + c.rim_block.spec[1:]
     case = _helm_case(n, rim_spec, c.coupling_block.spec)
     assert inertia(case.laplacian_like).i_minus > 0
-    assert not schur_psd_check(case.laplacian_like, case)
+    assert not schur_psd_check(lift(case.laplacian_like), case)
 
 
 def test_schur_psd_check_shape_guard():
-    with pytest.raises(ValueError, match="expected order 13"):
-        schur_psd_check(RatMatrix.identity(4), make_odd_case(7))
+    with pytest.raises(ValueError, match="expected order 13, got 9"):
+        schur_psd_check(lift(make_odd_case(5).laplacian_like), make_odd_case(7))
 
 
 def _rank_l(n: int) -> int:

@@ -438,25 +438,23 @@ def test_verify_eliminates_once_per_fact(monkeypatch):
     # nothing is inverted.  Every rank-one correction (X, W, 2 P_K, the
     # projection of a singular D's generalized inverse) is a row sweep,
     # every matrix-vector identity an integer sum, and every circulant
-    # block identity a product of specs: L D inside W and the Schur chain
-    # lift L and D (circulant.lift), the six block conditions take the
-    # case's circulants, and none takes a dense product.  So the products
-    # of a run, for either parity, are:
-    # - the factorization of D, below the recursion cutoff one congruence
-    #   pass that carries its row transform: F' Omega F, the generalized
-    #   inverse: 1;
-    # - a congruence step takes one product when it eliminates three or
-    #   more pivots, and sweeps one or two: only L's first step (the hub
-    #   and the pendants) does, and neither the Schur complement's
-    #   inertia nor D's congruence takes one: 1
+    # block identity a product of specs: L D inside W lifts L and D
+    # (circulant.lift), the Schur chain takes L's lifted element, the six
+    # block conditions take the case's circulants, and none takes a dense
+    # product.  The dense
+    # inertia is never called: L's inertia and the Schur complement's are
+    # read off cyclotomic trace forms of at most four rows here, and no
+    # congruence step of those takes a product.  So the one product of a
+    # run, for either parity, is the factorization of D, below the
+    # recursion cutoff one congruence pass that carries its row
+    # transform: F' Omega F, the generalized inverse
     calls = _count_eliminations(monkeypatch)
-    # L and the Schur complement
-    expected = {"factor_symmetric": 1, "inertia": 2}
+    expected = {"factor_symmetric": 1, "matmul": 1}
     assert cli.run_verification(6).all_passed
-    assert calls == {**expected, "matmul": 2}
+    assert calls == expected
     calls.clear()
     assert cli.run_verification(7).all_passed
-    assert calls == {**expected, "matmul": 2}
+    assert calls == expected
 
 
 def test_verify_multiplies_no_zero_matrix(monkeypatch):
@@ -476,26 +474,23 @@ def test_verify_multiplies_no_zero_matrix(monkeypatch):
         assert not zero_operands, (n, zero_operands)
 
 
-@pytest.mark.parametrize("n, products", [(12, 7), (13, 8)])
+@pytest.mark.parametrize("n, products", [(12, 6), (13, 7)])
 def test_verify_factors_d_once_above_the_recursion_cutoff(monkeypatch, n, products):
     # D of order 23 or 25 is split once: Y = A^- B, B' Y, Z = Y S^- and
     # Z Y' for the generalized inverse, K Y' for the kernel of a singular
     # D, and one F' Omega F product in each half's congruence; the
     # projection onto the kernel's complement is a row sweep.  No
-    # pseudoinverse, determinant or inertia call sees D: the only
-    # order-(2n-1) inertia is L's, and nothing is inverted.  As below the
-    # cutoff, the rest is L's first congruence step; W's L D, the Schur
-    # chain and the block conditions multiply specs
+    # pseudoinverse, determinant or inertia call sees D, and nothing is
+    # inverted.  The run takes no other product: L's inertia and the
+    # Schur chain's are read off trace forms, with no call to the dense
+    # inertia, and W's L D, the Schur chain and the block conditions
+    # multiply specs
     assert 2 * n - 1 > exact_core._SCHUR_CUTOFF
     seen = []
     calls = _count_eliminations(monkeypatch, seen)
     assert cli.run_verification(n).all_passed
-    assert calls == {"factor_symmetric": 1, "inertia": 2, "matmul": products}
-    assert seen == [
-        ("factor_symmetric", 2 * n - 1),
-        ("inertia", 2 * n - 1),
-        ("inertia", n - 1),
-    ]
+    assert calls == {"factor_symmetric": 1, "matmul": products}
+    assert seen == [("factor_symmetric", 2 * n - 1)]
 
 
 @pytest.mark.parametrize(

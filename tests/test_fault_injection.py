@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from helmlab import RatMatrix, cli
+from helmlab import RatMatrix, cli, exact_core
 from helmlab.circulant import Bordered, Circulant, bordered_circulant, lift
 from support import bump_l, outer
 
@@ -193,6 +193,35 @@ def test_perturbed_ingredient_turns_exactly_its_checks_red(capsys, monkeypatch, 
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     assert not any(c["name"].startswith("setup:") for c in report["checks"])
+    failed = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert failed == EXPECTED_FAILURES[ingredient, n]
+
+
+@pytest.mark.parametrize("n", (6, 7))
+@pytest.mark.parametrize("ingredient, dense", [("L", True), ("L rim spec", False)])
+def test_perturbed_l_takes_the_inertia_route_its_shape_allows(
+    capsys, monkeypatch, ingredient, dense, n
+):
+    # L's inertia is read off its cyclotomic trace forms when L lifts to a
+    # bordered element with symmetric blocks, as the on-shape perturbation
+    # does, and by the dense congruence when it does not, as the bump on
+    # two rim vertices does; either way the same checks go red
+    seen = []
+
+    def spying_inertia(m, original=exact_core.inertia):
+        seen.append(m.rows)
+        return original(m)
+
+    for module in (cli, exact_core):
+        monkeypatch.setattr(module, "inertia", spying_inertia)
+    constructors, perturb = PERTURBATIONS[ingredient]
+    for name in constructors:
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda n, original=original: perturb(original(n)))
+    code = cli.main(["verify", "--n", str(n), "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert seen == ([2 * n - 1] if dense else [])
     failed = {c["name"] for c in report["checks"] if not c["pass"]}
     assert failed == EXPECTED_FAILURES[ingredient, n]
 
