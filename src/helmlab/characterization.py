@@ -34,21 +34,21 @@ The circulant block identities are proved on specs.  The rim and
 coupling blocks A and B are held as circulants (closed_form.HelmCase),
 and so is S, so the six conditions take them as they are and refuse any
 other type.  L and D stay dense, since the oracles read them, and the
-checks that multiply them take bordered elements: correction_matrix
-lifts each (circulant.lift(m), which returns the element read off m only
-when its dense() equals m entry by entry), and the Schur chain takes L's
-element, which the report lifts once for L's inertia.  The checks run the
-same operator code (+, -, scalar *, @, ==, is_zero) on the elements: a
-product of two circulants of order k is one packed cyclic convolution,
-a single big-int product of two k-slot ints, where the dense packed
-product takes k^2 multiply-adds of k-slot ints.  An L or D that does
+checks that multiply them take bordered elements (circulant.lift(m),
+which returns the element read off m only when its dense() equals m
+entry by entry): the report lifts L once, for L's inertia, and hands
+the element to correction_matrix, which lifts D, and to the Schur
+chain.  The checks run the same operator code (+, -, scalar *, @, ==,
+is_zero) on the elements: a product of two circulants of order k is one
+packed cyclic convolution, a single big-int product of two k-slot ints,
+where the dense packed product takes k^2 multiply-adds of k-slot ints.  An L or D that does
 not lift, such as one perturbed off the bordered shape, stays dense in
 L D; the Schur chain needs the form, and fails an L without it.
 
 The rank-one corrections are built on integer entries over one
-denominator, each as one exact_core._rank_update of integer rows: W from
-the rows of L D plus its diagonal, and 2 P_K from a fraction-free
-Gram-Schmidt basis of the kernel vectors.  The certificate's
+denominator: W as one exact_core._rank_update of the integer rows of
+L D plus its diagonal, and 2 P_K as the integer outer products of a
+fraction-free Gram-Schmidt basis of the kernel vectors.  The certificate's
 D w = e/alpha, D u = 0 and X u = 0, check_uniqueness's X e and the six
 conditions' row sums (spec sums) are integer sums compared as integers,
 with no Fraction per entry.
@@ -72,6 +72,7 @@ from .exact_core import (
     _fractions,
     _from_int_rows,
     _int_rows,
+    _kronecker,
     _mat_vec,
     _orthogonal_rows,
     _rank_update,
@@ -94,22 +95,24 @@ class SixConditions(NamedTuple):
     s_balance: bool
 
 
-def correction_matrix(d: RatMatrix, dec: Decomposition) -> RatMatrix:
+def correction_matrix(d: RatMatrix, dec: Decomposition, lap: Optional[Bordered]) -> RatMatrix:
     """W = L D + 2I - 2we', with L and w those of dec.
 
     The one square product of the Penrose certificate: D w = e/alpha turns
     it into 2(I - X D) (check_equiv_formulation), and the report's
     kernel_projector check compares it with the closed-form V
-    (build_kernel_projector).  The report builds it once for both.  L D
-    is taken on specs when lift(L) and lift(D) both return bordered
-    elements (for a helm they do) and densified once, else as a dense
-    product.
+    (build_kernel_projector).  The report builds it once for both.  lap
+    is L's bordered element, lift(dec.laplacian_like) (circulant.lift),
+    or None when L does not lift: the report lifts L once, for this
+    product, L's inertia and the Schur chain (schur_psd_check).  L D is
+    taken on specs when lap and lift(D) are both bordered elements (for
+    a helm they are) and densified once, else as a dense product.
     With L D = P/p and w = v/c over integers,
     W = (c P - 2p v e' + 2pc I)/(pc): one rank-one update of P's rows,
     then the diagonal.
     """
-    lap, dist = lift(dec.laplacian_like), lift(d)
-    if lap is None or dist is None:
+    dist = lift(d) if lap is not None else None
+    if dist is None:
         ld = dec.laplacian_like @ d
     else:
         ld = (lap @ dist).dense()
@@ -127,9 +130,12 @@ def _twice_projector(kernel: Sequence[Vector], order: int) -> RatMatrix:
     Fraction-free Gram-Schmidt (``_orthogonal_rows``) turns the vectors'
     integer numerators into an orthogonal integer basis q_1, q_2, ... of
     their span, so that 2 P_K = sum 2 q_i q_i'/c_i, c_i = q_i'q_i, needs
-    no Gram inverse: over l = lcm c_i it is one ``_rank_update`` of the
-    zero matrix, and the zero matrix for no vector.  Raises ValueError
-    for a vector of another length or for linearly dependent vectors.
+    no Gram inverse: over l = lcm c_i it is the sum of the integer outer
+    products (2 l/c_i) q_i q_i', and the zero matrix for no vector.  Each
+    q_i is packed into one int with one slot per entry
+    (exact_core._kronecker), so row j of the sum is one small multiple
+    of each packed q_i.  Raises ValueError for a vector of another length
+    or for linearly dependent vectors.
     """
     for u in kernel:
         if len(u) != order:
@@ -138,9 +144,12 @@ def _twice_projector(kernel: Sequence[Vector], order: int) -> RatMatrix:
     if not basis:
         return RatMatrix.zeros(order, order)
     den = math.lcm(*[c for _, c in basis])
-    left = [[-2 * (den // c) * x for x in q] for q, c in basis]
-    rows = _rank_update(1, [[0] * order for _ in range(order)], left, [q for q, _ in basis])
-    return _from_int_rows(rows, order, den)
+    terms = [(2 * (den // c), q) for q, c in basis]
+    # row i is sum s q_i q over the terms (s, q): each q one packed int
+    pack, unpack = _kronecker(sum([s * max(map(abs, q)) ** 2 for s, q in terms]))
+    packed = pack([x for _, q in terms for x in q], order)
+    rows = [sum([s * q[i] * p for (s, q), p in zip(terms, packed)]) for i in range(order)]
+    return RatMatrix._from_ints(order, order, den, unpack(rows, order))
 
 
 def check_equiv_formulation(
@@ -262,12 +271,14 @@ def build_kernel_projector(case: HelmCase) -> RatMatrix:
     V w = 0; and V L = 2 alpha (V w) w' - 2 V X = 0.  This V is built
     from L's coupling spec, while equiv_formulation's 2 P_K is built from
     the closed-form kernel basis (HelmVectors.kernel); both are compared
-    with the same W.
+    with the same W.  It is built from B's integer spec over B's own
+    denominator, laid out once.
     """
-    rim = [2 * x for x in case.coupling_block.spec]
-    rim[0] += 2
-    zero = (0,) * len(rim)
-    return bordered_circulant(0, (0, 0), (rim, zero, zero))
+    b = case.coupling_block
+    rim = [2 * x for x in b._ints]
+    rim[0] += 2 * b._den
+    zero = [0] * len(rim)
+    return bordered_circulant(0, (0, 0), (rim, zero, zero), b._den)
 
 
 def schur_psd_check(lap: Optional[Bordered], case: HelmCase) -> bool:

@@ -132,16 +132,20 @@ def bordered_circulant(
     hub: Scalar,
     borders: tuple[Scalar, Scalar],
     specs: tuple[Sequence[Scalar], Sequence[Scalar], Sequence[Scalar]],
+    den: int = 1,
 ) -> RatMatrix:
-    """The order-(2k+1) matrix [[hub, b1 e', b2 e'], [b1 e, P, Q], [b2 e, Q', R]].
+    """The order-(2k+1) matrix [[hub, b1 e', b2 e'], [b1 e, P, Q], [b2 e, Q', R]] / den.
 
     borders is (b1, b2), and P, Q, R are the circulants of the three specs
     (p, q, r) of length k: the dense form of the symmetric Bordered
-    element with both borders (b1, b2).  Raises like circulant_product.
+    element with both borders (b1, b2), over the nonzero integer den.
+    With integer scalars and specs over den, as the closed forms give
+    them, no entry becomes a Fraction: the element is reduced once, on its
+    4k+5 integers, and laid out once.  Raises like circulant_product.
     """
     p, q, r = specs
     # Q' is the circulant whose spec is q with its tail reversed
-    return Bordered(hub, borders, borders, (p, q, q[:1] + q[:0:-1], r)).dense()
+    return (Bordered(hub, borders, borders, (p, q, q[:1] + q[:0:-1], r)) * Fraction(1, den)).dense()
 
 
 # -- the exact algebra on specs ----------------------------------------------
@@ -166,7 +170,7 @@ class Circulant(_IntStore):
     def dense(self) -> RatMatrix:
         k = len(self._ints)
         ints = [x for r in _rotations(self._ints) for x in r]
-        return RatMatrix._from_ints(k, k, self._den, ints)
+        return RatMatrix._laid_out(k, k, self._den, ints)
 
     def __matmul__(self, other: "Circulant") -> "Circulant":
         if not self._is_like(other):
@@ -231,7 +235,9 @@ class Bordered(_IntStore):
 
     def dense(self) -> RatMatrix:
         """The matrix, row-major: the hub and the row border, then each rim
-        row, a column border scalar followed by the rotations of two specs."""
+        row, a column border scalar followed by the rotations of two specs.
+        Every integer of the element appears in it, so it is canonical as
+        laid out, with no reduction pass."""
         e, n = self._ints, self.order
         p, q, r, t = self._specs()
         k = len(p)
@@ -241,7 +247,7 @@ class Bordered(_IntStore):
                 out.append(border)
                 out += a
                 out += b
-        return RatMatrix._from_ints(n, n, self._den, out)
+        return RatMatrix._laid_out(n, n, self._den, out)
 
     def __matmul__(self, other: "Bordered") -> "Bordered":
         """[[h, r'], [c, M]] [[g, s'], [d, N]] by blocks, M and N 2x2 grids.

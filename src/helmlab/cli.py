@@ -255,8 +255,11 @@ def _run_checks(n: int, report: VerificationReport) -> None:
 
     checks.run("six_conditions", chk_six)
 
+    # L's bordered element, lifted once for L D, L's inertia and the
+    # Schur chain
     with checks.setup("correction_matrix"):
-        correction = correction_matrix(d, dec)
+        form = lift(lap)
+        correction = correction_matrix(d, dec, form)
 
     def chk_kernel():
         ok = correction == build_kernel_projector(case)
@@ -280,11 +283,9 @@ def _run_checks(n: int, report: VerificationReport) -> None:
 
     checks.run("uniqueness", chk_unique)
 
-    # L's bordered element, lifted once for its inertia and the Schur
-    # chain; an L that does not lift, or whose blocks are not all
-    # symmetric, takes the dense congruence
+    # an L that does not lift, or whose blocks are not all symmetric,
+    # takes the dense congruence
     with checks.setup("inertia_L"):
-        form = lift(lap)
         inertia_l = bordered_inertia(form) if form is not None and symmetric_blocks(form) else inertia(lap)
         rank_l = inertia_l.i_plus + inertia_l.i_minus
     report.rank_l = rank_l

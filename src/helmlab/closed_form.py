@@ -10,14 +10,17 @@ where w = (5-n, -e', 2e')/4 and L is a symmetric matrix with zero row
 sums, built from bordered circulant blocks over the rim.  L has the same
 shape for both parities; only its coupling block differs, and for even
 n it is -I.  This module builds every ingredient of that formula from
-its closed form alone: no constructor builds D or runs an oracle.  The
-identities that tie the ingredients to D are checked once, by the
-report in helmlab.cli, against the generic elimination oracles from
-exact_core.
+its closed form alone: no constructor builds D or runs an oracle.  A
+case's specs are integers over one denominator, 6(n-1) for odd n and 2
+for even n, so L is one bordered element laid out once, with no
+Fraction per entry.  The identities that tie the ingredients to D are
+checked once, by the report in helmlab.cli, against the generic
+elimination oracles from exact_core.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from .circulant import Circulant, alternating_signs, bordered_circulant
@@ -84,12 +87,18 @@ class HelmCase:
     laplacian_like: RatMatrix
 
 
-def _helm_case(n: int, rim_spec: Vector, coupling_spec: Vector) -> HelmCase:
-    unit = (1,) + (0,) * (n - 2)
-    lap = bordered_circulant(
-        Fraction(n - 1, 2), (Fraction(-1, 2), 0), (rim_spec, coupling_spec, unit)
-    )
-    return HelmCase(n, Circulant(rim_spec), Circulant(coupling_spec), lap)
+def _helm_case(n: int, a: Circulant, b: Circulant) -> HelmCase:
+    """The case with rim block a and coupling block b.
+
+    L is one bordered element over den, the lcm of 2 and the blocks'
+    denominators, so that its hub (n-1)/2 and border -1/2 are integers
+    over den too: built from the blocks' integer specs and laid out once.
+    """
+    den = math.lcm(2, a._den, b._den)
+    rim, coupling = [[x * (den // c._den) for x in c._ints] for c in (a, b)]
+    unit = [den] + [0] * (n - 2)
+    lap = bordered_circulant(den // 2 * (n - 1), (-den // 2, 0), (rim, coupling, unit), den)
+    return HelmCase(n, a, b, lap)
 
 
 def make_odd_case(n: int) -> HelmCase:
@@ -101,26 +110,21 @@ def make_odd_case(n: int) -> HelmCase:
         a_k = (-1)^(k+1) * (2m^2 - 6(m-k)^2 + 7),
 
     and the coupling spec is y = v/(n-1) - e_1 with v the alternating
-    sign vector, i.e. (2-n, -1, 1, ..., 1, -1)/(n-1).
+    sign vector, i.e. (2-n, -1, 1, ..., 1, -1)/(n-1).  Both specs are
+    built as integers over the one denominator 6(n-1), y as
+    6v - 6(n-1) e_1, with no Fraction per entry.
     """
     if n % 2 == 0:
         raise ValueError(f"odd n required, got {n}")
     if n < 5:
         raise ValueError(f"odd case needs n >= 5, got {n}")
     m = (n - 1) // 2
-    k = n - 1
-    coeffs = tuple(
-        [
-            Fraction((-1) ** (kk + 1) * (2 * m * m - 6 * (m - kk) ** 2 + 7))
-            for kk in range(1, m + 1)
-        ]
-    )
-    body = [Fraction(n * n + 4 * n - 12)] + list(coeffs) + list(coeffs[-2::-1])
-    denom = Fraction(1, 6 * (n - 1))
-    x = tuple([denom * val for val in body])
-    v = alternating_signs(k)
-    y = tuple([val / (n - 1) - (1 if i == 0 else 0) for i, val in enumerate(v)])
-    return _helm_case(n, x, y)
+    coeffs = [(-1) ** (j + 1) * (2 * m * m - 6 * (m - j) ** 2 + 7) for j in range(1, m + 1)]
+    rim = [n * n + 4 * n - 12] + coeffs + coeffs[-2::-1]
+    coupling = [6 * (-1) ** i for i in range(n - 1)]
+    coupling[0] -= 6 * (n - 1)
+    scale = Fraction(1, 6 * (n - 1))
+    return _helm_case(n, Circulant(rim) * scale, Circulant(coupling) * scale)
 
 
 def make_even_case(n: int) -> HelmCase:
@@ -130,18 +134,18 @@ def make_even_case(n: int) -> HelmCase:
 
         z = (n+1, b_1, ..., b_{n/2-1}, b_{n/2-1}, ..., b_1) / 2,
         b_k = (-1)^k * ((n-1) - 2k).
+
+    Both specs are built as integers over the one denominator 2, the
+    coupling spec -e_1 as (-2, 0, ..., 0), with no Fraction per entry.
     """
     if n % 2 == 1:
         raise ValueError(f"even n required, got {n}")
     if n < 4:
         raise ValueError(f"helm graphs need n >= 4, got {n}")
-    half = n // 2
-    k = n - 1
-    coeffs = tuple([Fraction((-1) ** kk * (n - 1 - 2 * kk)) for kk in range(1, half)])
-    body = [Fraction(n + 1)] + list(coeffs) + list(reversed(coeffs))
-    z = tuple([Fraction(1, 2) * val for val in body])
-    minus_e1 = (Fraction(-1),) + (Fraction(0),) * (k - 1)
-    return _helm_case(n, z, minus_e1)
+    coeffs = [(-1) ** j * (n - 1 - 2 * j) for j in range(1, n // 2)]
+    rim = [n + 1] + coeffs + coeffs[::-1]
+    coupling = [-2] + [0] * (n - 2)
+    return _helm_case(n, Circulant(rim) * Fraction(1, 2), Circulant(coupling) * Fraction(1, 2))
 
 
 def closed_form_inverse(dec: Decomposition) -> RatMatrix:

@@ -257,6 +257,12 @@ class _IntStore:
         if g > 1:
             den //= g
             ints = [x // g for x in ints]
+        return cls._canonical(den, ints)
+
+    @classmethod
+    def _canonical(cls, den: int, ints: Sequence[int]):
+        """The element ints / den, which must be canonical already
+        (den > 0, gcd(den, *ints) == 1): no reduction pass."""
         x = object.__new__(cls)
         x._den = den
         x._ints = tuple(ints)
@@ -341,6 +347,16 @@ class RatMatrix(_IntStore):
     def _from_ints(cls, rows: int, cols: int, den: int, ints: list[int]) -> "RatMatrix":
         """The rows x cols matrix ints / den (den > 0), reduced to canonical form."""
         m = cls._reduced(den, ints)
+        m.rows = rows
+        m.cols = cols
+        return m
+
+    @classmethod
+    def _laid_out(cls, rows: int, cols: int, den: int, ints: list[int]) -> "RatMatrix":
+        """The rows x cols matrix ints / den laid out from a canonical
+        structured element, every integer of which appears among ints, so
+        that ints / den is canonical already: no reduction pass."""
+        m = cls._canonical(den, ints)
         m.rows = rows
         m.cols = cols
         return m

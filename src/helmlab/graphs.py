@@ -5,17 +5,16 @@ with one pendant vertex hanging off each rim vertex.  Vertices are
 ordered hub first, then the rim v_1..v_{n-1}, then the pendants
 u_1..u_{n-1}, the order of circulant.Bordered.dense().
 
-Two independent routes to the distance matrix are provided: plain BFS
-from every vertex, and the 3x3 block formula built from the rim distance
+Two independent routes to the distance matrix are provided: BFS from
+every vertex at once, one level of all the searches per sweep over
+packed rows, and the 3x3 block formula built from the rim distance
 circulant.  The report's distance_block_vs_bfs check compares them.
 BFS takes any graph as an adjacency tuple, not only a helm.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
-from .exact_core import RatMatrix
+from .exact_core import RatMatrix, _kronecker
 from .circulant import bordered_circulant, rim_distance_spec
 
 
@@ -42,7 +41,22 @@ def build_helm(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def bfs_distance_matrix(adjacency: tuple[tuple[int, ...], ...]) -> RatMatrix:
-    """All-pairs shortest path lengths of a connected graph, by BFS from every vertex.
+    """All-pairs shortest path lengths of a connected graph, by one
+    level-synchronous BFS from every vertex at once.
+
+    Row v is one packed int reach[v] with one slot per vertex
+    (exact_core._kronecker, slots wide enough for any distance): slot t
+    is 1 once t lies within the current radius of v.  Each level sets
+    reach[v] to the OR of reach over v and its neighbours, and stops when
+    no row changes.  acc[v] adds ones - reach[v] at every radius, 1 in
+    each slot not yet reached, so slot t of acc[v] ends as the number of
+    radii 0, 1, ... at which t was out of reach of v: its distance.  One
+    unpack of the acc rows gives the matrix.
+
+    It assumes nothing of the graph.  Its cost is O(diameter |E| |V|/word),
+    against O(|V| |E|) queue steps for a BFS from each vertex in turn: on
+    the helm graphs (diameter 4) and small trees it is the faster, on a
+    long path the slower (3 to 6 times on a path of 300 vertices).
 
     Raises ValueError for a neighbour outside 0..size-1, an asymmetric
     adjacency (u lists v but v does not list u) or an unreachable pair.
@@ -54,21 +68,28 @@ def bfs_distance_matrix(adjacency: tuple[tuple[int, ...], ...]) -> RatMatrix:
             raise ValueError(f"vertex {v} has neighbour {u} outside 0..{size - 1}")
         if (u, v) not in arcs:
             raise ValueError(f"adjacency is not symmetric: {v} lists {u} but {u} does not list {v}")
-    rows: list[list[int]] = []
-    for src in range(size):
-        dist = [-1] * size
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            for u in adjacency[v]:
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        if -1 in dist:
-            raise ValueError(f"graph is not connected: no path from {src} to {dist.index(-1)}")
-        rows.append(dist)
-    return RatMatrix.from_rows(rows)
+    if not size:
+        return RatMatrix.from_rows([])
+    pack, unpack = _kronecker(size)
+    ones, step = pack([1] * size, size)[0], pack([0, 1], 2)[0]  # step: 2 to the slot width
+    reach = [step**v for v in range(size)]
+    acc = [ones - r for r in reach]
+    while True:
+        grown = []
+        for v, nbrs in enumerate(adjacency):
+            x = reach[v]
+            for u in nbrs:
+                x |= reach[u]
+            grown.append(x)
+        if grown == reach:
+            break
+        reach = grown
+        acc = [a + ones - r for a, r in zip(acc, reach)]
+    for src, r in enumerate(reach):
+        if r != ones:
+            missing = unpack([r], size).index(0)
+            raise ValueError(f"graph is not connected: no path from {src} to {missing}")
+    return RatMatrix._from_ints(size, size, 1, unpack(acc, size))
 
 
 def helm_distance_block(n: int) -> RatMatrix:

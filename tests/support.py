@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import deque
 from fractions import Fraction
 
 from helmlab import RatMatrix
@@ -92,3 +93,45 @@ def from_blocks(grid) -> RatMatrix:
         assert len({len(b) for b in blocks}) == 1, "blocks of one band differ in height"
         rows += [sum(parts, []) for parts in zip(*blocks)]
     return RatMatrix.from_rows(rows)
+
+
+def deque_bfs_rows(adjacency) -> list[list[int]]:
+    """Distances from each vertex in turn by a plain deque BFS, -1 for an
+    unreachable vertex: the reference for bfs_distance_matrix."""
+    rows = []
+    for src in range(len(adjacency)):
+        dist = [-1] * len(adjacency)
+        dist[src] = 0
+        queue = deque([src])
+        while queue:
+            v = queue.popleft()
+            for u in adjacency[v]:
+                if dist[u] < 0:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        rows.append(dist)
+    return rows
+
+
+def random_graph(rng: random.Random, size: int, extra: int, parts: int = 1):
+    """An adjacency tuple on size vertices with parts connected components
+    (1 <= parts <= size): each a random tree plus up to extra random edges
+    inside it, the vertices labelled at random and each neighbour list in
+    random order."""
+    label = list(range(size))
+    rng.shuffle(label)
+    cuts = [0, *sorted(rng.sample(range(1, size), parts - 1)), size]
+    edges = set()
+    for lo, hi in zip(cuts, cuts[1:]):
+        part = label[lo:hi]
+        edges |= {(part[i], part[rng.randrange(i)]) for i in range(1, len(part))}
+        if len(part) > 1:
+            edges |= {tuple(rng.sample(part, 2)) for _ in range(extra)}
+    nbrs = [set() for _ in range(size)]
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    adjacency = [list(x) for x in nbrs]
+    for x in adjacency:
+        rng.shuffle(x)
+    return tuple([tuple(x) for x in adjacency])

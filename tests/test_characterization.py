@@ -65,7 +65,7 @@ def _kernel_vector(n: int) -> tuple[Fraction, ...]:
 
 def _certify(d, dec, kernel) -> bool:
     """check_equiv_formulation with W = L D + 2I - 2we' built from d and dec."""
-    return check_equiv_formulation(d, dec, kernel, correction_matrix(d, dec))
+    return check_equiv_formulation(d, dec, kernel, correction_matrix(d, dec, lift(dec.laplacian_like)))
 
 
 @pytest.mark.parametrize("n", (6, 7))
@@ -139,7 +139,7 @@ def test_equiv_formulation_needs_d_u_zero():
     w = (Fraction(1, 3),) * 3
     dec = Decomposition(-2 * (x - 3 * outer(w, w)), w, 3)
     assert dec.candidate == x
-    assert correction_matrix(ident, dec) == outer(u, u)
+    assert correction_matrix(ident, dec, lift(dec.laplacian_like)) == outer(u, u)
     assert not any(x.mul_vector(u))
     assert not _certify(ident, dec, [u])
     assert not penrose_check(ident, x)
@@ -168,7 +168,7 @@ def test_l_d_witness_form_follows_from_d_w(n, bump):
     lap = bump_l(dec.laplacian_like) if bump else dec.laplacian_like
     dec = Decomposition(lap, dec.w, dec.alpha)
     ident = RatMatrix.identity(d.rows)
-    assert correction_matrix(d, dec) == 2 * (ident - dec.candidate @ d)
+    assert correction_matrix(d, dec, lift(dec.laplacian_like)) == 2 * (ident - dec.candidate @ d)
 
 
 def test_equiv_formulation_hypothesis_failure():
@@ -274,7 +274,7 @@ def test_generic_singular_family_fails_with_a_kernel_term_in_x(rng):
         u = kernel[rng.randrange(len(kernel))]
         shifted = _triple_of(dec.candidate + outer(u, u))
         assert shifted.alpha == dec.alpha and shifted.w == dec.w
-        assert correction_matrix(d, shifted) == correction_matrix(d, dec)
+        assert correction_matrix(d, shifted, lift(shifted.laplacian_like)) == correction_matrix(d, dec, lift(dec.laplacian_like))
         assert not _certify(d, shifted, kernel), d
         assert not penrose_check(d, shifted.candidate), d
 
@@ -359,7 +359,7 @@ def _ref_schur_chain(m, case):
 
 def _assert_integer_builds_match(d, dec, kernel):
     assert dec.candidate.to_lists() == _ref_candidate(dec)
-    assert correction_matrix(d, dec).to_lists() == _ref_correction(d, dec)
+    assert correction_matrix(d, dec, lift(dec.laplacian_like)).to_lists() == _ref_correction(d, dec)
     assert _twice_projector(kernel, d.rows).to_lists() == _ref_twice_projector(kernel, d.rows)
 
 
@@ -372,7 +372,7 @@ def test_integer_builds_match_fraction_references_on_helm(n):
     # shifted by 3 (consistent complements, a negative inertia)
     case = make_even_case(n) if n % 2 == 0 else make_odd_case(n)
     rim = case.rim_block.spec
-    lowered = _helm_case(n, (rim[0] - 3,) + rim[1:], case.coupling_block.spec)
+    lowered = _helm_case(n, Circulant((rim[0] - 3,) + rim[1:]), case.coupling_block)
     for lap, c in (
         (case.laplacian_like, case),
         (-case.laplacian_like, case),
@@ -404,8 +404,8 @@ def test_schur_chain_on_specs_matches_the_fraction_reference(rng):
         rim = true.rim_block.spec
         coupling = true.coupling_block.spec if rng.random() < 0.75 else random_delta_vector(rng, n - 1)
         cases = [
-            _helm_case(n, rim, coupling),
-            _helm_case(n, tuple([x + y for x, y in zip(rim, shift)]), coupling),
+            _helm_case(n, Circulant(rim), Circulant(coupling)),
+            _helm_case(n, Circulant(tuple([x + y for x, y in zip(rim, shift)])), Circulant(coupling)),
         ]
         for lap in [c.laplacian_like for c in cases]:
             for m in (lap, bump_l(lap)):
@@ -682,7 +682,7 @@ def test_schur_psd_check_rejects_an_indefinite_but_consistent_l(n):
     # A + B - J/(2(n-1)), now with a negative eigenvalue, can say no
     c = make_odd_case(n)
     rim_spec = (c.rim_block.spec[0] - 3,) + c.rim_block.spec[1:]
-    case = _helm_case(n, rim_spec, c.coupling_block.spec)
+    case = _helm_case(n, Circulant(rim_spec), c.coupling_block)
     assert inertia(case.laplacian_like).i_minus > 0
     assert not schur_psd_check(lift(case.laplacian_like), case)
 

@@ -308,6 +308,24 @@ def test_bordered_algebra_matches_dense_ratmatrix(rng, k):
             _assert_algebra_matches_dense(x, y)
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_dense_layouts_need_no_reduction_pass(rng, k):
+    # dense() reduces nothing: every integer of a canonical element
+    # appears in its layout, so the layout already has the storage of the
+    # matrix rebuilt from its reduced Fraction entries
+    zeros = ((0,) * k,) * 4
+    elements = [Circulant((0,) * k), Bordered(0, (0, 0), (0, 0), zeros)]
+    for _ in range(6):
+        elements += [_random_circulant(rng, k), _random_bordered(rng, k)]
+    elements += [Bordered(Fraction(1, 6), (0, 0), (0, 0), zeros), Circulant((Fraction(2, 3),) + (0,) * (k - 1))]
+    assert any(x._den > 1 for x in elements)
+    for x in elements:
+        m = x.dense()
+        fresh = RatMatrix.from_rows(m.to_lists())
+        assert (m._den, m._ints) == (fresh._den, fresh._ints), x
+        _assert_canonical(m)
+
+
 def test_bordered_circulant_and_bordered_share_the_layout(rng):
     for k in range(1, 8):
         hub, b1, b2 = (random_fraction(rng) for _ in range(3))

@@ -417,6 +417,29 @@ def test_verify_builds_each_per_n_object_once(monkeypatch):
         }
 
 
+def test_verify_lifts_l_and_d_once_each(monkeypatch):
+    # L's bordered element is lifted once and shared by L D
+    # (correction_matrix), L's inertia and the Schur chain;
+    # correction_matrix lifts D
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "helmlab"]
+    original = circulant.lift
+    for n in (6, 7):
+        d = helmlab.helm_distance_block(n)
+        lap = (helmlab.make_even_case if n % 2 == 0 else helmlab.make_odd_case)(n).laplacian_like
+        lifted = []
+
+        def spying_lift(m):
+            lifted.append("D" if m == d else "L" if m == lap else m)
+            return original(m)
+
+        for mod in modules:
+            if getattr(mod, "lift", None) is original:
+                monkeypatch.setattr(mod, "lift", spying_lift)
+        assert cli.run_verification(n).all_passed
+        assert Counter(lifted) == {"L": 1, "D": 1}
+        monkeypatch.undo()
+
+
 def _count_eliminations(monkeypatch, seen=None) -> Counter:
     """Count the elimination oracles and the matmuls of a run."""
     names = ("rank", "inertia", "inverse", "determinant", "pseudoinverse", "factor_symmetric")

@@ -11,6 +11,7 @@ import pytest
 from helmlab import (
     RatMatrix,
     alternating_signs,
+    build_kernel_projector,
     circulant_product,
     closed_form_inverse,
     closed_form_mp_inverse,
@@ -28,7 +29,7 @@ from helmlab import (
     rank_one_scale,
 )
 from helmlab.circulant import Circulant
-from support import helm_decomposition, outer
+from support import from_blocks, helm_decomposition, outer
 
 ODD_RANGE = (5, 7, 9, 11, 13)
 EVEN_RANGE = (4, 6, 8, 10, 12)
@@ -226,6 +227,62 @@ def test_odd_laplacian_like_structure(n):
     # trailing pendant block is the identity
     for i in range(n, 2 * n - 1):
         assert lap[i, i] == 1
+
+
+def _paper_specs(n):
+    """The paper's rim and coupling specs of L for n, entry by entry in
+    plain Fractions; entry j >= 1 of a rim spec is its coefficient of
+    index min(j, k - j)."""
+    k = n - 1
+    if n % 2:
+        m = k // 2
+        a = [None] + [(-1) ** (j + 1) * (2 * m * m - 6 * (m - j) ** 2 + 7) for j in range(1, m + 1)]
+        rim = [Fraction(n * n + 4 * n - 12, 6 * k)] + [Fraction(a[min(j, k - j)], 6 * k) for j in range(1, k)]
+        coupling = [Fraction((-1) ** j, k) - (j == 0) for j in range(k)]
+    else:
+        b = [None] + [(-1) ** j * (k - 2 * j) for j in range(1, n // 2)]
+        rim = [Fraction(n + 1, 2)] + [Fraction(b[min(j, k - j)], 2) for j in range(1, k)]
+        coupling = [-Fraction(j == 0) for j in range(k)]
+    return tuple(rim), tuple(coupling)
+
+
+@pytest.mark.parametrize("n", range(4, 131))
+def test_integer_built_case_has_the_papers_specs(n):
+    case = make_odd_case(n) if n % 2 else make_even_case(n)
+    rim, coupling = _paper_specs(n)
+    assert case.n == n
+    assert case.rim_block.spec == rim
+    assert case.coupling_block.spec == coupling
+    assert (case.rim_block, case.coupling_block) == (Circulant(rim), Circulant(coupling))
+
+
+@pytest.mark.parametrize("n", (*range(4, 14), 60, 61, 129, 130))
+def test_integer_built_l_and_v_are_their_fraction_layouts(n):
+    # L = [[k/2, -e'/2, 0], [-e/2, A, B], [0, B, I]] and V = 2(B + I) on
+    # the rim, laid out in plain Fractions from the paper's specs
+    k = n - 1
+    case = make_odd_case(n) if n % 2 else make_even_case(n)
+    rim, coupling = _paper_specs(n)
+    a, b = materialize(rim), materialize(coupling)
+    e_row, zero_row = RatMatrix.from_rows([[1] * k]), RatMatrix.zeros(1, k)
+    ident, zero = RatMatrix.identity(k), RatMatrix.zeros(k, k)
+    half = Fraction(-1, 2)
+    lap = from_blocks(
+        [
+            [Fraction(k, 2), half * e_row, zero_row],
+            [half * e_row.transpose(), a, b],
+            [zero_row.transpose(), b, ident],
+        ]
+    )
+    assert case.laplacian_like == lap
+    v = from_blocks(
+        [
+            [0, zero_row, zero_row],
+            [zero_row.transpose(), 2 * (b + ident), zero],
+            [zero_row.transpose(), zero, zero],
+        ]
+    )
+    assert build_kernel_projector(case) == v
 
 
 # -- the closed forms ----------------------------------------------------------------

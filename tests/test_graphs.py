@@ -12,7 +12,7 @@ from helmlab import (
     helm_distance_block,
     materialize,
 )
-from support import from_blocks
+from support import deque_bfs_rows, from_blocks, random_graph
 
 
 def test_build_helm_h7_counts():
@@ -61,12 +61,39 @@ def test_bfs_diagonal_is_zero():
     assert all(d[i, i] == 0 for i in range(9))
 
 
-@pytest.mark.parametrize("m", (1, 2, 5, 9))
+@pytest.mark.parametrize("m", (1, 2, 5, 9, 300))
 def test_bfs_on_a_path(m):
-    # vertices 0..m-1 in a line: d(i, j) = |i - j|
+    # vertices 0..m-1 in a line: d(i, j) = |i - j|; distances up to 299
+    # need slots wider than a byte
     path = tuple(tuple(j for j in (i - 1, i + 1) if 0 <= j < m) for i in range(m))
     expected = RatMatrix.from_rows([[abs(i - j) for j in range(m)] for i in range(m)])
     assert bfs_distance_matrix(path) == expected
+
+
+def test_bfs_of_no_vertex_is_the_empty_matrix():
+    assert bfs_distance_matrix(()) == RatMatrix.from_rows([])
+
+
+def test_bfs_matches_the_deque_reference_on_random_connected_graphs(rng):
+    # random trees, sparse and dense graphs from 1 to 60 vertices, and one
+    # tree of 280 vertices, whose distances may pass 255
+    graphs = [random_graph(rng, rng.randint(1, 60), rng.choice((0, 2, 10, 80))) for _ in range(60)]
+    graphs.append(random_graph(rng, 280, 0))
+    for g in graphs:
+        assert bfs_distance_matrix(g) == RatMatrix.from_rows(deque_bfs_rows(g)), g
+
+
+def test_bfs_refuses_random_disconnected_graphs_like_the_deque_reference(rng):
+    # the message names the first source with an unreachable vertex and
+    # the first vertex it cannot reach
+    for _ in range(30):
+        size = rng.randint(2, 40)
+        g = random_graph(rng, size, rng.choice((0, 3, 20)), parts=rng.randint(2, min(size, 4)))
+        rows = deque_bfs_rows(g)
+        src = next(s for s, row in enumerate(rows) if -1 in row)
+        message = f"not connected: no path from {src} to {rows[src].index(-1)}"
+        with pytest.raises(ValueError, match=message + "$"):
+            bfs_distance_matrix(g)
 
 
 @pytest.mark.parametrize("leaves", (1, 3, 6))
@@ -80,7 +107,7 @@ def test_bfs_on_a_star(leaves):
     assert bfs_distance_matrix(star) == expected
 
 
-@pytest.mark.parametrize("n", range(4, 14))
+@pytest.mark.parametrize("n", range(4, 131))
 def test_block_formula_matches_bfs(n):
     assert helm_distance_block(n) == bfs_distance_matrix(build_helm(n))
 
@@ -149,6 +176,8 @@ def test_bfs_rejects_an_unreachable_pair():
         bfs_distance_matrix(((), ()))
     with pytest.raises(ValueError, match="not connected: no path from 0 to 2"):
         bfs_distance_matrix(((1,), (0,), (3,), (2,)))
+    with pytest.raises(ValueError, match="not connected: no path from 0 to 3"):
+        bfs_distance_matrix(((1,), (0, 2), (1,), ()))
 
 
 def test_bfs_rejects_an_asymmetric_adjacency():
