@@ -14,8 +14,8 @@ chain decided by the trace-form inertia of one symmetric circulant
 
 Each identity is checked once: no function runs an oracle whose answer
 another check of the same report already implies.  The Penrose
-conditions are proved only by check_equiv_formulation, with no product
-of order 2n-1 of its own: its one square product, L D inside W, is built
+conditions are proved only by check_equiv_formulation, with no square
+product of its own: its one square product, L D inside W, is built
 once (correction_matrix) and shared with the report's kernel_projector
 check, W = V.  The ranks come from the caller (read off inertias), and
 rank(X) is not recomputed: the report's closed-form check proves
@@ -33,22 +33,34 @@ eigenvalues come from small rational trace forms, not from cosines.
 The circulant block identities are proved on specs.  The rim and
 coupling blocks A and B are held as circulants (closed_form.HelmCase),
 and so is S, so the six conditions take them as they are and refuse any
-other type.  L and D stay dense, since the oracles read them, and the
-checks that multiply them take bordered elements (circulant.lift(m),
-which returns the element read off m only when its dense() equals m
-entry by entry): the report lifts L once, for L's inertia, and hands
-the element to correction_matrix, which lifts D, and to the Schur
-chain.  The checks run the same operator code (+, -, scalar *, @, ==,
-is_zero) on the elements: a product of two circulants of order k is one
-packed cyclic convolution, a single big-int product of two k-slot ints,
-where the dense packed product takes k^2 multiply-adds of k-slot ints.  An L or D that does
-not lift, such as one perturbed off the bordered shape, stays dense in
-L D; the Schur chain needs the form, and fails an L without it.
+other type.
+
+The certificate runs on one of two routes, with one operator code.  Its
+operands D, L, X and W are either all dense RatMatrix or all
+circulant.Bordered elements, and the checks use only what both types
+have: +, -, scalar *, @, ==, is_symmetric and the matrix-vector product
+_mat_vec; mixed operands raise TypeError.  The report decides the route
+once, at set-up.  When D and L lift (circulant.lift, which returns the
+element read off m only when its dense() equals m) and w is constant on
+the rim and on the pendants, as for every helm, D, L and
+X = -L/2 + alpha ww' (candidate_element) are elements, and so are W, V
+and 2 P_K.  A check is then O(n) integer work: a product of two
+elements is eight packed cyclic convolutions, a matrix-vector product
+is spec sums or packed correlations, and == compares 4n+1 integers.
+Otherwise every operand stays dense: an L or D perturbed off the
+bordered shape, a w that is not block-constant, and the trees and
+generic matrices of the tests.  On elements 2 P_K is built from the
+kernel basis, and is None when it is not bordered: such a 2 P_K never
+equals the bordered W, as the dense comparison would find.  The Schur
+chain takes L's element whichever route the certificate takes, and
+fails an L without it.
 
 The rank-one corrections are built on integer entries over one
-denominator: W as one exact_core._rank_update of the integer rows of
-L D plus its diagonal, and 2 P_K as the integer outer products of a
-fraction-free Gram-Schmidt basis of the kernel vectors.  The certificate's
+denominator: X and W as the integers of -L/2 + alpha ww' and
+L D + 2I - 2we' (on elements, ww' and we' are bordered for a
+block-constant w; densely, one exact_core._rank_update of the integer
+rows), and 2 P_K from the integer outer products of a fraction-free
+Gram-Schmidt basis of the kernel vectors.  The certificate's
 D w = e/alpha, D u = 0 and X u = 0, check_uniqueness's X e and the six
 conditions' row sums (spec sums) are integer sums compared as integers,
 with no Fraction per entry.
@@ -58,14 +70,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from operator import mul
+from typing import NamedTuple, Optional, Sequence, Union
 
-from .circulant import Bordered, Circulant, bordered_circulant, lift
+from .circulant import Bordered, Circulant
 from .closed_form import HelmCase
 from .cyclotomic import circulant_inertia, symmetric_blocks
 from .exact_core import (
     Decomposition,
     RatMatrix,
+    Scalar,
     Vector,
     VerificationError,
     _common_denominator,
@@ -73,11 +87,13 @@ from .exact_core import (
     _from_int_rows,
     _int_rows,
     _kronecker,
-    _mat_vec,
     _orthogonal_rows,
     _rank_update,
-    _row_sums,
 )
+
+# An operand of the certificate: dense, or a bordered element on the
+# element route.
+Operand = Union[RatMatrix, Bordered]
 
 
 class SixConditions(NamedTuple):
@@ -95,52 +111,109 @@ class SixConditions(NamedTuple):
     s_balance: bool
 
 
-def correction_matrix(d: RatMatrix, dec: Decomposition, lap: Optional[Bordered]) -> RatMatrix:
-    """W = L D + 2I - 2we', with L and w those of dec.
+def _order(m) -> int:
+    """The order of a square RatMatrix or of a Bordered element."""
+    return m.order if type(m) is Bordered else m.rows
+
+
+def _block_constant(w: Sequence[Scalar]) -> Optional[tuple[int, list[int]]]:
+    """(c, [v0, v1, v2]) with w = (v0, v1 e', v2 e')'/c over integers, for
+    w of the order 2k+1 >= 3 of a Bordered element, or None when w is not
+    constant on the rim (entries 1..k) and on the pendants (k+1..2k)."""
+    k = (len(w) - 1) // 2
+    rim, pendants = w[1 : k + 1], w[k + 1 :]
+    if rim.count(rim[0]) != k or pendants.count(pendants[0]) != k:
+        return None
+    return _common_denominator([w[0], rim[0], pendants[0]])
+
+
+def _outer_ints(x: Sequence[int], y: Sequence[int], k: int) -> list[int]:
+    """The integers (h, r1, r2, c1, c2, p, q, r, t) of the Bordered element
+    x y' for x = (x0, x1 e', x2 e')' and y = (y0, y1 e', y2 e')': every
+    block is a multiple of J, whose spec is all ones."""
+    (x0, x1, x2), (y0, y1, y2) = x, y
+    return [x0 * y0, x0 * y1, x0 * y2, x1 * y0, x2 * y0] + [x1 * y1] * k + [x1 * y2] * k + [x2 * y1] * k + [x2 * y2] * k
+
+
+def candidate_element(lap: Bordered, dec: Decomposition) -> Optional[Bordered]:
+    """X = -L/2 + alpha ww' as a Bordered element, or None.
+
+    lap is L's element, lift(dec.laplacian_like), and w and alpha are
+    dec's.  For a w constant on the rim and on the pendants, ww' is
+    bordered too, so X is: with L = A/l, w = v/c and alpha = a/b over
+    integers, X = (-b c^2 A + 2 l a vv')/(2 l b c^2) on the element's
+    integers, as Decomposition.candidate builds it densely.  For any
+    other w, ww' and so X are not bordered, and None comes back: the
+    report then keeps every operand dense.  An element of another order
+    than w raises ValueError.
+    """
+    if lap.order != len(dec.w):
+        raise ValueError(f"element of order {lap.order} against w of length {len(dec.w)}")
+    blocks = _block_constant(dec.w)
+    if blocks is None:
+        return None
+    (c, v), a, b, l = blocks, dec.alpha.numerator, dec.alpha.denominator, lap._den
+    k = (lap.order - 1) // 2
+    ints = [-b * c * c * x + 2 * l * a * o for x, o in zip(lap._ints, _outer_ints(v, v, k))]
+    return Bordered._reduced(2 * l * b * c * c, ints)
+
+
+def correction_matrix(d: Operand, lap: Operand, w: Vector) -> Operand:
+    """W = L D + 2I - 2we', for D and L both dense or both bordered elements.
 
     The one square product of the Penrose certificate: D w = e/alpha turns
     it into 2(I - X D) (check_equiv_formulation), and the report's
     kernel_projector check compares it with the closed-form V
-    (build_kernel_projector).  The report builds it once for both.  lap
-    is L's bordered element, lift(dec.laplacian_like) (circulant.lift),
-    or None when L does not lift: the report lifts L once, for this
-    product, L's inertia and the Schur chain (schur_psd_check).  L D is
-    taken on specs when lap and lift(D) are both bordered elements (for
-    a helm they are) and densified once, else as a dense product.
-    With L D = P/p and w = v/c over integers,
-    W = (c P - 2p v e' + 2pc I)/(pc): one rank-one update of P's rows,
-    then the diagonal.
+    (build_kernel_projector).  The report builds it once for both.  With
+    L D = P/p and w = v/c over integers, W = (c P - 2p v e' + 2pc I)/(pc).
+    On elements (lap = lift(L), d = lift(D)) P is the element product,
+    eight packed cyclic convolutions, and ve' is the bordered
+    Bordered(v0, (v0, v0), (v1, v2), (v1 J, v1 J, v2 J, v2 J)), so W is
+    an element built on P's integers: w must then be constant on the rim
+    and on the pendants, else ValueError.  On dense matrices it is the
+    dense product, one rank-one update of P's rows, then the diagonal.
+    Mixed operands raise TypeError, as their product does.
     """
-    dist = lift(d) if lap is not None else None
-    if dist is None:
-        ld = dec.laplacian_like @ d
-    else:
-        ld = (lap @ dist).dense()
-    c, v = _common_denominator(dec.w)
+    ld = lap @ d
     p = ld._den
-    rows = _rank_update(c, _int_rows(ld), [[2 * p * x for x in v]], [[1] * ld.cols])
-    for i, row in enumerate(rows):
-        row[i] += 2 * p * c
-    return _from_int_rows(rows, ld.cols, p * c)
+    if type(ld) is RatMatrix:
+        c, v = _common_denominator(w)
+        rows = _rank_update(c, _int_rows(ld), [[2 * p * x for x in v]], [[1] * ld.cols])
+        for i, row in enumerate(rows):
+            row[i] += 2 * p * c
+        return _from_int_rows(rows, ld.cols, p * c)
+    blocks = _block_constant(w) if len(w) == ld.order else None
+    if blocks is None:
+        raise ValueError("a bordered W needs w of its order, constant on the rim and on the pendants")
+    (c, v), k = blocks, (ld.order - 1) // 2
+    ints = [c * x - 2 * p * o for x, o in zip(ld._ints, _outer_ints(v, (1, 1, 1), k))]
+    for i in (0, 5, 5 + 3 * k):  # the hub and the diagonals of P and T
+        ints[i] += 2 * p * c
+    return Bordered._reduced(p * c, ints)
 
 
-def _twice_projector(kernel: Sequence[Vector], order: int) -> RatMatrix:
-    """2 P_K = 2 K'(K K')^-1 K, K the matrix with the kernel vectors as rows.
-
-    Fraction-free Gram-Schmidt (``_orthogonal_rows``) turns the vectors'
-    integer numerators into an orthogonal integer basis q_1, q_2, ... of
-    their span, so that 2 P_K = sum 2 q_i q_i'/c_i, c_i = q_i'q_i, needs
-    no Gram inverse: over l = lcm c_i it is the sum of the integer outer
-    products (2 l/c_i) q_i q_i', and the zero matrix for no vector.  Each
-    q_i is packed into one int with one slot per entry
-    (exact_core._kronecker), so row j of the sum is one small multiple
-    of each packed q_i.  Raises ValueError for a vector of another length
-    or for linearly dependent vectors.
-    """
+def _kernel_basis(kernel: Sequence[Vector], order: int) -> list[tuple[list[int], int]]:
+    """Pairs (q_i, c_i = q_i'q_i): an orthogonal integer basis of the span
+    of the kernel vectors, by fraction-free Gram-Schmidt
+    (``_orthogonal_rows``) on their integer numerators.  Raises
+    ValueError for a vector of another length or for linearly dependent
+    vectors."""
     for u in kernel:
         if len(u) != order:
             raise ValueError(f"kernel vector of length {len(u)} against order {order}")
-    basis = _orthogonal_rows([_common_denominator(u)[1] for u in kernel])
+    return _orthogonal_rows([_common_denominator(u)[1] for u in kernel])
+
+
+def _twice_projector(basis: Sequence[tuple[list[int], int]], order: int) -> RatMatrix:
+    """2 P_K = 2 K'(K K')^-1 K, K the matrix with the kernel vectors as rows.
+
+    On the orthogonal basis (q_i, c_i) of _kernel_basis(kernel, order),
+    2 P_K = sum 2 q_i q_i'/c_i needs no Gram inverse: over l = lcm c_i it
+    is the sum of the integer outer products (2 l/c_i) q_i q_i', and the
+    zero matrix for no vector.  Each q_i is packed into one int with one
+    slot per entry (exact_core._kronecker), so row j of the sum is one
+    small multiple of each packed q_i.
+    """
     if not basis:
         return RatMatrix.zeros(order, order)
     den = math.lcm(*[c for _, c in basis])
@@ -152,16 +225,57 @@ def _twice_projector(kernel: Sequence[Vector], order: int) -> RatMatrix:
     return RatMatrix._from_ints(order, order, den, unpack(rows, order))
 
 
-def check_equiv_formulation(
-    d: RatMatrix, dec: Decomposition, kernel: Sequence[Vector], correction: RatMatrix
-) -> bool:
-    """Certify dec.candidate as the Moore-Penrose inverse of d, given a kernel basis.
+def _bordered_projector(basis: Sequence[tuple[list[int], int]], order: int) -> Optional[Bordered]:
+    """2 P_K as a Bordered element of odd order 2k+1 >= 3, or None when it
+    is not one: lift(_twice_projector(basis, order)), in O(order) work
+    per pair of basis vectors (q_i, c_i) of _kernel_basis.
 
-    kernel holds linearly independent vectors claimed to span ker D (K the
-    matrix with them as rows), and correction is W = L D + 2I - 2we'
-    (correction_matrix).  Requires d symmetric; a d that is not, a
+    The elements are the matrices M that commute with the permutation R
+    fixing the hub and turning the rim and the pendants one step:
+    M_(Ra)(Rb) = M_ab makes the borders constant and the blocks
+    circulant, and conversely.  An orthogonal projector commutes with the
+    orthogonal R exactly when R maps its range into itself.  So each
+    basis vector q is turned one step, and R q must
+    equal its projection onto the span: over l = lcm c_i,
+    l R q = sum (l/c_i)(q_i'R q) q_i.  A span that passes has a bordered
+    2 P_K = sum (2 l/c_i) q_i q_i' / l, read off its hub row, first rim
+    row and first pendant row, like lift.  A single q q' need not be
+    bordered when the sum is: two rational vectors spanning a pair of
+    Fourier modes are turned into each other.  No vector gives the zero
+    element.
+    """
+    k = (order - 1) // 2
+    den = math.lcm(1, *[c for _, c in basis])
+    for q, _ in basis:
+        turned = [q[0], q[k], *q[1:k], q[2 * k], *q[k + 1 : 2 * k]]
+        image = [0] * order
+        for p, c in basis:
+            s = den // c * sum(map(mul, p, turned))
+            image = [x + s * y for x, y in zip(image, p)]
+        if image != [den * x for x in turned]:
+            return None
+    hub, rim, pendant = rows = [[0] * order for _ in range(3)]
+    for q, c in basis:
+        for row, i in zip(rows, (0, 1, k + 1)):
+            f = 2 * (den // c) * q[i]
+            row[:] = [x + f * y for x, y in zip(row, q)]
+    scalars = [hub[0], hub[1], hub[k + 1], rim[0], pendant[0]]
+    return Bordered._reduced(den, scalars + rim[1:] + pendant[1:])
+
+
+def check_equiv_formulation(
+    d: Operand, x: Operand, dec: Decomposition, kernel: Sequence[Vector], correction: Operand
+) -> bool:
+    """Certify X = -L/2 + alpha ww' as the Moore-Penrose inverse of d, given a kernel basis.
+
+    d, x and correction are D, X and W = L D + 2I - 2we'
+    (correction_matrix), all three dense or all three bordered elements
+    (else TypeError); x is dec.candidate or its element
+    (candidate_element), and w and alpha are dec's.  kernel holds
+    linearly independent vectors claimed to span ker D (K the matrix
+    with them as rows).  Requires d symmetric; a d that is not, a
     decomposition or kernel vector of another order, or dependent kernel
-    vectors raise ValueError.  With X = dec.candidate, returns True iff
+    vectors raise ValueError.  Returns True iff
 
         D w = e/alpha,  D u = 0 and X u = 0 for each u in kernel,
         and W = 2 P_K,  P_K = K'(K K')^-1 K,
@@ -179,39 +293,48 @@ def check_equiv_formulation(
     exceed rank D >= rank(X D).  D w = e/alpha also proves the
     characterization's hypothesis that the all-ones vector lies in the
     range of D; a d without e in its range fails it and gets False.  Past
-    the product inside W, every step is a matrix-vector product or an
-    entrywise comparison.  The comparison with the pseudoinverse is the
-    caller's oracle check.
+    the product inside W, every step is a matrix-vector product or a
+    comparison, and the kernel vectors are read once, as the orthogonal
+    integer basis of their span that 2 P_K is built from: on elements, the
+    products are spec sums or packed correlations, and 2 P_K is built as
+    an element (_bordered_projector).  The comparison with the
+    pseudoinverse is the caller's oracle check.
     """
+    if not type(d) is type(x) is type(correction):
+        raise TypeError("D, X and W must be all dense or all bordered elements")
     if not d.is_symmetric():
         raise ValueError("characterization applies to symmetric matrices")
-    order = d.rows
+    order = _order(d)
     if len(dec.w) != order:
         raise ValueError(f"decomposition of order {len(dec.w)} against {order}")
-    projector = _twice_projector(kernel, order)
+    basis = _kernel_basis(kernel, order)
+    projector = (_bordered_projector if type(d) is Bordered else _twice_projector)(basis, order)
     # D w = e/alpha: with D w = s/den and alpha = a/b, every s a = den b
-    sums, den = _mat_vec(d, dec.w)
+    sums, den = d._mat_vec(dec.w)
     a, b = dec.alpha.numerator, dec.alpha.denominator
     if any(s * a != den * b for s in sums):
         return False
-    x = dec.candidate
-    if any(any(_mat_vec(d, u)[0]) or any(_mat_vec(x, u)[0]) for u in kernel):
+    # D u = 0 and X u = 0 for the kernel vectors u, tested on the integer
+    # basis q of their span
+    if any(any(d._mat_vec(q)[0]) or any(x._mat_vec(q)[0]) for q, _ in basis):
         return False
     return correction == projector
 
 
-def check_uniqueness(d: RatMatrix, dec: Decomposition) -> tuple[Fraction, Vector]:
+def check_uniqueness(x: Operand, dec: Decomposition) -> tuple[Fraction, Vector]:
     """Recover (alpha, w) from the candidate matrix alone.
 
-    With X = -L/2 + alpha ww', zero row sums of L give X e = alpha w and
+    x is X = -L/2 + alpha ww', dec.candidate or its element
+    (candidate_element).  Zero row sums of L give X e = alpha w and
     e' X e = alpha, so the triple is pinned down by X.  The recovered
     values must match dec's fields exactly; a mismatch (or a candidate
-    with e'Xe = 0) raises ValueError.
+    with e'Xe = 0) raises ValueError, and so does an x of another order.
     """
-    if len(dec.w) != d.rows:
-        raise ValueError(f"decomposition of order {len(dec.w)} against {d.rows}")
+    order = _order(x)
+    if len(dec.w) != order:
+        raise ValueError(f"decomposition of order {len(dec.w)} against {order}")
     # X e = s/den over integers, so alpha = e'Xe = (e's)/den and w = s/(e's)
-    sums, den = _row_sums(dec.candidate)
+    sums, den = x._mat_vec((1,) * order)
     total = sum(sums)
     if total == 0:
         raise ValueError("candidate has e'Xe = 0; no scale recoverable")
@@ -258,12 +381,13 @@ def check_conditions_i_vi(a: Circulant, b: Circulant, s: Circulant) -> SixCondit
     )
 
 
-def build_kernel_projector(case: HelmCase) -> RatMatrix:
-    """Twice the orthogonal projector onto the kernel of D, either parity.
+def build_kernel_projector(case: HelmCase) -> Bordered:
+    """Twice the orthogonal projector onto the kernel of D, either parity,
+    as a Bordered element.
 
-    The block matrix with 2(B + I) on the rim and zeros elsewhere, B the
+    The element with 2(B + I) on the rim and zeros elsewhere, B the
     case's coupling block: 2vv'/(n-1) on the rim for odd n, v the
-    alternating vector, and the zero matrix for even n, where B = -I.
+    alternating vector, and the zero element for even n, where B = -I.
     The report checks only L D + 2I - 2we' = V.  Once equiv_formulation
     passes (D w = e/alpha, and X = -L/2 + alpha ww' is the MP inverse),
     that says V = 2(I - X D), so D V = 0, V is symmetric and V X = 0;
@@ -272,13 +396,12 @@ def build_kernel_projector(case: HelmCase) -> RatMatrix:
     from L's coupling spec, while equiv_formulation's 2 P_K is built from
     the closed-form kernel basis (HelmVectors.kernel); both are compared
     with the same W.  It is built from B's integer spec over B's own
-    denominator, laid out once.
+    denominator; the report takes its dense() only on the dense route.
     """
     b = case.coupling_block
     rim = [2 * x for x in b._ints]
     rim[0] += 2 * b._den
-    zero = [0] * len(rim)
-    return bordered_circulant(0, (0, 0), (rim, zero, zero), b._den)
+    return Bordered._reduced(b._den, [0] * 5 + rim + [0] * (3 * len(rim)))
 
 
 def schur_psd_check(lap: Optional[Bordered], case: HelmCase) -> bool:

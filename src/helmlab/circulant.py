@@ -16,8 +16,9 @@ Python int with one signed slot per entry, the product's 2k-1 slots
 hold the linear convolution, and folding slot j + k onto slot j makes it
 cyclic.  circulant_product is that kernel on specs.
 
-D, L and the kernel projector V of a helm graph share one bordered shape
-in the vertex order (hub, rim, pendants).  Two exact types carry the
+D, L, the kernel projector V, the closed form X, the certificate's W
+and D's pseudoinverse of a helm graph share one bordered shape in the
+vertex order (hub, rim, pendants).  Two exact types carry the
 algebra of these shapes on specs instead of dense matrices: Circulant, a
 k x k circulant, and Bordered, an element of order 2k+1 made of a hub
 scalar, row and column border scalars and a 2x2 grid of circulants.
@@ -27,15 +28,22 @@ of the shape: bordered_circulant builds the symmetric element and
 returns its dense().  Both types keep their integers in RatMatrix's
 store (exact_core's ``_IntStore``), which gives them +, -, scalar *, ==,
 hash and is_zero, canonical like a RatMatrix; each adds @ and a dense(),
-Circulant's being materialize.  A product of two bordered elements is
-eight circulant products and O(k) scalar terms.  The rim blocks A, B and
-S exist only as Circulants (closed_form.HelmCase), while L and D stay
-dense, since the dense oracles read them.  lift(m) is the one reader: it
-reads the element off m's first row, first column and the first row of
-each block, and returns it only when the element's dense() equals m, so
-the dense matrix stays the single source of truth: a matrix that is not
-exactly of the form gives None, and the caller keeps it dense.  The
-report lifts only L and D.
+Circulant's being materialize, and Bordered adds is_symmetric and the
+matrix-vector product _mat_vec, with RatMatrix's signature.  A product
+of two bordered elements is eight circulant products and O(k) scalar
+terms; a matrix-vector product is spec sums for a vector constant on
+the rim and on the pendants, and packed cyclic correlations otherwise.
+The rim blocks A, B and S exist only as Circulants
+(closed_form.HelmCase), while D and L are built dense, since the dense
+oracles read them.  lift(m) is the one reader: it reads the element off
+m's first row, first column and the first row of each block, and
+returns it only when the element's dense() equals m, so the dense
+matrix stays the single source of truth: a matrix that is not exactly
+of the form gives None, and the caller keeps it dense.  The report
+lifts D, L and the pseudoinverse once each.  When D and L lift, it runs
+the closed-form, kernel-projector, Penrose-certificate and uniqueness
+checks on elements: X, W, V and 2 P_K are then built as elements and
+never laid out (characterization).
 
 A spec is delta-symmetric (z_i = z_{k+2-i} for i = 2..k, 1-based, with
 k its length and z_1 free) exactly when its circulant is symmetric; such
@@ -82,6 +90,11 @@ def _rotations(row: Sequence[int]) -> list[list[int]]:
     k = len(row)
     twice = [*row, *row]
     return [twice[k - i : 2 * k - i] for i in range(k)]
+
+
+def _transposed(spec: Sequence[int]) -> Sequence[int]:
+    """The spec of the transposed circulant: spec with its tail reversed."""
+    return spec[:1] + spec[:0:-1]
 
 
 def _convolution_sum(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[int]:
@@ -144,8 +157,7 @@ def bordered_circulant(
     4k+5 integers, and laid out once.  Raises like circulant_product.
     """
     p, q, r = specs
-    # Q' is the circulant whose spec is q with its tail reversed
-    return (Bordered(hub, borders, borders, (p, q, q[:1] + q[:0:-1], r)) * Fraction(1, den)).dense()
+    return (Bordered(hub, borders, borders, (p, q, _transposed(q), r)) * Fraction(1, den)).dense()
 
 
 # -- the exact algebra on specs ----------------------------------------------
@@ -248,6 +260,42 @@ class Bordered(_IntStore):
                 out += a
                 out += b
         return RatMatrix._laid_out(n, n, self._den, out)
+
+    def is_symmetric(self) -> bool:
+        """Whether the element equals its transpose: equal borders, P and T
+        symmetric and R = Q', a circulant's transpose being the circulant
+        of its spec with the tail reversed."""
+        p, q, r, t = self._specs()
+        e = self._ints
+        return e[1:3] == e[3:5] and r == _transposed(q) and p == _transposed(p) and t == _transposed(t)
+
+    def _mat_vec(self, v: Sequence[Scalar]) -> tuple[list[int], int]:
+        """(ints, den) with self v = ints / den, den > 0, not reduced.
+
+        With v = (x, y', z')' over integers, the hub entry is
+        h x + r1 e'y + r2 e'z, the rim part c1 x e + P y + Q z and the
+        pendant part c2 x e + R y + T z.  For y and z constant, C e =
+        sigma(C) e makes each part one spec sum.  Otherwise
+        (C y)_i = sum_j c_(j-i) y_j is the cyclic convolution of y with the
+        spec of C', so each part is one packed sum (_convolution_sum).
+        A vector of another length raises ValueError.
+        """
+        n = self.order
+        if len(v) != n:
+            raise ValueError(f"element of order {n}, vector length {len(v)}")
+        dv, x = _common_denominator(v)
+        k, e, m = (n - 1) // 2, self._ints, self._specs()
+        y, z = x[1 : k + 1], x[k + 1 :]
+        out = [e[0] * x[0] + e[1] * sum(y) + e[2] * sum(z)]
+        if y.count(y[0]) == k and z.count(z[0]) == k:
+            sums = list(map(sum, m))
+            for i in (0, 1):
+                out += [e[3 + i] * x[0] + sums[2 * i] * y[0] + sums[2 * i + 1] * z[0]] * k
+        else:
+            for i in (0, 1):
+                part = _convolution_sum([(y, _transposed(m[2 * i])), (z, _transposed(m[2 * i + 1]))])
+                out += [e[3 + i] * x[0] + s for s in part]
+        return out, self._den * dv
 
     def __matmul__(self, other: "Bordered") -> "Bordered":
         """[[h, r'], [c, M]] [[g, s'], [d, N]] by blocks, M and N 2x2 grids.

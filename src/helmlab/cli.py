@@ -25,6 +25,7 @@ from typing import Optional
 
 from .characterization import (
     build_kernel_projector,
+    candidate_element,
     check_conditions_i_vi,
     check_equiv_formulation,
     check_uniqueness,
@@ -34,8 +35,6 @@ from .characterization import (
 )
 from .circulant import Circulant, alternating_signs, cycle_signless_laplacian_spec, lift
 from .closed_form import (
-    closed_form_inverse,
-    closed_form_mp_inverse,
     make_even_case,
     make_odd_case,
     make_w_alpha,
@@ -159,18 +158,28 @@ def run_verification(n: int) -> VerificationReport:
     inertia, determinant and pseudoinverse (D^-1 for even n); w, alpha
     and the closed-form kernel basis, the closed-form case, the rim
     cycle's signless Laplacian S (a Circulant, like the case's A and B:
-    no circulant block is made dense), the Decomposition (and with it X),
+    no circulant block is made dense), the Decomposition, which checks
+    L densely, with the certificate's operands, then
     W = L D + 2I - 2we' (correction_matrix) and the inertia of L.  The
     ranks of D and L are read off their inertias.  The checks share them
-    and rebuild nothing.  Each identity is checked once: the closed-form
-    check only compares X with the pseudoinverse, and equiv_formulation
-    proves the Penrose conditions from D w = e/alpha, D u = 0 and X u = 0
-    for the kernel vectors u, and W = 2 P_K, with no dense product of its
-    own: outside the factorization of D and the inertias, L D, taken on
-    the bordered specs of L and D, is the report's one square product of
-    order 2n-1.  kernel_projector, W = V,
-    with them gives V = 2(I - X D) and so D V = 0, V L = 0, V w = 0,
-    V e = 0 and V symmetric (build_kernel_projector).
+    and rebuild nothing.
+
+    The certificate's route is decided once, in the decomposition step.
+    D and L are lifted once each (circulant.lift).  When both lift and w
+    is constant on the rim and on the pendants, as on every helm, D, L
+    and X = -L/2 + alpha ww' are bordered elements
+    (characterization.candidate_element); otherwise, as for a fault
+    perturbed off that shape, all three stay dense and X is
+    Decomposition.candidate.  Each identity is checked once: the
+    closed-form check only compares X with the pseudoinverse, lifted on
+    the element route (a pseudoinverse that does not lift cannot equal a
+    bordered X), and equiv_formulation proves the Penrose conditions
+    from D w = e/alpha, D u = 0 and X u = 0 for the kernel vectors u,
+    and W = 2 P_K.  On elements no dense X, L D, W, V or 2 P_K is built:
+    after the lifts, the closed-form, kernel-projector, certificate and
+    uniqueness checks take O(n) operations on integers.  kernel_projector,
+    W = V, with them gives V = 2(I - X D) and so D V = 0, V L = 0,
+    V w = 0, V e = 0 and V symmetric (build_kernel_projector).
 
     A check that raises is recorded as failed with the exception text.
     A set-up step that raises, or whose value cannot be read as the
@@ -240,10 +249,17 @@ def _run_checks(n: int, report: VerificationReport) -> None:
         s = Circulant(cycle_signless_laplacian_spec(k))
     with checks.setup("decomposition"):
         dec = Decomposition(lap, w, alpha)
-    closed_form = closed_form_inverse if even else closed_form_mp_inverse
+        # the run's one route decision: the certificate's D, L and X are
+        # bordered elements when D and L lift and w is block-constant, else
+        # all three stay dense.  L's element also serves L's inertia and
+        # the Schur chain
+        form, dist = lift(lap), lift(d)
+        x = None if form is None or dist is None else candidate_element(form, dec)
+        elements = x is not None
+        dist, ell, x = (dist, form, x) if elements else (d, lap, dec.candidate)
 
     def chk_closed():
-        ok = closed_form(dec) == pinv
+        ok = x == (lift(pinv) if elements else pinv)
         return ok, "-L/2 + alpha ww' matches the Moore-Penrose oracle"
 
     checks.run("closed_form_inverse" if even else "closed_form_mp_inverse", chk_closed)
@@ -255,26 +271,24 @@ def _run_checks(n: int, report: VerificationReport) -> None:
 
     checks.run("six_conditions", chk_six)
 
-    # L's bordered element, lifted once for L D, L's inertia and the
-    # Schur chain
     with checks.setup("correction_matrix"):
-        form = lift(lap)
-        correction = correction_matrix(d, dec, form)
+        correction = correction_matrix(dist, ell, dec.w)
 
     def chk_kernel():
-        ok = correction == build_kernel_projector(case)
+        projector = build_kernel_projector(case)
+        ok = correction == (projector if elements else projector.dense())
         return ok, "L D + 2I - 2we' = V, with V = 2(B + I) on the rim"
 
     checks.run("kernel_projector", chk_kernel)
 
     def chk_equiv():
-        ok = check_equiv_formulation(d, dec, vectors.kernel, correction)
+        ok = check_equiv_formulation(dist, x, dec, vectors.kernel, correction)
         return ok, "witness identities certify -L/2 + alpha ww' as the MP inverse"
 
     checks.run("equiv_formulation", chk_equiv)
 
     def chk_unique():
-        alpha, w = check_uniqueness(d, dec)
+        alpha, w = check_uniqueness(x, dec)
         expected_w = vec(
             [Fraction(5 - n, 4)] + [Fraction(-1, 4)] * k + [Fraction(1, 2)] * k
         )

@@ -149,11 +149,13 @@ def make_even_case(n: int) -> HelmCase:
 
 
 def closed_form_inverse(dec: Decomposition) -> RatMatrix:
-    """Inverse of the distance matrix for even n: dec's -L/2 + alpha ww'.
+    """Inverse of the distance matrix for even n: dec's -L/2 + alpha ww', dense.
 
-    The report's closed_form_inverse check compares it with the
+    The report's closed_form_inverse check compares this X with the
     pseudoinverse from exact_core.factor_symmetric, which is D^-1 for a
-    nonsingular D.
+    nonsingular D; on a helm it compares X's bordered element
+    (characterization.candidate_element) with the lifted pseudoinverse,
+    and builds this dense X only on the dense route.
     """
     n = (len(dec.w) + 1) // 2
     if n % 2 == 1:
@@ -162,15 +164,18 @@ def closed_form_inverse(dec: Decomposition) -> RatMatrix:
 
 
 def closed_form_mp_inverse(dec: Decomposition) -> RatMatrix:
-    """Moore-Penrose inverse of the distance matrix for odd n: dec's -L/2 + alpha ww'.
+    """Moore-Penrose inverse of the distance matrix for odd n: dec's -L/2 + alpha ww', dense.
 
     Same shape as the even case.  The report's closed_form_mp_inverse
-    check compares it with the pseudoinverse from
-    exact_core.factor_symmetric, D's Schur-complement factorization.  Its
-    four Penrose conditions are proved once, by the equiv_formulation
+    check compares X with the pseudoinverse from
+    exact_core.factor_symmetric, D's Schur-complement factorization: on a
+    helm as bordered elements, X's (characterization.candidate_element)
+    with lift(pinv), so this dense X is built only on the dense route.
+    X's four Penrose conditions are proved once, by the equiv_formulation
     check (characterization.check_equiv_formulation), from D w = e/alpha,
     the closed-form kernel u of HelmVectors (D u = 0 and X u = 0) and the
-    one product L D: L D + 2I - 2we' = 2uu'/(u'u).
+    one product L D: L D + 2I - 2we' = 2uu'/(u'u), all on elements for a
+    helm.
     """
     n = (len(dec.w) + 1) // 2
     if n % 2 == 0:

@@ -34,8 +34,8 @@ matrices have equal storage.  Every operation works on the integers:
   ``_rank_update``, swept row by row for one or two terms: the
   congruence's Schur steps, ``Decomposition.candidate``
   (-L/2 + alpha ww'), the projection of both pseudoinverse routes and, in
-  ``characterization``, the certificate's W and 2 P_K; a matrix-vector
-  product is one integer dot product per row (``_mat_vec``), under the
+  ``characterization``, the dense route's W; a matrix-vector product is
+  one integer dot product per row (``RatMatrix._mat_vec``), under the
   product of the denominators;
 * the inertia is a Sylvester congruence reduction in integers on the
   lower triangle.  Each step takes a pivot block P: the diagonal entry
@@ -450,7 +450,15 @@ class RatMatrix(_IntStore):
         return RatMatrix._from_ints(c, self.rows, self._den, out)
 
     def mul_vector(self, v: Sequence[Scalar]) -> Vector:
-        return _fractions(*_mat_vec(self, v))
+        return _fractions(*self._mat_vec(v))
+
+    def _mat_vec(self, v: Sequence[Scalar]) -> tuple[list[int], int]:
+        """(ints, den) with self v = ints / den, den > 0, not reduced."""
+        if len(v) != self.cols:
+            raise ValueError(f"matrix has {self.cols} columns, vector length {len(v)}")
+        dv, vi = _common_denominator(v)
+        e, c = self._ints, self.cols
+        return [sum(map(mul, e[i * c : (i + 1) * c], vi)) for i in range(self.rows)], self._den * dv
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -528,15 +536,6 @@ def _int_rows(m: RatMatrix) -> list[list[int]]:
 def _from_int_rows(rows: Sequence[Sequence[int]], cols: int, den: int) -> RatMatrix:
     """The matrix with the integer rows ``rows`` of length cols over den > 0, reduced."""
     return RatMatrix._from_ints(len(rows), cols, den, list(chain.from_iterable(rows)))
-
-
-def _mat_vec(m: RatMatrix, v: Sequence[Scalar]) -> tuple[list[int], int]:
-    """(ints, den) with m v = ints / den, den > 0, not reduced."""
-    if len(v) != m.cols:
-        raise ValueError(f"matrix has {m.cols} columns, vector length {len(v)}")
-    dv, vi = _common_denominator(v)
-    e, c = m._ints, m.cols
-    return [sum(map(mul, e[i * c : (i + 1) * c], vi)) for i in range(m.rows)], m._den * dv
 
 
 def _row_sums(m: RatMatrix) -> tuple[list[int], int]:

@@ -122,14 +122,14 @@ def test_criterion_6_characterization_suite():
             s = Circulant(cycle_signless_laplacian_spec(k))
             assert all(check_conditions_i_vi(case.rim_block, coupling, s))
 
-            projector = build_kernel_projector(case)
+            projector = build_kernel_projector(case).dense()
             assert projector.is_zero() == even
             assert (d @ projector).is_zero()
             assert (projector @ case.laplacian_like).is_zero()
             assert all(x == 0 for x in projector.mul_vector(vectors.w))
 
             dec = Decomposition(case.laplacian_like, vectors.w, vectors.alpha)
-            alpha, w = check_uniqueness(d, dec)
+            alpha, w = check_uniqueness(dec.candidate, dec)
             assert alpha == Fraction(4, 3 * (n - 1))
             expected_w = (
                 (Fraction(5 - n, 4),) + (Fraction(-1, 4),) * k + (Fraction(1, 2),) * k

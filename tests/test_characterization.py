@@ -37,7 +37,13 @@ from helmlab import (
     schur_psd_check,
     solve,
 )
-from helmlab.characterization import SixConditions, _twice_projector
+from helmlab.characterization import (
+    SixConditions,
+    _bordered_projector,
+    _kernel_basis,
+    _twice_projector,
+    candidate_element,
+)
 from helmlab.circulant import Circulant, lift
 from helmlab.closed_form import _helm_case
 from support import (
@@ -64,8 +70,19 @@ def _kernel_vector(n: int) -> tuple[Fraction, ...]:
 
 
 def _certify(d, dec, kernel) -> bool:
-    """check_equiv_formulation with W = L D + 2I - 2we' built from d and dec."""
-    return check_equiv_formulation(d, dec, kernel, correction_matrix(d, dec, lift(dec.laplacian_like)))
+    """check_equiv_formulation on the dense route, with X = dec.candidate and
+    W = L D + 2I - 2we' built from d and dec; on the helm shape (D and L
+    lift, w block-constant) also on the element route, which must agree."""
+    dense = check_equiv_formulation(
+        d, dec.candidate, dec, kernel, correction_matrix(d, dec.laplacian_like, dec.w)
+    )
+    form, dist = lift(dec.laplacian_like), lift(d)
+    x = None if form is None or dist is None else candidate_element(form, dec)
+    if x is not None:
+        assert x.dense() == dec.candidate
+        correction = correction_matrix(dist, form, dec.w)
+        assert check_equiv_formulation(dist, x, dec, kernel, correction) == dense
+    return dense
 
 
 @pytest.mark.parametrize("n", (6, 7))
@@ -139,7 +156,7 @@ def test_equiv_formulation_needs_d_u_zero():
     w = (Fraction(1, 3),) * 3
     dec = Decomposition(-2 * (x - 3 * outer(w, w)), w, 3)
     assert dec.candidate == x
-    assert correction_matrix(ident, dec, lift(dec.laplacian_like)) == outer(u, u)
+    assert correction_matrix(ident, dec.laplacian_like, dec.w) == outer(u, u)
     assert not any(x.mul_vector(u))
     assert not _certify(ident, dec, [u])
     assert not penrose_check(ident, x)
@@ -168,7 +185,7 @@ def test_l_d_witness_form_follows_from_d_w(n, bump):
     lap = bump_l(dec.laplacian_like) if bump else dec.laplacian_like
     dec = Decomposition(lap, dec.w, dec.alpha)
     ident = RatMatrix.identity(d.rows)
-    assert correction_matrix(d, dec, lift(dec.laplacian_like)) == 2 * (ident - dec.candidate @ d)
+    assert correction_matrix(d, dec.laplacian_like, dec.w) == 2 * (ident - dec.candidate @ d)
 
 
 def test_equiv_formulation_hypothesis_failure():
@@ -191,7 +208,32 @@ def test_equiv_formulation_requires_symmetry():
         RatMatrix.zeros(2, 2), (Fraction(1, 2), Fraction(1, 2)), Fraction(1)
     )
     with pytest.raises(ValueError, match="symmetric matrices"):
-        check_equiv_formulation(m, dec, (), RatMatrix.zeros(2, 2))
+        check_equiv_formulation(m, dec.candidate, dec, (), RatMatrix.zeros(2, 2))
+
+
+def test_certificate_operands_are_all_dense_or_all_bordered():
+    n = 7
+    d, dec = helm_distance_block(n), helm_decomposition(n)
+    form, dist = lift(dec.laplacian_like), lift(d)
+    x, kernel = candidate_element(form, dec), make_w_alpha(n).kernel
+    dense_w = correction_matrix(d, dec.laplacian_like, dec.w)
+    element_w = correction_matrix(dist, form, dec.w)
+    assert element_w.dense() == dense_w
+    with pytest.raises(TypeError):
+        correction_matrix(d, form, dec.w)
+    with pytest.raises(TypeError):
+        correction_matrix(dist, dec.laplacian_like, dec.w)
+    for mixed in ((d, x, element_w), (dist, dec.candidate, element_w), (dist, x, dense_w)):
+        with pytest.raises(TypeError, match="all dense or all bordered"):
+            check_equiv_formulation(mixed[0], mixed[1], dec, kernel, mixed[2])
+    # w off the block-constant shape has neither a bordered X nor a bordered W
+    w = list(dec.w)
+    w[1] += Fraction(1, 4)
+    w[2] -= Fraction(1, 4)
+    shifted = Decomposition(dec.laplacian_like, w, dec.alpha)
+    assert candidate_element(form, shifted) is None
+    with pytest.raises(ValueError, match="constant on the rim"):
+        correction_matrix(dist, form, shifted.w)
 
 
 # -- generic singular matrices: the certificate as a theorem ----------------------
@@ -258,7 +300,7 @@ def test_generic_singular_family_is_certified(rng):
         assert solve(d, (Fraction(1),) * d.rows) is not None
         assert _certify(d, dec, kernel), d
         assert penrose_check(d, dec.candidate), d
-        assert check_uniqueness(d, dec) == (dec.alpha, dec.w)
+        assert check_uniqueness(dec.candidate, dec) == (dec.alpha, dec.w)
 
 
 def test_generic_singular_family_fails_with_a_kernel_vector_dropped(rng):
@@ -274,7 +316,7 @@ def test_generic_singular_family_fails_with_a_kernel_term_in_x(rng):
         u = kernel[rng.randrange(len(kernel))]
         shifted = _triple_of(dec.candidate + outer(u, u))
         assert shifted.alpha == dec.alpha and shifted.w == dec.w
-        assert correction_matrix(d, shifted, lift(shifted.laplacian_like)) == correction_matrix(d, dec, lift(dec.laplacian_like))
+        assert correction_matrix(d, shifted.laplacian_like, shifted.w) == correction_matrix(d, dec.laplacian_like, dec.w)
         assert not _certify(d, shifted, kernel), d
         assert not penrose_check(d, shifted.candidate), d
 
@@ -359,14 +401,23 @@ def _ref_schur_chain(m, case):
 
 def _assert_integer_builds_match(d, dec, kernel):
     assert dec.candidate.to_lists() == _ref_candidate(dec)
-    assert correction_matrix(d, dec, lift(dec.laplacian_like)).to_lists() == _ref_correction(d, dec)
-    assert _twice_projector(kernel, d.rows).to_lists() == _ref_twice_projector(kernel, d.rows)
+    assert correction_matrix(d, dec.laplacian_like, dec.w).to_lists() == _ref_correction(d, dec)
+    basis = _kernel_basis(kernel, d.rows)
+    assert _twice_projector(basis, d.rows).to_lists() == _ref_twice_projector(kernel, d.rows)
+    form, dist = lift(dec.laplacian_like), lift(d)
+    x = None if form is None or dist is None else candidate_element(form, dec)
+    if x is not None:
+        # the element route's X, W and 2 P_K lay out to the same references
+        assert x.dense().to_lists() == _ref_candidate(dec)
+        assert correction_matrix(dist, form, dec.w).dense().to_lists() == _ref_correction(d, dec)
+        assert _bordered_projector(basis, d.rows).dense().to_lists() == _ref_twice_projector(kernel, d.rows)
+    return x is not None
 
 
 @pytest.mark.parametrize("n", range(4, 14))
 def test_integer_builds_match_fraction_references_on_helm(n):
     d, dec = helm_distance_block(n), helm_decomposition(n)
-    _assert_integer_builds_match(d, dec, make_w_alpha(n).kernel)
+    assert _assert_integer_builds_match(d, dec, make_w_alpha(n).kernel)
     # the Schur chain on specs against its dense Fraction reference: the
     # helm L, the negated L (corner < 0) and an L whose rim spec is
     # shifted by 3 (consistent complements, a negative inertia)
@@ -420,15 +471,16 @@ def test_schur_chain_on_specs_matches_the_fraction_reference(rng):
 
 
 def test_uniqueness_recovery_n7():
-    d, dec = helm_distance_block(7), helm_decomposition(7)
-    alpha, w = check_uniqueness(d, dec)
+    dec = helm_decomposition(7)
+    alpha, w = check_uniqueness(dec.candidate, dec)
+    assert (alpha, w) == check_uniqueness(candidate_element(lift(dec.laplacian_like), dec), dec)
     assert alpha == Fraction(2, 9)
     assert w == (Fraction(-1, 2),) + (Fraction(-1, 4),) * 6 + (Fraction(1, 2),) * 6
 
 
 def test_uniqueness_recovery_n6():
-    d, dec = helm_distance_block(6), helm_decomposition(6)
-    alpha, _ = check_uniqueness(d, dec)
+    dec = helm_decomposition(6)
+    alpha, _ = check_uniqueness(dec.candidate, dec)
     assert alpha == Fraction(4, 15)
 
 
@@ -569,7 +621,7 @@ def test_six_conditions_match_the_fraction_reference_on_both_routes(rng):
 
 
 def test_kernel_projector_rim_block_has_rank_one():
-    projector = build_kernel_projector(make_odd_case(5))
+    projector = build_kernel_projector(make_odd_case(5)).dense()
     rim = projector.submatrix(range(1, 5), range(1, 5))
     assert rank(rim) == 1
     data = make_odd_case(5)
@@ -579,7 +631,7 @@ def test_kernel_projector_rim_block_has_rank_one():
 @pytest.mark.parametrize("n", ODD_RANGE)
 def test_kernel_projector_identities(n):
     data = make_odd_case(n)
-    projector = build_kernel_projector(data)
+    projector = build_kernel_projector(data).dense()
     order = 2 * n - 1
     d = helm_distance_block(n)
     vectors = make_w_alpha(n)
@@ -608,7 +660,7 @@ def test_even_correction_vanishes(n):
 def test_kernel_projector_vanishes_for_even_n(n):
     # B = -I, so 2(B + I) = 0: the one construction gives V = 0 for a nonsingular D
     order = 2 * n - 1
-    assert build_kernel_projector(make_even_case(n)) == RatMatrix.zeros(order, order)
+    assert build_kernel_projector(make_even_case(n)).dense() == RatMatrix.zeros(order, order)
 
 
 # -- kernel structure ----------------------------------------------------------------
@@ -765,4 +817,4 @@ def test_random_trees_satisfy_the_characterization(tree):
     dec = Decomposition(lap, w, alpha)
     assert _certify(d, dec, ()), adjacency
     assert dec.candidate == inverse(d) == pseudoinverse(d), adjacency
-    assert check_uniqueness(d, dec) == (alpha, w), adjacency
+    assert check_uniqueness(dec.candidate, dec) == (alpha, w), adjacency

@@ -22,6 +22,7 @@ from helmlab import (
     rank,
     rim_distance_spec,
 )
+from helmlab.characterization import _bordered_projector, _kernel_basis, _twice_projector
 from helmlab.circulant import Bordered, Circulant, bordered_circulant, lift
 from support import from_blocks, random_delta_vector, random_fraction
 
@@ -435,6 +436,145 @@ def test_lift_reads_the_bordered_form_of_odd_orders_only():
     assert lift(other).dense() == other
     # a circulant of even order has no bordered form
     assert lift(materialize((1, 2, 3, 4))) is None
+
+
+# -- the element matrix-vector product and the element 2 P_K -------------------
+
+
+def _block_vector(x0, x1, x2, k):
+    return (x0,) + (x1,) * k + (x2,) * k
+
+
+def _assert_mat_vec_matches_dense(x, vectors):
+    m = x.dense()
+    for v in vectors:
+        ints, den = x._mat_vec(v)
+        assert den > 0
+        assert tuple([Fraction(i, den) for i in ints]) == m.mul_vector(v), (x, v)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_bordered_mat_vec_matches_the_dense_mat_vec(rng, k):
+    # non-symmetric grids with unequal borders, denominators above 1 and
+    # the zero element, against block-constant vectors (spec sums) and
+    # general ones (packed correlations), a vector constant on one block
+    # only among them
+    n = 2 * k + 1
+    zeros = ((0,) * k,) * 4
+    elements = [Bordered(0, (0, 0), (0, 0), zeros)] + [_random_bordered(rng, k) for _ in range(4)]
+    elements.append(Bordered(0, (0, 0), (0, 0), _random_specs(rng, k)))
+    assert any(x._den > 1 for x in elements)
+    r = lambda: random_fraction(rng)  # noqa: E731
+    vectors = [(0,) * n, (1,) * n, _block_vector(r(), r(), r(), k), _block_vector(0, 2, -3, k)]
+    vectors += [tuple(r() for _ in range(n)) for _ in range(3)]
+    vectors.append(tuple(rng.randint(-50, 50) for _ in range(n)))
+    vectors.append((r(),) + (r(),) * k + tuple(r() for _ in range(k)))
+    for x in elements:
+        _assert_mat_vec_matches_dense(x, vectors)
+    with pytest.raises(ValueError, match="vector length"):
+        elements[1]._mat_vec((1,) * (n + 1))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_bordered_is_symmetric_matches_the_dense_test(rng, k):
+    p, t = random_delta_vector(rng, k), random_delta_vector(rng, k)
+    q = tuple(random_fraction(rng) for _ in range(k))
+    b1, b2 = random_fraction(rng), random_fraction(rng)
+    symmetric = lift(bordered_circulant(random_fraction(rng), (b1, b2), (p, q, t)))
+    assert symmetric.is_symmetric() and symmetric.dense().is_symmetric()
+    _assert_mat_vec_matches_dense(symmetric, [tuple(random_fraction(rng) for _ in range(2 * k + 1))])
+    # a changed border, Q, P or T; P and T stay symmetric for k <= 2,
+    # where every spec is delta-symmetric
+    zero, one, last = (0,) * k, (1,) + (0,) * (k - 1), (0,) * (k - 1) + (1,)
+    for x, always in (
+        (_random_bordered(rng, k), False),
+        (symmetric + Bordered(0, (1, 0), (0, 0), (zero,) * 4), True),
+        (symmetric + Bordered(0, (0, 0), (0, 0), (zero, one, zero, zero)), True),
+        (symmetric + Bordered(0, (0, 0), (0, 0), (last, zero, zero, zero)), False),
+        (symmetric + Bordered(0, (0, 0), (0, 0), (zero, zero, zero, last)), False),
+    ):
+        assert x.is_symmetric() == x.dense().is_symmetric()
+        if always or k > 2:
+            assert not x.is_symmetric()
+
+
+def _on_blocks(k, hub=0, rim=None, pendants=None):
+    """The vector of order 2k+1 with the given hub entry and rim and pendant parts."""
+    zero = (0,) * k
+    return (hub,) + tuple(rim or zero) + tuple(pendants or zero)
+
+
+def _periodic(k, period, pattern):
+    return tuple(pattern[i % period] for i in range(k))
+
+
+def _assert_projector_lifts(kernel, order):
+    basis = _kernel_basis(kernel, order)
+    got = _bordered_projector(basis, order)
+    assert got == lift(_twice_projector(basis, order)), kernel
+    return got
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_element_twice_projector_is_the_lifted_dense_one(rng, k):
+    # 2 P_K as an element equals lift(2 P_K): the element when the span
+    # is invariant under the rotation of rim and pendants, None otherwise
+    order = 2 * k + 1
+    r = lambda: random_fraction(rng)  # noqa: E731
+    bordered = [
+        (),
+        [_block_vector(1, 1, 0, k)],
+        [_block_vector(1 + abs(r()), 1, r(), k), _block_vector(0, 1, -1, k)],
+    ]
+    if k % 2 == 0:
+        v = alternating_signs(k)
+        bordered += [
+            [_on_blocks(k, rim=v)],
+            [_on_blocks(k, rim=v, pendants=[3 * x for x in v]), _block_vector(1, 0, 2, k)],
+        ]
+    # every matrix of order 3 is bordered
+    not_bordered = [
+        [_on_blocks(k, rim=(1,) + (0,) * (k - 1))],
+        [tuple(r() for _ in range(order))],
+        [tuple(r() for _ in range(order)), _block_vector(1, 1, 1, k)],
+    ] if k > 1 else []
+    for kernel in bordered:
+        assert _assert_projector_lifts(kernel, order) is not None, kernel
+    for kernel in not_bordered:
+        assert _assert_projector_lifts(kernel, order) is None, kernel
+
+
+@pytest.mark.parametrize("k, period", [(3, 3), (4, 4), (6, 3), (8, 4), (9, 3), (12, 4), (12, 3)])
+def test_a_fourier_pair_has_a_bordered_projector_though_neither_outer_product_is(rng, k, period):
+    # two rational vectors spanning the Fourier modes of order period (its
+    # two conjugate modes) are turned into combinations of each other, so
+    # their span is invariant and 2 P_K is bordered, while neither
+    # projector onto one of them is; a non-orthogonal basis of the same
+    # span gives the same element, and the pair may sit on the rim, on
+    # the pendants or on both
+    order = 2 * k + 1
+    if period == 3:
+        f, g = _periodic(k, 3, (1, -1, 0)), _periodic(k, 3, (0, 1, -1))
+    else:
+        f, g = _periodic(k, 4, (1, 0, -1, 0)), _periodic(k, 4, (0, 1, 0, -1))
+    c = random_fraction(rng) or Fraction(1)
+    for u1, u2 in [
+        (_on_blocks(k, rim=f), _on_blocks(k, rim=g)),
+        (_on_blocks(k, pendants=f), _on_blocks(k, pendants=g)),
+        (_on_blocks(k, rim=f, pendants=[c * x for x in f]), _on_blocks(k, rim=g, pendants=[c * x for x in g])),
+    ]:
+        for single in (u1, u2):
+            assert _assert_projector_lifts([single], order) is None
+        pair = _assert_projector_lifts([u1, u2], order)
+        assert pair is not None
+        skew = [u1, tuple([x + 2 * y for x, y in zip(u1, u2)])]
+        assert _assert_projector_lifts(skew, order) == pair
+        # with a block-constant vector beside the pair
+        assert _assert_projector_lifts([u1, u2, _block_vector(1, 1, 0, k)], order) is not None
+    # one vector from each of two pairs spans no invariant space
+    if k == 12 and period == 3:
+        h = _on_blocks(k, rim=_periodic(k, 4, (1, 0, -1, 0)))
+        assert _assert_projector_lifts([_on_blocks(k, rim=f), h], order) is None
 
 
 # -- delta symmetry -----------------------------------------------------------

@@ -379,10 +379,12 @@ def test_verify_builds_each_per_n_object_once(monkeypatch):
     # back; equiv_formulation is the one Penrose proof, from the
     # closed-form kernel and the shared L D, and runs no penrose_check;
     # the pseudoinverse from factor_symmetric is the one oracle for both
-    # parities; X = -L/2 + alpha ww' is built once and shared by the
-    # closed-form check, equiv_formulation and uniqueness; the bordered
-    # builder lays out D, L and V, and A, B and S stay circulants, so
-    # nothing is materialized (a name counted 0 times is absent)
+    # parities; on the helm, X = -L/2 + alpha ww' is a bordered element
+    # shared by the closed-form check, equiv_formulation and uniqueness,
+    # so the dense X (Decomposition.candidate) is never built; the
+    # bordered builder lays out D and L, V stays an element, and A, B and
+    # S stay circulants, so nothing is materialized (a name counted 0
+    # times is absent)
     counted = (
         "bordered_circulant",
         "materialize",
@@ -408,36 +410,73 @@ def test_verify_builds_each_per_n_object_once(monkeypatch):
         calls.clear()
         assert cli.run_verification(n).all_passed
         assert calls == {
-            "bordered_circulant": 3,
+            "bordered_circulant": 2,
             "helm_distance_block": 1,
             "make_w_alpha": 1,
             case: 1,
             "factor_symmetric": 1,
-            "candidate": 1,
         }
 
 
 def test_verify_lifts_l_and_d_once_each(monkeypatch):
-    # L's bordered element is lifted once and shared by L D
-    # (correction_matrix), L's inertia and the Schur chain;
-    # correction_matrix lifts D
+    # the route is decided once: D and L are lifted once each, and L's
+    # element is shared by L D (correction_matrix), X's element, L's
+    # inertia and the Schur chain; the closed-form check lifts the
+    # pseudoinverse once, to compare it with X's element
     modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "helmlab"]
     original = circulant.lift
     for n in (6, 7):
         d = helmlab.helm_distance_block(n)
         lap = (helmlab.make_even_case if n % 2 == 0 else helmlab.make_odd_case)(n).laplacian_like
+        pinv = helmlab.pseudoinverse(d)
         lifted = []
 
         def spying_lift(m):
-            lifted.append("D" if m == d else "L" if m == lap else m)
+            lifted.append("D" if m == d else "L" if m == lap else "pinv" if m == pinv else m)
             return original(m)
 
         for mod in modules:
             if getattr(mod, "lift", None) is original:
                 monkeypatch.setattr(mod, "lift", spying_lift)
         assert cli.run_verification(n).all_passed
-        assert Counter(lifted) == {"L": 1, "D": 1}
+        assert Counter(lifted) == {"L": 1, "D": 1, "pinv": 1}
         monkeypatch.undo()
+
+
+def test_verify_builds_no_dense_x_and_no_square_product_outside_the_factorization(monkeypatch):
+    # on the helm, D and L lift and w is block-constant, so the
+    # certificate runs on bordered elements: X is never built densely, and
+    # outside factor_symmetric no RatMatrix product has a dimension of the
+    # order 2n-1
+    built, products, depth = [], [], []
+    factor, matmul, build_x = cli.factor_symmetric, RatMatrix.__matmul__, Decomposition.candidate.func
+
+    def tracking_factor(m):
+        depth.append(m.rows)
+        try:
+            return factor(m)
+        finally:
+            depth.pop()
+
+    def spying_matmul(a, b):
+        if not depth:
+            products.append((a.rows, a.cols, b.cols))
+        return matmul(a, b)
+
+    def counting_build_x(dec):
+        built.append(dec.laplacian_like.rows)
+        return build_x(dec)
+
+    counting = functools.cached_property(counting_build_x)
+    counting.__set_name__(Decomposition, "candidate")
+    monkeypatch.setattr(Decomposition, "candidate", counting)
+    monkeypatch.setattr(cli, "factor_symmetric", tracking_factor)
+    monkeypatch.setattr(RatMatrix, "__matmul__", spying_matmul)
+    for n in range(4, 31):
+        assert cli.run_verification(n).all_passed
+        assert built == [], n
+        assert not [dims for dims in products if 2 * n - 1 in dims], (n, products)
+        products.clear()
 
 
 def _count_eliminations(monkeypatch, seen=None) -> Counter:

@@ -47,6 +47,14 @@ def _shift_w(vectors):
     return dataclasses.replace(vectors, w=tuple(w))
 
 
+def _shift_w_blocks(vectors):
+    # move 1/4 onto every rim entry and k/4 off the hub: w stays constant
+    # on the rim and on the pendants, and e'w = 1 still holds
+    k = (len(vectors.w) - 1) // 2
+    w = [vectors.w[0] - Fraction(k, 4)] + [x + Fraction(1, 4) for x in vectors.w[1 : k + 1]] + list(vectors.w[k + 1 :])
+    return dataclasses.replace(vectors, w=tuple(w))
+
+
 def _double_alpha(vectors):
     return dataclasses.replace(vectors, alpha=2 * vectors.alpha)
 
@@ -84,6 +92,7 @@ PERTURBATIONS = {
     "L": (("make_even_case", "make_odd_case"), _bump_l),
     "A": (("make_even_case", "make_odd_case"), _bump_a),
     "w": (("make_w_alpha",), _shift_w),
+    "w blocks": (("make_w_alpha",), _shift_w_blocks),
     "alpha": (("make_w_alpha",), _double_alpha),
     "D": (("helm_distance_block",), _bump_d),
     "L rim spec": (("make_even_case", "make_odd_case"), _rim_laplacian_in_l),
@@ -110,6 +119,9 @@ EXPECTED_FAILURES = {
     ("A", 7): {"six_conditions", "psd_via_schur"},
     ("w", 6): {"closed_form_inverse", "kernel_projector", "equiv_formulation", "uniqueness"},
     ("w", 7): {"closed_form_mp_inverse", "kernel_projector", "equiv_formulation", "uniqueness"},
+    # the same checks for a w that keeps the bordered shape of ww' and we'
+    ("w blocks", 6): {"closed_form_inverse", "kernel_projector", "equiv_formulation", "uniqueness"},
+    ("w blocks", 7): {"closed_form_mp_inverse", "kernel_projector", "equiv_formulation", "uniqueness"},
     # alpha enters neither L D nor the projector
     ("alpha", 6): {"closed_form_inverse", "equiv_formulation", "uniqueness"},
     ("alpha", 7): {"closed_form_mp_inverse", "equiv_formulation", "uniqueness"},
@@ -224,6 +236,53 @@ def test_perturbed_l_takes_the_inertia_route_its_shape_allows(
     assert seen == ([2 * n - 1] if dense else [])
     failed = {c["name"] for c in report["checks"] if not c["pass"]}
     assert failed == EXPECTED_FAILURES[ingredient, n]
+
+
+# The certificate's route for each perturbation: D, L and X stay dense when
+# D or L is bumped off the bordered shape or w is no longer constant on the
+# rim and on the pendants, and are bordered elements otherwise.  Both
+# routes turn exactly the checks of EXPECTED_FAILURES red.
+CERTIFICATE_ROUTE = {
+    "L": RatMatrix,
+    "D": RatMatrix,
+    "w": RatMatrix,
+    "A": Bordered,
+    "alpha": Bordered,
+    "L rim spec": Bordered,
+    "D q_0": Bordered,
+    "w blocks": Bordered,
+}
+
+
+@pytest.mark.parametrize("n", (6, 7))
+@pytest.mark.parametrize("ingredient", sorted(PERTURBATIONS))
+def test_perturbed_ingredient_takes_the_certificate_route_its_shape_allows(monkeypatch, ingredient, n):
+    seen = []
+
+    def spying_certificate(d, x, dec, kernel, correction, original=cli.check_equiv_formulation):
+        seen.append({type(d), type(x), type(correction)})
+        return original(d, x, dec, kernel, correction)
+
+    monkeypatch.setattr(cli, "check_equiv_formulation", spying_certificate)
+    constructors, perturb = PERTURBATIONS[ingredient]
+    for name in constructors:
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda n, original=original: perturb(original(n)))
+    report = cli.run_verification(n)
+    assert seen == [{CERTIFICATE_ROUTE[ingredient]}]
+    failed = {c.name for c in report.checks if not c.passed}
+    assert failed == EXPECTED_FAILURES[ingredient, n]
+
+
+def test_both_certificate_routes_turn_checks_red():
+    # every route is exercised by some perturbation, and each of the
+    # certificate's checks goes red on each route
+    certificate = {"kernel_projector", "equiv_formulation"}
+    for route in (RatMatrix, Bordered):
+        red = set().union(
+            *[EXPECTED_FAILURES[name, n] for (name, n) in EXPECTED_FAILURES if CERTIFICATE_ROUTE[name] is route]
+        )
+        assert certificate | {"closed_form_inverse", "closed_form_mp_inverse", "uniqueness"} <= red
 
 
 def test_every_check_moved_out_of_a_constructor_can_fail():
