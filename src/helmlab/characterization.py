@@ -73,7 +73,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .circulant import Bordered, Circulant
+from .circulant import Bordered, Circulant, _convolution_sum
 from .closed_form import HelmCase
 from .cyclotomic import circulant_inertia, symmetric_blocks
 from .exact_core import (
@@ -428,28 +428,42 @@ def schur_psd_check(lap: Optional[Bordered], case: HelmCase) -> bool:
     forms (cyclotomic.circulant_inertia), with no dense matrix.  Returns
     that conjunction.  The chain is taken on the forms only: an L that
     does not lift (lap is None) or has a non-symmetric block fails it.
+
+    The chain runs on integers.  With L's element the integers
+    (h, b1, b2, b1, b2, p, q, q, t) over den, block (i, j) of the first
+    complement has the spec (h s - b_i b_j)/(den h), s the block's spec,
+    and is compared with the integers x/E of its target (A - J/(2(n-1)),
+    B or I) by cross-multiplication, (h s - b_i b_j) E = x den h; block
+    (1, 0) equals block (0, 1).  B^2 = -B is one packed convolution of
+    B's integer spec with itself against -E_B times it, and C = A + B -
+    J/(2(n-1)) goes to circulant_inertia as the integer spec of a
+    positive multiple of C, which has C's inertia.
     """
     n = case.n
     if lap is None:
         return False
     if lap.order != 2 * n - 1:
         raise ValueError(f"expected order {2 * n - 1}, got {lap.order}")
-    corner, a, b = lap.hub, case.rim_block, case.coupling_block
-    if not symmetric_blocks(lap) or corner <= 0:
+    h, b1, b2 = lap._ints[:3]
+    if not symmetric_blocks(lap) or h <= 0:
         return False
-    k = n - 1
-    ones = Circulant((1,) * k)
-    rim = a - Fraction(1, 2 * k) * ones
-    complement_1 = [
-        [block - (ci * rj / corner) * ones for block, rj in zip(row, lap.rows)]
-        for row, ci in zip(lap.blocks, lap.cols)
-    ]
-    if complement_1 != [[rim, b], [b, Circulant((1,) + (0,) * (k - 1))]]:
-        return False
+    k, a, b = n - 1, case.rim_block, case.coupling_block
+    rim, rim_den = [2 * k * x - a._den for x in a._ints], 2 * k * a._den  # A - J/(2k)
+    scale = lap._den * h
+    p, q, _, t = lap._specs()
+    for spec, shift, target, den in (
+        (p, b1 * b1, rim, rim_den),
+        (q, b1 * b2, b._ints, b._den),
+        (t, b2 * b2, (1,) + (0,) * (k - 1), 1),
+    ):
+        if [(h * s - shift) * den for s in spec] != [x * scale for x in target]:
+            return False
     # the second complement, rim - B B, must be rim + B
-    if b @ b != -b:
+    (square,) = _convolution_sum([[(b._ints, b._ints)]])
+    if square != [-b._den * x for x in b._ints]:
         return False
-    return circulant_inertia(rim + b).i_minus == 0
+    second = [x * b._den + y * rim_den for x, y in zip(rim, b._ints)]
+    return circulant_inertia(Circulant._canonical(1, second)).i_minus == 0
 
 
 def rank_l_check(rank_d: int, rank_l: int) -> int:

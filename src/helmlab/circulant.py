@@ -30,16 +30,17 @@ store (exact_core's ``_IntStore``), which gives them +, -, scalar *, ==,
 hash and is_zero, canonical like a RatMatrix; each adds @ and a dense(),
 Circulant's being materialize, and Bordered adds is_symmetric and the
 matrix-vector product _mat_vec, with RatMatrix's signature.  A product
-of two bordered elements is eight circulant products and O(k) scalar
-terms; a matrix-vector product is spec sums for a vector constant on
-the rim and on the pendants, and packed cyclic correlations otherwise.
-The rim blocks A, B and S exist only as Circulants
-(closed_form.HelmCase), while D and L are built dense, since the dense
-oracles read them.  lift(m) is the one reader: it reads the element off
-m's first row, first column and the first row of each block, and
-returns it only when the element's dense() equals m, so the dense
-matrix stays the single source of truth: a matrix that is not exactly
-of the form gives None, and the caller keeps it dense.  The report
+of two bordered elements is eight circulant products under one packing
+and O(k) scalar terms; a matrix-vector product is spec sums for a
+vector constant on the rim and on the pendants, and packed cyclic
+correlations, under one packing, otherwise.  The rim blocks A, B and S
+exist only as Circulants (closed_form.HelmCase), while D and L are
+built dense, since the dense oracles read them.  lift(m) is the one
+reader: it reads the element off m's first row, first column and the
+first row of each block, and returns it only when the element's dense()
+equals m, compared row by row in place, so the dense matrix stays the
+single source of truth: a matrix that is not exactly of the form gives
+None, and the caller keeps it dense.  The report
 lifts D, L and the pseudoinverse once each.  When D and L lift, it runs
 the closed-form, kernel-projector, Penrose-certificate and uniqueness
 checks on elements: X, W, V and 2 P_K are then built as elements and
@@ -97,25 +98,37 @@ def _transposed(spec: Sequence[int]) -> Sequence[int]:
     return spec[:1] + spec[:0:-1]
 
 
-def _convolution_sum(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[int]:
-    """The sum over (a, b) in pairs of the cyclic convolutions
-    c_j = sum_i a_i b_((j - i) mod k), for integer specs of one length k.
+def _convolution_sum(groups: Sequence[Sequence[tuple[Sequence[int], Sequence[int]]]]) -> list[list[int]]:
+    """For each group of pairs, the sum over (a, b) in it of the cyclic
+    convolutions c_j = sum_i a_i b_((j - i) mod k), for integer specs of
+    one length k.
 
-    Every entry of the operands and of the summed linear convolutions
-    p_t = sum_(i+l=t) a_i b_l has absolute value at most
-    bound = (number of pairs) k max|a| max|b| (both maxima floored at 1),
-    so ``_kronecker(bound)`` packs each spec into one int with one slot
-    per entry; the sum of the products of the packed pairs holds
-    p_0..p_(2k-2) in its slots, and the fold c_j = p_j + p_(j+k) makes the
-    convolution cyclic.
+    Every entry of the operands and of each group's summed linear
+    convolutions p_t = sum_(i+l=t) a_i b_l has absolute value at most
+    bound = (pairs in the largest group) k max|a| max|b|, the maxima over
+    all groups and floored at 1, so one ``_kronecker(bound)`` packs every
+    spec into one int with one slot per entry; the sum of the products of
+    a group's packed pairs holds its p_0..p_(2k-2) in its slots, one
+    unpack reads every group's, and the fold c_j = p_j + p_(j+k) makes
+    each convolution cyclic.
     """
+    pairs = list(chain.from_iterable(groups))
     k = len(pairs[0][0])
     top_a = max([max(map(abs, a)) for a, _ in pairs] + [1])
     top_b = max([max(map(abs, b)) for _, b in pairs] + [1])
-    pack, unpack = _kronecker(len(pairs) * k * top_a * top_b)
+    pack, unpack = _kronecker(max(map(len, groups)) * k * top_a * top_b)
     packed = pack(list(chain.from_iterable(chain.from_iterable(pairs))), k)  # a, b, a, b, ...
-    p = unpack([sum(map(mul, packed[::2], packed[1::2]))], 2 * k - 1)
-    return [x + y for x, y in zip(p, p[k:])] + p[k - 1 : k]
+    sums, start = [], 0
+    for group in groups:
+        end = start + 2 * len(group)
+        sums.append(sum(map(mul, packed[start:end:2], packed[start + 1 : end : 2])))
+        start = end
+    width = 2 * k - 1
+    p = unpack(sums, width)
+    return [
+        [x + y for x, y in zip(p[s : s + k - 1], p[s + k : s + width])] + p[s + k - 1 : s + k]
+        for s in range(0, len(p), width)
+    ]
 
 
 def materialize(spec: Sequence[Scalar]) -> RatMatrix:
@@ -187,7 +200,7 @@ class Circulant(_IntStore):
     def __matmul__(self, other: "Circulant") -> "Circulant":
         if not self._is_like(other):
             return NotImplemented
-        product = _convolution_sum([(self._ints, other._ints)])
+        (product,) = _convolution_sum([[(self._ints, other._ints)]])
         return self._reduced(self._den * other._den, product)
 
     def __repr__(self) -> str:
@@ -277,8 +290,8 @@ class Bordered(_IntStore):
         pendant part c2 x e + R y + T z.  For y and z constant, C e =
         sigma(C) e makes each part one spec sum.  Otherwise
         (C y)_i = sum_j c_(j-i) y_j is the cyclic convolution of y with the
-        spec of C', so each part is one packed sum (_convolution_sum).
-        A vector of another length raises ValueError.
+        spec of C', so each part is one packed sum, both under one packing
+        (_convolution_sum).  A vector of another length raises ValueError.
         """
         n = self.order
         if len(v) != n:
@@ -292,8 +305,10 @@ class Bordered(_IntStore):
             for i in (0, 1):
                 out += [e[3 + i] * x[0] + sums[2 * i] * y[0] + sums[2 * i + 1] * z[0]] * k
         else:
-            for i in (0, 1):
-                part = _convolution_sum([(y, _transposed(m[2 * i])), (z, _transposed(m[2 * i + 1]))])
+            parts = _convolution_sum(
+                [[(y, _transposed(m[2 * i])), (z, _transposed(m[2 * i + 1]))] for i in (0, 1)]
+            )
+            for i, part in enumerate(parts):
                 out += [e[3 + i] * x[0] + s for s in part]
         return out, self._den * dv
 
@@ -304,8 +319,8 @@ class Bordered(_IntStore):
         spec, and e'e = k: the hub is h g + k r'd, the row border
         h s + sigma(M)'r, the column border g c + sigma(M) d, and the
         blocks M N + c s' J: block (i, j) is one packed sum of the two
-        products M_i0 N_0j + M_i1 N_1j, eight circulant products in all,
-        plus c_i s_j in every entry.
+        products M_i0 N_0j + M_i1 N_1j, eight circulant products under one
+        packing, plus c_i s_j in every entry.
         """
         if not self._is_like(other):
             return NotImplemented
@@ -317,11 +332,11 @@ class Bordered(_IntStore):
         out = [h * g + k * (r[0] * d[0] + r[1] * d[1])]
         out += [h * s[j] + r[0] * sn[j] + r[1] * sn[2 + j] for j in (0, 1)]
         out += [c[i] * g + sm[2 * i] * d[0] + sm[2 * i + 1] * d[1] for i in (0, 1)]
-        for i in (0, 1):
-            for j in (0, 1):
-                shift = c[i] * s[j]
-                product = _convolution_sum([(m[2 * i], n[j]), (m[2 * i + 1], n[2 + j])])
-                out += [x + shift for x in product]
+        grid = [(i, j) for i in (0, 1) for j in (0, 1)]
+        products = _convolution_sum([[(m[2 * i], n[j]), (m[2 * i + 1], n[2 + j])] for i, j in grid])
+        for (i, j), product in zip(grid, products):
+            shift = c[i] * s[j]
+            out += [x + shift for x in product]
         return self._reduced(self._den * other._den, out)
 
     def __repr__(self) -> str:
@@ -332,19 +347,33 @@ def lift(m: RatMatrix) -> Union[Bordered, None]:
     """m as a Bordered element, or None.
 
     The element is read off m's first row and column and the first row of
-    each block, and comes back only when its dense() equals m, an
-    O(order^2) comparison of integers; a matrix that is not square of
-    odd order at least 3, or not exactly of the form, gives None, and
-    the caller runs the same operator code on the dense matrix.
+    each block, and comes back only when its dense() equals m: each row of
+    m is compared, slice by slice, with the borders and the rotations of
+    the specs, an O(order^2) comparison of integers with no layout.  Its
+    integers are then all of m's, so it is canonical over m's
+    denominator.  A matrix that is not square of odd order at least 3, or
+    not exactly of the form, gives None, and the caller runs the same
+    operator code on the dense matrix.
     """
     n, e = m.rows, m._ints
     if m.cols != n or n < 3 or n % 2 == 0:
         return None
     k = (n - 1) // 2
     top, low = n + 1, (k + 1) * n + 1  # first entries of P and of R
-    scalars = [e[0], e[1], e[k + 1], e[n], e[(k + 1) * n]]
-    element = Bordered._reduced(m._den, scalars + [*e[top : top + 2 * k], *e[low : low + 2 * k]])
-    return element if element.dense() == m else None
+    scalars = _, r1, r2, c1, c2 = e[0], e[1], e[k + 1], e[n], e[(k + 1) * n]
+    if e[1:n] != (r1,) * k + (r2,) * k:
+        return None
+    for border, first in ((c1, n), (c2, (k + 1) * n)):
+        twice_l, twice_r = e[first + 1 : first + k + 1] * 2, e[first + k + 1 : first + n] * 2
+        for i in range(1, k):
+            row = first + i * n
+            if (
+                e[row] != border
+                or e[row + 1 : row + k + 1] != twice_l[k - i : 2 * k - i]
+                or e[row + k + 1 : row + n] != twice_r[k - i : 2 * k - i]
+            ):
+                return None
+    return Bordered._canonical(m._den, scalars + e[top : top + 2 * k] + e[low : low + 2 * k])
 
 
 # -- named specs used throughout the package -------------------------------

@@ -23,8 +23,16 @@ is symmetric.  So
 
     inertia(C) = sum over d | k of mult_d * inertia(Q_d),
 
-mult_d = 1 for d <= 2 and 2 otherwise: no cosine and no float, and
-each small form goes to the package's one exact kernel
+mult_d = 1 for d <= 2 and 2 otherwise: no cosine and no float.  A
+form of order 1 or 2 skips the kernel: by Sylvester's law its inertia is
+that of its eigenvalues, and those are read off its signs.  The form [a]
+has the one eigenvalue a; the eigenvalues of [[a, b], [b, c]] have
+product det = ac - b^2 and sum tr = a + c, so det > 0 gives two of the
+sign of tr, det < 0 one of each sign, and det = 0 a zero and tr.  That
+covers every circulant mode with g <= 2 (d = 1..6, 8, 10, 12) and every
+bordered mode d > 1 with g = 1 (d = 2, 3, 4, 6), most of the forms at
+small k.  Every form of order 3 or more, the bordered hub form
+below included, goes to the package's one exact kernel
 (exact_core._congruence).
 
 A symmetric Bordered element [[h, r'], [r, M]] whose grid
@@ -125,14 +133,32 @@ def _forms(specs: list[Sequence[int]], grid: list[list[int]], k: int, first: int
         yield (1 if d <= 2 else 2), len(grid) * g, form
 
 
+def _signs(ints: Sequence[int]) -> tuple[int, int, int]:
+    """The inertia of the 1x1 form [a] or the 2x2 form [[a, b], [b, c]],
+    read off a, or off det = ac - b^2 and tr = a + c."""
+    if len(ints) == 1:
+        a = ints[0]
+        return (a > 0, a < 0, a == 0)
+    a, b, _, c = ints
+    det, tr = a * c - b * b, a + c
+    if det > 0:  # two eigenvalues of one sign, that of tr
+        return (2, 0, 0) if tr > 0 else (0, 2, 0)
+    if det < 0:
+        return (1, 1, 0)
+    return (tr > 0, tr < 0, 1 + (tr == 0))  # one eigenvalue is 0, the other tr
+
+
 def _inertia(forms) -> InertiaTriple:
     """sum of mult * inertia(Q) over the forms (mult, order, integers of Q)."""
     plus = minus = zero = 0
     for mult, order, ints in forms:
-        tri = _congruence(RatMatrix._from_ints(order, order, 1, ints))
-        plus += mult * tri.i_plus
-        minus += mult * tri.i_minus
-        zero += mult * tri.i_zero
+        if order <= 2:
+            p, m, z = _signs(ints)
+        else:
+            p, m, z = _congruence(RatMatrix._from_ints(order, order, 1, ints))
+        plus += mult * p
+        minus += mult * m
+        zero += mult * z
     return InertiaTriple(plus, minus, zero)
 
 

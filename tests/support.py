@@ -78,6 +78,34 @@ def bump_l(lap: RatMatrix) -> RatMatrix:
     return lap + Fraction(1, 3) * outer(u, u)
 
 
+def fraction_schur_chain(lap, case) -> bool:
+    """characterization.schur_psd_check's chain on Fractions and
+    Fraction-scaled Circulants, the reference for its integer chain:
+    symmetric blocks and a corner c > 0, the first complement's blocks
+    T_ij - (b_i b_j/c) J equal to [[A - J/(2k), B], [B, I]], B B = -B, and
+    no negative inertia of A + B - J/(2k).  None fails it."""
+    from helmlab.circulant import Circulant
+    from helmlab.cyclotomic import circulant_inertia, symmetric_blocks
+
+    if lap is None:
+        return False
+    corner, a, b = lap.hub, case.rim_block, case.coupling_block
+    if not symmetric_blocks(lap) or corner <= 0:
+        return False
+    k = case.n - 1
+    ones = Circulant((1,) * k)
+    rim = a - Fraction(1, 2 * k) * ones
+    complement_1 = [
+        [block - (ci * rj / corner) * ones for block, rj in zip(row, lap.rows)]
+        for row, ci in zip(lap.blocks, lap.cols)
+    ]
+    if complement_1 != [[rim, b], [b, Circulant((1,) + (0,) * (k - 1))]]:
+        return False
+    if b @ b != -b:
+        return False
+    return circulant_inertia(rim + b).i_minus == 0
+
+
 def outer(u, v) -> RatMatrix:
     """The matrix u v' of two vectors of scalars."""
     return RatMatrix.from_rows([[x * y for y in v] for x in u])

@@ -44,11 +44,12 @@ from helmlab.characterization import (
     _twice_projector,
     candidate_element,
 )
-from helmlab.circulant import Circulant, lift
+from helmlab.circulant import Bordered, Circulant, lift
 from helmlab.closed_form import _helm_case
 from support import (
     bump_l,
     env_seed,
+    fraction_schur_chain,
     helm_decomposition,
     outer,
     random_delta_vector,
@@ -742,6 +743,62 @@ def test_schur_psd_check_rejects_an_indefinite_but_consistent_l(n):
 def test_schur_psd_check_shape_guard():
     with pytest.raises(ValueError, match="expected order 13, got 9"):
         schur_psd_check(lift(make_odd_case(5).laplacian_like), make_odd_case(7))
+
+
+def test_integer_schur_chain_matches_the_fraction_chain_on_helm_l():
+    for n in range(4, 131):
+        case = make_even_case(n) if n % 2 == 0 else make_odd_case(n)
+        lap = lift(case.laplacian_like)
+        assert schur_psd_check(lap, case) is fraction_schur_chain(lap, case) is True, n
+
+
+def _perturbed(lap, rng):
+    """(label, element) pairs: lap's integers with the corner made <= 0
+    (also with zero borders, where the cross-multiplied complement would
+    hold for any corner), the borders made unequal, or one entry of P, Q
+    (and R with it) or T bumped, alone or with its mirror entry so that
+    the blocks stay symmetric."""
+    ints, k = lap._ints, (len(lap._ints) - 5) // 4
+
+    def moved(deltas):
+        return Bordered._reduced(lap._den, [x + deltas.get(i, 0) for i, x in enumerate(ints)])
+
+    out = [
+        ("corner <= 0", moved({0: -ints[0] - rng.randint(0, 3)})),
+        ("zero corner and borders", moved({i: -ints[i] for i in range(5)})),
+        ("unequal borders", moved({rng.choice((3, 4)): rng.choice((-1, 1))})),
+    ]
+    for label, blocks in (("P", [0]), ("Q", [1, 2]), ("T", [3])):
+        i, delta = rng.randrange(k), rng.choice((-2, -1, 1, 2))
+        for entries in ({i}, {i, (k - i) % k}):
+            places = [5 + b * k + j for b in blocks for j in entries]
+            out.append((f"{label} bumped at {sorted(entries)}", moved(dict.fromkeys(places, delta))))
+    return out
+
+
+def test_integer_schur_chain_matches_the_fraction_chain_on_perturbations(rng):
+    verdicts = []
+    for _ in range(30):
+        n = rng.randint(4, 24)
+        case = make_even_case(n) if n % 2 == 0 else make_odd_case(n)
+        lap = lift(case.laplacian_like)
+        # a B with B B != -B, and L built with it, so that the first
+        # complement still has its expected blocks; and a rim lowered by 3,
+        # where only the inertia of C says no
+        moved = [x + y for x, y in zip(case.coupling_block.spec, random_delta_vector(rng, n - 1))]
+        rim = case.rim_block.spec
+        others = [
+            _helm_case(n, case.rim_block, Circulant(moved)),
+            _helm_case(n, Circulant((rim[0] - 3,) + rim[1:]), case.coupling_block),
+        ]
+        items = [("helm L", lap, case)]
+        items += [(label, element, case) for label, element in _perturbed(lap, rng)]
+        items += [(f"case {i}", lift(c.laplacian_like), c) for i, c in enumerate(others)]
+        for label, element, on in items:
+            verdict = schur_psd_check(element, on)
+            assert verdict == fraction_schur_chain(element, on), (n, label)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def _rank_l(n: int) -> int:

@@ -23,7 +23,7 @@ from helmlab import (
     rim_distance_spec,
 )
 from helmlab.characterization import _bordered_projector, _kernel_basis, _twice_projector
-from helmlab.circulant import Bordered, Circulant, bordered_circulant, lift
+from helmlab.circulant import Bordered, Circulant, _convolution_sum, bordered_circulant, lift
 from support import from_blocks, random_delta_vector, random_fraction
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -229,6 +229,29 @@ def test_packed_product_is_not_symmetric_in_the_fold():
     assert circulant_product((1, 2, 3, 4), (5, -6, 7, 8)) == _ref_cyclic((1, 2, 3, 4), (5, -6, 7, 8))
 
 
+@pytest.mark.parametrize("k", range(1, 13))
+def test_grouped_convolution_sums_match_one_call_per_group(rng, k):
+    # seeded groups of one to three pairs, with zero specs and a group of
+    # extreme specs whose middle slot reaches the shared bound exactly
+    def spec(top):
+        return tuple(rng.randint(-top, top) for _ in range(k))
+
+    for _ in range(6):
+        top = 1 << rng.choice((3, 7, 15, 31, 63, 80))
+        groups = [
+            [(spec(top), spec(rng.choice((1, top)))) for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(1, 4))
+        ]
+        groups.append([((0,) * k, spec(top))])
+        extreme = (-top,) * k
+        groups.insert(rng.randrange(len(groups) + 1), [(extreme, extreme)] * max(map(len, groups)))
+        got = _convolution_sum(groups)
+        assert got == [_convolution_sum([g])[0] for g in groups]
+        for group, sums in zip(groups, got):
+            assert tuple(sums) == tuple(map(sum, zip(*[_ref_cyclic(a, b) for a, b in group])))
+    assert _convolution_sum([[((0,) * k, (0,) * k)]] * 2) == [[0] * k] * 2
+
+
 # -- the spec algebra: Circulant and Bordered ---------------------------------
 
 
@@ -426,6 +449,51 @@ def test_lift_refuses_a_matrix_with_one_entry_changed(rng, k):
     # a non-square or empty matrix does not lift
     for bad in (RatMatrix.zeros(k, k + 1), RatMatrix.zeros(0, 0)):
         assert lift(bad) is None
+
+
+def _lift_by_layout(m):
+    """lift's reference: the element read off m, kept only when its
+    laid-out dense() equals m."""
+    n, e = m.rows, m._ints
+    if m.cols != n or n < 3 or n % 2 == 0:
+        return None
+    k = (n - 1) // 2
+    top, low = n + 1, (k + 1) * n + 1
+    scalars = [e[0], e[1], e[k + 1], e[n], e[(k + 1) * n]]
+    element = Bordered._reduced(m._den, scalars + [*e[top : top + 2 * k], *e[low : low + 2 * k]])
+    return element if element.dense() == m else None
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_lift_refuses_off_shape_matrices_that_agree_with_the_read_entries(rng, k):
+    # every matrix here has the element's first row, first column and
+    # block first rows, so the element read off it is b; it differs only
+    # in entries that the read leaves out
+    b = _random_bordered(rng, k)
+    rows = b.dense().to_lists()
+    pendant = [row[:] for row in rows]
+    for i in range(k + 2, 2 * k + 1):
+        for j in range(k + 1, 2 * k + 1):
+            pendant[i][j] += rng.randint(1, 3)
+    moved = {
+        # a row border entry past the read ones, or a column border entry
+        "border": (0, rng.choice([j for j in range(2, 2 * k + 1) if j != k + 1]))
+        if rng.random() < 0.5
+        else (rng.choice([i for i in range(2, 2 * k + 1) if i != k + 1]), 0),
+        # an entry of a block row below the block's first row
+        "rotation": (
+            1 + rng.randrange(2) * k + rng.randrange(1, k),
+            1 + rng.randrange(2) * k + rng.randrange(k),
+        ),
+    }
+    off_shape = {"pendant block": RatMatrix.from_rows(pendant)}
+    for label, (i, j) in moved.items():
+        off_shape[label] = _with_entry_changed(b.dense(), i, j)
+    for label, m in off_shape.items():
+        assert lift(m) is None and _lift_by_layout(m) is None, label
+    for x in (b, b * Fraction(1, 6), b - b, _random_bordered(rng, k) * 4):
+        assert lift(x.dense()) == _lift_by_layout(x.dense()) == x
+        _assert_canonical(lift(x.dense()))
 
 
 def test_lift_reads_the_bordered_form_of_odd_orders_only():

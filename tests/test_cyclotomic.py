@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from helmlab import helm_distance_block, inertia, make_even_case, make_odd_case
+from helmlab import cyclotomic, helm_distance_block, inertia, make_even_case, make_odd_case
 from helmlab.circulant import Bordered, Circulant, lift
 from helmlab.cyclotomic import (
+    _inertia,
     bordered_inertia,
     circulant_inertia,
     divisors,
@@ -26,6 +28,7 @@ from helmlab.cyclotomic import (
     ramanujan_sums,
     symmetric_blocks,
 )
+from helmlab.exact_core import RatMatrix, _congruence
 
 HIGHLY_COMPOSITE = (12, 24, 30, 60)
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
@@ -137,6 +140,40 @@ def test_every_divisor_counts_with_its_multiplicity(k):
         tri = circulant_inertia(Circulant(spec))
         assert tri == inertia(Circulant(spec).dense())
         assert tri == (phi(d), 0, k - phi(d))
+
+
+# -- forms of order 1 and 2 by their signs ------------------------------------
+
+
+def _small_forms():
+    """Every form [a] and [[a, b], [b, c]] with entries in -3..3."""
+    span = range(-3, 4)
+    return [[a] for a in span] + [[a, b, b, c] for a, b, c in product(span, repeat=3)]
+
+
+def test_forms_of_order_one_and_two_match_the_congruence():
+    for ints in _small_forms():
+        order = 1 if len(ints) == 1 else 2
+        tri = _congruence(RatMatrix._from_ints(order, order, 1, ints))
+        for mult in (1, 2):
+            expected = tuple(mult * x for x in tri)
+            assert _inertia([(mult, order, ints)]) == expected, (mult, ints)
+
+
+def test_no_form_of_order_two_or_less_reaches_the_congruence(rng, monkeypatch):
+    orders = []
+
+    def spying_congruence(m, original=cyclotomic._congruence):
+        orders.append(m.rows)
+        return original(m)
+
+    monkeypatch.setattr(cyclotomic, "_congruence", spying_congruence)
+    for k in _orders():
+        circulant_inertia(_random_circulant(rng, k))
+        bordered_inertia(_random_bordered(rng, k))
+    # the bordered hub form and every form of an order g >= 2 block grid
+    # still goes to the kernel, but nothing smaller
+    assert orders and min(orders) == 3
 
 
 # -- helm L, D and the Schur chain's C ------------------------------------------
